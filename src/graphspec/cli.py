@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .combinatorial import NotUnitWeight as CombinatorialNotUnitWeight
 from .combinatorial import fiedler_bounds, friedman_bounds
 from .comparisons import ALL_COMPARISONS, ComparisonCertificate, run_all
 from .curvature import (
@@ -31,14 +30,15 @@ from .curvature import (
     ollivier_curvature_all,
 )
 from .fixtures import random_graph
-from .graph import GraphFormatError, GraphValidationError, load, validate
-from .operators import operator_by_label
-from .rigidity import (
-    ALL_RIGIDITY,
-    EqualityPatternUnsupported,
-    NotNormalized,
+from .graph import (
+    GraphFormatError,
+    GraphValidationError,
     NotUnitWeight,
+    load,
+    validate,
 )
+from .operators import operator_by_label
+from .rigidity import ALL_RIGIDITY, EqualityPatternUnsupported, NotNormalized
 from .spectra import eigensolve
 
 OPERATOR_LABELS = (
@@ -246,7 +246,7 @@ def cmd_bounds(args) -> int:
             cert = fiedler_bounds(graph, args.tol)
         else:
             cert = friedman_bounds(graph, args.tol)
-    except CombinatorialNotUnitWeight as exc:
+    except NotUnitWeight as exc:
         sys.stderr.write(f"not applicable: {exc}\n")
         return 3
     print(dumps_json(_report(args, certificate_dict(cert))))
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["be", "ollivier"], required=True)
     p.add_argument("--n", default="inf", help="dimension parameter for --kind be (number or 'inf')")
     p.add_argument("--on", choices=["g", "interior"], default="g")
-    p.add_argument("--json", action="store_true", default=True)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("bounds", help="Fiedler-type (edge connectivity) or "

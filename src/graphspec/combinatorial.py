@@ -13,14 +13,16 @@ import math
 import numpy as np
 
 from .comparisons import ComparisonCertificate, IndexRecord, _abs_tol, _certify
-from .graph import WeightedBoundaryGraph, boundary_degree_vector, component_count, interior_subgraph
+from .graph import (
+    NotUnitWeight,
+    WeightedBoundaryGraph,
+    boundary_degree_vector,
+    component_count,
+    interior_subgraph,
+)
 from .operators import dirichlet_laplacian, neumann_laplacian
 from .spectra import eigensolve, weighted_singular_values
 from .fixtures import path_graph
-
-
-class NotUnitWeight(ValueError):
-    pass
 
 
 def _require_unit(graph: WeightedBoundaryGraph) -> None:
@@ -148,14 +150,15 @@ def friedman_bounds(
     otherwise.
     """
     _require_unit(graph)
-    nu = eigensolve(neumann_laplacian(graph)).eigenvalues
-    lam = eigensolve(dirichlet_laplacian(graph)).eigenvalues
+    nu_spec = eigensolve(neumann_laplacian(graph))
+    lam_spec = eigensolve(dirichlet_laplacian(graph))
+    tol_abs = _abs_tol(tol, nu_spec, lam_spec)
+    nu, lam = nu_spec.eigenvalues, lam_spec.eigenvalues
     s1sq = weighted_singular_values(graph).s1_squared
     min_deg_b = float(boundary_degree_vector(graph).min())
     n_v = graph.vertex_count
     n_om = graph.interior.size
     interior_connected = n_om >= 1 and component_count(interior_subgraph(graph)) == 1
-    tol_abs = tol * max(1.0, float(max(nu.max(initial=0.0), lam.max(initial=0.0))))
 
     def lower_bound(i: int, total: int) -> float:
         k = total // i

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import WeightedBoundaryGraph, boundary_degree_vector
 from .operators import (
     dirichlet_laplacian,
@@ -19,7 +17,7 @@ from .operators import (
     interior_laplacian,
     neumann_laplacian,
 )
-from .spectra import Spectrum, eigensolve, weighted_singular_values
+from .spectra import Spectrum, eigensolve, spectral_radius, weighted_singular_values
 
 DEFAULT_TOL = 1e-9
 EQUALITY_TOL = 1e-7  # looser, for rigidity cross-checks
@@ -81,10 +79,7 @@ def _certify(theorem_id: str, records, tol_abs: float, extra=None) -> Comparison
 
 
 def _abs_tol(tol: float, *spectra: Spectrum) -> float:
-    radius = max(
-        (float(np.abs(s.eigenvalues).max(initial=0.0)) for s in spectra), default=0.0
-    )
-    return tol * max(1.0, radius)
+    return tol * max(1.0, spectral_radius(*spectra))
 
 
 def _one_sided(theorem_id, lhs, rhs, tol_abs, extra=None) -> ComparisonCertificate:

@@ -24,18 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_eigh
 from .comparisons import ComparisonCertificate, IndexRecord, _abs_tol, _certify
 from .graph import (
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
+    degree_vector,
     interior_subgraph,
     validate,
 )
 from .operators import dirichlet_laplacian, full_laplacian, neumann_laplacian
 from .simplex import solve_lp
-from .spectra import eigensolve, weighted_singular_values
+from .spectra import eigensolve, symmetric_eigh, weighted_singular_values
 
 GAMMA_NULL_TOL = 1e-12
 
@@ -118,7 +118,7 @@ def bakry_emery_curvature_at(
             q_mat[i, j] = q_mat[j, i] = 0.5 * (
                 q_form(basis[:, i] + basis[:, j]) - q_diag[i] - q_diag[j]
             )
-    g_eigs, g_vecs = jacobi_eigh(g_mat)
+    g_eigs, g_vecs = symmetric_eigh(g_mat)
     scale = max(float(g_eigs[-1]), 0.0)
     if scale <= GAMMA_NULL_TOL:
         raise DegenerateGamma(f"Gamma vanishes on the 2-ball of vertex {x}")
@@ -129,7 +129,7 @@ def bakry_emery_curvature_at(
     if z_vecs.shape[1]:
         q_zz = z_vecs.T @ q_mat @ z_vecs
         q_pz = p_vecs.T @ q_mat @ z_vecs
-        zz_eigs, zz_vecs = jacobi_eigh(0.5 * (q_zz + q_zz.T))
+        zz_eigs, zz_vecs = symmetric_eigh(0.5 * (q_zz + q_zz.T))
         zz_scale = max(1.0, float(np.abs(zz_eigs).max(initial=0.0)))
         if zz_eigs.size and float(zz_eigs[0]) < -1e-9 * zz_scale:
             return float("-inf")
@@ -137,7 +137,7 @@ def bakry_emery_curvature_at(
         keep = zz_eigs > 1e-12 * zz_scale
         inv = zz_vecs[:, keep] / zz_eigs[keep]
         q_pp = q_pp - (q_pz @ zz_vecs[:, keep]) @ (inv.T @ q_pz.T)
-    eigs, _ = jacobi_eigh(0.5 * (q_pp + q_pp.T))
+    eigs, _ = symmetric_eigh(0.5 * (q_pp + q_pp.T))
     return float(eigs[0])
 
 
@@ -240,14 +240,19 @@ class NotApplicable(RuntimeError):
     or a disconnected interior); distinct from a failed certificate."""
 
 
-def _curvature_bound(graph, variant, n):
+def _curvature_bound(graph, variant, n, tol):
+    """The curvature lower bound of ``graph`` behind ``variant``.
+
+    Curvature scales like the degrees, so a value within
+    ``tol * max(1, max Deg)`` of zero counts as zero (not positive)."""
+    zero_tol = tol * max(1.0, float(degree_vector(graph).max(initial=0.0)))
     if variant.startswith("be"):
         k_min = bakry_emery_curvature(graph, n).global_min
-        if k_min <= 0.0:
+        if k_min <= zero_tol:
             raise NotApplicable(f"curvature-dimension bound {k_min} is not positive")
         return k_min if math.isinf(n) else n * k_min / (n - 1.0)
     kappa = ollivier_curvature_all(graph).global_min
-    if kappa <= 0.0:
+    if kappa <= zero_tol:
         raise NotApplicable(f"edge curvature bound {kappa} is not positive")
     return kappa
 
@@ -273,7 +278,7 @@ def certify_lichnerowicz(
         sub = interior_subgraph(graph)
         if sub.vertex_count == 0 or component_count(sub) != 1:
             raise NotApplicable("interior subgraph is not connected")
-        bound = _curvature_bound(sub, variant, n)
+        bound = _curvature_bound(sub, variant, n, tol)
         nu = eigensolve(neumann_laplacian(graph))
         lam = eigensolve(dirichlet_laplacian(graph))
         tol_abs = _abs_tol(tol, nu, lam)
@@ -288,7 +293,7 @@ def certify_lichnerowicz(
             )
         theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
         return _certify(theorem_id, records, tol_abs, {"variant": variant, "bound": bound})
-    bound = _curvature_bound(graph, variant, n)
+    bound = _curvature_bound(graph, variant, n, tol)
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-nu2"):
         nu = eigensolve(neumann_laplacian(graph))

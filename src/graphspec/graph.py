@@ -18,9 +18,10 @@ import numpy as np
 class GraphValidationError(ValueError):
     """A structural invariant of the graph is violated.
 
-    ``kind`` is one of: SelfLoop, AsymmetricWeight, NegativeWeight,
-    NonpositiveMeasure, EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex,
-    Disconnected.  ``detail`` carries the offending vertex/edge indices.
+    ``kind`` is one of: NonfiniteValue, SelfLoop, AsymmetricWeight,
+    NegativeWeight, NonpositiveMeasure, EmptyBoundary, BoundaryEdge,
+    IsolatedBoundaryVertex, Disconnected.  ``detail`` carries the offending
+    vertex/edge indices.
     """
 
     def __init__(self, kind: str, detail=None):
@@ -31,6 +32,11 @@ class GraphValidationError(ValueError):
 
 class GraphFormatError(ValueError):
     """The on-disk graph document is malformed."""
+
+
+class NotUnitWeight(ValueError):
+    """An operation defined only for unit measures and 0/1 weights was
+    given another graph (see ``WeightedBoundaryGraph.is_unit_weight``)."""
 
 
 @dataclass(frozen=True)
@@ -131,10 +137,18 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     """Raise GraphValidationError on the first violated invariant.
 
     Violations are checked in a fixed order so messages are deterministic:
-    SelfLoop, AsymmetricWeight, NegativeWeight, NonpositiveMeasure,
-    EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
+    NonfiniteValue (NaN or infinite measure, then weight), SelfLoop,
+    AsymmetricWeight, NegativeWeight, NonpositiveMeasure, EmptyBoundary,
+    BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
     """
     w = graph.weights
+    bad_m = np.flatnonzero(~np.isfinite(graph.measure))
+    if bad_m.size:
+        raise GraphValidationError("NonfiniteValue", int(bad_m[0]))
+    bad_w = np.argwhere(~np.isfinite(w))
+    if bad_w.size:
+        u, v = bad_w[0]
+        raise GraphValidationError("NonfiniteValue", (int(u), int(v)))
     diag = np.flatnonzero(np.diag(w) != 0.0)
     if diag.size:
         raise GraphValidationError("SelfLoop", int(diag[0]))

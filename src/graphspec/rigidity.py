@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import jacobi_eigh
 from .comparisons import (
     EQUALITY_TOL,
     compare_dirichlet_interior,
@@ -23,6 +22,7 @@ from .comparisons import (
     compare_neumann_laplacian,
 )
 from .graph import (
+    NotUnitWeight,
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
@@ -36,11 +36,7 @@ from .operators import (
     neumann_laplacian,
     normal_extension,
 )
-from .spectra import eigensolve
-
-
-class NotUnitWeight(ValueError):
-    pass
+from .spectra import eigensolve, symmetric_eigh
 
 
 class NotNormalized(ValueError):
@@ -145,10 +141,10 @@ def _quadratic_form_condition(
     if nb <= 1:
         return True, 0.0
     proj = np.eye(nb) - np.outer(m_b, m_b) / np.dot(m_b, m_b)
-    w, u = jacobi_eigh(0.5 * (proj + proj.T))
+    w, u = symmetric_eigh(proj)
     cols = u[:, w > 0.5]
     reduced = cols.T @ q @ cols
-    eigs, _ = jacobi_eigh(0.5 * (reduced + reduced.T))
+    eigs, _ = symmetric_eigh(0.5 * (reduced + reduced.T))
     min_eig = float(eigs[0]) if eigs.size else 0.0
     scale = max(1.0, float(np.abs(q).max(initial=0.0)))
     return min_eig >= -tol * scale, min_eig

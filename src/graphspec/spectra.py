@@ -2,8 +2,9 @@
 
 The operator ``A`` is similar to the symmetric matrix
 ``S = M^{1/2} A M^{-1/2}`` (``M`` the diagonal measure), which is
-diagonalized by cyclic Jacobi rotations; eigenvectors are mapped back with
-``M^{-1/2}`` and are therefore orthonormal in the measure inner product.
+diagonalized by LAPACK's symmetric eigensolver (``numpy.linalg.eigh``);
+eigenvectors are mapped back with ``M^{-1/2}`` and are therefore orthonormal
+in the measure inner product.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ConvergenceError, jacobi_eigh
 from .graph import WeightedBoundaryGraph
 from .operators import SelfAdjointOperator, neumann_coupling
 
@@ -21,8 +21,28 @@ __all__ = [
     "SingularSpectrum",
     "ConvergenceError",
     "eigensolve",
+    "symmetric_eigh",
     "weighted_singular_values",
 ]
+
+
+class ConvergenceError(RuntimeError):
+    """The symmetric eigensolver failed, or was given non-finite entries."""
+
+
+def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of a
+    symmetric matrix (only its lower triangle is read).
+
+    Raises ConvergenceError on non-finite input, for which LAPACK would
+    return finite-looking garbage, and when LAPACK does not converge.
+    """
+    if not np.all(np.isfinite(matrix)):
+        raise ConvergenceError("matrix has non-finite entries")
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -65,13 +85,13 @@ class SingularSpectrum:
 def eigensolve(op: SelfAdjointOperator) -> Spectrum:
     """Full spectrum of a measure-self-adjoint operator.
 
-    Raises ConvergenceError if the Jacobi iteration fails; never returns a
-    silently inaccurate decomposition.
+    Raises ConvergenceError if the eigensolver fails or the operator has
+    non-finite entries; never returns a silently inaccurate decomposition.
     """
     sqrt_m = np.sqrt(op.inner_measure)
     s = (sqrt_m[:, None] * op.matrix) / sqrt_m[None, :]
     s = 0.5 * (s + s.T)
-    w, u = jacobi_eigh(s)
+    w, u = symmetric_eigh(s)
     vecs = u / sqrt_m[:, None]
     return Spectrum(eigenvalues=w, eigenvectors=vecs, measure=op.inner_measure)
 

@@ -63,6 +63,15 @@ class TestExitCodes:
         code, _ = run(capsys, ["validate", "--graph", str(path)])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_nan_measure_is_invalid_graph(self, capsys, tmp_path, command):
+        g = path_graph(3, boundary=[0, 2], measure=[1.0, float("nan"), 1.0])
+        path = tmp_path / "nan.json"
+        save(g, path)
+        code, out = run(capsys, [command, "--graph", str(path)])
+        assert code == 4
+        assert out == ""
+
     def test_usage_error(self, capsys):
         code, _ = run(capsys, ["compare"])  # missing --graph
         assert code == 1

@@ -181,6 +181,10 @@ class TestLichnerowicz:
         g = path_graph(6, boundary=[0])
         with pytest.raises(NotApplicable):
             certify_lichnerowicz(g, "ollivier-g-nu2")
+        # the path's Bakry-Emery minimum is 0 up to round-off, which must
+        # not count as positive whichever sign the round-off takes
+        with pytest.raises(NotApplicable):
+            certify_lichnerowicz(path_graph(5, boundary=[0]), "be-g-nu2", n=4.0)
 
 
 class TestSimplexAgainstOracle:

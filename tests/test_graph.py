@@ -83,6 +83,11 @@ class TestValidationOrder:
         g = graph_from([1, 1, 1, 1], w, [2])
         assert kind_of(g) == "Disconnected"
 
+    @pytest.mark.parametrize("measure, weight", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_nonfinite_value(self, measure, weight):
+        g = graph_from([1, measure], [[0, weight], [weight, 0]], [0])
+        assert kind_of(g) == "NonfiniteValue"
+
     def test_self_loop_reported_before_negative_weight(self):
         g = graph_from([1, 1], [[1, -1], [-1, 0]], [0])
         assert kind_of(g) == "SelfLoop"

@@ -7,7 +7,12 @@ from graphspec.operators import (
     full_laplacian,
     neumann_laplacian,
 )
-from graphspec.spectra import eigensolve, spectral_radius, weighted_singular_values
+from graphspec.spectra import (
+    ConvergenceError,
+    eigensolve,
+    spectral_radius,
+    weighted_singular_values,
+)
 from graphspec.fixtures import path_graph, random_graph
 
 from oracle import DimensionTooLarge, eigen_bruteforce
@@ -69,6 +74,19 @@ class TestEigensolve:
             got = eigensolve(op).eigenvalues
             want = eigen_bruteforce(op.matrix, m)
             assert np.abs(got - want).max() <= 1e-7
+
+    def test_empty_and_scalar(self):
+        spec = eigensolve(SelfAdjointOperator(np.empty((0, 0)), np.empty(0), "Empty"))
+        assert spec.eigenvalues.size == 0 and spec.eigenvectors.shape == (0, 0)
+        spec = eigensolve(SelfAdjointOperator(np.array([[7.0]]), np.array([4.0]), "One"))
+        assert spec.eigenvalues[0] == pytest.approx(7.0, abs=1e-15)
+        assert spec.orthonormality_defect() <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_operator_raises(self, bad):
+        mat = np.array([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(ConvergenceError):
+            eigensolve(SelfAdjointOperator(mat, np.ones(2), "NonFinite"))
 
     def test_oracle_refuses_large_input(self):
         with pytest.raises(DimensionTooLarge):
