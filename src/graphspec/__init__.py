@@ -28,6 +28,7 @@ from .spectra import (
     SingularSpectrum,
     Spectrum,
     eigensolve,
+    spectrum,
     weighted_singular_values,
 )
 from .comparisons import (

@@ -34,19 +34,14 @@ from .graph import (
     GraphFormatError,
     GraphValidationError,
     NotUnitWeight,
+    component_count,
+    interior_subgraph,
     load,
     validate,
 )
-from .operators import operator_by_label
+from .operators import BUILDERS, operator_by_label
 from .rigidity import ALL_RIGIDITY, EqualityPatternUnsupported, NotNormalized
-from .spectra import eigensolve
-
-OPERATOR_LABELS = (
-    "FullLaplacian",
-    "DirichletLaplacian",
-    "NeumannLaplacian",
-    "InteriorLaplacian",
-)
+from .spectra import spectrum
 
 _FLOAT_TOKEN = re.compile(r'"@@f:([^"]*)@@"')
 
@@ -124,6 +119,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _arg_type(convert, accept, expected):
+    """An argparse ``type``: ``convert(text)`` when ``accept`` holds for it.
+    A rejected value goes to ``_Parser.error`` (exit 1)."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_count = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
+# random_graph draws |V| from 3..max_v
+_max_vertices = _arg_type(int, lambda v: v >= 3, "an integer >= 3")
+_tolerance = _arg_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+# kept as given, so the invocation echoed in the report is unchanged
+_dimension = _arg_type(str, lambda t: float(t) > 1.0, "a number > 1 or 'inf'")
+
+
 def _load_graph(path, require_boundary=True):
     try:
         graph = load(path)
@@ -160,9 +179,8 @@ def cmd_validate(args) -> int:
 def cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
     out = {}
-    for label in OPERATOR_LABELS:
-        spec = eigensolve(operator_by_label(graph, label))
-        out[label] = [float(v) for v in spec.eigenvalues]
+    for label in BUILDERS:
+        out[label] = [float(v) for v in spectrum(graph, label).eigenvalues]
     print(dumps_json(_report(args, out)))
     return 0
 
@@ -217,18 +235,12 @@ def cmd_certify(args) -> int:
 
 def cmd_curvature(args) -> int:
     graph = _load_graph(args.graph, require_boundary=(args.on == "interior"))
-    if args.on == "interior":
-        from .graph import component_count, interior_subgraph
-
-        target = interior_subgraph(graph)
-        if target.vertex_count == 0 or component_count(target) != 1:
-            sys.stderr.write("interior subgraph is not connected\n")
-            return 3
-    else:
-        target = graph
+    target = interior_subgraph(graph) if args.on == "interior" else graph
+    if target.vertex_count < 2 or component_count(target) != 1:
+        sys.stderr.write("not applicable: curvature needs a connected graph with an edge\n")
+        return 3
     if args.kind == "be":
-        n = float("inf") if args.n == "inf" else float(args.n)
-        result = bakry_emery_curvature(target, n)
+        result = bakry_emery_curvature(target, float(args.n))
         per = {str(k): v for k, v in result.per_location.items()}
     else:
         result = ollivier_curvature_all(target)
@@ -304,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-operator", help="emit one operator matrix as JSON rows")
     p.add_argument("--graph", required=True)
-    p.add_argument("--operator", choices=OPERATOR_LABELS, default="FullLaplacian")
+    p.add_argument("--operator", choices=tuple(BUILDERS), default="FullLaplacian")
     p.set_defaults(func=cmd_dump_operator)
 
     p = sub.add_parser(
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--theorems", default="all")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--json", dest="table", action="store_false", default=False)
     p.add_argument("--table", dest="table", action="store_true")
     p.set_defaults(func=cmd_compare)
@@ -327,14 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--theorem", choices=sorted(ALL_RIGIDITY), required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("curvature", help="per-vertex curvature-dimension constants "
                        "or per-edge transport curvature")
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", choices=["be", "ollivier"], required=True)
-    p.add_argument("--n", default="inf", help="dimension parameter for --kind be (number or 'inf')")
+    p.add_argument("--n", type=_dimension, default="inf",
+                   help="dimension parameter for --kind be (a number > 1, or 'inf')")
     p.add_argument("--on", choices=["g", "interior"], default="g")
     p.set_defaults(func=cmd_curvature)
 
@@ -342,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "Friedman-type (path comparison) lower bounds, unit weight only")
     p.add_argument("--graph", required=True)
     p.add_argument("--family", choices=["fiedler", "friedman"], required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random-audit", help="run every comparison certificate over "
                        "seeded random graphs and report the failure count")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--max-v", type=int, default=12)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--n", type=_count, default=200)
+    p.add_argument("--max-v", type=_max_vertices, default=12)
+    p.add_argument("--seed", type=_count, default=42)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--curvature", action="store_true",
                    help="also check the curvature spectral-gap bounds where applicable")
     p.set_defaults(func=cmd_random_audit)

@@ -20,8 +20,7 @@ from .graph import (
     component_count,
     interior_subgraph,
 )
-from .operators import dirichlet_laplacian, neumann_laplacian
-from .spectra import eigensolve, weighted_singular_values
+from .spectra import spectrum, weighted_singular_values
 from .fixtures import path_graph
 
 
@@ -87,8 +86,8 @@ def fiedler_bounds(
 ) -> ComparisonCertificate:
     """The five edge-connectivity lower bounds on nu_2 and lambda_2."""
     _require_unit(graph)
-    nu = eigensolve(neumann_laplacian(graph))
-    lam = eigensolve(dirichlet_laplacian(graph))
+    nu = spectrum(graph, "NeumannLaplacian")
+    lam = spectrum(graph, "DirichletLaplacian")
     tol_abs = _abs_tol(tol, nu, lam)
     n_v = graph.vertex_count
     n_om = graph.interior.size
@@ -136,7 +135,7 @@ def path_dirichlet_value(k: int, lam: float) -> float:
         raise ValueError("need k >= 1 and lam > 0")
     weights = [lam] + [1.0] * (k - 1)
     graph = path_graph(k + 1, boundary=[0], weights=weights)
-    spec = eigensolve(dirichlet_laplacian(graph))
+    spec = spectrum(graph, "DirichletLaplacian")
     return float(spec.eigenvalues[0])
 
 
@@ -150,8 +149,8 @@ def friedman_bounds(
     otherwise.
     """
     _require_unit(graph)
-    nu_spec = eigensolve(neumann_laplacian(graph))
-    lam_spec = eigensolve(dirichlet_laplacian(graph))
+    nu_spec = spectrum(graph, "NeumannLaplacian")
+    lam_spec = spectrum(graph, "DirichletLaplacian")
     tol_abs = _abs_tol(tol, nu_spec, lam_spec)
     nu, lam = nu_spec.eigenvalues, lam_spec.eigenvalues
     s1sq = weighted_singular_values(graph).s1_squared

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import WeightedBoundaryGraph, boundary_degree_vector
-from .operators import (
-    dirichlet_laplacian,
-    full_laplacian,
-    interior_laplacian,
-    neumann_laplacian,
-)
-from .spectra import Spectrum, eigensolve, spectral_radius, weighted_singular_values
+from .spectra import Spectrum, spectral_radius, spectrum, weighted_singular_values
 
 DEFAULT_TOL = 1e-9
 EQUALITY_TOL = 1e-7  # looser, for rigidity cross-checks
@@ -107,8 +101,8 @@ def compare_neumann_laplacian(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """nu_i >= mu_i for i = 1..|Omega|."""
-    nu = eigensolve(neumann_laplacian(graph))
-    mu = eigensolve(full_laplacian(graph))
+    nu = spectrum(graph, "NeumannLaplacian")
+    mu = spectrum(graph, "FullLaplacian")
     tol_abs = _abs_tol(tol, nu, mu)
     k = nu.eigenvalues.size
     return _one_sided("NeuVsLap", nu.eigenvalues, mu.eigenvalues[:k], tol_abs)
@@ -118,8 +112,8 @@ def compare_dirichlet_interior(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """mu_i(Omega) + min Deg_b <= lambda_i <= mu_i(Omega) + max Deg_b."""
-    lam = eigensolve(dirichlet_laplacian(graph))
-    mu_om = eigensolve(interior_laplacian(graph))
+    lam = spectrum(graph, "DirichletLaplacian")
+    mu_om = spectrum(graph, "InteriorLaplacian")
     deg_b = boundary_degree_vector(graph)
     tol_abs = _abs_tol(tol, lam, mu_om)
     lo = mu_om.eigenvalues + deg_b.min()
@@ -131,8 +125,8 @@ def compare_neumann_interior(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """nu_i >= mu_i(Omega)."""
-    nu = eigensolve(neumann_laplacian(graph))
-    mu_om = eigensolve(interior_laplacian(graph))
+    nu = spectrum(graph, "NeumannLaplacian")
+    mu_om = spectrum(graph, "InteriorLaplacian")
     tol_abs = _abs_tol(tol, nu, mu_om)
     return _one_sided("NeuVsInterior", nu.eigenvalues, mu_om.eigenvalues, tol_abs)
 
@@ -141,8 +135,8 @@ def compare_dirichlet_neumann(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """nu_i + s_1^2 <= lambda_i <= nu_i + s_max^2."""
-    lam = eigensolve(dirichlet_laplacian(graph))
-    nu = eigensolve(neumann_laplacian(graph))
+    lam = spectrum(graph, "DirichletLaplacian")
+    nu = spectrum(graph, "NeumannLaplacian")
     sing = weighted_singular_values(graph)
     tol_abs = _abs_tol(tol, lam, nu)
     lo = nu.eigenvalues + sing.s1_squared
@@ -155,8 +149,8 @@ def compare_laplacian_dirichlet(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """mu_{i+|B|} >= lambda_i, with full equality flagged as anomalous."""
-    lam = eigensolve(dirichlet_laplacian(graph))
-    mu = eigensolve(full_laplacian(graph))
+    lam = spectrum(graph, "DirichletLaplacian")
+    mu = spectrum(graph, "FullLaplacian")
     tol_abs = _abs_tol(tol, lam, mu)
     nb = graph.boundary.size
     shifted = mu.eigenvalues[nb:]

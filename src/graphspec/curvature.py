@@ -33,9 +33,9 @@ from .graph import (
     interior_subgraph,
     validate,
 )
-from .operators import dirichlet_laplacian, full_laplacian, neumann_laplacian
+from .operators import operator_by_label
 from .simplex import solve_lp
-from .spectra import eigensolve, symmetric_eigh, weighted_singular_values
+from .spectra import spectrum, symmetric_eigh, weighted_singular_values
 
 GAMMA_NULL_TOL = 1e-12
 
@@ -73,6 +73,11 @@ def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
     return dist
 
 
+def _distances(graph: WeightedBoundaryGraph) -> np.ndarray:
+    """Hop distances of ``graph``, computed once per graph object."""
+    return graph.derived("distances", _graph_distances)
+
+
 def _gamma(lap: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * (lap @ (f * g) - f * (lap @ g) - g * (lap @ f))
 
@@ -91,8 +96,8 @@ def bakry_emery_curvature_at(
     2-ball with f(x) = 0; directions with Gamma(f)(x) = 0 are eliminated by
     a Schur complement (they must carry a nonnegative form, else K = -inf).
     """
-    lap = -full_laplacian(graph).matrix  # the signed Laplacian Delta
-    dist = _graph_distances(graph)
+    lap = -operator_by_label(graph, "FullLaplacian").matrix  # the signed Laplacian Delta
+    dist = _distances(graph)
     ball = np.flatnonzero((dist[x] <= 2) & (np.arange(graph.vertex_count) != x))
     k = ball.size
     if k == 0:
@@ -160,8 +165,8 @@ def ollivier_curvature(
     """kappa(x, y) for an edge {x, y} via the Lipschitz-dual linear program."""
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
-    lap = -full_laplacian(graph).matrix
-    dist = _graph_distances(graph)
+    lap = -operator_by_label(graph, "FullLaplacian").matrix
+    dist = _distances(graph)
     ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
     free = [v for v in ball if v != x and v != y]
     fixed = {x: 1.0, y: 0.0}
@@ -279,8 +284,8 @@ def certify_lichnerowicz(
         if sub.vertex_count == 0 or component_count(sub) != 1:
             raise NotApplicable("interior subgraph is not connected")
         bound = _curvature_bound(sub, variant, n, tol)
-        nu = eigensolve(neumann_laplacian(graph))
-        lam = eigensolve(dirichlet_laplacian(graph))
+        nu = spectrum(graph, "NeumannLaplacian")
+        lam = spectrum(graph, "DirichletLaplacian")
         tol_abs = _abs_tol(tol, nu, lam)
         if nu.eigenvalues.size >= 2:
             nu2 = float(nu.eigenvalues[1])
@@ -296,7 +301,7 @@ def certify_lichnerowicz(
     bound = _curvature_bound(graph, variant, n, tol)
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-nu2"):
-        nu = eigensolve(neumann_laplacian(graph))
+        nu = spectrum(graph, "NeumannLaplacian")
         tol_abs = _abs_tol(tol, nu)
         if nu.eigenvalues.size < 2:
             raise NotApplicable("nu_2 does not exist (singleton interior)")
@@ -304,7 +309,7 @@ def certify_lichnerowicz(
         records.append(IndexRecord(1, nu2, bound, nu2 - bound, abs(nu2 - bound) <= tol_abs))
         return _certify(theorem_id, records, tol_abs, {"variant": variant, "bound": bound})
     # *-g-lambda2: lambda_2 >= bound + s_1^2
-    lam = eigensolve(dirichlet_laplacian(graph))
+    lam = spectrum(graph, "DirichletLaplacian")
     tol_abs = _abs_tol(tol, lam)
     if lam.eigenvalues.size < 2:
         raise NotApplicable("lambda_2 does not exist (singleton interior)")

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedBoundaryGraph, validate, volumes
-from .operators import full_laplacian, interior_laplacian
-from .spectra import eigensolve
+from .spectra import spectrum
 
 
 def path_graph(n: int, boundary=(), weights=None, measure=None) -> WeightedBoundaryGraph:
@@ -80,7 +79,7 @@ def neumann_equality_recipe(
             probe = WeightedBoundaryGraph(
                 measure=m[nb:], weights=w_int, boundary=np.array([], dtype=np.intp)
             )
-            mu_top = eigensolve(full_laplacian(probe)).eigenvalues[-1]
+            mu_top = spectrum(probe, "FullLaplacian").eigenvalues[-1]
             interior_scale = 0.5 * budget / mu_top if mu_top > 0 else 1.0
         w2 = w.copy()
         w2[nb:, nb:] = interior_scale * (np.ones((nom, nom)) - np.eye(nom))
@@ -125,7 +124,7 @@ def laplacian_dirichlet_recipe(
         raise ValueError("recipe requires V_Omega <= V_B; enlarge boundary measures")
     target = rho * v_omega
     if j < nom:
-        mu = eigensolve(interior_laplacian(graph)).eigenvalues
+        mu = spectrum(graph, "InteriorLaplacian").eigenvalues
         mu_next = float(mu[j])
         if mu_next <= 0:
             raise ValueError("interior block structure inconsistent with j")

@@ -46,6 +46,9 @@ class WeightedBoundaryGraph:
     Vertices are the integers ``0 .. n-1``.  ``weights`` is a dense symmetric
     ``n x n`` matrix; ``boundary`` is a sorted index array (possibly empty,
     in which case the object is a plain weighted graph).
+
+    The arrays are read-only, so values computed from a graph (operators,
+    spectra, distances) are computed once per instance, by ``derived``.
     """
 
     measure: np.ndarray
@@ -66,6 +69,15 @@ class WeightedBoundaryGraph:
         m.setflags(write=False)
         w.setflags(write=False)
         b.setflags(write=False)
+        object.__setattr__(self, "_derived", {})
+
+    def derived(self, key, compute):
+        """``compute(self)``, computed on the first request for ``key`` and
+        kept on this instance; the ndarrays in the value are made read-only."""
+        memo = self._derived
+        if key not in memo:
+            memo[key] = _read_only(compute(self))
+        return memo[key]
 
     @property
     def vertex_count(self) -> int:
@@ -74,9 +86,7 @@ class WeightedBoundaryGraph:
     @property
     def interior(self) -> np.ndarray:
         """Sorted indices of Omega = V \\ B."""
-        mask = np.ones(self.vertex_count, dtype=bool)
-        mask[self.boundary] = False
-        return np.flatnonzero(mask)
+        return self.derived("interior", _interior)
 
     @property
     def has_boundary(self) -> bool:
@@ -104,6 +114,20 @@ class WeightedBoundaryGraph:
     def is_normalized(self, tol: float = 1e-12) -> bool:
         deg = self.weights.sum(axis=1) / self.measure
         return bool(np.all(np.abs(deg - 1.0) <= tol))
+
+
+def _interior(graph: WeightedBoundaryGraph) -> np.ndarray:
+    mask = np.ones(graph.vertex_count, dtype=bool)
+    mask[graph.boundary] = False
+    return np.flatnonzero(mask)
+
+
+def _read_only(value):
+    """``value`` with its ndarrays (itself, or its attributes) made read-only."""
+    for a in (value, *getattr(value, "__dict__", {}).values()):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return value
 
 
 def _components(weights: np.ndarray) -> np.ndarray:
@@ -240,6 +264,35 @@ def volumes(graph: WeightedBoundaryGraph) -> tuple[float, float, float]:
 _TOP_KEYS = {"vertices", "edges", "boundary"}
 
 
+def _number(value, what) -> float:
+    """A JSON number as a float (NaN and infinities pass; ``validate``
+    rejects them)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphFormatError(f"{what} must be a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{what} is out of range: {value!r}") from None
+
+
+def _vertex_index(value, n: int, what) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphFormatError(f"{what} must be an integer: {value!r}")
+    if not 0 <= value < n:
+        raise GraphFormatError(f"{what} out of range: {value!r}")
+    return value
+
+
+def _records(doc: dict, key: str, fields: set, name: str) -> list:
+    items = doc[key]
+    if not isinstance(items, list):
+        raise GraphFormatError(f"{key} must be a list")
+    for item in items:
+        if not isinstance(item, dict) or set(item) != fields:
+            raise GraphFormatError(f"bad {name} record: {item!r}")
+    return items
+
+
 def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
@@ -249,30 +302,32 @@ def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
     for key in _TOP_KEYS:
         if key not in doc:
             raise GraphFormatError(f"missing key: {key}")
-    verts = doc["vertices"]
-    ids = []
-    for v in verts:
-        if set(v) != {"id", "measure"}:
-            raise GraphFormatError(f"bad vertex record: {v!r}")
-        ids.append(int(v["id"]))
-    n = len(ids)
+    verts = _records(doc, "vertices", {"id", "measure"}, "vertex")
+    n = len(verts)
+    ids = [_vertex_index(v["id"], n, "vertex id") for v in verts]
     if sorted(ids) != list(range(n)):
         raise GraphFormatError("vertex ids must be 0..n-1 without gaps")
     measure = np.empty(n)
-    for v in verts:
-        measure[int(v["id"])] = float(v["measure"])
+    for i, v in zip(ids, verts):
+        measure[i] = _number(v["measure"], f"measure of vertex {i}")
     weights = np.zeros((n, n))
-    for e in doc["edges"]:
-        if set(e) != {"u", "v", "weight"}:
-            raise GraphFormatError(f"bad edge record: {e!r}")
-        u, v = int(e["u"]), int(e["v"])
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+    seen = set()
+    for e in _records(doc, "edges", {"u", "v", "weight"}, "edge"):
+        u = _vertex_index(e["u"], n, "edge endpoint")
+        v = _vertex_index(e["v"], n, "edge endpoint")
+        if u == v:
             raise GraphFormatError(f"bad edge endpoints: {e!r}")
-        weights[u, v] = weights[v, u] = float(e["weight"])
-    boundary = np.asarray([int(b) for b in doc["boundary"]], dtype=np.intp)
-    if boundary.size and (boundary.min() < 0 or boundary.max() >= n):
-        raise GraphFormatError("boundary index out of range")
-    return WeightedBoundaryGraph(measure=measure, weights=weights, boundary=boundary)
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise GraphFormatError(f"duplicate edge records for the pair {pair}")
+        seen.add(pair)
+        weights[u, v] = weights[v, u] = _number(e["weight"], f"weight of edge {pair}")
+    if not isinstance(doc["boundary"], list):
+        raise GraphFormatError("boundary must be a list")
+    boundary = [_vertex_index(b, n, "boundary index") for b in doc["boundary"]]
+    return WeightedBoundaryGraph(
+        measure=measure, weights=weights, boundary=np.asarray(boundary, dtype=np.intp)
+    )
 
 
 def to_json_dict(graph: WeightedBoundaryGraph) -> dict:
@@ -302,7 +357,11 @@ def dumps(graph: WeightedBoundaryGraph) -> str:
 
 def load(path) -> WeightedBoundaryGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    return loads(text)
 
 
 def save(graph: WeightedBoundaryGraph, path) -> None:

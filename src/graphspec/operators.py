@@ -5,13 +5,14 @@ Laplacians), so eigenvalues can be read off directly.  Every operator is
 self-adjoint under the measure-weighted inner product
 ``<u, v> = sum_x u(x) v(x) m_x`` on its vertex set.
 
-The Dirichlet and Neumann operators are assembled twice, once from the
-extension definitions and once from the algebraic identities
+The Dirichlet operator is the Omega x Omega block of the full operator.  The
+Neumann operator, defined through the normal extension, is assembled from the
+identity (checked column by column against the extension in the test suite)
 
-    dirichlet = interior + diag(Deg_b)
-    neumann   = interior + diag(Deg_b) - A_B Deg^{-1} A_Omega
+    neumann = dirichlet - A_B Deg^{-1} A_Omega.
 
-and the two routes are cross-checked at assembly time.
+``operator_by_label`` builds each operator once per graph object; the
+``*_laplacian`` builders compute afresh.
 """
 
 from __future__ import annotations
@@ -20,18 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    WeightedBoundaryGraph,
-    boundary_degree_vector,
-    degree_vector,
-    interior_subgraph,
-)
-
-ASSEMBLY_TOL = 1e-12
-
-
-class AssemblyError(RuntimeError):
-    """The two assembly routes for an operator disagree."""
+from .graph import WeightedBoundaryGraph, degree_vector, interior_subgraph
 
 
 @dataclass(frozen=True)
@@ -110,25 +100,15 @@ def normal_extension(graph: WeightedBoundaryGraph, u: np.ndarray) -> np.ndarray:
 
 def normal_derivative(graph: WeightedBoundaryGraph, u: np.ndarray) -> np.ndarray:
     """(du/dn)(x) = (1/m_x) sum_y (u(x) - u(y)) w_xy for x in B."""
-    full = full_laplacian(graph).matrix @ u
+    full = operator_by_label(graph, "FullLaplacian").matrix @ u
     return full[graph.boundary]
-
-
-def _check_routes(label: str, direct: np.ndarray, identity: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(direct).max(initial=0.0)))
-    defect = float(np.abs(direct - identity).max(initial=0.0))
-    if defect > ASSEMBLY_TOL * scale:
-        raise AssemblyError(f"{label}: assembly routes disagree by {defect:.3e}")
 
 
 def dirichlet_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """Negated Dirichlet Laplacian on Omega (zero boundary conditions)."""
     omega = graph.interior
-    full = full_laplacian(graph).matrix
-    direct = full[np.ix_(omega, omega)]
-    identity = interior_laplacian(graph).matrix + np.diag(boundary_degree_vector(graph))
-    _check_routes("DirichletLaplacian", direct, identity)
-    return SelfAdjointOperator(direct, graph.measure[omega], "DirichletLaplacian")
+    mat = full_laplacian(graph).matrix[np.ix_(omega, omega)]
+    return SelfAdjointOperator(mat, graph.measure[omega], "DirichletLaplacian")
 
 
 def neumann_coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
@@ -141,30 +121,20 @@ def neumann_coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
 
 def neumann_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """Negated Neumann Laplacian on Omega (vanishing normal derivative)."""
-    omega = graph.interior
-    full = full_laplacian(graph).matrix
-    n = omega.size
-    direct = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        direct[:, j] = (full @ normal_extension(graph, e))[omega]
-    identity = (
-        interior_laplacian(graph).matrix
-        + np.diag(boundary_degree_vector(graph))
-        - neumann_coupling(graph)
-    )
-    _check_routes("NeumannLaplacian", direct, identity)
-    return SelfAdjointOperator(direct, graph.measure[omega], "NeumannLaplacian")
+    mat = dirichlet_laplacian(graph).matrix - neumann_coupling(graph)
+    return SelfAdjointOperator(mat, graph.measure[graph.interior], "NeumannLaplacian")
+
+
+BUILDERS = {
+    "FullLaplacian": full_laplacian,
+    "DirichletLaplacian": dirichlet_laplacian,
+    "NeumannLaplacian": neumann_laplacian,
+    "InteriorLaplacian": interior_laplacian,
+}
 
 
 def operator_by_label(graph: WeightedBoundaryGraph, label: str) -> SelfAdjointOperator:
-    table = {
-        "FullLaplacian": full_laplacian,
-        "DirichletLaplacian": dirichlet_laplacian,
-        "NeumannLaplacian": neumann_laplacian,
-        "InteriorLaplacian": interior_laplacian,
-    }
-    if label not in table:
+    """The operator ``label`` of ``graph``, built once per graph object."""
+    if label not in BUILDERS:
         raise KeyError(f"unknown operator label: {label}")
-    return table[label](graph)
+    return graph.derived(("operator", label), BUILDERS[label])

@@ -26,17 +26,12 @@ from .graph import (
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
+    interior_degree_vector,
     interior_subgraph,
     volumes,
 )
-from .operators import (
-    dirichlet_laplacian,
-    full_laplacian,
-    interior_laplacian,
-    neumann_laplacian,
-    normal_extension,
-)
-from .spectra import eigensolve, symmetric_eigh
+from .operators import normal_extension, operator_by_label
+from .spectra import spectrum, symmetric_eigh
 
 
 class NotNormalized(ValueError):
@@ -169,7 +164,7 @@ def check_neumann_laplacian_rigidity(
         rho = fact.rho
         m_b = graph.measure[graph.boundary]
         deg_b = float(np.dot(rho, m_b))
-        mu_om = eigensolve(interior_laplacian(graph)).eigenvalues
+        mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
         mu_top = float(mu_om[-1])
         extra["mu_top_interior"] = mu_top
         if fact.constant:
@@ -222,12 +217,12 @@ def neumann_laplacian_equality_witness(
     eigenfunction vanishing on the boundary.  Returns the first witness
     (a function on V) or None.
     """
-    nu = eigensolve(neumann_laplacian(graph))
+    nu = spectrum(graph, "NeumannLaplacian")
     lam = float(nu.eigenvalues[index - 1])
     span = np.abs(nu.eigenvalues - lam) <= tol * max(1.0, abs(lam))
     basis = nu.eigenvectors[:, span]
     k = basis.shape[1]
-    full = full_laplacian(graph).matrix
+    full = operator_by_label(graph, "FullLaplacian").matrix
     # boundary values of the normal extensions of the basis vectors
     ext = np.column_stack([normal_extension(graph, basis[:, j]) for j in range(k)])
     bc = ext[graph.boundary, :]
@@ -363,7 +358,7 @@ def check_laplacian_dirichlet_rigidity(
     cond_components = Condition("interior_components_equal_j", comp == j, comp)
     fact = detect_rho_factorization(graph, tol)
     cond_rho = Condition("rho_factorization", fact.holds, fact.missing_edge)
-    lam = eigensolve(dirichlet_laplacian(graph)).eigenvalues
+    lam = spectrum(graph, "DirichletLaplacian").eigenvalues
     conditions = [cond_components, cond_rho]
     conclusion = comp == j and fact.holds
     if fact.holds:
@@ -378,7 +373,7 @@ def check_laplacian_dirichlet_rigidity(
         if fact.constant:
             rho_c = float(fact.rho.mean())
             v_omega, v_b, _ = volumes(graph)
-            mu_om = eigensolve(interior_laplacian(graph)).eigenvalues
+            mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
             if j < mu_om.size:
                 gap_ok = float(mu_om[j]) >= rho_c * v_omega - tol * max(1.0, rho_c * v_omega)
                 witness = (float(mu_om[j]), rho_c * v_omega)
@@ -453,14 +448,12 @@ def check_corollary_normalized(
     interior_empty = not np.any(interior_w > 0.0)
     case1 = weights_ok and interior_empty and abs(v_omega - v_b) <= tol * max(1.0, v_b)
     interior_complete = bool(np.all((interior_w > 0.0) | np.eye(omega.size, dtype=bool)))
-    from .graph import interior_degree_vector
-
     deg_om = interior_degree_vector(graph)
     target = 1.0 - v_b / v_omega
     deg_ok = bool(np.all(np.abs(deg_om - target) <= tol * max(1.0, abs(target))))
     mu2_ok = False
     if omega.size >= 2:
-        mu_om = eigensolve(interior_laplacian(graph)).eigenvalues
+        mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
         mu2_ok = float(mu_om[1]) >= 1.0 - tol
     case2 = (
         weights_ok

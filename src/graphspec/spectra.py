@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedBoundaryGraph
-from .operators import SelfAdjointOperator, neumann_coupling
+from .operators import SelfAdjointOperator, neumann_coupling, operator_by_label
 
 __all__ = [
     "Spectrum",
     "SingularSpectrum",
     "ConvergenceError",
     "eigensolve",
+    "spectrum",
     "symmetric_eigh",
     "weighted_singular_values",
 ]
@@ -96,12 +97,25 @@ def eigensolve(op: SelfAdjointOperator) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=vecs, measure=op.inner_measure)
 
 
+def spectrum(graph: WeightedBoundaryGraph, label: str) -> Spectrum:
+    """The spectrum of the operator ``label`` of ``graph`` (see
+    ``operator_by_label``), solved once per graph object."""
+    return graph.derived(
+        ("spectrum", label), lambda g: eigensolve(operator_by_label(g, label))
+    )
+
+
 def weighted_singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
-    """Singular values of Deg^{-1/2} A_Omega, ascending, |Omega| of them.
+    """Singular values of Deg^{-1/2} A_Omega, ascending, |Omega| of them,
+    computed once per graph object.
 
     Computed as square roots of the spectrum of the nonnegative operator
     A_B Deg^{-1} A_Omega on Omega; tiny negative round-off is clamped.
     """
+    return graph.derived("singular_values", _singular_values)
+
+
+def _singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
     omega = graph.interior
     op = SelfAdjointOperator(
         neumann_coupling(graph), graph.measure[omega], "NeumannCoupling"

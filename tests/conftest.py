@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphspec.comparisons import run_all
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
@@ -9,6 +10,10 @@ from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 AUDIT_SEED = 42
 AUDIT_SIZE = 200
 AUDIT_MAX_V = 12
+
+# Property tests draw the same examples on every run, with no time limit.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

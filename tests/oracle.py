@@ -2,8 +2,9 @@
 
 Nothing here shares code with the production solvers: eigenvalues come from
 bisection on the characteristic polynomial (root counting through leading
-principal minors), linear programs from vertex enumeration, and minimum
-cuts from exhaustive bipartition search.
+principal minors), linear programs from vertex enumeration, minimum cuts
+from exhaustive bipartition search, and the Neumann operator from its
+definition through the normal extension, one column at a time.
 """
 
 from __future__ import annotations
@@ -84,6 +85,32 @@ def eigen_bruteforce(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
                 lo = mid
         out.append(0.5 * (lo + hi))
     return np.array(out)
+
+
+def neumann_by_extension(measure, weights, boundary) -> np.ndarray:
+    """The negated Neumann Laplacian on Omega = V \\ B from its definition.
+
+    Column j is (Lap of the normal extension of the indicator of the j-th
+    interior vertex) read on Omega.  The normal extension keeps the interior
+    values and gives each boundary vertex the weighted average of its
+    neighbours, which makes the normal derivative vanish on B.  Plain loops
+    over the raw weights; admissibility of B (no boundary-boundary edge, an
+    interior neighbour for every boundary vertex) is assumed.
+    """
+    m = [float(x) for x in measure]
+    w = [[float(x) for x in row] for row in weights]
+    n = len(m)
+    bset = {int(x) for x in boundary}
+    omega = [v for v in range(n) if v not in bset]
+    out = np.zeros((len(omega), len(omega)))
+    for j, vj in enumerate(omega):
+        u = [0.0] * n
+        u[vj] = 1.0
+        for x in bset:
+            u[x] = sum(w[x][y] * u[y] for y in range(n)) / sum(w[x])
+        for i, vi in enumerate(omega):
+            out[i, j] = sum(w[vi][y] * (u[vi] - u[y]) for y in range(n)) / m[vi]
+    return out
 
 
 def lp_bruteforce(

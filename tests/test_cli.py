@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspec.cli import main
-from graphspec.fixtures import complete_bipartite, path_graph
-from graphspec.graph import save
+from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.graph import save, to_json_dict
 
 
 @pytest.fixture()
@@ -43,6 +47,12 @@ class TestExitCodes:
         code, _ = run(capsys, ["validate", "--graph", str(bad)])
         assert code == 4
 
+    def test_validate_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"vertices": "\xff"}')
+        code, _ = run(capsys, ["validate", "--graph", str(bad)])
+        assert code == 4
+
     def test_validate_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, ["validate", "--graph", str(tmp_path / "none.json")])
         assert code == 4
@@ -70,6 +80,49 @@ class TestExitCodes:
         save(g, path)
         code, out = run(capsys, [command, "--graph", str(path)])
         assert code == 4
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["vertices"][1].update(measure="abc"),
+            lambda doc: doc["vertices"][1].update(measure=None),
+            lambda doc: doc["edges"][0].update(weight=[1]),
+            lambda doc: doc["edges"].append({"u": 1, "v": 0, "weight": 5.0}),
+        ],
+        ids=["string-measure", "null-measure", "list-weight", "duplicate-edge"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_malformed_entries_are_invalid_graph(self, capsys, tmp_path, command, edit):
+        doc = to_json_dict(path_graph(3, boundary=[0, 2]))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, [command, "--graph", str(path)])
+        assert code == 4
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["random-audit", "--n", "-1"],
+            ["random-audit", "--max-v", "2"],
+            ["random-audit", "--max-v", "0"],
+            ["random-audit", "--seed", "-1"],
+            ["random-audit", "--tol", "-1"],
+            ["compare", "--tol", "-1"],
+            ["compare", "--tol", "nan"],
+            ["certify", "--theorem", "NeuVsLap", "--tol", "-1e-9"],
+            ["bounds", "--family", "fiedler", "--tol", "nan"],
+            ["curvature", "--kind", "be", "--n", "abc"],
+            ["curvature", "--kind", "be", "--n", "1"],
+            ["curvature", "--kind", "be", "--n", "nan"],
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, capsys, p3_file, args):
+        argv = args if args[0] == "random-audit" else [*args, "--graph", p3_file]
+        code, out = run(capsys, argv)
+        assert code == 1
         assert out == ""
 
     def test_usage_error(self, capsys):
@@ -140,12 +193,16 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["results"]["kind"] == "BakryEmery"
 
-    def test_curvature_interior_disconnected(self, capsys, k22_file):
-        code, _ = run(
-            capsys,
-            ["curvature", "--graph", k22_file, "--kind", "ollivier", "--on", "interior"],
-        )
-        assert code == 3
+    def test_curvature_interior_disconnected(self, capsys, k22_file, p3_file):
+        # K_{2,2}: two interior vertices, no interior edge; P3 with both ends
+        # on the boundary: a single interior vertex
+        for path in (k22_file, p3_file):
+            for kind in ("be", "ollivier"):
+                code, out = run(
+                    capsys, ["curvature", "--graph", path, "--kind", kind, "--on", "interior"]
+                )
+                assert code == 3
+                assert out == ""
 
     def test_bounds_fiedler(self, capsys, p3_file):
         code, out = run(capsys, ["bounds", "--graph", p3_file, "--family", "fiedler"])
@@ -199,3 +256,87 @@ class TestDeterminism:
             "random-audit",
         ):
             assert name in out
+
+
+# Malformed graph documents: each example takes a small valid graph and
+# breaks it one way, or replaces the whole document.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "u", "weight"]), st.integers(0, 3), max_size=2),
+    st.sampled_from([-1, 0, 3, 7, 10**30, 10**400, 0.5, -2.0, 0.0,
+                     float("nan"), float("inf"), float("-inf")]),
+)
+
+
+def _set_vertex_field(doc, junk, k):
+    doc["vertices"][k % len(doc["vertices"])][("id", "measure")[k % 2]] = junk
+
+
+def _set_edge_field(doc, junk, k):
+    doc["edges"][k % len(doc["edges"])][("u", "v", "weight")[k % 3]] = junk
+
+
+def _set_boundary_entry(doc, junk, k):
+    doc["boundary"][k % len(doc["boundary"])] = junk
+
+
+def _set_section(doc, junk, k):
+    doc[sorted(doc)[k % 3]] = junk
+
+
+def _drop_key(doc, junk, k):
+    record = (doc, doc["vertices"][0], doc["edges"][0])[k % 3]
+    del record[sorted(record)[k % len(record)]]
+
+
+def _duplicate_edge(doc, junk, k):
+    e = doc["edges"][k % len(doc["edges"])]
+    doc["edges"].append({"u": e["v"], "v": e["u"], "weight": e["weight"] if k % 2 else junk})
+
+
+def _replace_record(doc, junk, k):
+    section = ("vertices", "edges")[k % 2]
+    doc[section][k % len(doc[section])] = junk
+
+
+MUTATIONS = (_set_vertex_field, _set_edge_field, _set_boundary_entry, _set_section,
+             _drop_key, _duplicate_edge, _replace_record)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.json"
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 30),
+    mutation=st.sampled_from(MUTATIONS + (None,)),
+    junk=JUNK,
+    k=st.integers(0, 100),
+)
+def test_malformed_documents_get_a_documented_exit_code(fuzz_path, seed, mutation, junk, k):
+    doc = to_json_dict(random_graph(np.random.default_rng(seed), 5))
+    if mutation is None:
+        doc = junk
+    else:
+        mutation(doc, junk, k)
+    fuzz_path.write_text(json.dumps(doc))
+    code, out = run_quiet(["validate", "--graph", str(fuzz_path)])
+    assert code in (0, 4)
+    assert (out == "") == (code == 4)
+    # compare rejects exactly the documents validate rejects, and certifies the rest
+    assert run_quiet(["compare", "--graph", str(fuzz_path)])[0] == code

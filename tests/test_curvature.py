@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphspec import curvature
 from graphspec.curvature import (
     LICHNEROWICZ_VARIANTS,
     NotApplicable,
@@ -113,6 +114,24 @@ class TestBakryEmery:
                 vals = [bakry_emery_curvature_at(g, x, n) for n in grid]
                 for a, b in zip(vals, vals[1:]):
                     assert a <= b + 1e-8
+
+
+def test_distances_computed_once_per_graph(monkeypatch):
+    calls = []
+    distances = curvature._graph_distances
+
+    def counted(graph):
+        calls.append(graph)
+        return distances(graph)
+
+    monkeypatch.setattr(curvature, "_graph_distances", counted)
+    g = random_graph(np.random.default_rng(14), 8)
+    bakry_emery_curvature(g, 4)
+    assert len(calls) == 1
+    ollivier_curvature_all(g)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        curvature._distances(g)[0, 0] = 1.0
 
 
 class TestOllivier:

@@ -189,6 +189,54 @@ class TestJson:
         with pytest.raises(GraphFormatError):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("measure", "abc"),
+            ("measure", None),
+            ("measure", [1]),
+            ("measure", True),
+            ("measure", 10**400),
+            ("id", "0"),
+            ("id", 0.5),
+            ("weight", [1]),
+            ("weight", None),
+            ("u", "1"),
+            ("boundary", "x"),
+            ("boundary", 1.5),
+            ("boundary", 10**30),
+        ],
+    )
+    def test_non_numeric_entries_rejected(self, p3_two_ends, where, value):
+        doc = to_json_dict(p3_two_ends)
+        if where in ("measure", "id"):
+            doc["vertices"][0][where] = value
+        elif where == "boundary":
+            doc["boundary"][0] = value
+        else:
+            doc["edges"][0][where] = value
+        with pytest.raises(GraphFormatError):
+            from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["vertices", "edges", "boundary"])
+    def test_non_list_sections_rejected(self, p3_two_ends, key):
+        doc = to_json_dict(p3_two_ends)
+        doc[key] = 3
+        with pytest.raises(GraphFormatError):
+            from_json_dict(doc)
+
+    def test_non_object_record_rejected(self, p3_two_ends):
+        doc = to_json_dict(p3_two_ends)
+        doc["edges"][0] = ["u", "v", "weight"]
+        with pytest.raises(GraphFormatError):
+            from_json_dict(doc)
+
+    def test_duplicate_edge_records_rejected(self, p3_two_ends):
+        doc = to_json_dict(p3_two_ends)
+        doc["edges"].append({"u": 1, "v": 0, "weight": 5.0})
+        with pytest.raises(GraphFormatError, match=r"\(0, 1\)"):
+            from_json_dict(doc)
+
     @settings(max_examples=50, deadline=None)
     @given(
         n=st.integers(min_value=3, max_value=8),

@@ -14,7 +14,9 @@ from graphspec.operators import (
     operator_by_label,
     zero_extension,
 )
-from graphspec.fixtures import random_graph
+from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+
+from oracle import neumann_by_extension
 
 ALL_OPS = [full_laplacian, dirichlet_laplacian, neumann_laplacian, interior_laplacian]
 
@@ -135,6 +137,51 @@ class TestOperatorIdentities:
             assert operator_by_label(k22, label).label == label
         with pytest.raises(KeyError):
             operator_by_label(k22, "Nope")
+
+
+class TestNeumannAgainstExtension:
+    """The Neumann operator is assembled from the identity
+    dirichlet - A_B Deg^{-1} A_Omega; the oracle builds it column by column
+    from the normal extension."""
+
+    def test_fixtures(self, p3_two_ends, p3_one_end, k22):
+        for g in (p3_two_ends, p3_one_end, k22, complete_bipartite(3, 2, weight=0.5)):
+            got = neumann_laplacian(g).matrix
+            want = neumann_by_extension(g.measure, g.weights, g.boundary)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+    @pytest.mark.parametrize("model", ["unit", "lognormal", None])
+    def test_seeded_graphs(self, model):
+        rng = np.random.default_rng(21)
+        for _ in range(15):
+            g = random_graph(rng, 12, weight_model=model)
+            got = neumann_laplacian(g).matrix
+            want = neumann_by_extension(g.measure, g.weights, g.boundary)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+class TestOperatorByLabel:
+    LABELS = ("FullLaplacian", "DirichletLaplacian", "NeumannLaplacian", "InteriorLaplacian")
+
+    def test_built_once_and_equal_to_the_builders(self):
+        g = random_graph(np.random.default_rng(22), 9, weight_model="lognormal")
+        for label, build in zip(self.LABELS, (full_laplacian, dirichlet_laplacian,
+                                              neumann_laplacian, interior_laplacian)):
+            op = operator_by_label(g, label)
+            assert operator_by_label(g, label) is op
+            assert np.array_equal(op.matrix, build(g).matrix)
+
+    def test_cached_arrays_are_read_only(self):
+        g = path_graph(4, boundary=[0])
+        for label in self.LABELS:
+            op = operator_by_label(g, label)
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                op.inner_measure[0] = 1.0
+        with pytest.raises(ValueError):
+            g.interior[0] = 0
 
 
 def test_full_laplacian_rows_sum_to_zero():

@@ -1,19 +1,27 @@
+import sys
+
 import numpy as np
 import pytest
 
+from graphspec import combinatorial, operators, spectra
+from graphspec.combinatorial import fiedler_bounds, friedman_bounds
+from graphspec.comparisons import run_all
+from graphspec.graph import NotUnitWeight
 from graphspec.operators import (
     SelfAdjointOperator,
     dirichlet_laplacian,
     full_laplacian,
     neumann_laplacian,
 )
+from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported, NotNormalized
 from graphspec.spectra import (
     ConvergenceError,
     eigensolve,
     spectral_radius,
+    spectrum,
     weighted_singular_values,
 )
-from graphspec.fixtures import path_graph, random_graph
+from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 
 from oracle import DimensionTooLarge, eigen_bruteforce
 
@@ -129,3 +137,78 @@ def test_spectral_radius():
     g = path_graph(3, boundary=[0, 2])
     spec = eigensolve(full_laplacian(g))
     assert spectral_radius(spec) == pytest.approx(3.0, abs=1e-12)
+
+
+def record_calls(monkeypatch, fn, record):
+    """Rebind every graphspec module global bound to ``fn`` to a wrapper that
+    passes the call's arguments to ``record`` first."""
+
+    def wrapper(*args, **kwargs):
+        record(*args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "graphspec" or name.startswith("graphspec."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+
+
+class TestSolvedOncePerGraph:
+    def graphs(self):
+        rng = np.random.default_rng(23)
+        return [complete_bipartite(2, 2), path_graph(5, boundary=[0, 4])] + [
+            random_graph(rng, 10, weight_model=model)
+            for model in ("unit", "unit", "lognormal", "lognormal")
+        ]
+
+    def test_certificates_share_one_solve_per_operator(self, monkeypatch):
+        solved, extended, in_path_bound = [], [], []
+        record_calls(
+            monkeypatch, spectra.eigensolve,
+            lambda op: None if in_path_bound else solved.append(op.label),
+        )
+        record_calls(monkeypatch, operators.normal_extension, lambda *a: extended.append(1))
+        # the Friedman bounds solve helper path graphs, not the graph under test
+        path_value = combinatorial.path_dirichlet_value
+
+        def untracked_path_value(*args):
+            in_path_bound.append(1)
+            try:
+                return path_value(*args)
+            finally:
+                in_path_bound.pop()
+
+        monkeypatch.setattr(combinatorial, "path_dirichlet_value", untracked_path_value)
+        for g in self.graphs():
+            solved.clear()
+            run_all(g)
+            for check in ALL_RIGIDITY.values():
+                try:
+                    check(g)
+                except (NotUnitWeight, NotNormalized, EqualityPatternUnsupported):
+                    pass
+            for bounds in (fiedler_bounds, friedman_bounds):
+                try:
+                    bounds(g)
+                except NotUnitWeight:
+                    pass
+            assert len(solved) <= 5
+            assert len(set(solved)) == len(solved)
+        assert extended == []
+
+    def test_cached_spectra_are_read_only(self):
+        g = path_graph(4, boundary=[0])
+        spec = spectrum(g, "NeumannLaplacian")
+        assert spectrum(g, "NeumannLaplacian") is spec
+        for arr in (spec.eigenvalues, spec.eigenvectors, spec.measure,
+                    weighted_singular_values(g).singular_values):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_spectrum_matches_a_fresh_solve(self):
+        g = random_graph(np.random.default_rng(24), 9, weight_model="lognormal")
+        for label in ("FullLaplacian", "DirichletLaplacian", "NeumannLaplacian",
+                      "InteriorLaplacian"):
+            fresh = eigensolve(operators.operator_by_label(g, label))
+            assert np.array_equal(spectrum(g, label).eigenvalues, fresh.eigenvalues)
