@@ -11,7 +11,11 @@ Two notions of curvature are computed on a plain weighted connected graph:
   functions: ``kappa(x, y) = inf { Lap f(y) - Lap f(x) }`` over ``f`` with
   Lipschitz constant at most 1 for the graph distance and
   ``f(x) - f(y) = 1``, a small linear program over the union of the unit
-  balls around ``x`` and ``y``.
+  balls around ``x`` and ``y`` (the Laplacian-based Ollivier curvature of
+  Muench-Wojciechowski).  Its constraints are one pair per vertex pair of
+  the ball, so the simplex is handed the LP dual instead, an optimal
+  transport problem with one row per free ball vertex and the same optimum
+  (see ``ollivier_curvature``).
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
@@ -162,57 +166,51 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
 def ollivier_curvature(
     graph: WeightedBoundaryGraph, x: int, y: int
 ) -> float:
-    """kappa(x, y) for an edge {x, y} via the Lipschitz-dual linear program."""
+    """kappa(x, y) for an edge {x, y}, solved through the LP's transport dual.
+
+    The primal LP is over the free values of ``f`` on ``B_1(x) u B_1(y)``
+    (all but ``f(x) = 1`` and ``f(y) = 0``), shifted to
+    ``g = f + d(y, .) >= 0``: ``min c.g + const  s.t.  A g <= b,  g >= 0``
+    with the row pair ``+-(f(u) - f(v)) <= d(u, v)`` for each vertex pair
+    but {x, y}.  It is feasible (``f = 1 - d(x, .)``) and bounded (every
+    free vertex is adjacent to ``x`` or ``y``, so ``|f| <= 2``), so by strong
+    duality its optimum is ``-min { b.u : -A^T u <= c, u >= 0 }``.  That dual
+    has one row per free vertex and one column per one-sided pair
+    constraint, the transport variables, where the primal has a row for
+    each; both give kappa up to round-off.
+    """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
     lap = -operator_by_label(graph, "FullLaplacian").matrix
     dist = _distances(graph)
     ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
-    free = [v for v in ball if v != x and v != y]
-    fixed = {x: 1.0, y: 0.0}
-    # objective Lap f(y) - Lap f(x) as affine function of the free values
+    free = ball[(ball != x) & (ball != y)]
+    # objective Lap f(y) - Lap f(x) = c.g + const
     obj_row = lap[y] - lap[x]
-    const = sum(obj_row[v] * fv for v, fv in fixed.items())
-    c = np.array([obj_row[v] for v in free])
-    # shift each free value by its distance bound so variables are >= 0
-    shift = np.array([dist[y, v] for v in free])
-    const += float(-c @ shift)
-    rows, rhs = [], []
-
-    def add_pair(i_coeffs, bound):
-        rows.append(i_coeffs)
-        rhs.append(bound)
-
-    nv = len(free)
-    index = {v: i for i, v in enumerate(free)}
-    members = list(fixed) + free
-    for a_i in range(len(members)):
-        for b_i in range(a_i + 1, len(members)):
-            u, v = members[a_i], members[b_i]
-            d = dist[u, v]
-            if not np.isfinite(d):
-                continue
-            row = np.zeros(nv)
-            offset = 0.0
-            if u in fixed:
-                offset += fixed[u]
-            else:
-                row[index[u]] = 1.0
-                offset -= shift[index[u]]
-            if v in fixed:
-                offset -= fixed[v]
-            else:
-                row[index[v]] = -1.0
-                offset += shift[index[v]]
-            # |f(u) - f(v)| <= d  ->  two one-sided constraints in g-space
-            add_pair(row.copy(), d - offset)
-            add_pair(-row, d + offset)
+    c = obj_row[free]
+    shift = dist[y, free]
+    const = float(obj_row[x] - c @ shift)
+    nv = free.size
     if nv == 0:
-        return float(const)
-    a = np.vstack(rows)
-    b = np.array(rhs)
-    value, _ = solve_lp(c, a, b)
-    return float(value + const)
+        return const
+    members = np.concatenate(([x, y], free))
+    base = np.concatenate(([1.0, 0.0], -shift))  # f - g on the members
+    i, j = np.triu_indices(members.size, 1)
+    i, j = i[1:], j[1:]  # the (x, y) pair has no variable
+    d = dist[members[i], members[j]]
+    offset = base[i] - base[j]
+    pair = np.zeros((i.size, members.size))
+    pair[np.arange(i.size), i] = 1.0
+    pair[np.arange(i.size), j] = -1.0
+    # |f(u) - f(v)| <= d  ->  two one-sided rows in g-space, in pair order
+    a = np.stack([pair[:, 2:], -pair[:, 2:]], axis=1).reshape(-1, nv)
+    b = np.stack([d - offset, d + offset], axis=1).ravel()
+    # c, the dual's right-hand side, carries the degree scale; dividing it
+    # exactly by a power of two near Deg(x) + Deg(y) keeps the simplex's
+    # absolute tolerances meaningful for weights of any magnitude
+    scale = 2.0 ** (math.frexp(-lap[x, x] - lap[y, y])[1] - 1)
+    value, _ = solve_lp(b, -a.T, c / scale)
+    return const - scale * value
 
 
 def ollivier_curvature_all(graph: WeightedBoundaryGraph) -> CurvatureResult:

@@ -162,8 +162,9 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
 
     Violations are checked in a fixed order so messages are deterministic:
     NonfiniteValue (NaN or infinite measure, then weight), SelfLoop,
-    AsymmetricWeight, NegativeWeight, NonpositiveMeasure, EmptyBoundary,
-    BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
+    AsymmetricWeight, NegativeWeight, NonpositiveMeasure, NonfiniteValue
+    (a weighted degree that overflows), EmptyBoundary, BoundaryEdge,
+    IsolatedBoundaryVertex, Disconnected.
     """
     w = graph.weights
     bad_m = np.flatnonzero(~np.isfinite(graph.measure))
@@ -187,6 +188,11 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     bad_m = np.flatnonzero(graph.measure <= 0.0)
     if bad_m.size:
         raise GraphValidationError("NonpositiveMeasure", int(bad_m[0]))
+    # finite entries can still overflow, e.g. a weight of 1e300 over a measure of 1e-320
+    with np.errstate(over="ignore"):
+        bad_deg = np.flatnonzero(~np.isfinite(w.sum(axis=1) / graph.measure))
+    if bad_deg.size:
+        raise GraphValidationError("NonfiniteValue", int(bad_deg[0]))
     if require_boundary:
         if not graph.has_boundary:
             raise GraphValidationError("EmptyBoundary")

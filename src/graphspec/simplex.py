@@ -1,8 +1,10 @@
 """Dense two-phase simplex for small linear programs.
 
 Solves  min c^T x  subject to  A x <= b,  x >= 0  with Bland's rule for
-anti-cycling.  Problem sizes here are tiny (tens of variables), so a dense
-tableau is the simplest robust choice.
+anti-cycling.  Problem sizes here are small: the edge-curvature LPs have a
+few dozen rows and up to about two thousand columns, so a dense tableau is
+the simplest robust choice.  ``_pivot`` skips rows whose entry in the pivot
+column is zero, which pays on these short, wide tableaus.
 """
 
 from __future__ import annotations
@@ -31,14 +33,10 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> None:
     """Run simplex iterations on a tableau whose last row is the objective."""
     while True:
-        obj = tableau[-1, :ncols]
-        entering = -1
-        for j in range(ncols):  # Bland: smallest eligible index
-            if obj[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(tableau[-1, :ncols] < -PIVOT_TOL)
+        if eligible.size == 0:
             return
+        entering = eligible[0]  # Bland: smallest eligible index
         col = tableau[:-1, entering]
         rhs = tableau[:-1, -1]
         leaving, best = -1, np.inf
@@ -68,40 +66,30 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.nda
     a[neg] *= -1.0
     slack[neg] *= -1.0
     b[neg] *= -1.0
-    n_art = int(neg.sum())
-    art = np.zeros((m, n_art))
-    for k, r in enumerate(np.flatnonzero(neg)):
-        art[r, k] = 1.0
+    art_rows = np.flatnonzero(neg)
+    n_art = art_rows.size
+    # columns: n variables, m slacks, then one artificial per art_rows entry
     ncols = n + m + n_art
     tableau = np.zeros((m + 1, ncols + 1))
     tableau[:m, :n] = a
     tableau[:m, n : n + m] = slack
-    tableau[:m, n + m : ncols] = art
+    tableau[art_rows, n + m + np.arange(n_art)] = 1.0
     tableau[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    art_cols = []
-    for r in range(m):
-        if neg[r]:
-            col = n + m + art_cols.__len__()
-            art_cols.append(col)
-            basis[r] = col
-        else:
-            basis[r] = n + r
+    basis = n + np.arange(m)
+    basis[art_rows] = n + m + np.arange(n_art)
 
     if n_art:
         # phase 1: minimize the sum of artificials
         tableau[-1, :] = 0.0
-        for col in art_cols:
-            tableau[-1, col] = 1.0
-        for r in range(m):
-            if basis[r] in art_cols:
-                tableau[-1] -= tableau[r]
+        tableau[-1, n + m : ncols] = 1.0
+        for r in art_rows:
+            tableau[-1] -= tableau[r]
         _iterate(tableau, basis, ncols)
         if tableau[-1, -1] < -1e-8:
             raise Infeasible("phase 1 objective positive")
         # drive remaining artificials out of the basis where possible
         for r in range(m):
-            if basis[r] in art_cols:
+            if basis[r] >= n + m:
                 for j in range(n + m):
                     if abs(tableau[r, j]) > PIVOT_TOL:
                         _pivot(tableau, basis, r, j)
@@ -110,8 +98,7 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.nda
     # phase 2
     tableau[-1, :] = 0.0
     tableau[-1, :n] = c
-    for col in art_cols:
-        tableau[:, col] = 0.0  # artificials are frozen out
+    tableau[:, n + m : ncols] = 0.0  # artificials are frozen out
     for r in range(m):
         if basis[r] < n and abs(tableau[-1, basis[r]]) > 0.0:
             tableau[-1] -= tableau[-1, basis[r]] * tableau[r]

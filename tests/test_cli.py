@@ -83,6 +83,21 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["compare"], ["spectrum"], ["curvature", "--kind", "ollivier"],
+         ["curvature", "--kind", "be"]],
+        ids=" ".join,
+    )
+    def test_overflowing_degree_is_invalid_graph(self, capsys, tmp_path, command):
+        # every entry is finite, but Deg(1) = 2e300 / 1e-320 is not
+        g = path_graph(3, boundary=[0, 2], weights=[1e300, 1e300], measure=[1.0, 1e-320, 1.0])
+        path = tmp_path / "huge.json"
+        save(g, path)
+        code, out = run(capsys, [*command, "--graph", str(path)])
+        assert code == 4
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda doc: doc["vertices"][1].update(measure="abc"),

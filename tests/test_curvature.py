@@ -13,7 +13,7 @@ from graphspec.curvature import (
     ollivier_curvature_all,
 )
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
-from graphspec.graph import WeightedBoundaryGraph
+from graphspec.graph import WeightedBoundaryGraph, degree_vector
 from graphspec.operators import full_laplacian
 from graphspec.simplex import solve_lp
 
@@ -33,6 +33,25 @@ def single_edge():
 
 def triangle():
     return unit_graph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def complete_graph(n):
+    return unit_graph(np.ones((n, n)) - np.eye(n))
+
+
+def hypercube(d):
+    w = np.zeros((2**d, 2**d))
+    for v in range(2**d):
+        for k in range(d):
+            w[v, v ^ (1 << k)] = 1.0
+    return unit_graph(w)
+
+
+def cycle(n):
+    w = np.zeros((n, n))
+    for v in range(n):
+        w[v, (v + 1) % n] = w[(v + 1) % n, v] = 1.0
+    return unit_graph(w)
 
 
 def ollivier_bruteforce(graph, x, y):
@@ -151,14 +170,62 @@ class TestOllivier:
 
     def test_matches_bruteforce_on_random_graphs(self):
         rng = np.random.default_rng(12)
-        checked = 0
-        while checked < 15:
-            g = random_graph(rng, 6, weight_model="unit")
-            for u, v, _w in g.edges():
-                got = ollivier_curvature(g, u, v)
-                want = ollivier_bruteforce(g, u, v)
-                assert got == pytest.approx(want, abs=1e-9)
-                checked += 1
+        for model in ("unit", "lognormal"):
+            checked = 0
+            while checked < 15:
+                g = random_graph(rng, 6, weight_model=model)
+                for u, v, _w in g.edges():
+                    got = ollivier_curvature(g, u, v)
+                    want = ollivier_bruteforce(g, u, v)
+                    assert got == pytest.approx(want, abs=1e-9)
+                    checked += 1
+
+    # exact values on graphs whose unit balls are too large for the oracle
+    @pytest.mark.parametrize(
+        "graph, kappa",
+        [(complete_graph(n), n) for n in (10, 30, 45)]
+        + [(hypercube(d), 2.0) for d in (3, 4, 5)]
+        + [(cycle(n), 0.0) for n in (6, 8, 12)],
+        ids=["K10", "K30", "K45", "Q3", "Q4", "Q5", "C6", "C8", "C12"],
+    )
+    def test_exact_values_on_symmetric_graphs(self, graph, kappa):
+        values = ollivier_curvature_all(graph).per_location.values()
+        assert len(values) == len(list(graph.edges()))
+        for got in values:
+            assert got == pytest.approx(kappa, abs=1e-9 * max(1.0, kappa))
+
+    def test_scales_with_weights_and_inverse_measure(self):
+        rng = np.random.default_rng(15)
+        g = random_graph(rng, 40, weight_model="lognormal")
+        while g.vertex_count < 36:
+            g = random_graph(rng, 40, weight_model="lognormal")
+        base = ollivier_curvature_all(g).per_location
+        # far from unit scale, the simplex's absolute tolerances must not bite
+        for t in (1e-8, 1e8):
+            heavier = WeightedBoundaryGraph(measure=g.measure, weights=t * g.weights,
+                                            boundary=g.boundary)
+            lighter = WeightedBoundaryGraph(measure=g.measure / t, weights=g.weights,
+                                            boundary=g.boundary)
+            tol = 1e-9 * t * max(1.0, float(degree_vector(g).max()))
+            for scaled in (heavier, lighter):
+                for edge, kappa in ollivier_curvature_all(scaled).per_location.items():
+                    assert kappa == pytest.approx(t * base[edge], abs=tol)
+
+    def test_lp_has_one_row_per_free_ball_vertex(self, monkeypatch):
+        shapes = []
+
+        def spy(c, a, b):
+            shapes.append(np.shape(a))
+            return solve_lp(c, a, b)
+
+        monkeypatch.setattr(curvature, "solve_lp", spy)
+        g = random_graph(np.random.default_rng(16), 12)
+        dist = curvature._distances(g)
+        for u, v, _w in g.edges():
+            shapes.clear()
+            ollivier_curvature(g, u, v)
+            ball = np.flatnonzero((dist[u] <= 1) | (dist[v] <= 1))
+            assert [shape[0] for shape in shapes] == ([ball.size - 2] if ball.size > 2 else [])
 
     def test_distant_pendant_does_not_change_edge_curvature(self):
         g = path_graph(5)

@@ -88,6 +88,16 @@ class TestValidationOrder:
         g = graph_from([1, measure], [[0, weight], [weight, 0]], [0])
         assert kind_of(g) == "NonfiniteValue"
 
+    @pytest.mark.parametrize("boundary", [[0, 2], []], ids=["boundary", "no-boundary"])
+    @pytest.mark.parametrize("measure, weight", [(1e-320, 1e300), (1.0, 1e308)])
+    def test_overflowing_degree_is_nonfinite(self, measure, weight, boundary):
+        # finite entries, but Deg(1) = w.sum(axis=1)[1] / m_1 overflows
+        w = [[0, weight, 0], [weight, 0, weight], [0, weight, 0]]
+        g = graph_from([1, measure, 1], w, boundary)
+        with pytest.raises(GraphValidationError) as err:
+            validate(g)
+        assert (err.value.kind, err.value.detail) == ("NonfiniteValue", 1)
+
     def test_self_loop_reported_before_negative_weight(self):
         g = graph_from([1, 1], [[1, -1], [-1, 0]], [0])
         assert kind_of(g) == "SelfLoop"
