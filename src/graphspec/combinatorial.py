@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .comparisons import ComparisonCertificate, IndexRecord, _abs_tol, _certify
+from .comparisons import ComparisonCertificate, _abs_tol, _one_sided
 from .graph import (
     NotUnitWeight,
     WeightedBoundaryGraph,
@@ -97,7 +97,6 @@ def fiedler_bounds(
     min_deg_b = float(boundary_degree_vector(graph).min())
     bound_g = 2.0 * e_g * (1.0 - math.cos(math.pi / n_v))
     bound_om = 2.0 * e_om * (1.0 - math.cos(math.pi / n_om)) if n_om >= 1 else 0.0
-    records = []
     items = []
     nu2 = float(nu.eigenvalues[1]) if nu.eigenvalues.size >= 2 else None
     lam2 = float(lam.eigenvalues[1]) if lam.eigenvalues.size >= 2 else None
@@ -110,14 +109,10 @@ def fiedler_bounds(
     if lam2 is not None:
         items.append(("item4_lambda2_vs_eOmega_s1", lam2, bound_om + s1sq))
         items.append(("item5_lambda2_vs_eOmega_degb", lam2, bound_om + min_deg_b))
-    names = []
-    for idx, (name, lhs, rhs) in enumerate(items, start=1):
-        margin = lhs - rhs
-        records.append(IndexRecord(idx, lhs, rhs, margin, abs(margin) <= tol_abs))
-        names.append(name)
-    return _certify(
-        "FiedlerType", records, tol_abs,
-        {"items": names, "e_graph": e_g, "e_interior": e_om},
+    names, lhs, rhs = zip(*items) if items else ((), (), ())
+    return _one_sided(
+        "FiedlerType", lhs, rhs, tol_abs,
+        {"items": list(names), "e_graph": e_g, "e_interior": e_om},
     )
 
 
@@ -165,27 +160,22 @@ def friedman_bounds(
             return path_dirichlet_value(k, max_path_eigenvalue(i))
         return 2.0 * (1.0 - math.cos(math.pi / (2 * k + 1)))
 
-    records, names = [], []
-    idx = 0
+    items = []
     for i in range(2, n_om + 1):
         b_v = lower_bound(i, n_v)
-        checks = [
+        items += [
             (f"i{i}_item1_nu", float(nu[i - 1]), b_v),
             (f"i{i}_item2_lambda_s1", float(lam[i - 1]), b_v + s1sq),
         ]
         if interior_connected:
             b_om = lower_bound(i, n_om)
-            checks += [
+            items += [
                 (f"i{i}_item3_nu", float(nu[i - 1]), b_om),
                 (f"i{i}_item4_lambda_s1", float(lam[i - 1]), b_om + s1sq),
                 (f"i{i}_item5_lambda_degb", float(lam[i - 1]), b_om + min_deg_b),
             ]
-        for name, lhs, rhs in checks:
-            idx += 1
-            margin = lhs - rhs
-            records.append(IndexRecord(idx, lhs, rhs, margin, abs(margin) <= tol_abs))
-            names.append(name)
-    return _certify(
-        "FriedmanType", records, tol_abs,
-        {"items": names, "interior_connected": interior_connected},
+    names, lhs, rhs = zip(*items) if items else ((), (), ())
+    return _one_sided(
+        "FriedmanType", lhs, rhs, tol_abs,
+        {"items": list(names), "interior_connected": interior_connected},
     )

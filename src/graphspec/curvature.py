@@ -6,7 +6,14 @@ Two notions of curvature are computed on a plain weighted connected graph:
   gradient forms ``Gamma(f, g) = (Lap(fg) - f Lap g - g Lap f)/2`` and
   ``Gamma2(f) = (Lap Gamma(f, f))/2 - Gamma(f, Lap f)``: ``K(x, n)`` is the
   largest ``K`` with ``Gamma2(f)(x) >= (Lap f(x))^2 / n + K Gamma(f)(x)``
-  for every ``f`` supported on the 2-ball of ``x``;
+  for every ``f`` supported on the 2-ball of ``x``.  Both sides are
+  quadratic forms in the values of ``f`` on the spheres ``S_1`` and ``S_2``
+  around ``x``, assembled in closed form from the Laplacian's entries
+  (Cushing-Liu-Peyerimhoff).  ``Gamma(f)(x)`` sees only ``S_1``, and for
+  ``f`` supported on ``S_2`` both ``Lap f(x)`` and ``Gamma(f, Lap f)(x)``
+  vanish, so the ``S_2`` block of the Gamma2 form is diagonal and positive;
+  eliminating it leaves one symmetric eigenproblem on ``S_1`` (see
+  ``bakry_emery_curvature_at``);
 * an edge-wise transport curvature defined through 1-Lipschitz test
   functions: ``kappa(x, y) = inf { Lap f(y) - Lap f(x) }`` over ``f`` with
   Lipschitz constant at most 1 for the graph distance and
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparisons import ComparisonCertificate, IndexRecord, _abs_tol, _certify
+from .comparisons import ComparisonCertificate, _abs_tol, _one_sided
 from .graph import (
     WeightedBoundaryGraph,
     boundary_degree_vector,
@@ -41,11 +48,9 @@ from .operators import operator_by_label
 from .simplex import solve_lp
 from .spectra import spectrum, symmetric_eigh, weighted_singular_values
 
-GAMMA_NULL_TOL = 1e-12
-
 
 class DegenerateGamma(RuntimeError):
-    """Gamma vanishes identically on the 2-ball quotient (isolated vertex)."""
+    """The vertex is isolated, so Gamma vanishes identically at it."""
 
 
 @dataclass(frozen=True)
@@ -82,72 +87,57 @@ def _distances(graph: WeightedBoundaryGraph) -> np.ndarray:
     return graph.derived("distances", _graph_distances)
 
 
-def _gamma(lap: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return 0.5 * (lap @ (f * g) - f * (lap @ g) - g * (lap @ f))
-
-
-def _gamma2_at(lap: np.ndarray, f: np.ndarray, x: int) -> float:
-    gff = _gamma(lap, f, f)
-    return float(0.5 * (lap @ gff)[x] - _gamma(lap, f, lap @ f)[x])
-
-
 def bakry_emery_curvature_at(
     graph: WeightedBoundaryGraph, x: int, n: float
 ) -> float:
     """K(x, n): the optimal local curvature-dimension constant at ``x``.
 
-    Realized as a generalized eigenvalue problem over functions on the
-    2-ball with f(x) = 0; directions with Gamma(f)(x) = 0 are eliminated by
-    a Schur complement (they must carry a nonnegative form, else K = -inf).
+    The forms are assembled in closed form (Cushing-Liu-Peyerimhoff) on the
+    functions with ``f(x) = 0`` supported on the spheres ``S_1``, ``S_2`` of
+    radius 1 and 2 around ``x``.  With ``L`` the Laplacian divided by a power
+    of two ``s`` near ``Deg(x)``, ``p_zy`` its off-diagonal entries and
+    ``l`` its row ``x``:
+
+    * ``Gamma(f)(x) = f^T G f`` with ``G = diag(p_xv / 2)`` on ``S_1`` and 0
+      on ``S_2``;
+    * ``Gamma2(f)(x) - (Lap f(x))^2 / n = f^T Q f`` with
+      ``Q = sum_z l_z Gamma_z / 2 - sym(Gamma_x L) - l l^T / n``, where
+      ``Gamma_z = sum_y p_zy (e_y - e_z)(e_y - e_z)^T / 2`` is the form of
+      ``Gamma(f)(z)``.
+
+    On ``S_2`` both ``Lap f(x)`` and ``Gamma(f, Lap f)(x)`` vanish, so
+    ``Q_22`` is diagonal with entries ``sum_{y in S_1} p_xy p_yz / 4 > 0``.
+    Minimizing over the ``S_2`` values leaves the Schur complement
+    ``Q_11 - Q_12 Q_22^{-1} Q_21``, and ``K`` is ``s`` times its least
+    eigenvalue relative to ``G_11``.  Raises DegenerateGamma for an
+    isolated ``x``, where ``Gamma`` vanishes identically.
     """
-    lap = -operator_by_label(graph, "FullLaplacian").matrix  # the signed Laplacian Delta
-    dist = _distances(graph)
-    ball = np.flatnonzero((dist[x] <= 2) & (np.arange(graph.vertex_count) != x))
-    k = ball.size
-    if k == 0:
+    dist = _distances(graph)[x]
+    s1 = np.flatnonzero(dist == 1)
+    if s1.size == 0:
         raise DegenerateGamma(f"vertex {x} is isolated")
+    ball = np.concatenate(([x], s1, np.flatnonzero(dist == 2)))
+    lap = -operator_by_label(graph, "FullLaplacian").matrix
+    # dividing by an exact power of two near Deg(x) keeps the forms of
+    # moderate size at any weight scale, and K is scaled back exactly
+    scale = 2.0 ** (math.frexp(-lap[x, x])[1] - 1)
+    sub = lap[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
+    deg = -np.diag(sub)
+    p = sub + np.diag(deg)
+    ell = sub[0]
+    # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
+    # p_xv (L_v - l) / 2
+    half_lap_gamma = 0.25 * (np.diag(p.T @ ell + ell * deg) - (ell[:, None] * p + p.T * ell))
+    half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
-
-    def q_form(f):
-        val = _gamma2_at(lap, f, x)
-        return val - inv_n * float((lap @ f)[x]) ** 2
-
-    basis = np.zeros((graph.vertex_count, k))
-    for j, v in enumerate(ball):
-        basis[v, j] = 1.0
-    g_mat = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            g_mat[i, j] = g_mat[j, i] = float(_gamma(lap, basis[:, i], basis[:, j])[x])
-    q_diag = np.array([q_form(basis[:, i]) for i in range(k)])
-    q_mat = np.empty((k, k))
-    for i in range(k):
-        q_mat[i, i] = q_diag[i]
-        for j in range(i + 1, k):
-            q_mat[i, j] = q_mat[j, i] = 0.5 * (
-                q_form(basis[:, i] + basis[:, j]) - q_diag[i] - q_diag[j]
-            )
-    g_eigs, g_vecs = symmetric_eigh(g_mat)
-    scale = max(float(g_eigs[-1]), 0.0)
-    if scale <= GAMMA_NULL_TOL:
-        raise DegenerateGamma(f"Gamma vanishes on the 2-ball of vertex {x}")
-    pos = g_eigs > GAMMA_NULL_TOL * scale
-    p_vecs = g_vecs[:, pos] / np.sqrt(g_eigs[pos])  # G-orthonormal columns
-    z_vecs = g_vecs[:, ~pos]
-    q_pp = p_vecs.T @ q_mat @ p_vecs
-    if z_vecs.shape[1]:
-        q_zz = z_vecs.T @ q_mat @ z_vecs
-        q_pz = p_vecs.T @ q_mat @ z_vecs
-        zz_eigs, zz_vecs = symmetric_eigh(0.5 * (q_zz + q_zz.T))
-        zz_scale = max(1.0, float(np.abs(zz_eigs).max(initial=0.0)))
-        if zz_eigs.size and float(zz_eigs[0]) < -1e-9 * zz_scale:
-            return float("-inf")
-        # pseudo-inverse Schur complement over the Gamma-null directions
-        keep = zz_eigs > 1e-12 * zz_scale
-        inv = zz_vecs[:, keep] / zz_eigs[keep]
-        q_pp = q_pp - (q_pz @ zz_vecs[:, keep]) @ (inv.T @ q_pz.T)
-    eigs, _ = symmetric_eigh(0.5 * (q_pp + q_pp.T))
-    return float(eigs[0])
+    q = half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T) - inv_n * np.outer(ell, ell)
+    q = q[1:, 1:]  # f(x) = 0
+    k = s1.size
+    q12 = q[:k, k:]
+    schur = q[:k, :k] - (q12 / np.diag(q)[k:]) @ q12.T
+    d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
+    eigs, _ = symmetric_eigh(d[:, None] * schur * d)
+    return scale * float(eigs[0])
 
 
 def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureResult:
@@ -276,7 +266,7 @@ def certify_lichnerowicz(
     if variant not in LICHNEROWICZ_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     validate(graph)
-    records = []
+    theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-interior"):
         sub = interior_subgraph(graph)
         if sub.vertex_count == 0 or component_count(sub) != 1:
@@ -285,33 +275,22 @@ def certify_lichnerowicz(
         nu = spectrum(graph, "NeumannLaplacian")
         lam = spectrum(graph, "DirichletLaplacian")
         tol_abs = _abs_tol(tol, nu, lam)
-        if nu.eigenvalues.size >= 2:
-            nu2 = float(nu.eigenvalues[1])
-            records.append(IndexRecord(1, nu2, bound, nu2 - bound, abs(nu2 - bound) <= tol_abs))
-        lam2_bound = bound + float(boundary_degree_vector(graph).min())
-        if lam.eigenvalues.size >= 2:
-            lam2 = float(lam.eigenvalues[1])
-            records.append(
-                IndexRecord(2, lam2, lam2_bound, lam2 - lam2_bound, abs(lam2 - lam2_bound) <= tol_abs)
-            )
-        theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
-        return _certify(theorem_id, records, tol_abs, {"variant": variant, "bound": bound})
+        lhs, rhs = [], []
+        if nu.eigenvalues.size >= 2:  # both spectra have |Omega| eigenvalues
+            lhs = [float(nu.eigenvalues[1]), float(lam.eigenvalues[1])]
+            rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
+        return _one_sided(theorem_id, lhs, rhs, tol_abs, {"variant": variant, "bound": bound})
     bound = _curvature_bound(graph, variant, n, tol)
-    theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-nu2"):
         nu = spectrum(graph, "NeumannLaplacian")
         tol_abs = _abs_tol(tol, nu)
         if nu.eigenvalues.size < 2:
             raise NotApplicable("nu_2 does not exist (singleton interior)")
-        nu2 = float(nu.eigenvalues[1])
-        records.append(IndexRecord(1, nu2, bound, nu2 - bound, abs(nu2 - bound) <= tol_abs))
-        return _certify(theorem_id, records, tol_abs, {"variant": variant, "bound": bound})
-    # *-g-lambda2: lambda_2 >= bound + s_1^2
-    lam = spectrum(graph, "DirichletLaplacian")
-    tol_abs = _abs_tol(tol, lam)
-    if lam.eigenvalues.size < 2:
-        raise NotApplicable("lambda_2 does not exist (singleton interior)")
-    rhs = bound + weighted_singular_values(graph).s1_squared
-    lam2 = float(lam.eigenvalues[1])
-    records.append(IndexRecord(1, lam2, rhs, lam2 - rhs, abs(lam2 - rhs) <= tol_abs))
-    return _certify(theorem_id, records, tol_abs, {"variant": variant, "bound": bound})
+        lhs, rhs = float(nu.eigenvalues[1]), bound
+    else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
+        lam = spectrum(graph, "DirichletLaplacian")
+        tol_abs = _abs_tol(tol, lam)
+        if lam.eigenvalues.size < 2:
+            raise NotApplicable("lambda_2 does not exist (singleton interior)")
+        lhs, rhs = float(lam.eigenvalues[1]), bound + weighted_singular_values(graph).s1_squared
+    return _one_sided(theorem_id, [lhs], [rhs], tol_abs, {"variant": variant, "bound": bound})

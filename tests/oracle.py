@@ -3,8 +3,9 @@
 Nothing here shares code with the production solvers: eigenvalues come from
 bisection on the characteristic polynomial (root counting through leading
 principal minors), linear programs from vertex enumeration, minimum cuts
-from exhaustive bipartition search, and the Neumann operator from its
-definition through the normal extension, one column at a time.
+from exhaustive bipartition search, the Neumann operator from its
+definition through the normal extension, one column at a time, and the
+Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization.
 """
 
 from __future__ import annotations
@@ -111,6 +112,77 @@ def neumann_by_extension(measure, weights, boundary) -> np.ndarray:
         for i, vi in enumerate(omega):
             out[i, j] = sum(w[vi][y] * (u[vi] - u[y]) for y in range(n)) / m[vi]
     return out
+
+
+def bakry_emery_forms(measure, weights, x, n):
+    """The Gamma and Gamma2 forms at ``x`` by polarization.
+
+    Returns ``(ball, g, q)``: ``ball`` lists the vertices other than ``x``
+    within two steps of it, and ``g``, ``q`` are the matrices of
+    ``Gamma(f)(x)`` and ``Gamma2(f)(x) - (Lap f(x))^2 / n`` over the
+    functions with ``f(x) = 0`` supported on ``ball``, each entry found by
+    polarizing the forms' definitions on the raw weights.
+    """
+    m = np.asarray(measure, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    lap = w / m[:, None]
+    lap -= np.diag(lap.sum(axis=1))
+    adj = w > 0.0
+    near = adj[x] | (adj[adj[x]].any(axis=0))
+    near[x] = False
+    ball = np.flatnonzero(near)
+    inv_n = 0.0 if math.isinf(n) else 1.0 / n
+
+    def gamma(f, g):
+        return 0.5 * (lap @ (f * g) - f * (lap @ g) - g * (lap @ f))
+
+    def q_form(f):
+        gamma2 = 0.5 * (lap @ gamma(f, f))[x] - gamma(f, lap @ f)[x]
+        return float(gamma2) - inv_n * float((lap @ f)[x]) ** 2
+
+    basis = np.eye(m.size)[:, ball]
+    k = ball.size
+    g_mat = np.empty((k, k))
+    q_mat = np.empty((k, k))
+    q_diag = [q_form(basis[:, i]) for i in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g_mat[i, j] = g_mat[j, i] = float(gamma(basis[:, i], basis[:, j])[x])
+            q_mat[i, j] = q_mat[j, i] = 0.5 * (
+                q_form(basis[:, i] + basis[:, j]) - q_diag[i] - q_diag[j]
+            )
+    return ball, g_mat, q_mat
+
+
+def bakry_emery_by_polarization(measure, weights, x, n) -> float:
+    """K(x, n) as the least eigenvalue of the Gamma2 form relative to Gamma.
+
+    Gamma is diagonalized and its null directions are eliminated by a
+    pseudo-inverse Schur complement (they must carry a nonnegative form,
+    else K = -inf).  Unit-scale weights are assumed: the null tests are
+    absolute.
+    """
+    ball, g_mat, q_mat = bakry_emery_forms(measure, weights, x, n)
+    if ball.size == 0:
+        raise ValueError(f"vertex {x} is isolated")
+    g_eigs, g_vecs = np.linalg.eigh(g_mat)
+    if float(g_eigs[-1]) <= 1e-12:
+        raise ValueError(f"Gamma vanishes on the 2-ball of vertex {x}")
+    pos = g_eigs > 1e-12 * float(g_eigs[-1])
+    p_vecs = g_vecs[:, pos] / np.sqrt(g_eigs[pos])  # Gamma-orthonormal columns
+    z_vecs = g_vecs[:, ~pos]
+    q_pp = p_vecs.T @ q_mat @ p_vecs
+    if z_vecs.shape[1]:
+        q_zz = z_vecs.T @ q_mat @ z_vecs
+        q_pz = p_vecs.T @ q_mat @ z_vecs
+        zz_eigs, zz_vecs = np.linalg.eigh(0.5 * (q_zz + q_zz.T))
+        zz_scale = max(1.0, float(np.abs(zz_eigs).max()))
+        if float(zz_eigs[0]) < -1e-9 * zz_scale:
+            return float("-inf")
+        keep = zz_eigs > 1e-12 * zz_scale
+        inv = zz_vecs[:, keep] / zz_eigs[keep]
+        q_pp = q_pp - (q_pz @ zz_vecs[:, keep]) @ (inv.T @ q_pz.T)
+    return float(np.linalg.eigvalsh(0.5 * (q_pp + q_pp.T))[0])
 
 
 def lp_bruteforce(

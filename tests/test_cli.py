@@ -208,6 +208,17 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["results"]["kind"] == "BakryEmery"
 
+    @pytest.mark.parametrize("weight", [1e200, 1e-13])
+    def test_curvature_be_far_from_unit_scale(self, capsys, tmp_path, weight):
+        # valid graphs whose Gamma forms overflow or sit below any absolute
+        # tolerance unless they are rescaled
+        path = tmp_path / "scaled.json"
+        save(path_graph(3, boundary=[0, 2], weights=[weight, weight]), path)
+        code, out = run(capsys, ["curvature", "--graph", str(path), "--kind", "be",
+                                 "--n", "4", "--on", "g"])
+        assert code == 0
+        assert json.loads(out)["results"]["global_min"] == pytest.approx(weight / 2, rel=1e-12)
+
     def test_curvature_interior_disconnected(self, capsys, k22_file, p3_file):
         # K_{2,2}: two interior vertices, no interior edge; P3 with both ends
         # on the boundary: a single interior vertex

@@ -16,8 +16,14 @@ from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 from graphspec.graph import WeightedBoundaryGraph, degree_vector
 from graphspec.operators import full_laplacian
 from graphspec.simplex import solve_lp
+from graphspec.spectra import symmetric_eigh
 
-from oracle import lp_bruteforce
+from oracle import (
+    bakry_emery_by_polarization,
+    bakry_emery_forms,
+    lp_bruteforce,
+    rayleigh_min_bruteforce,
+)
 
 
 def unit_graph(weights):
@@ -123,6 +129,75 @@ class TestBakryEmery:
     def test_rejects_dimension_at_most_one(self):
         with pytest.raises(ValueError):
             bakry_emery_curvature(single_edge(), 1.0)
+
+    # exact K(x, inf) at every vertex of vertex-transitive unit graphs
+    @pytest.mark.parametrize(
+        "graph, k",
+        [(complete_graph(n), (n + 2) / 2) for n in (4, 6, 10)]
+        + [(hypercube(d), 2.0) for d in (3, 4)]
+        + [(cycle(n), 0.0) for n in (5, 6, 8)],
+        ids=["K4", "K6", "K10", "Q3", "Q4", "C5", "C6", "C8"],
+    )
+    def test_exact_values_on_symmetric_graphs(self, graph, k):
+        values = bakry_emery_curvature(graph, float("inf")).per_location.values()
+        assert len(values) == graph.vertex_count
+        for got in values:
+            assert got == pytest.approx(k, abs=1e-9 * max(1.0, k))
+
+    @pytest.mark.parametrize("model", ["unit", "lognormal"])
+    def test_matches_polarization_oracle(self, model):
+        rng = np.random.default_rng(17)
+        for _ in range(15):
+            g = random_graph(rng, 8, weight_model=model)
+            tol = 1e-12 * max(1.0, float(degree_vector(g).max()))
+            for x in range(g.vertex_count):
+                for n in (2.0, 4.0, float("inf")):
+                    want = bakry_emery_by_polarization(g.measure, g.weights, x, n)
+                    assert bakry_emery_curvature_at(g, x, n) == pytest.approx(want, abs=tol)
+
+    def test_bounded_by_sampled_rayleigh_quotients(self):
+        # x adjacent to every other vertex: Gamma is nonsingular on the
+        # 2-ball, and every sampled quotient bounds K(x, n) from above
+        rng = np.random.default_rng(18)
+        for _ in range(4):
+            g = random_graph(rng, 6, weight_model="lognormal")
+            w = g.weights.copy()
+            missing = w[0, 1:] == 0.0
+            w[0, 1:][missing] = rng.lognormal(size=int(missing.sum()))
+            w[1:, 0] = w[0, 1:]
+            g = WeightedBoundaryGraph(measure=g.measure, weights=w, boundary=g.boundary)
+            tol = 1e-9 * max(1.0, float(degree_vector(g).max()))
+            for n in (2.0, 4.0, float("inf")):
+                ball, gamma, q = bakry_emery_forms(g.measure, g.weights, 0, n)
+                assert ball.size == g.vertex_count - 1
+                sampled = rayleigh_min_bruteforce(q, gamma, rng)
+                assert bakry_emery_curvature_at(g, 0, n) <= sampled + tol
+
+    def test_scales_with_weights_and_inverse_measure(self):
+        g = random_graph(np.random.default_rng(19), 12, weight_model="lognormal")
+        base = bakry_emery_curvature(g, 4.0).per_location
+        deg = float(degree_vector(g).max())
+        # far from unit scale, nothing may overflow, underflow or vanish
+        for t in (1e-200, 1e-13, 1e13, 1e200):
+            heavier = WeightedBoundaryGraph(measure=g.measure, weights=t * g.weights,
+                                            boundary=g.boundary)
+            lighter = WeightedBoundaryGraph(measure=g.measure / t, weights=g.weights,
+                                            boundary=g.boundary)
+            for scaled in (heavier, lighter):
+                for x, k in bakry_emery_curvature(scaled, 4.0).per_location.items():
+                    assert k == pytest.approx(t * base[x], abs=1e-12 * t * deg)
+
+    def test_one_eigensolve_per_vertex(self, monkeypatch):
+        calls = []
+
+        def spy(matrix):
+            calls.append(matrix.shape)
+            return symmetric_eigh(matrix)
+
+        monkeypatch.setattr(curvature, "symmetric_eigh", spy)
+        g = random_graph(np.random.default_rng(20), 12)
+        bakry_emery_curvature(g, 4.0)
+        assert len(calls) == g.vertex_count
 
     def test_monotone_in_dimension(self):
         rng = np.random.default_rng(11)
