@@ -4,12 +4,9 @@ from .graph import (
     GraphFormatError,
     GraphValidationError,
     WeightedBoundaryGraph,
-    boundary_degree,
-    interior_degree,
     interior_subgraph,
     validate,
     volumes,
-    weighted_degree,
 )
 from .operators import (
     BoundaryMap,

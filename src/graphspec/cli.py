@@ -5,8 +5,11 @@ random-audit, dump-operator.  Exit codes: 0 success / certificate holds,
 1 usage error, 2 certificate fails or rigidity conclusion false,
 3 not applicable / unsupported equality pattern, 4 invalid graph file.
 
-All JSON output is deterministic for a fixed (input, flags, seed): keys are
-sorted and numbers are printed with 17 significant digits.
+All JSON output is deterministic for a fixed (input, flags, seed).
+``dumps_json`` writes it in one recursive pass: keys sorted, a 2-space
+indent, finite floats with 17 significant digits and non-finite ones as
+their quoted ``repr``.  The argument parser is built once per process,
+when this module is imported, and every ``main`` call reuses it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import argparse
 import hashlib
 import json
 import math
-import re
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -43,31 +46,50 @@ from .operators import BUILDERS, operator_by_label
 from .rigidity import ALL_RIGIDITY, EqualityPatternUnsupported, NotNormalized
 from .spectra import spectrum
 
-_FLOAT_TOKEN = re.compile(r'"@@f:([^"]*)@@"')
-
-
-def _tokenize_floats(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return repr(obj)
-        return f"@@f:{obj:.17g}@@"
-    if isinstance(obj, dict):
-        return {k: _tokenize_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tokenize_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_tokenize_floats(float(v)) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _tokenize_floats(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
 
 def dumps_json(obj) -> str:
     """JSON with sorted keys and 17-significant-digit numbers."""
-    text = json.dumps(_tokenize_floats(obj), indent=2, sort_keys=True)
-    return _FLOAT_TOKEN.sub(r"\1", text)
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    """The JSON text of ``obj``; ``newline`` is a line break followed by the
+    indent of the line that ``obj`` starts on.  Keys are converted and
+    sorted, and values refused, as ``json.dumps(sort_keys=True)`` does."""
+    if isinstance(obj, float):
+        return f"{obj:.17g}" if math.isfinite(obj) else _string(repr(obj))
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, np.floating):
+        return _json(float(obj), newline)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{_string(_key(k))}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray):
+            obj = [float(v) for v in obj]
+        items = [_json(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def certificate_dict(cert: ComparisonCertificate) -> dict:
@@ -97,19 +119,11 @@ def rigidity_dict(report) -> dict:
         "equality_observed": report.equality_observed,
         "consistent": report.consistent,
         "conditions": [
-            {"name": c.name, "holds": c.holds, "witness": _witness(c.witness)}
+            {"name": c.name, "holds": c.holds, "witness": c.witness}
             for c in report.conditions
         ],
         "extra": report.extra,
     }
-
-
-def _witness(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, tuple):
-        return [_witness(v) for v in value]
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,9 +192,7 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
-    out = {}
-    for label in BUILDERS:
-        out[label] = [float(v) for v in spectrum(graph, label).eigenvalues]
+    out = {label: spectrum(graph, label).eigenvalues for label in BUILDERS}
     print(dumps_json(_report(args, out)))
     return 0
 
@@ -190,8 +202,8 @@ def cmd_dump_operator(args) -> int:
     op = operator_by_label(graph, args.operator)
     out = {
         "label": op.label,
-        "matrix": [[float(v) for v in row] for row in op.matrix],
-        "inner_measure": [float(v) for v in op.inner_measure],
+        "matrix": list(op.matrix),
+        "inner_measure": op.inner_measure,
     }
     print(dumps_json(_report(args, out)))
     return 0
@@ -236,15 +248,18 @@ def cmd_certify(args) -> int:
 def cmd_curvature(args) -> int:
     graph = _load_graph(args.graph, require_boundary=(args.on == "interior"))
     target = interior_subgraph(graph) if args.on == "interior" else graph
-    if target.vertex_count < 2 or component_count(target) != 1:
-        sys.stderr.write("not applicable: curvature needs a connected graph with an edge\n")
+    try:
+        if target.vertex_count < 2 or component_count(target) != 1:
+            raise NotApplicable("curvature needs a connected graph with an edge")
+        if args.kind == "be":
+            result = bakry_emery_curvature(target, float(args.n))
+            per = {str(k): v for k, v in result.per_location.items()}
+        else:
+            result = ollivier_curvature_all(target)
+            per = {f"{u},{v}": val for (u, v), val in result.per_location.items()}
+    except NotApplicable as exc:
+        sys.stderr.write(f"not applicable: {exc}\n")
         return 3
-    if args.kind == "be":
-        result = bakry_emery_curvature(target, float(args.n))
-        per = {str(k): v for k, v in result.per_location.items()}
-    else:
-        result = ollivier_curvature_all(target)
-        per = {f"{u},{v}": val for (u, v), val in result.per_location.items()}
     out = {"kind": result.kind, "dimension": result.dimension,
            "per_location": per, "global_min": result.global_min}
     print(dumps_json(_report(args, out)))
@@ -371,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args leaves no state on it between calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -41,6 +41,7 @@ from .graph import (
     boundary_degree_vector,
     component_count,
     degree_vector,
+    hop_distances,
     interior_subgraph,
     validate,
 )
@@ -53,6 +54,12 @@ class DegenerateGamma(RuntimeError):
     """The vertex is isolated, so Gamma vanishes identically at it."""
 
 
+class NotApplicable(RuntimeError):
+    """The graph is outside a computation's scope (a nonpositive curvature
+    bound, a disconnected interior, or curvature forms that overflow the
+    float range); distinct from a failed certificate."""
+
+
 @dataclass(frozen=True)
 class CurvatureResult:
     kind: str  # "BakryEmery" | "Ollivier"
@@ -62,24 +69,8 @@ class CurvatureResult:
 
 
 def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """All-pairs combinatorial distances on the support (BFS per vertex)."""
-    n = graph.vertex_count
-    adj = [np.flatnonzero(graph.weights[i] > 0.0) for i in range(n)]
-    dist = np.full((n, n), np.inf)
-    for s in range(n):
-        dist[s, s] = 0.0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if dist[s, v] == np.inf:
-                        dist[s, v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
+    """All-pairs combinatorial distances on the support."""
+    return hop_distances(graph.weights)
 
 
 def _distances(graph: WeightedBoundaryGraph) -> np.ndarray:
@@ -110,7 +101,10 @@ def bakry_emery_curvature_at(
     Minimizing over the ``S_2`` values leaves the Schur complement
     ``Q_11 - Q_12 Q_22^{-1} Q_21``, and ``K`` is ``s`` times its least
     eigenvalue relative to ``G_11``.  Raises DegenerateGamma for an
-    isolated ``x``, where ``Gamma`` vanishes identically.
+    isolated ``x``, where ``Gamma`` vanishes identically, and NotApplicable
+    when the scaled 2-ball block or the forms assembled from it are not
+    finite, which happens only when the degrees in the 2-ball differ by
+    more than the float range.
     """
     dist = _distances(graph)[x]
     s1 = np.flatnonzero(dist == 1)
@@ -121,22 +115,28 @@ def bakry_emery_curvature_at(
     # dividing by an exact power of two near Deg(x) keeps the forms of
     # moderate size at any weight scale, and K is scaled back exactly
     scale = 2.0 ** (math.frexp(-lap[x, x])[1] - 1)
-    sub = lap[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
-    deg = -np.diag(sub)
-    p = sub + np.diag(deg)
-    ell = sub[0]
-    # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
-    # p_xv (L_v - l) / 2
-    half_lap_gamma = 0.25 * (np.diag(p.T @ ell + ell * deg) - (ell[:, None] * p + p.T * ell))
-    half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
-    inv_n = 0.0 if math.isinf(n) else 1.0 / n
-    q = half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T) - inv_n * np.outer(ell, ell)
-    q = q[1:, 1:]  # f(x) = 0
-    k = s1.size
-    q12 = q[:k, k:]
-    schur = q[:k, :k] - (q12 / np.diag(q)[k:]) @ q12.T
-    d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
-    eigs, _ = symmetric_eigh(d[:, None] * schur * d)
+    with np.errstate(all="ignore"):
+        sub = lap[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
+        deg = -np.diag(sub)
+        p = sub + np.diag(deg)
+        ell = sub[0]
+        # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
+        # p_xv (L_v - l) / 2
+        half_lap_gamma = 0.25 * (np.diag(p.T @ ell + ell * deg) - (ell[:, None] * p + p.T * ell))
+        half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
+        inv_n = 0.0 if math.isinf(n) else 1.0 / n
+        q = half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T) - inv_n * np.outer(ell, ell)
+        q = q[1:, 1:]  # f(x) = 0
+        k = s1.size
+        q12 = q[:k, k:]
+        schur = q[:k, :k] - (q12 / np.diag(q)[k:]) @ q12.T
+        d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
+        form = d[:, None] * schur * d
+    # an entry of sub that overflows leaves a non-finite entry in q
+    if not (np.isfinite(q).all() and np.isfinite(form).all()):
+        raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
+                            "in its 2-ball differ by more than the float range")
+    eigs, _ = symmetric_eigh(form)
     return scale * float(eigs[0])
 
 
@@ -226,11 +226,6 @@ LICHNEROWICZ_VARIANTS = (
     "be-g-lambda2",
     "ollivier-g-lambda2",
 )
-
-
-class NotApplicable(RuntimeError):
-    """Hypotheses of the corollary are not met (nonpositive curvature bound
-    or a disconnected interior); distinct from a failed certificate."""
 
 
 def _curvature_bound(graph, variant, n, tol):

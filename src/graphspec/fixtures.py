@@ -39,11 +39,6 @@ def complete_bipartite(
     return WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
 
 
-def star_graph(leaves: int, boundary_leaves: bool = True) -> WeightedBoundaryGraph:
-    """Star with the center last; boundary is the leaf set by default."""
-    return complete_bipartite(leaves, 1) if boundary_leaves else complete_bipartite(1, leaves)
-
-
 def neumann_equality_recipe(
     nb: int,
     nom: int,

@@ -130,31 +130,33 @@ def _read_only(value):
     return value
 
 
+def hop_distances(weights: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances on the support of ``weights``, ``inf`` between
+    components.  The vertices first reached at hop ``h`` come from one
+    boolean product of the hop ``h - 1`` frontier with the adjacency."""
+    adj = (weights > 0.0).astype(float)
+    reached = np.eye(adj.shape[0], dtype=bool)
+    dist = np.where(reached, 0.0, np.inf)
+    frontier, hop = reached, 0
+    while frontier.any():
+        hop += 1
+        frontier = (frontier @ adj > 0.0) & ~reached
+        reached |= frontier
+        dist[frontier] = hop
+    return dist
+
+
 def _components(weights: np.ndarray) -> np.ndarray:
-    """Connected-component labels of the support graph (union-find)."""
-    n = weights.shape[0]
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    iu, iv = np.nonzero(np.triu(weights, k=1))
-    for u, v in zip(iu, iv):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    labels = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(labels, return_inverse=True)
-    return labels
+    """Connected-component labels: each vertex is labelled by the smallest
+    vertex it reaches."""
+    return np.isfinite(hop_distances(weights)).argmax(axis=1)
 
 
 def component_count(graph: WeightedBoundaryGraph) -> int:
     if graph.vertex_count == 0:
         return 0
-    return int(_components(graph.weights).max()) + 1
+    labels = _components(graph.weights)
+    return int(np.count_nonzero(labels == np.arange(labels.size)))
 
 
 def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> None:
@@ -208,32 +210,15 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
         isolated = np.flatnonzero(w[np.ix_(b, omega)].sum(axis=1) == 0.0)
         if isolated.size:
             raise GraphValidationError("IsolatedBoundaryVertex", int(b[isolated[0]]))
-    if graph.vertex_count and component_count(graph) != 1:
-        labels = _components(w)
-        raise GraphValidationError("Disconnected", int(np.flatnonzero(labels != labels[0])[0]))
-
-
-def weighted_degree(graph: WeightedBoundaryGraph, x: int) -> float:
-    """Deg(x) = (1/m_x) sum_y w_xy."""
-    return float(graph.weights[x].sum() / graph.measure[x])
+    if graph.vertex_count:
+        # vertex 0 has label 0; a nonzero label marks a vertex it does not reach
+        outside = np.flatnonzero(_components(w))
+        if outside.size:
+            raise GraphValidationError("Disconnected", int(outside[0]))
 
 
 def degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
     return graph.weights.sum(axis=1) / graph.measure
-
-
-def boundary_degree(graph: WeightedBoundaryGraph, y: int) -> float:
-    """Deg_b(y) = (1/m_y) sum over boundary neighbours, for interior y."""
-    if y in graph.boundary:
-        raise ValueError(f"vertex {y} is a boundary vertex")
-    return float(graph.weights[y, graph.boundary].sum() / graph.measure[y])
-
-
-def interior_degree(graph: WeightedBoundaryGraph, y: int) -> float:
-    """Deg_Omega(y) = (1/m_y) sum over interior neighbours, for interior y."""
-    if y in graph.boundary:
-        raise ValueError(f"vertex {y} is a boundary vertex")
-    return float(graph.weights[y, graph.interior].sum() / graph.measure[y])
 
 
 def boundary_degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:

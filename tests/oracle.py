@@ -4,14 +4,19 @@ Nothing here shares code with the production solvers: eigenvalues come from
 bisection on the characteristic polynomial (root counting through leading
 principal minors), linear programs from vertex enumeration, minimum cuts
 from exhaustive bipartition search, the Neumann operator from its
-definition through the normal extension, one column at a time, and the
-Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization.
+definition through the normal extension, one column at a time, the
+Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
+hop distances from a breadth-first search per vertex, and CLI JSON text
+through the standard library's encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
+from collections import deque
 
 import numpy as np
 
@@ -279,3 +284,51 @@ def rayleigh_min_bruteforce(
                 break
         best = min(best, val)
     return best
+
+
+def hop_distances_bfs(weights) -> np.ndarray:
+    """All-pairs hop distances on the support of ``weights`` (``inf`` between
+    components) by a breadth-first search from every vertex."""
+    n = len(weights)
+    neighbours = [[v for v in range(n) if weights[u][v] > 0.0] for u in range(n)]
+    dist = np.full((n, n), np.inf)
+    for source in range(n):
+        dist[source, source] = 0.0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in neighbours[u]:
+                if dist[source, v] == np.inf:
+                    dist[source, v] = dist[source, u] + 1.0
+                    queue.append(v)
+    return dist
+
+
+_FLOAT_TOKEN = re.compile(r'"@@f:([^"]*)@@"')
+
+
+def _tokenize_floats(obj):
+    if isinstance(obj, float):
+        if math.isinf(obj) or math.isnan(obj):
+            return repr(obj)
+        return f"@@f:{obj:.17g}@@"
+    if isinstance(obj, dict):
+        return {k: _tokenize_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tokenize_floats(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_tokenize_floats(float(v)) for v in obj]
+    if isinstance(obj, (np.floating,)):
+        return _tokenize_floats(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+def dumps_json_reference(obj) -> str:
+    """The CLI's JSON text by way of ``json.dumps(indent=2, sort_keys=True)``:
+    each finite float becomes a placeholder string holding its 17-digit
+    text, and a regex unquotes the placeholders in the encoded text.  (A
+    string value that itself reads ``"@@f:...@@"`` would be unquoted too.)"""
+    text = json.dumps(_tokenize_floats(obj), indent=2, sort_keys=True)
+    return _FLOAT_TOKEN.sub(r"\1", text)

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspec.cli import main
+from graphspec import cli
+from graphspec.cli import dumps_json, main
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 from graphspec.graph import save, to_json_dict
+
+from oracle import dumps_json_reference
 
 
 @pytest.fixture()
@@ -26,12 +29,17 @@ def k22_file(tmp_path):
     return str(path)
 
 
-def run(capsys, argv):
+def run_streams(capsys, argv):
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run(capsys, argv):
+    code, out, _ = run_streams(capsys, argv)
     return code, out
 
 
@@ -219,6 +227,17 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["results"]["global_min"] == pytest.approx(weight / 2, rel=1e-12)
 
+    def test_curvature_be_forms_overflow(self, capsys, tmp_path):
+        # a valid graph whose degrees in one 2-ball differ by more than the
+        # float range, so the Bakry-Emery forms overflow
+        path = tmp_path / "extreme.json"
+        save(path_graph(3, boundary=[0, 2], weights=[1e10, 1e-315]), path)
+        code, out, err = run_streams(capsys, ["curvature", "--graph", str(path), "--kind", "be",
+                                              "--n", "4"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("not applicable: ") and err.count("\n") == 1
+
     def test_curvature_interior_disconnected(self, capsys, k22_file, p3_file):
         # K_{2,2}: two interior vertices, no interior edge; P3 with both ends
         # on the boundary: a single interior vertex
@@ -282,6 +301,92 @@ class TestDeterminism:
             "random-audit",
         ):
             assert name in out
+
+
+class TestParserReuse:
+    def test_parser_built_at_most_once(self, monkeypatch, capsys, k22_file):
+        builds = []
+        build = cli.build_parser
+
+        def spy():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        for _ in range(3):
+            run(capsys, ["compare", "--graph", k22_file])
+            run(capsys, ["certify", "--graph", k22_file, "--theorem", "NeuVsLap"])
+            run(capsys, ["compare", "--graph", k22_file, "--tol", "-1"])
+        assert len(builds) <= 1
+
+    def test_reused_parser_keeps_no_state(self, monkeypatch, capsys, k22_file, p3_file):
+        calls = [
+            ["compare", "--graph", k22_file, "--tol", "-1"],  # usage error
+            ["compare", "--graph", k22_file, "--theorems", "all"],
+            ["certify", "--graph", k22_file, "--theorem", "NeuVsLap"],
+            ["curvature", "--graph", k22_file, "--kind", "be", "--n", "2"],
+            ["compare", "--graph", p3_file, "--table"],
+            ["certify", "--graph", p3_file, "--theorem", "LapVsDiri", "--tol", "1e-3"],
+            ["curvature", "--graph", k22_file, "--kind", "be"],  # --n back to its default
+            ["compare", "--graph", p3_file],  # JSON again after --table
+            ["curvature", "--graph", p3_file, "--kind", "ollivier", "--on", "g"],
+            ["certify", "--graph", p3_file, "--theorem", "Bogus"],  # usage error
+        ]
+        first = {}
+        for argv in calls:  # each call as the first of its process
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            first[tuple(argv)] = run_streams(capsys, argv)
+        assert first[tuple(calls[0])][0] == 1
+        for argv in calls + calls[::-1]:
+            assert run_streams(capsys, argv) == first[tuple(argv)]
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                     float("inf"), float("-inf"), float("nan"), 0.1, 1e16]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=6),
+    st.sampled_from(["é", "Ω ∂", "\U0001f600", "\x00\n\"\\"]),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.lists(FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=3).map(np.array),
+    # values json refuses
+    st.sampled_from([{1, 2}, np.bool_(True), b"bytes", 1j, object()]),
+)
+JSON_TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+        # str and int keys together cannot be sorted
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)), inner, max_size=3),
+        st.dictionaries(st.one_of(st.none(), st.booleans(), FLOATS), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _text_or_type_error(dumps, obj):
+    try:
+        return dumps(obj)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=300)
+@given(obj=JSON_TREES)
+def test_dumps_json_matches_reference(obj):
+    assert _text_or_type_error(dumps_json, obj) == _text_or_type_error(dumps_json_reference, obj)
 
 
 # Malformed graph documents: each example takes a small valid graph and

@@ -5,7 +5,6 @@ from graphspec import curvature
 from graphspec.curvature import (
     LICHNEROWICZ_VARIANTS,
     NotApplicable,
-    _graph_distances,
     bakry_emery_curvature,
     bakry_emery_curvature_at,
     certify_lichnerowicz,
@@ -21,6 +20,7 @@ from graphspec.spectra import symmetric_eigh
 from oracle import (
     bakry_emery_by_polarization,
     bakry_emery_forms,
+    hop_distances_bfs,
     lp_bruteforce,
     rayleigh_min_bruteforce,
 )
@@ -64,7 +64,7 @@ def ollivier_bruteforce(graph, x, y):
     """Independent re-derivation of kappa(x, y) solved by the enumeration
     oracle instead of the production simplex."""
     lap = -full_laplacian(graph).matrix
-    dist = _graph_distances(graph)
+    dist = hop_distances_bfs(graph.weights)
     ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
     free = [v for v in ball if v != x and v != y]
     fixed = {x: 1.0, y: 0.0}
@@ -186,6 +186,15 @@ class TestBakryEmery:
             for scaled in (heavier, lighter):
                 for x, k in bakry_emery_curvature(scaled, 4.0).per_location.items():
                     assert k == pytest.approx(t * base[x], abs=1e-12 * t * deg)
+
+    @pytest.mark.parametrize("weights", [(1e10, 1e-315), (1e-10, 8e297)])
+    def test_overflowing_forms_are_not_applicable(self, weights):
+        # valid graphs whose degrees in one 2-ball differ by more than the
+        # float range: the scaled block overflows at 1e10 / 1e-315, and the
+        # block is finite but the forms built from it overflow at 1e-10 / 8e297
+        g = path_graph(3, boundary=[0, 2], weights=weights)
+        with pytest.raises(NotApplicable, match="vertex 0"):
+            bakry_emery_curvature_at(g, 0, 4.0)
 
     def test_one_eigensolve_per_vertex(self, monkeypatch):
         calls = []

@@ -21,7 +21,10 @@ from graphspec.graph import (
     validate,
     volumes,
 )
+from graphspec.curvature import _graph_distances
 from graphspec.fixtures import path_graph, random_graph
+
+from oracle import hop_distances_bfs
 
 
 def graph_from(measure, weights, boundary):
@@ -139,6 +142,72 @@ class TestDegrees:
             measure=k22.measure, weights=k22.weights / 2.0, boundary=k22.boundary
         )
         assert half.is_normalized()
+
+
+def _sized_graph(rng, n, model):
+    """A seeded generator draw with exactly ``n`` vertices."""
+    while True:
+        g = random_graph(rng, n, weight_model=model)
+        if g.vertex_count == n:
+            return g
+
+
+def _block_diagonal(blocks, rng):
+    """The disjoint union of ``blocks``, vertices shuffled so that the
+    components interleave."""
+    n = sum(g.vertex_count for g in blocks)
+    w = np.zeros((n, n))
+    start = 0
+    for g in blocks:
+        stop = start + g.vertex_count
+        w[start:stop, start:stop] = g.weights
+        start = stop
+    order = rng.permutation(n)
+    return graph_from(np.ones(n), w[np.ix_(order, order)], [])
+
+
+def _reachability_cases():
+    rng = np.random.default_rng(21)
+    cases = {}
+    for model in ("unit", "lognormal"):
+        for n in (3, 7, 12, 24, 64):
+            cases[f"{model}-{n}"] = _sized_graph(rng, n, model)
+            cases[f"{model}-{n}-interior"] = interior_subgraph(cases[f"{model}-{n}"])
+    for n in (1, 2, 5, 64):
+        cases[f"path-{n}"] = path_graph(n)
+    cases["blocks-paths"] = _block_diagonal([path_graph(k) for k in (1, 4, 2, 7, 1)], rng)
+    cases["blocks-mixed"] = _block_diagonal(
+        [_sized_graph(rng, 12, "lognormal"), path_graph(9), path_graph(1),
+         _sized_graph(rng, 30, "unit")], rng)
+    cases["edgeless"] = graph_from(np.ones(5), np.zeros((5, 5)), [])
+    return cases
+
+
+REACHABILITY_CASES = _reachability_cases()
+
+
+class TestReachability:
+    """Hop distances, component counts and the Disconnected detail are
+    refereed exactly by the oracle's breadth-first search."""
+
+    @pytest.mark.parametrize("name", sorted(REACHABILITY_CASES))
+    def test_matches_breadth_first_search(self, name):
+        g = REACHABILITY_CASES[name]
+        want = hop_distances_bfs(g.weights)
+        assert np.array_equal(_graph_distances(g), want)
+        reached = np.isfinite(want)
+        assert component_count(g) == len({row.tobytes() for row in reached})
+        # the detail is the first vertex that vertex 0 does not reach
+        unreached = np.flatnonzero(~reached[0])
+        if unreached.size:
+            with pytest.raises(GraphValidationError) as err:
+                validate(g, require_boundary=False)
+            assert (err.value.kind, err.value.detail) == ("Disconnected", int(unreached[0]))
+        else:
+            validate(g, require_boundary=False)
+
+    def test_empty_graph_has_no_components(self):
+        assert component_count(graph_from([], np.zeros((0, 0)), [])) == 0
 
 
 class TestJson:
