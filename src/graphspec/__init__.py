@@ -3,6 +3,7 @@
 from .graph import (
     GraphFormatError,
     GraphValidationError,
+    NotApplicable,
     WeightedBoundaryGraph,
     interior_subgraph,
     validate,
@@ -17,8 +18,6 @@ from .operators import (
     interior_laplacian,
     neumann_laplacian,
     normal_derivative,
-    normal_extension,
-    zero_extension,
 )
 from .spectra import (
     ConvergenceError,
@@ -51,7 +50,6 @@ from .rigidity import (
 )
 from .curvature import (
     CurvatureResult,
-    NotApplicable,
     bakry_emery_curvature,
     certify_lichnerowicz,
     ollivier_curvature,

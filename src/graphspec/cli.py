@@ -27,7 +27,6 @@ from . import __version__
 from .combinatorial import fiedler_bounds, friedman_bounds
 from .comparisons import ALL_COMPARISONS, ComparisonCertificate, run_all
 from .curvature import (
-    NotApplicable,
     bakry_emery_curvature,
     certify_lichnerowicz,
     ollivier_curvature_all,
@@ -36,14 +35,13 @@ from .fixtures import random_graph
 from .graph import (
     GraphFormatError,
     GraphValidationError,
-    NotUnitWeight,
-    component_count,
+    NotApplicable,
     interior_subgraph,
     load,
     validate,
 )
 from .operators import BUILDERS, operator_by_label
-from .rigidity import ALL_RIGIDITY, EqualityPatternUnsupported, NotNormalized
+from .rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 from .spectra import spectrum
 
 
@@ -238,7 +236,7 @@ def cmd_certify(args) -> int:
     except EqualityPatternUnsupported as exc:
         print(dumps_json(_report(args, {"unsupported": str(exc)})))
         return 3
-    except (NotUnitWeight, NotNormalized) as exc:
+    except NotApplicable as exc:
         sys.stderr.write(f"not applicable: {exc}\n")
         return 3
     print(dumps_json(_report(args, rigidity_dict(report))))
@@ -249,8 +247,6 @@ def cmd_curvature(args) -> int:
     graph = _load_graph(args.graph, require_boundary=(args.on == "interior"))
     target = interior_subgraph(graph) if args.on == "interior" else graph
     try:
-        if target.vertex_count < 2 or component_count(target) != 1:
-            raise NotApplicable("curvature needs a connected graph with an edge")
         if args.kind == "be":
             result = bakry_emery_curvature(target, float(args.n))
             per = {str(k): v for k, v in result.per_location.items()}
@@ -273,7 +269,7 @@ def cmd_bounds(args) -> int:
             cert = fiedler_bounds(graph, args.tol)
         else:
             cert = friedman_bounds(graph, args.tol)
-    except NotUnitWeight as exc:
+    except NotApplicable as exc:
         sys.stderr.write(f"not applicable: {exc}\n")
         return 3
     print(dumps_json(_report(args, certificate_dict(cert))))

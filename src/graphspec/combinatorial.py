@@ -14,7 +14,7 @@ import numpy as np
 
 from .comparisons import ComparisonCertificate, _abs_tol, _one_sided
 from .graph import (
-    NotUnitWeight,
+    NotApplicable,
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
@@ -26,7 +26,7 @@ from .fixtures import path_graph
 
 def _require_unit(graph: WeightedBoundaryGraph) -> None:
     if not graph.is_unit_weight():
-        raise NotUnitWeight("operation requires unit measures and 0/1 weights")
+        raise NotApplicable("operation requires unit measures and 0/1 weights")
 
 
 def stoer_wagner_min_cut(weights: np.ndarray) -> float:

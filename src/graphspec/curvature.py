@@ -37,9 +37,9 @@ import numpy as np
 
 from .comparisons import ComparisonCertificate, _abs_tol, _one_sided
 from .graph import (
+    NotApplicable,
     WeightedBoundaryGraph,
     boundary_degree_vector,
-    component_count,
     degree_vector,
     hop_distances,
     interior_subgraph,
@@ -48,16 +48,6 @@ from .graph import (
 from .operators import operator_by_label
 from .simplex import solve_lp
 from .spectra import spectrum, symmetric_eigh, weighted_singular_values
-
-
-class DegenerateGamma(RuntimeError):
-    """The vertex is isolated, so Gamma vanishes identically at it."""
-
-
-class NotApplicable(RuntimeError):
-    """The graph is outside a computation's scope (a nonpositive curvature
-    bound, a disconnected interior, or curvature forms that overflow the
-    float range); distinct from a failed certificate."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +66,12 @@ def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
 def _distances(graph: WeightedBoundaryGraph) -> np.ndarray:
     """Hop distances of ``graph``, computed once per graph object."""
     return graph.derived("distances", _graph_distances)
+
+
+def _require_connected(graph: WeightedBoundaryGraph) -> None:
+    """Both curvatures are defined on a connected graph with an edge."""
+    if graph.vertex_count < 2 or not np.isfinite(_distances(graph)).all():
+        raise NotApplicable("curvature needs a connected graph with an edge")
 
 
 def bakry_emery_curvature_at(
@@ -100,16 +96,15 @@ def bakry_emery_curvature_at(
     ``Q_22`` is diagonal with entries ``sum_{y in S_1} p_xy p_yz / 4 > 0``.
     Minimizing over the ``S_2`` values leaves the Schur complement
     ``Q_11 - Q_12 Q_22^{-1} Q_21``, and ``K`` is ``s`` times its least
-    eigenvalue relative to ``G_11``.  Raises DegenerateGamma for an
-    isolated ``x``, where ``Gamma`` vanishes identically, and NotApplicable
-    when the scaled 2-ball block or the forms assembled from it are not
-    finite, which happens only when the degrees in the 2-ball differ by
-    more than the float range.
+    eigenvalue relative to ``G_11``.  Raises NotApplicable for an isolated
+    ``x``, where ``Gamma`` vanishes identically, and when the scaled 2-ball
+    block or the forms assembled from it are not finite, which happens only
+    when the degrees in the 2-ball differ by more than the float range.
     """
     dist = _distances(graph)[x]
     s1 = np.flatnonzero(dist == 1)
     if s1.size == 0:
-        raise DegenerateGamma(f"vertex {x} is isolated")
+        raise NotApplicable(f"vertex {x} is isolated")
     ball = np.concatenate(([x], s1, np.flatnonzero(dist == 2)))
     lap = -operator_by_label(graph, "FullLaplacian").matrix
     # dividing by an exact power of two near Deg(x) keeps the forms of
@@ -144,6 +139,7 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
     """Curvature-dimension constants K(x, n) at every vertex."""
     if n != float("inf") and n <= 1:
         raise ValueError("dimension parameter must exceed 1 (or be inf)")
+    _require_connected(graph)
     per = {x: bakry_emery_curvature_at(graph, x, n) for x in range(graph.vertex_count)}
     return CurvatureResult(
         kind="BakryEmery",
@@ -204,6 +200,8 @@ def ollivier_curvature(
 
 
 def ollivier_curvature_all(graph: WeightedBoundaryGraph) -> CurvatureResult:
+    """Transport curvature kappa(u, v) on every edge."""
+    _require_connected(graph)
     per = {}
     for u, v, _w in graph.edges():
         per[(u, v)] = ollivier_curvature(graph, u, v)
@@ -263,17 +261,14 @@ def certify_lichnerowicz(
     validate(graph)
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-interior"):
-        sub = interior_subgraph(graph)
-        if sub.vertex_count == 0 or component_count(sub) != 1:
-            raise NotApplicable("interior subgraph is not connected")
-        bound = _curvature_bound(sub, variant, n, tol)
+        # the curvature guard leaves a connected interior of >= 2 vertices,
+        # so nu_2 and lambda_2 exist
+        bound = _curvature_bound(interior_subgraph(graph), variant, n, tol)
         nu = spectrum(graph, "NeumannLaplacian")
         lam = spectrum(graph, "DirichletLaplacian")
         tol_abs = _abs_tol(tol, nu, lam)
-        lhs, rhs = [], []
-        if nu.eigenvalues.size >= 2:  # both spectra have |Omega| eigenvalues
-            lhs = [float(nu.eigenvalues[1]), float(lam.eigenvalues[1])]
-            rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
+        lhs = [float(nu.eigenvalues[1]), float(lam.eigenvalues[1])]
+        rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
         return _one_sided(theorem_id, lhs, rhs, tol_abs, {"variant": variant, "bound": bound})
     bound = _curvature_bound(graph, variant, n, tol)
     if variant.endswith("-nu2"):

@@ -34,9 +34,11 @@ class GraphFormatError(ValueError):
     """The on-disk graph document is malformed."""
 
 
-class NotUnitWeight(ValueError):
-    """An operation defined only for unit measures and 0/1 weights was
-    given another graph (see ``WeightedBoundaryGraph.is_unit_weight``)."""
+class NotApplicable(RuntimeError):
+    """The graph is outside a computation's scope: a weight model the
+    computation is not defined for, a disconnected or edgeless graph, a
+    nonpositive curvature bound, or forms that overflow the float range.
+    Distinct from a failed certificate."""
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,14 @@ self-adjoint under the measure-weighted inner product
 ``<u, v> = sum_x u(x) v(x) m_x`` on its vertex set.
 
 The Dirichlet operator is the Omega x Omega block of the full operator.  The
-Neumann operator, defined through the normal extension, is assembled from the
-identity (checked column by column against the extension in the test suite)
+Neumann operator is defined through the normal extension, which gives each
+boundary vertex the weighted average of its interior neighbours, so that
+the normal derivative vanishes on B.  It is assembled from the identity
 
-    neumann = dirichlet - A_B Deg^{-1} A_Omega.
+    neumann = dirichlet - A_B Deg^{-1} A_Omega,
+
+which the test suite checks column by column against the extension (the
+oracle ``neumann_by_extension``).
 
 ``operator_by_label`` builds each operator once per graph object; the
 ``*_laplacian`` builders compute afresh.
@@ -68,34 +72,11 @@ def interior_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     return SelfAdjointOperator(op.matrix, op.inner_measure, "InteriorLaplacian")
 
 
-def zero_extension(graph: WeightedBoundaryGraph, u: np.ndarray) -> np.ndarray:
-    """Extend a function on Omega to V by zero on the boundary."""
-    out = np.zeros(graph.vertex_count)
-    out[graph.interior] = u
-    return out
-
-
 def boundary_map(graph: WeightedBoundaryGraph) -> BoundaryMap:
     b, omega = graph.boundary, graph.interior
     a_omega = graph.weights[np.ix_(b, omega)] / graph.measure[b][:, None]
     a_b = graph.weights[np.ix_(omega, b)] / graph.measure[omega][:, None]
     return BoundaryMap(a_omega, a_b, graph.measure[b], graph.measure[omega])
-
-
-def normal_extension(graph: WeightedBoundaryGraph, u: np.ndarray) -> np.ndarray:
-    """Extend a function on Omega so its normal derivative vanishes on B.
-
-    Boundary values are the Deg-weighted averages of interior neighbours;
-    admissibility of B guarantees Deg > 0 on B.
-    """
-    b = graph.boundary
-    deg_b = degree_vector(graph)[b]
-    if np.any(deg_b <= 0.0):
-        raise ValueError("boundary vertex with zero degree")
-    out = np.zeros(graph.vertex_count)
-    out[graph.interior] = u
-    out[b] = (boundary_map(graph).a_omega @ u) / deg_b
-    return out
 
 
 def normal_derivative(graph: WeightedBoundaryGraph, u: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .comparisons import (
     compare_neumann_laplacian,
 )
 from .graph import (
-    NotUnitWeight,
+    NotApplicable,
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
@@ -30,12 +30,7 @@ from .graph import (
     interior_subgraph,
     volumes,
 )
-from .operators import normal_extension, operator_by_label
 from .spectra import spectrum, symmetric_eigh
-
-
-class NotNormalized(ValueError):
-    pass
 
 
 class EqualityPatternUnsupported(RuntimeError):
@@ -83,6 +78,27 @@ class RigidityReport:
         raise KeyError(name)
 
 
+def _cross_checked(
+    theorem_id: str, conditions, conclusion: bool, observed: bool, extra=None
+) -> RigidityReport:
+    """The report of a characterization whose conclusion is asserted to equal
+    the observed equality pattern."""
+    return RigidityReport(
+        theorem_id=theorem_id,
+        conditions=tuple(conditions),
+        conclusion=conclusion,
+        equality_observed=observed,
+        consistent=conclusion == observed,
+        extra={} if extra is None else extra,
+    )
+
+
+def _lap_diri_unequal(graph: WeightedBoundaryGraph, tol: float) -> list[int]:
+    """The 1-based indices i <= |Omega| at which mu_{i+|B|} = lambda_i fails."""
+    equal = compare_laplacian_dirichlet(graph).equality_indices(tol)
+    return sorted(set(range(1, graph.interior.size + 1)) - set(equal))
+
+
 def _relative_spread(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
@@ -121,6 +137,8 @@ def _quadratic_form_condition(
 
         <rho f, f>_B - ((mu_top + Deg_b)/V_Omega) <f, f>_B
             - (V_G / (V_Omega Deg_b - V_B mu_top)) <rho, f>_B^2
+
+    for a non-constant rho, which needs |B| >= 2.
     """
     v_omega, v_b, v_g = volumes(graph)
     m_b = graph.measure[graph.boundary]
@@ -130,17 +148,21 @@ def _quadratic_form_condition(
         return False, float("-inf")
     rm = rho * m_b
     q = np.diag(rm) - ((mu_top + deg_b) / v_omega) * np.diag(m_b)
-    q = q - (v_g / denom) * np.outer(rm, rm)
-    # orthonormal basis of {f : <f, 1>_B = 0}, i.e. the nullspace of m_b^T
+    # the coefficient scales one factor, so no product of two entries of rm
+    # is formed: that product overflows for weights far from unit scale
+    q = q - np.outer((v_g / denom) * rm, rm)
     nb = m_b.size
-    if nb <= 1:
-        return True, 0.0
-    proj = np.eye(nb) - np.outer(m_b, m_b) / np.dot(m_b, m_b)
-    w, u = symmetric_eigh(proj)
-    cols = u[:, w > 0.5]
+    # {f : <f, 1>_B = 0} is the nullspace of m_b^T.  The Householder reflector
+    # H = I - 2 v v^T / v^T v with v = m_b/|m_b| + e_1 maps e_1 to
+    # -m_b/|m_b|, so its columns 2..|B| are an orthonormal basis of it;
+    # m_b > 0, so the first entry of v does not cancel.
+    v = m_b / m_b.max()  # entries in (0, 1]: the norm neither overflows nor underflows
+    v /= np.linalg.norm(v)
+    v[0] += 1.0
+    cols = np.eye(nb)[:, 1:] - (2.0 / np.dot(v, v)) * np.outer(v, v[1:])
     reduced = cols.T @ q @ cols
     eigs, _ = symmetric_eigh(0.5 * (reduced + reduced.T))
-    min_eig = float(eigs[0]) if eigs.size else 0.0
+    min_eig = float(eigs[0])
     scale = max(1.0, float(np.abs(q).max(initial=0.0)))
     return min_eig >= -tol * scale, min_eig
 
@@ -154,7 +176,12 @@ def check_neumann_laplacian_rigidity(
     interior eigenvalue is small enough (a closed inequality for constant
     rho, a strict bound plus a quadratic-form test otherwise).  Unit-weight
     and normalized-weight graphs also get their specialized inequalities.
+    Raises NotApplicable for a single interior vertex, whose only index
+    nu_1 = mu_1 = 0 is an equality on every graph.
     """
+    if graph.interior.size == 1:
+        raise NotApplicable("NeuVsLap needs at least two interior vertices: with one, "
+                            "its only index is nu_1 = mu_1 = 0")
     fact = detect_rho_factorization(graph, tol)
     conditions = [Condition("rho_factorization", fact.holds, fact.missing_edge)]
     v_omega, v_b, _ = volumes(graph)
@@ -197,43 +224,8 @@ def check_neumann_laplacian_rigidity(
             bound = 1.0 if singleton else (v_omega - v_b) / v_omega
             spec = mu_top <= bound + tol
             conditions.append(Condition("normalized_bound", spec, (mu_top, bound)))
-    cert = compare_neumann_laplacian(graph)
-    observed = cert.all_equal(tol)
-    return RigidityReport(
-        theorem_id="NeuVsLap",
-        conditions=tuple(conditions),
-        conclusion=conclusion,
-        equality_observed=observed,
-        consistent=conclusion == observed,
-        extra=extra,
-    )
-
-
-def neumann_laplacian_equality_witness(
-    graph: WeightedBoundaryGraph, index: int, tol: float = EQUALITY_TOL
-) -> np.ndarray | None:
-    """When nu_i = mu_i at a single 1-based index >= 2, search the nu_i
-    eigenspace for a vector whose normal extension is a full-Laplacian
-    eigenfunction vanishing on the boundary.  Returns the first witness
-    (a function on V) or None.
-    """
-    nu = spectrum(graph, "NeumannLaplacian")
-    lam = float(nu.eigenvalues[index - 1])
-    span = np.abs(nu.eigenvalues - lam) <= tol * max(1.0, abs(lam))
-    basis = nu.eigenvectors[:, span]
-    k = basis.shape[1]
-    full = operator_by_label(graph, "FullLaplacian").matrix
-    # boundary values of the normal extensions of the basis vectors
-    ext = np.column_stack([normal_extension(graph, basis[:, j]) for j in range(k)])
-    bc = ext[graph.boundary, :]
-    _, s, vt = np.linalg.svd(bc, full_matrices=True)
-    small = np.flatnonzero(np.concatenate([s, np.zeros(k - s.size)]) <= tol)
-    for idx in small:
-        cand = ext @ vt[idx]
-        resid = full @ cand - lam * cand
-        if float(np.abs(resid).max(initial=0.0)) <= tol * max(1.0, abs(lam)):
-            return cand
-    return None
+    observed = compare_neumann_laplacian(graph).all_equal(tol)
+    return _cross_checked("NeuVsLap", conditions, conclusion, observed, extra)
 
 
 def check_dirichlet_interior_rigidity(
@@ -244,14 +236,12 @@ def check_dirichlet_interior_rigidity(
     deg_b = boundary_degree_vector(graph)
     spread = _relative_spread(deg_b)
     constant = spread <= tol
-    cert = compare_dirichlet_interior(graph)
-    observed = cert.all_equal(tol)
-    return RigidityReport(
-        theorem_id="DiriVsInteriorTwoSided",
-        conditions=(Condition("boundary_degree_constant", constant, spread),),
-        conclusion=constant,
-        equality_observed=observed,
-        consistent=constant == observed,
+    observed = compare_dirichlet_interior(graph).all_equal(tol)
+    return _cross_checked(
+        "DiriVsInteriorTwoSided",
+        [Condition("boundary_degree_constant", constant, spread)],
+        constant,
+        observed,
     )
 
 
@@ -268,24 +258,22 @@ def check_neumann_interior_rigidity(
     counts = _interior_neighbor_counts(graph)
     bad = np.flatnonzero(counts != 1)
     ok = bad.size == 0
-    cert = compare_neumann_interior(graph)
-    observed = cert.all_equal(tol)
+    observed = compare_neumann_interior(graph).all_equal(tol)
     witness = int(graph.boundary[bad[0]]) if bad.size else None
-    return RigidityReport(
-        theorem_id="NeuVsInterior",
-        conditions=(Condition("one_interior_neighbor_each", ok, witness),),
-        conclusion=ok,
-        equality_observed=observed,
-        consistent=ok == observed,
+    return _cross_checked(
+        "NeuVsInterior", [Condition("one_interior_neighbor_each", ok, witness)], ok, observed
     )
 
 
 def boundary_influence(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """s(z) = sum_{x in B} w_xz^2 / (m_z sum_{y in Omega} w_xy) for z in Omega."""
+    """s(z) = sum_{x in B} w_xz^2 / (m_z sum_{y in Omega} w_xy) for z in Omega.
+
+    Each w_xz / sum_y w_xy is at most 1, so s(z) <= Deg(z), which ``validate``
+    keeps finite; squaring w_xz first could overflow."""
     b, omega = graph.boundary, graph.interior
     wb = graph.weights[np.ix_(b, omega)]
     row_sums = wb.sum(axis=1)  # sum over Omega for each boundary x; > 0 by validity
-    return (wb**2 / row_sums[:, None]).sum(axis=0) / graph.measure[omega]
+    return (wb * (wb / row_sums[:, None])).sum(axis=0) / graph.measure[omega]
 
 
 def check_dirichlet_neumann_rigidity(
@@ -300,18 +288,12 @@ def check_dirichlet_neumann_rigidity(
     spread = _relative_spread(s_vals)
     s_const = spread <= tol
     conclusion = one_each and s_const
-    cert = compare_dirichlet_neumann(graph)
-    observed = cert.all_equal(tol)
-    return RigidityReport(
-        theorem_id="DiriVsNeuTwoSided",
-        conditions=(
-            Condition("one_interior_neighbor_each", one_each),
-            Condition("boundary_influence_constant", s_const, spread),
-        ),
-        conclusion=conclusion,
-        equality_observed=observed,
-        consistent=conclusion == observed,
-    )
+    observed = compare_dirichlet_neumann(graph).all_equal(tol)
+    conditions = [
+        Condition("one_interior_neighbor_each", one_each),
+        Condition("boundary_influence_constant", s_const, spread),
+    ]
+    return _cross_checked("DiriVsNeuTwoSided", conditions, conclusion, observed)
 
 
 def check_laplacian_dirichlet_rigidity(
@@ -325,12 +307,10 @@ def check_laplacian_dirichlet_rigidity(
     In the constant-rho case the theorem is an iff, and both directions are
     recorded.
     """
-    cert = compare_laplacian_dirichlet(graph)
-    n = len(cert.per_index)
-    eq = set(cert.equality_indices(tol))
-    missing = sorted(set(range(1, n + 1)) - eq)
-    extra = {"equality_indices": sorted(eq)}
-    if not eq:
+    n = graph.interior.size
+    missing = _lap_diri_unequal(graph, tol)
+    extra = {"equality_indices": sorted(set(range(1, n + 1)) - set(missing))}
+    if len(missing) == n:
         return RigidityReport(
             theorem_id="LapVsDiri",
             conditions=(Condition("no_equality_indices", True),),
@@ -399,7 +379,7 @@ def check_corollary_unit_weight(
     """For unit weight, the except-one-index equality pattern occurs iff the
     graph is the complete bipartite K_{B,Omega} with |Omega| <= |B|."""
     if not graph.is_unit_weight():
-        raise NotUnitWeight("graph must have unit measures and 0/1 weights")
+        raise NotApplicable("graph must have unit measures and 0/1 weights")
     b, omega = graph.boundary, graph.interior
     wb = graph.weights[np.ix_(b, omega)]
     complete_bipartite = bool(np.all(wb == 1.0)) and not np.any(
@@ -407,22 +387,13 @@ def check_corollary_unit_weight(
     )
     size_ok = omega.size <= b.size
     conclusion = complete_bipartite and size_ok
-    cert = compare_laplacian_dirichlet(graph)
-    eq = set(cert.equality_indices(tol))
-    n = len(cert.per_index)
     # the corollary forces j = |Omega|: the last index is the only unequal one
-    missing = sorted(set(range(1, n + 1)) - eq)
-    observed = missing == [n]
-    return RigidityReport(
-        theorem_id="LapVsDiriUnitCorollary",
-        conditions=(
-            Condition("complete_bipartite", complete_bipartite),
-            Condition("interior_not_larger_than_boundary", size_ok, (omega.size, b.size)),
-        ),
-        conclusion=conclusion,
-        equality_observed=observed,
-        consistent=conclusion == observed,
-    )
+    observed = _lap_diri_unequal(graph, tol) == [omega.size]
+    conditions = [
+        Condition("complete_bipartite", complete_bipartite),
+        Condition("interior_not_larger_than_boundary", size_ok, (omega.size, b.size)),
+    ]
+    return _cross_checked("LapVsDiriUnitCorollary", conditions, conclusion, observed)
 
 
 def check_corollary_normalized(
@@ -436,7 +407,7 @@ def check_corollary_normalized(
     Deg_Omega = 1 - V_B/V_Omega.
     """
     if not graph.is_normalized(1e-12):
-        raise NotNormalized("graph must have Deg = 1 at every vertex")
+        raise NotApplicable("graph must have Deg = 1 at every vertex")
     b, omega = graph.boundary, graph.interior
     v_omega, v_b, _ = volumes(graph)
     wb = graph.weights[np.ix_(b, omega)]
@@ -463,21 +434,13 @@ def check_corollary_normalized(
         and mu2_ok
     )
     conclusion = case1 or case2
-    cert = compare_laplacian_dirichlet(graph)
-    eq = set(cert.equality_indices(tol))
-    n = len(cert.per_index)
-    observed = len(set(range(1, n + 1)) - eq) == 1
-    return RigidityReport(
-        theorem_id="LapVsDiriNormalizedCorollary",
-        conditions=(
-            Condition("boundary_weights_are_m_outer_over_volume", weights_ok),
-            Condition("case1_trivial_interior_equal_volumes", case1),
-            Condition("case2_complete_interior", case2),
-        ),
-        conclusion=conclusion,
-        equality_observed=observed,
-        consistent=conclusion == observed,
-    )
+    observed = len(_lap_diri_unequal(graph, tol)) == 1
+    conditions = [
+        Condition("boundary_weights_are_m_outer_over_volume", weights_ok),
+        Condition("case1_trivial_interior_equal_volumes", case1),
+        Condition("case2_complete_interior", case2),
+    ]
+    return _cross_checked("LapVsDiriNormalizedCorollary", conditions, conclusion, observed)
 
 
 ALL_RIGIDITY = {

@@ -140,6 +140,27 @@ def neumann_laplacian_negative(rng) -> WeightedBoundaryGraph:
     return out
 
 
+def rho_factorized_graph(rng, measure_model: str) -> WeightedBoundaryGraph:
+    """Boundary weights w_xy = rho_x m_x m_y on every boundary-interior pair,
+    with distinct rho_x, so NeuVsLap takes its strict-bound and
+    quadratic-form branch.  |B| in 2..6, |Omega| in 2..5, unit or lognormal
+    measures, and a random interior whose weights lie in [1e-3, 10]."""
+    nb = int(rng.integers(2, 7))
+    nom = int(rng.integers(2, 6))
+    n = nb + nom
+    m = np.ones(n) if measure_model == "unit" else rng.lognormal(0.0, 0.5, n)
+    rho = rng.uniform(0.2, 3.0, nb)
+    w = np.zeros((n, n))
+    w[:nb, nb:] = rho[:, None] * m[:nb, None] * m[None, nb:]
+    w[nb:, :nb] = w[:nb, nb:].T
+    scale = 10.0 ** rng.uniform(-2.0, 1.0)
+    interior = np.triu(rng.uniform(0.1, 1.0, (nom, nom)) * (rng.random((nom, nom)) < 0.6), 1)
+    w[nb:, nb:] = scale * (interior + interior.T)
+    g = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
+    validate(g)
+    return g
+
+
 BICONDITIONAL_BUILDERS = {
     "DiriVsInteriorTwoSided": (dirichlet_interior_positive, dirichlet_interior_negative),
     "NeuVsInterior": (neumann_interior_positive, neumann_interior_negative),

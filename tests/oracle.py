@@ -6,8 +6,10 @@ principal minors), linear programs from vertex enumeration, minimum cuts
 from exhaustive bipartition search, the Neumann operator from its
 definition through the normal extension, one column at a time, the
 Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
-hop distances from a breadth-first search per vertex, and CLI JSON text
-through the standard library's encoder.
+hop distances from a breadth-first search per vertex, the NeuVsLap quadratic
+form on the mean-zero boundary functions through a basis read off the
+eigenvectors of the orthogonal projector onto them, and CLI JSON text through
+the standard library's encoder.
 """
 
 from __future__ import annotations
@@ -284,6 +286,39 @@ def rayleigh_min_bruteforce(
                 break
         best = min(best, val)
     return best
+
+
+def quadratic_form_min_eig(measure, boundary, rho, mu_top) -> tuple[float, float]:
+    """The least eigenvalue of the NeuVsLap quadratic form
+
+        <rho f, f>_B - ((mu_top + Deg_b)/V_Omega) <f, f>_B
+            - (V_G / (V_Omega Deg_b - V_B mu_top)) <rho, f>_B^2,
+
+    Deg_b = <rho, 1>_B, on {f : <f, 1>_B = 0}, and the largest entry of the
+    form (at least 1).  The least eigenvalue is -inf when the denominator is
+    not positive.  The basis of the subspace is the eigenvectors of the
+    projector I - m m^T / m^T m with eigenvalue 1, m the boundary measure.
+    """
+    measure = np.asarray(measure, dtype=float)
+    boundary = sorted(int(x) for x in boundary)
+    m_b = measure[boundary]
+    v_b = float(m_b.sum())
+    v_g = float(measure.sum())
+    v_omega = v_g - v_b
+    deg_b = float(np.dot(rho, m_b))
+    denom = v_omega * deg_b - v_b * mu_top
+    if denom <= 0.0:
+        return float("-inf"), 1.0
+    rm = np.asarray(rho, dtype=float) * m_b
+    q = (np.diag(rm) - ((mu_top + deg_b) / v_omega) * np.diag(m_b)
+         - (v_g / denom) * np.outer(rm, rm))
+    nb = m_b.size
+    proj = np.eye(nb) - np.outer(m_b, m_b) / np.dot(m_b, m_b)
+    w, u = np.linalg.eigh(proj)
+    cols = u[:, w > 0.5]
+    reduced = cols.T @ q @ cols
+    least = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+    return least, max(1.0, float(np.abs(q).max()))
 
 
 def hop_distances_bfs(weights) -> np.ndarray:

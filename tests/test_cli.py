@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspec import cli
+from graphspec import cli, curvature
+from graphspec import graph as graph_module
 from graphspec.cli import dumps_json, main
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
-from graphspec.graph import save, to_json_dict
+from graphspec.graph import WeightedBoundaryGraph, save, to_json_dict
 
 from oracle import dumps_json_reference
 
@@ -193,6 +194,46 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_certify_neu_vs_lap_single_interior_vertex(self, capsys, p3_file):
+        # the only index is nu_1 = mu_1 = 0, so no characterization applies
+        code, out, err = run_streams(capsys, ["certify", "--graph", p3_file,
+                                              "--theorem", "NeuVsLap"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("not applicable: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("graph,theorem,code", [
+        ("A", "NeuVsLap", 2), ("B", "NeuVsLap", 2),
+        ("A", "DiriVsNeuTwoSided", 2), ("B", "DiriVsNeuTwoSided", 2),
+        ("P", "DiriVsNeuTwoSided", 0),
+    ])
+    def test_certify_weights_spanning_the_float_range(self, capsys, tmp_path, graph,
+                                                      theorem, code):
+        # A, B: boundary {0, 1} joined to both of the interior vertices 2, 3
+        # (edge 2-3 of weight 1) with weight a from 0 and b from 1; P: the
+        # path 0-1-2 with boundary {0, 2}.  The rank-one term of the NeuVsLap
+        # form and the squared weights of the boundary influence overflowed.
+        a, b = {"A": (1e-10, 8e297), "B": (1e300, 1e-300), "P": (1e-10, 8e297)}[graph]
+        if graph == "P":
+            g = path_graph(3, boundary=[0, 2], weights=[a, b])
+        else:
+            w = np.zeros((4, 4))
+            w[0, 2:] = a
+            w[1, 2:] = b
+            w[2, 3] = 1.0
+            g = WeightedBoundaryGraph(measure=np.ones(4), weights=w + w.T,
+                                      boundary=np.array([0, 1]))
+        path = tmp_path / f"{graph}.json"
+        save(g, path)
+        got, out, err = run_streams(capsys, ["certify", "--graph", str(path),
+                                             "--theorem", theorem])
+        assert (got, err) == (code, "")
+        results = json.loads(out)["results"]
+        assert results["consistent"] is True
+        for cond in results["conditions"]:
+            if cond["witness"] is not None:
+                assert np.isfinite(np.asarray(cond["witness"], dtype=float)).all(), cond
+
     def test_spectrum(self, capsys, p3_file):
         code, out = run(capsys, ["spectrum", "--graph", p3_file])
         assert code == 0
@@ -243,11 +284,29 @@ class TestExitCodes:
         # on the boundary: a single interior vertex
         for path in (k22_file, p3_file):
             for kind in ("be", "ollivier"):
-                code, out = run(
+                code, out, err = run_streams(
                     capsys, ["curvature", "--graph", path, "--kind", kind, "--on", "interior"]
                 )
                 assert code == 3
                 assert out == ""
+                assert err == "not applicable: curvature needs a connected graph with an edge\n"
+
+    def test_curvature_finds_hop_distances_once_after_validation(self, monkeypatch, capsys,
+                                                                 k22_file):
+        calls = []
+        hop_distances = graph_module.hop_distances
+
+        def counted(weights):
+            calls.append(1)
+            return hop_distances(weights)
+
+        monkeypatch.setattr(graph_module, "hop_distances", counted)
+        monkeypatch.setattr(curvature, "hop_distances", counted)
+        for kind in ("be", "ollivier"):
+            calls.clear()
+            code, _ = run(capsys, ["curvature", "--graph", k22_file, "--kind", kind])
+            assert code == 0
+            assert len(calls) == 2  # validate's connectivity check, the curvature's memo
 
     def test_bounds_fiedler(self, capsys, p3_file):
         code, out = run(capsys, ["bounds", "--graph", p3_file, "--family", "fiedler"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphspec.combinatorial import (
-    NotUnitWeight,
+    NotApplicable,
     edge_connectivity,
     fiedler_bounds,
     friedman_bounds,
@@ -61,7 +61,7 @@ class TestMinCut:
 
     def test_weighted_graph_rejected(self):
         g = path_graph(3, boundary=[0], weights=[2.0, 1.0])
-        with pytest.raises(NotUnitWeight):
+        with pytest.raises(NotApplicable):
             edge_connectivity(g)
 
 
@@ -114,7 +114,7 @@ class TestFiedler:
 
     def test_weighted_rejected(self):
         g = path_graph(3, boundary=[0], weights=[2.0, 1.0])
-        with pytest.raises(NotUnitWeight):
+        with pytest.raises(NotApplicable):
             fiedler_bounds(g)
 
 

@@ -326,6 +326,19 @@ class TestOllivier:
         assert res.global_min == min(res.per_location.values())
 
 
+class TestConnectivityGuard:
+    @pytest.mark.parametrize("weights", [
+        [[0]],                                                  # one vertex
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # two components
+    ])
+    def test_needs_a_connected_graph_with_an_edge(self, weights):
+        g = unit_graph(weights)
+        for compute in (lambda g: bakry_emery_curvature(g, 4.0), ollivier_curvature_all):
+            with pytest.raises(NotApplicable, match="^curvature needs a connected graph "
+                                                    "with an edge$"):
+                compute(g)
+
+
 class TestLichnerowicz:
     def test_all_variants_on_a_curved_fixture(self):
         # K_{2,2}: whole graph and interior are positively curved enough
@@ -342,6 +355,14 @@ class TestLichnerowicz:
         g = complete_bipartite(2, 2)
         with pytest.raises(NotApplicable):
             certify_lichnerowicz(g, "be-interior", n=4.0)
+
+    def test_single_interior_vertex_not_applicable(self):
+        # K_{3,1}: the interior is one vertex, so it has no edge, and nu_2
+        # and lambda_2 of the whole graph do not exist
+        g = complete_bipartite(3, 1)
+        for variant in LICHNEROWICZ_VARIANTS:
+            with pytest.raises(NotApplicable):
+                certify_lichnerowicz(g, variant, n=4.0)
 
     def test_unknown_variant_rejected(self, k22):
         with pytest.raises(ValueError):

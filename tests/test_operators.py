@@ -10,9 +10,7 @@ from graphspec.operators import (
     neumann_coupling,
     neumann_laplacian,
     normal_derivative,
-    normal_extension,
     operator_by_label,
-    zero_extension,
 )
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 
@@ -65,18 +63,6 @@ class TestGreensFormula:
 
 
 class TestExtensions:
-    def test_zero_extension_vanishes_on_boundary(self, p3_two_ends):
-        ext = zero_extension(p3_two_ends, np.array([5.0]))
-        assert list(ext) == [0.0, 5.0, 0.0]
-
-    def test_normal_extension_kills_normal_derivative(self):
-        rng, graphs = random_graphs(10, seed=3)
-        for g in graphs:
-            for _ in range(5):
-                u = rng.normal(size=g.interior.size)
-                ext = normal_extension(g, u)
-                assert np.abs(normal_derivative(g, ext)).max(initial=0.0) <= 1e-10
-
     def test_boundary_maps_are_mutually_adjoint(self):
         rng, graphs = random_graphs(10, seed=4)
         for g in graphs:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphspec.comparisons import EQUALITY_TOL
 from graphspec.fixtures import (
     complete_bipartite,
     laplacian_dirichlet_recipe,
@@ -11,8 +12,7 @@ from graphspec.graph import WeightedBoundaryGraph, validate
 from graphspec.rigidity import (
     ALL_RIGIDITY,
     EqualityPatternUnsupported,
-    NotNormalized,
-    NotUnitWeight,
+    NotApplicable,
     check_corollary_normalized,
     check_corollary_unit_weight,
     check_dirichlet_interior_rigidity,
@@ -21,10 +21,10 @@ from graphspec.rigidity import (
     check_neumann_interior_rigidity,
     check_neumann_laplacian_rigidity,
     detect_rho_factorization,
-    neumann_laplacian_equality_witness,
 )
 
-from builders import BICONDITIONAL_BUILDERS
+from builders import BICONDITIONAL_BUILDERS, rho_factorized_graph
+from oracle import quadratic_form_min_eig
 
 
 class TestRhoFactorization:
@@ -74,15 +74,46 @@ class TestNeumannLaplacian:
             report = check_neumann_laplacian_rigidity(g)
             assert report.consistent, report
 
-    def test_equality_witness_found_on_recipe(self):
-        g = neumann_equality_recipe(2, 3)
-        witness = neumann_laplacian_equality_witness(g, index=2)
-        assert witness is not None
-        assert np.abs(witness[g.boundary]).max() <= 1e-6
+    def test_single_interior_vertex_not_applicable(self, p3_two_ends):
+        # the only index is nu_1 = mu_1 = 0, an equality on every graph
+        with pytest.raises(NotApplicable, match="two interior vertices"):
+            check_neumann_laplacian_rigidity(p3_two_ends)
 
-    def test_no_witness_when_strict(self, p3_one_end):
-        # nu_2 = 2 vs mu_2 = 1: strict inequality, no eigenfunction bridge
-        assert neumann_laplacian_equality_witness(p3_one_end, index=2) is None
+
+@pytest.fixture(scope="module")
+def rho_factorized_reports():
+    """NeuVsLap on 400 seeded graphs whose boundary weights factor with
+    distinct rho_x: the strict-bound and quadratic-form branch."""
+    rng = np.random.default_rng(31)
+    graphs = [rho_factorized_graph(rng, ("unit", "lognormal")[k % 2]) for k in range(400)]
+    return [(g, check_neumann_laplacian_rigidity(g)) for g in graphs]
+
+
+class TestNeumannLaplacianNonConstantRho:
+    def test_conclusion_matches_observed_equality(self, rho_factorized_reports):
+        concluded = 0
+        for g, report in rho_factorized_reports:
+            assert report.condition("rho_factorization").holds
+            assert report.consistent, report
+            concluded += report.conclusion
+        # both verdicts occur, so neither side of the cross-check is vacuous
+        assert 20 <= concluded <= 380
+
+    def test_quadratic_form_matches_projector_construction(self, rho_factorized_reports):
+        tol = EQUALITY_TOL
+        for g, report in rho_factorized_reports:
+            y = int(g.interior[0])
+            rho = np.array([g.weights[x, y] / (g.measure[x] * g.measure[y]) for x in g.boundary])
+            want, scale = quadratic_form_min_eig(
+                g.measure, g.boundary, rho, report.extra["mu_top_interior"]
+            )
+            cond = report.condition("quadratic_form_psd")
+            if np.isinf(want):
+                assert cond.witness == want and not cond.holds
+                continue
+            assert abs(cond.witness - want) <= 1e-12 * scale
+            if abs(want + tol * scale) > 1e-12 * scale:
+                assert cond.holds == (want >= -tol * scale)
 
 
 class TestDirichletInterior:
@@ -209,7 +240,7 @@ class TestUnitCorollary:
 
     def test_rejects_weighted_graph(self):
         g = path_graph(3, boundary=[0, 2], weights=[2.0, 1.0])
-        with pytest.raises(NotUnitWeight):
+        with pytest.raises(NotApplicable):
             check_corollary_unit_weight(g)
 
 
@@ -256,7 +287,7 @@ class TestNormalizedCorollary:
         assert not report.conclusion and report.consistent
 
     def test_rejects_unnormalized(self, k22):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NotApplicable):
             check_corollary_normalized(k22)
 
 

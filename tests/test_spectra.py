@@ -6,14 +6,14 @@ import pytest
 from graphspec import combinatorial, operators, spectra
 from graphspec.combinatorial import fiedler_bounds, friedman_bounds
 from graphspec.comparisons import run_all
-from graphspec.graph import NotUnitWeight
+from graphspec.graph import NotApplicable
 from graphspec.operators import (
     SelfAdjointOperator,
     dirichlet_laplacian,
     full_laplacian,
     neumann_laplacian,
 )
-from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported, NotNormalized
+from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 from graphspec.spectra import (
     ConvergenceError,
     eigensolve,
@@ -163,12 +163,11 @@ class TestSolvedOncePerGraph:
         ]
 
     def test_certificates_share_one_solve_per_operator(self, monkeypatch):
-        solved, extended, in_path_bound = [], [], []
+        solved, in_path_bound = [], []
         record_calls(
             monkeypatch, spectra.eigensolve,
             lambda op: None if in_path_bound else solved.append(op.label),
         )
-        record_calls(monkeypatch, operators.normal_extension, lambda *a: extended.append(1))
         # the Friedman bounds solve helper path graphs, not the graph under test
         path_value = combinatorial.path_dirichlet_value
 
@@ -186,16 +185,15 @@ class TestSolvedOncePerGraph:
             for check in ALL_RIGIDITY.values():
                 try:
                     check(g)
-                except (NotUnitWeight, NotNormalized, EqualityPatternUnsupported):
+                except (NotApplicable, EqualityPatternUnsupported):
                     pass
             for bounds in (fiedler_bounds, friedman_bounds):
                 try:
                     bounds(g)
-                except NotUnitWeight:
+                except NotApplicable:
                     pass
             assert len(solved) <= 5
             assert len(set(solved)) == len(solved)
-        assert extended == []
 
     def test_cached_spectra_are_read_only(self):
         g = path_graph(4, boundary=[0])
