@@ -21,8 +21,14 @@ Two notions of curvature are computed on a plain weighted connected graph:
   balls around ``x`` and ``y`` (the Laplacian-based Ollivier curvature of
   Muench-Wojciechowski).  Its constraints are one pair per vertex pair of
   the ball, so the simplex is handed the LP dual instead, an optimal
-  transport problem with one row per free ball vertex and the same optimum
-  (see ``ollivier_curvature``).
+  transport problem with one row per free ball vertex and the same optimum.
+  Its columns ship mass only from a sender to a receiver: ``x`` and ``y``
+  do both, a free vertex whose objective coefficient is negative only
+  sends, one whose coefficient is positive only receives, and one whose
+  coefficient is zero does neither.  By the triangle inequality of the hop
+  metric a detour through a third vertex is never cheaper than going
+  direct, so the other columns cannot lower the optimum (see
+  ``ollivier_curvature``).
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
@@ -152,18 +158,37 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
 def ollivier_curvature(
     graph: WeightedBoundaryGraph, x: int, y: int
 ) -> float:
-    """kappa(x, y) for an edge {x, y}, solved through the LP's transport dual.
+    """kappa(x, y) for an edge {x, y}, solved as a transport problem.
 
     The primal LP is over the free values of ``f`` on ``B_1(x) u B_1(y)``
     (all but ``f(x) = 1`` and ``f(y) = 0``), shifted to
-    ``g = f + d(y, .) >= 0``: ``min c.g + const  s.t.  A g <= b,  g >= 0``
-    with the row pair ``+-(f(u) - f(v)) <= d(u, v)`` for each vertex pair
-    but {x, y}.  It is feasible (``f = 1 - d(x, .)``) and bounded (every
-    free vertex is adjacent to ``x`` or ``y``, so ``|f| <= 2``), so by strong
-    duality its optimum is ``-min { b.u : -A^T u <= c, u >= 0 }``.  That dual
-    has one row per free vertex and one column per one-sided pair
-    constraint, the transport variables, where the primal has a row for
-    each; both give kappa up to round-off.
+    ``g = f + d(y, .) >= 0``: ``min c.g + const`` subject to
+    ``f(s) - f(r) <= d(s, r)`` for each ordered pair of ball vertices but
+    {x, y}.  It is feasible (``f = 1 - d(x, .)``) and bounded (every free
+    vertex is adjacent to ``x`` or ``y``, so ``|f| <= 2``), so by strong
+    duality its optimum is ``-min { b.u : -A^T u <= c, u >= 0 }``.  That
+    dual has one row per free vertex and one column per constraint:
+    ``u_sr`` ships mass from ``s`` to ``r`` at cost
+    ``d(s, r) - (f - g)(s) + (f - g)(r)``, and each free vertex ``v`` takes
+    in at most ``c_v`` more than it sends out.  The Lipschitz rows already
+    imply ``g >= 0``, so dropping that bound changes no optimum, and
+    without it the dual rows are equalities: a transport problem in which
+    ``x`` and ``y`` send and receive freely.
+
+    Only sender-to-receiver columns are built.  A free vertex with
+    ``c_v < 0`` is a sender, one with ``c_v > 0`` a receiver.  Along a
+    route ``s -> v -> r`` the ``f - g`` terms telescope, and the triangle
+    inequality of the hop metric, ``d(s, r) <= d(s, v) + d(v, r)``, makes
+    a detour through a third vertex never cheaper than going direct
+    (Kantorovich duality; Muench-Wojciechowski).  So some optimal plan has
+    senders that only send, receivers that only receive and nothing at a
+    vertex with ``c_v = 0``; a plan from ``x`` to ``y`` or back touches no
+    row and costs 0 or 2, so it goes too.  That plan uses only the columns
+    ``(s, r)`` with ``s`` in {x, y} or a sender, ``r`` in {x, y} or a
+    receiver and ``{s, r} != {x, y}``: (|S| + 2)(|R| + 2) - 4 of them
+    instead of k(k - 1) - 2 for a ball of k vertices.  It is feasible for
+    the inequality rows, and fewer columns cannot lower the minimum, so
+    the pruned dual has the same optimum.
     """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
@@ -181,21 +206,23 @@ def ollivier_curvature(
         return const
     members = np.concatenate(([x, y], free))
     base = np.concatenate(([1.0, 0.0], -shift))  # f - g on the members
-    i, j = np.triu_indices(members.size, 1)
-    i, j = i[1:], j[1:]  # the (x, y) pair has no variable
-    d = dist[members[i], members[j]]
-    offset = base[i] - base[j]
-    pair = np.zeros((i.size, members.size))
-    pair[np.arange(i.size), i] = 1.0
-    pair[np.arange(i.size), j] = -1.0
-    # |f(u) - f(v)| <= d  ->  two one-sided rows in g-space, in pair order
-    a = np.stack([pair[:, 2:], -pair[:, 2:]], axis=1).reshape(-1, nv)
-    b = np.stack([d - offset, d + offset], axis=1).ravel()
+    # member indices: 0 is x, 1 is y, 2 + k is free[k]
+    senders = np.concatenate(([0, 1], 2 + np.flatnonzero(c < 0.0)))
+    receivers = np.concatenate(([0, 1], 2 + np.flatnonzero(c > 0.0)))
+    s = np.repeat(senders, receivers.size)
+    r = np.tile(receivers, senders.size)
+    keep = (s > 1) | (r > 1)  # drops (x, x), (y, y) and the (x, y) pair
+    s, r = s[keep], r[keep]
+    cost = dist[members[s], members[r]] - (base[s] - base[r])
+    cols = np.arange(s.size)
+    a = np.zeros((nv + 2, s.size))
+    a[s, cols] = -1.0
+    a[r, cols] = 1.0
     # c, the dual's right-hand side, carries the degree scale; dividing it
     # exactly by a power of two near Deg(x) + Deg(y) keeps the simplex's
     # absolute tolerances meaningful for weights of any magnitude
     scale = 2.0 ** (math.frexp(-lap[x, x] - lap[y, y])[1] - 1)
-    value, _ = solve_lp(b, -a.T, c / scale)
+    value, _ = solve_lp(cost, a[2:], c / scale)
     return const - scale * value
 
 

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from graphspec import curvature
+from graphspec import curvature, simplex
 from graphspec.curvature import (
     LICHNEROWICZ_VARIANTS,
     NotApplicable,
@@ -311,6 +313,39 @@ class TestOllivier:
             ball = np.flatnonzero((dist[u] <= 1) | (dist[v] <= 1))
             assert [shape[0] for shape in shapes] == ([ball.size - 2] if ball.size > 2 else [])
 
+    def test_lp_columns_run_from_senders_to_receivers(self, monkeypatch):
+        columns = []
+
+        def spy(c, a, b):
+            columns.append(np.array(a))
+            return solve_lp(c, a, b)
+
+        monkeypatch.setattr(curvature, "solve_lp", spy)
+        g = random_graph(np.random.default_rng(16), 12)
+        lap = -full_laplacian(g).matrix
+        dist = hop_distances_bfs(g.weights)
+        for u, v, _w in g.edges():
+            columns.clear()
+            ollivier_curvature(g, u, v)
+            ball = np.flatnonzero((dist[u] <= 1) | (dist[v] <= 1))
+            free = ball[(ball != u) & (ball != v)]
+            if free.size == 0:
+                assert columns == []
+                continue
+            c = (lap[v] - lap[u])[free]
+            senders, receivers = set(np.flatnonzero(c < 0)), set(np.flatnonzero(c > 0))
+            (a,) = columns
+            assert a.shape == (free.size, (len(senders) + 2) * (len(receivers) + 2) - 4)
+            for col in a.T:
+                out, into = np.flatnonzero(col == -1.0), np.flatnonzero(col == 1.0)
+                assert np.count_nonzero(col) == out.size + into.size
+                assert out.size <= 1 and into.size <= 1 and out.size + into.size >= 1
+                assert set(out) <= senders and set(into) <= receivers
+        # K10: every free vertex is balanced, so no column survives
+        columns.clear()
+        assert ollivier_curvature(complete_graph(10), 0, 1) == pytest.approx(10.0, abs=1e-9)
+        assert [a.shape for a in columns] == [(8, 0)]
+
     def test_distant_pendant_does_not_change_edge_curvature(self):
         g = path_graph(5)
         base = ollivier_curvature(g, 0, 1)
@@ -384,6 +419,8 @@ class TestSimplexAgainstOracle:
         value, x = solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]))
         assert value == pytest.approx(3.0, abs=1e-12)
         assert x[0] == pytest.approx(3.0, abs=1e-12)
+        value, x = solve_lp(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+        assert value == 0.0 and x.size == 0
 
     def test_random_lps_match_enumeration(self):
         rng = np.random.default_rng(13)
@@ -406,3 +443,40 @@ class TestSimplexAgainstOracle:
                 continue
             assert got == pytest.approx(want, abs=1e-9)
             done += 1
+        # degenerate LPs: small integer data ties reduced costs and ratios,
+        # and zero right-hand sides, as in the transport duals, make the
+        # origin a degenerate vertex; the row sum(x) <= 10 bounds every LP,
+        # so the simplex must report the enumerated optimum
+        for _ in range(200):
+            nvar = int(rng.integers(2, 7))
+            ncon = int(rng.integers(2, 8))
+            c = rng.integers(-3, 4, size=nvar).astype(float)
+            a = rng.integers(-3, 4, size=(ncon, nvar)).astype(float)
+            b = np.where(rng.random(ncon) < 0.5, 0.0, rng.integers(1, 4, size=ncon))
+            a = np.vstack([a, np.ones(nvar)])
+            b = np.append(b, 10.0)
+            want, _ = lp_bruteforce(c, a, b)
+            got, x = solve_lp(c, a, b)
+            assert got == pytest.approx(want, abs=1e-9)
+            assert (x >= -1e-9).all() and (a @ x <= b + 1e-9).all()
+
+    def test_beale_cycling_lp_terminates(self, monkeypatch):
+        # Beale's example, on which Dantzig's rule with this leaving rule
+        # cycles; the Bland fallback must end it
+        calls = itertools.count(1)
+
+        def counted(*args):
+            if next(calls) > 1000:
+                raise AssertionError("simplex cycles")
+            return pivot(*args)
+
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot", counted)
+        c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0])
+        a = np.array([[0.25, -60.0, -1.0 / 25.0, 9.0],
+                      [0.5, -90.0, -1.0 / 50.0, 3.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        value, x = solve_lp(c, a, b)
+        assert value == pytest.approx(-1.0 / 20.0, abs=1e-12)
+        assert (x >= -1e-12).all() and (a @ x <= b + 1e-12).all()
