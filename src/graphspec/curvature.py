@@ -20,15 +20,21 @@ Two notions of curvature are computed on a plain weighted connected graph:
   ``f(x) - f(y) = 1``, a small linear program over the union of the unit
   balls around ``x`` and ``y`` (the Laplacian-based Ollivier curvature of
   Muench-Wojciechowski).  Its constraints are one pair per vertex pair of
-  the ball, so the simplex is handed the LP dual instead, an optimal
-  transport problem with one row per free ball vertex and the same optimum.
-  Its columns ship mass only from a sender to a receiver: ``x`` and ``y``
-  do both, a free vertex whose objective coefficient is negative only
-  sends, one whose coefficient is positive only receives, and one whose
-  coefficient is zero does neither.  By the triangle inequality of the hop
-  metric a detour through a third vertex is never cheaper than going
-  direct, so the other columns cannot lower the optimum (see
-  ``ollivier_curvature``).
+  the ball, so it is solved through its dual, an optimal transport problem
+  on the hop metric of the ball with the same optimum.  A free vertex
+  whose objective coefficient is negative is a sender and ships out its
+  excess, one whose coefficient is positive is a receiver and takes in at
+  most its coefficient, and ``x`` and ``y`` send and receive freely.  By
+  the triangle inequality a detour through a third vertex is never
+  cheaper than going direct, and ``x`` and ``y`` are priced in closed
+  form: as they are adjacent, each sender's cheapest outlet is shipping to
+  ``y`` and each receiver's cheapest fill is taking from ``x``.  Every
+  column out of a sender costs at least 0, so some optimal plan ships
+  exactly each sender's excess, and what is left is to choose the
+  sender-receiver pairs that gain (by 1 or 2 per unit) by shipping direct
+  instead: a max-gain problem with one row per sender and receiver and a
+  nonnegative right-hand side, which the simplex starts from its slack
+  basis (see ``ollivier_curvature``).
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
@@ -158,7 +164,7 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
 def ollivier_curvature(
     graph: WeightedBoundaryGraph, x: int, y: int
 ) -> float:
-    """kappa(x, y) for an edge {x, y}, solved as a transport problem.
+    """kappa(x, y) for an edge {x, y}, solved as a sender-to-receiver gain problem.
 
     The primal LP is over the free values of ``f`` on ``B_1(x) u B_1(y)``
     (all but ``f(x) = 1`` and ``f(y) = 0``), shifted to
@@ -166,29 +172,38 @@ def ollivier_curvature(
     ``f(s) - f(r) <= d(s, r)`` for each ordered pair of ball vertices but
     {x, y}.  It is feasible (``f = 1 - d(x, .)``) and bounded (every free
     vertex is adjacent to ``x`` or ``y``, so ``|f| <= 2``), so by strong
-    duality its optimum is ``-min { b.u : -A^T u <= c, u >= 0 }``.  That
-    dual has one row per free vertex and one column per constraint:
-    ``u_sr`` ships mass from ``s`` to ``r`` at cost
-    ``d(s, r) - (f - g)(s) + (f - g)(r)``, and each free vertex ``v`` takes
-    in at most ``c_v`` more than it sends out.  The Lipschitz rows already
-    imply ``g >= 0``, so dropping that bound changes no optimum, and
-    without it the dual rows are equalities: a transport problem in which
-    ``x`` and ``y`` send and receive freely.
+    duality its optimum is minus that of its dual, an optimal transport
+    problem: ``u_sr`` ships mass from ``s`` to ``r`` at cost
+    ``d(s, r) - (f - g)(s) + (f - g)(r)``, each free vertex ``v`` takes in
+    ``c_v`` more than it sends out, and ``x`` and ``y`` send and receive
+    freely.  A free vertex with ``c_v < 0`` is a sender, one with
+    ``c_v > 0`` a receiver.  Along a route ``s -> v -> r`` the ``f - g``
+    terms telescope, and the triangle inequality of the hop metric makes a
+    detour through a third vertex never cheaper than going direct
+    (Kantorovich duality; Muench-Wojciechowski).  So some optimal plan
+    ships only from a sender or from {x, y}, only to a receiver or to
+    {x, y}, and not between x and y, whose columns touch no row and cost
+    0 or 2.
 
-    Only sender-to-receiver columns are built.  A free vertex with
-    ``c_v < 0`` is a sender, one with ``c_v > 0`` a receiver.  Along a
-    route ``s -> v -> r`` the ``f - g`` terms telescope, and the triangle
-    inequality of the hop metric, ``d(s, r) <= d(s, v) + d(v, r)``, makes
-    a detour through a third vertex never cheaper than going direct
-    (Kantorovich duality; Muench-Wojciechowski).  So some optimal plan has
-    senders that only send, receivers that only receive and nothing at a
-    vertex with ``c_v = 0``; a plan from ``x`` to ``y`` or back touches no
-    row and costs 0 or 2, so it goes too.  That plan uses only the columns
-    ``(s, r)`` with ``s`` in {x, y} or a sender, ``r`` in {x, y} or a
-    receiver and ``{s, r} != {x, y}``: (|S| + 2)(|R| + 2) - 4 of them
-    instead of k(k - 1) - 2 for a ball of k vertices.  It is feasible for
-    the inequality rows, and fewer columns cannot lower the minimum, so
-    the pruned dual has the same optimum.
+    In that plan ``x`` and ``y`` are priced in closed form.  As
+    ``d(x, y) = 1``, ``|d(x, u) - d(y, u)| <= 1`` for every ``u``.  Sender
+    ``v`` ships to ``y`` at ``2 d(y, v)`` and to ``x`` at
+    ``d(x, v) + d(y, v) + 1``, which is no less, so its cheapest outlet is
+    ``a_v = 2 d(y, v)``.  Receiver ``w`` takes from ``y`` at 0 and from
+    ``x`` at ``d(x, w) - 1 - d(y, w)``, which is no more, so its cheapest
+    fill is ``b_w = d(x, w) - 1 - d(y, w) <= 0``.  Every column out of a
+    sender costs at least 0, so some optimal plan ships exactly ``|c_v|``
+    from each sender, and each receiver takes what it has left from ``x``.
+    Shipping ``t_vw`` from ``v`` straight to ``w`` instead then gains
+    ``g_vw = a_v + b_w - (d(v, w) + d(y, v) - d(y, w))
+    = d(y, v) + d(x, w) - 1 - d(v, w)`` per unit, so the dual optimum is
+    ``sum |c_v| a_v + sum c_w b_w - max sum g_vw t_vw`` over ``t >= 0``
+    with ``sum_w t_vw <= |c_v|`` and ``sum_v t_vw <= c_w``.  Only pairs
+    with ``g_vw > 0`` can raise that maximum, and each such gain is 1 or 2,
+    since free vertices lie at distance 1 or 2 from ``x`` and ``y`` and
+    ``d(v, w) >= 1``.  The simplex gets one column per such pair and one
+    row per sender and receiver; the right-hand side is nonnegative, so the
+    slack basis is feasible.  An edge without a gaining pair needs no LP.
     """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
@@ -199,30 +214,27 @@ def ollivier_curvature(
     # objective Lap f(y) - Lap f(x) = c.g + const
     obj_row = lap[y] - lap[x]
     c = obj_row[free]
-    shift = dist[y, free]
-    const = float(obj_row[x] - c @ shift)
-    nv = free.size
-    if nv == 0:
-        return const
-    members = np.concatenate(([x, y], free))
-    base = np.concatenate(([1.0, 0.0], -shift))  # f - g on the members
-    # member indices: 0 is x, 1 is y, 2 + k is free[k]
-    senders = np.concatenate(([0, 1], 2 + np.flatnonzero(c < 0.0)))
-    receivers = np.concatenate(([0, 1], 2 + np.flatnonzero(c > 0.0)))
-    s = np.repeat(senders, receivers.size)
-    r = np.tile(receivers, senders.size)
-    keep = (s > 1) | (r > 1)  # drops (x, x), (y, y) and the (x, y) pair
-    s, r = s[keep], r[keep]
-    cost = dist[members[s], members[r]] - (base[s] - base[r])
-    cols = np.arange(s.size)
-    a = np.zeros((nv + 2, s.size))
-    a[s, cols] = -1.0
-    a[r, cols] = 1.0
-    # c, the dual's right-hand side, carries the degree scale; dividing it
-    # exactly by a power of two near Deg(x) + Deg(y) keeps the simplex's
-    # absolute tolerances meaningful for weights of any magnitude
+    dx, dy = dist[x, free], dist[y, free]
+    const = float(obj_row[x] - c @ dy)
+    # c carries the degree scale; dividing it exactly by a power of two near
+    # Deg(x) + Deg(y) keeps the simplex's absolute tolerances meaningful for
+    # weights of any magnitude
     scale = 2.0 ** (math.frexp(-lap[x, x] - lap[y, y])[1] - 1)
-    value, _ = solve_lp(cost, a[2:], c / scale)
+    c = c / scale
+    send, recv = c < 0.0, c > 0.0
+    supply, demand = -c[send], c[recv]
+    outlet = 2.0 * dy[send]  # a_v: ship to y
+    fill = dx[recv] - 1.0 - dy[recv]  # b_w: take from x
+    value = float(supply @ outlet + demand @ fill)
+    gain = dy[send][:, None] + dx[recv] - 1.0 - dist[np.ix_(free[send], free[recv])]
+    v, w = np.nonzero(gain > 0.0)
+    if v.size:
+        cols = np.arange(v.size)
+        a = np.zeros((supply.size + demand.size, v.size))
+        a[v, cols] = 1.0
+        a[supply.size + w, cols] = 1.0
+        lp_value, _ = solve_lp(-gain[v, w], a, np.concatenate((supply, demand)))
+        value += lp_value
     return const - scale * value
 
 

@@ -40,19 +40,42 @@ class EqualityPatternUnsupported(RuntimeError):
 
 @dataclass(frozen=True)
 class RhoFactorization:
-    """Fit of w_xy = rho_x m_x m_y over all boundary-interior pairs."""
+    """Fit of w_xy = rho_x m_x m_y over all boundary-interior pairs.
 
-    rho: np.ndarray | None
+    The fit is kept as ``rho_mass``, r_x = rho_x m_x = mean_y w_xy / m_y on
+    the boundary, beside the boundary measures m_x.  Each w_xy / m_y is at
+    most Deg(y), so r is finite, while rho_x itself overflows on valid
+    graphs with small measures and large weights; the checks use r.
+    """
+
+    rho_mass: np.ndarray | None
+    measure: np.ndarray | None
     residual: float
     holds: bool
     missing_edge: tuple[int, int] | None = None
 
     @property
+    def rho(self) -> np.ndarray | None:
+        """rho_x = r_x / m_x, inf where it exceeds the float range."""
+        if self.rho_mass is None:
+            return None
+        with np.errstate(over="ignore"):
+            return self.rho_mass / self.measure
+
+    def rho_times(self, volume: float) -> np.ndarray:
+        """rho_x * volume on the boundary, formed as r_x (volume / m_x) so
+        that a finite product never passes through an overflowing rho_x."""
+        return self.rho_mass * (volume / self.measure)
+
+    @property
     def constant(self) -> bool:
-        if self.rho is None or self.rho.size == 0:
+        """rho's spread is at most 1e-9 max(1, max rho), both sides times V_B."""
+        if self.rho_mass is None or self.rho_mass.size == 0:
             return True
-        spread = float(self.rho.max() - self.rho.min())
-        return spread <= 1e-9 * max(1.0, float(self.rho.max()))
+        v_b = float(self.measure.sum())
+        scaled = self.rho_times(v_b)
+        top = float(scaled.max())
+        return top - float(scaled.min()) <= 1e-9 * max(v_b, top)
 
 
 @dataclass(frozen=True)
@@ -108,7 +131,7 @@ def _relative_spread(values: np.ndarray) -> float:
 def detect_rho_factorization(
     graph: WeightedBoundaryGraph, tol: float = 1e-9
 ) -> RhoFactorization:
-    """Fit w_xy = rho_x m_x m_y on B x Omega.
+    """Fit w_xy = rho_x m_x m_y on B x Omega through r_x = rho_x m_x.
 
     Requires every boundary-interior pair to be adjacent; otherwise reports
     the first missing pair as a witness.
@@ -119,18 +142,19 @@ def detect_rho_factorization(
     if missing.size:
         i, j = missing[0]
         return RhoFactorization(
-            rho=None, residual=float("inf"), holds=False,
+            rho_mass=None, measure=None, residual=float("inf"), holds=False,
             missing_edge=(int(b[i]), int(omega[j])),
         )
-    outer = graph.measure[b][:, None] * graph.measure[omega][None, :]
-    rho = (wb / outer).mean(axis=1)
-    residual = float(np.abs(wb - rho[:, None] * outer).max(initial=0.0))
+    m_omega = graph.measure[omega]
+    rho_mass = (wb / m_omega).mean(axis=1)
+    residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
     max_w = float(wb.max(initial=0.0))
-    return RhoFactorization(rho=rho, residual=residual, holds=residual <= tol * max(1.0, max_w))
+    return RhoFactorization(rho_mass=rho_mass, measure=graph.measure[b], residual=residual,
+                            holds=residual <= tol * max(1.0, max_w))
 
 
 def _quadratic_form_condition(
-    graph: WeightedBoundaryGraph, rho: np.ndarray, mu_top: float, tol: float
+    graph: WeightedBoundaryGraph, rho_mass: np.ndarray, mu_top: float, tol: float
 ) -> tuple[bool, float]:
     """Positive-semidefiniteness, on the mean-zero subspace of the boundary,
     of the quadratic form
@@ -138,19 +162,19 @@ def _quadratic_form_condition(
         <rho f, f>_B - ((mu_top + Deg_b)/V_Omega) <f, f>_B
             - (V_G / (V_Omega Deg_b - V_B mu_top)) <rho, f>_B^2
 
-    for a non-constant rho, which needs |B| >= 2.
+    for a non-constant rho, which needs |B| >= 2; ``rho_mass`` is rho m_B.
     """
     v_omega, v_b, v_g = volumes(graph)
     m_b = graph.measure[graph.boundary]
-    deg_b = float(np.dot(rho, m_b))  # <rho, 1>_B
+    deg_b = float(rho_mass.sum())  # <rho, 1>_B
     denom = v_omega * deg_b - v_b * mu_top
     if denom <= 0.0:
         return False, float("-inf")
-    rm = rho * m_b
-    q = np.diag(rm) - ((mu_top + deg_b) / v_omega) * np.diag(m_b)
-    # the coefficient scales one factor, so no product of two entries of rm
-    # is formed: that product overflows for weights far from unit scale
-    q = q - np.outer((v_g / denom) * rm, rm)
+    q = np.diag(rho_mass) - ((mu_top + deg_b) / v_omega) * np.diag(m_b)
+    # the coefficient scales one factor, so no product of two entries of
+    # rho_mass is formed: that product overflows for weights far from unit
+    # scale
+    q = q - np.outer((v_g / denom) * rho_mass, rho_mass)
     nb = m_b.size
     # {f : <f, 1>_B = 0} is the nullspace of m_b^T.  The Householder reflector
     # H = I - 2 v v^T / v^T v with v = m_b/|m_b| + e_1 maps e_1 to
@@ -188,21 +212,16 @@ def check_neumann_laplacian_rigidity(
     conclusion = False
     extra: dict = {}
     if fact.holds:
-        rho = fact.rho
-        m_b = graph.measure[graph.boundary]
-        deg_b = float(np.dot(rho, m_b))
+        deg_b = float(fact.rho_mass.sum())
         mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
         mu_top = float(mu_om[-1])
         extra["mu_top_interior"] = mu_top
         if fact.constant:
-            rho_c = float(rho.mean())
             # the mean-zero boundary test functions behind the usual bound
             # only exist for |B| >= 2; a singleton boundary leaves just the
             # weaker constant-extension condition mu_top <= rho V_Omega
-            if graph.boundary.size >= 2:
-                bound = rho_c * (v_omega - v_b)
-            else:
-                bound = rho_c * v_omega
+            volume = v_omega - v_b if graph.boundary.size >= 2 else v_omega
+            bound = float(fact.rho_times(volume).mean())
             ok = mu_top <= bound + tol * max(1.0, abs(bound))
             conditions.append(Condition("rho_constant_bound", ok, (mu_top, bound)))
             conclusion = ok
@@ -211,7 +230,7 @@ def check_neumann_laplacian_rigidity(
             conditions.append(
                 Condition("strict_bound", strict, (mu_top, (v_omega / v_b) * deg_b))
             )
-            qf_ok, min_eig = _quadratic_form_condition(graph, rho, mu_top, tol)
+            qf_ok, min_eig = _quadratic_form_condition(graph, fact.rho_mass, mu_top, tol)
             conditions.append(Condition("quadratic_form_psd", qf_ok, min_eig))
             conclusion = strict and qf_ok
         singleton = graph.boundary.size == 1
@@ -342,8 +361,7 @@ def check_laplacian_dirichlet_rigidity(
     conditions = [cond_components, cond_rho]
     conclusion = comp == j and fact.holds
     if fact.holds:
-        m_b = graph.measure[graph.boundary]
-        rho_sum = float(np.dot(fact.rho, m_b))
+        rho_sum = float(fact.rho_mass.sum())
         head = lam[:j]
         head_ok = bool(
             np.all(np.abs(head - rho_sum) <= tol * max(1.0, abs(rho_sum)))
@@ -351,12 +369,12 @@ def check_laplacian_dirichlet_rigidity(
         conditions.append(Condition("lambda_head_equals_rho_mass", head_ok, (list(head), rho_sum)))
         conclusion = conclusion and head_ok
         if fact.constant:
-            rho_c = float(fact.rho.mean())
             v_omega, v_b, _ = volumes(graph)
+            rho_volume = float(fact.rho_times(v_omega).mean())  # rho_c V_Omega
             mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
             if j < mu_om.size:
-                gap_ok = float(mu_om[j]) >= rho_c * v_omega - tol * max(1.0, rho_c * v_omega)
-                witness = (float(mu_om[j]), rho_c * v_omega)
+                gap_ok = float(mu_om[j]) >= rho_volume - tol * max(1.0, rho_volume)
+                witness = (float(mu_om[j]), rho_volume)
             else:
                 gap_ok, witness = True, None  # mu_{j+1}(Omega) does not exist
             conditions.append(Condition("interior_gap", gap_ok, witness))

@@ -234,6 +234,30 @@ class TestExitCodes:
             if cond["witness"] is not None:
                 assert np.isfinite(np.asarray(cond["witness"], dtype=float)).all(), cond
 
+    @pytest.mark.parametrize("theorem", ["LapVsDiri", "NeuVsLap"])
+    def test_certify_rho_beyond_the_float_range(self, capsys, tmp_path, theorem):
+        # boundary {0} joined to both interior vertices with weight 1e300,
+        # all measures 1e-5: the weights factor exactly as rho m_x m_y with
+        # rho = 1e310, which overflows, while rho m_x = 1e305 does not
+        w = np.zeros((3, 3))
+        w[0, 1:] = w[1:, 0] = 1e300
+        w[1, 2] = w[2, 1] = 1e-10
+        path = tmp_path / "rho.json"
+        save(WeightedBoundaryGraph(measure=np.full(3, 1e-5), weights=w,
+                                   boundary=np.array([0])), path)
+        code, out, err = run_streams(capsys, ["certify", "--graph", str(path),
+                                              "--theorem", theorem])
+        assert err == ""
+        conditions = {c["name"]: c for c in json.loads(out)["results"]["conditions"]}
+        assert conditions["rho_factorization"]["holds"] is True
+        if theorem == "LapVsDiri":
+            assert code == 2  # equality fails only at j = 2, and the interior is connected
+            head, rho_mass = conditions["lambda_head_equals_rho_mass"]["witness"]
+            assert rho_mass == pytest.approx(1e305, rel=1e-12)
+        else:
+            assert conditions["rho_constant_bound"]["witness"][1] == pytest.approx(
+                2e305, rel=1e-12)  # rho V_Omega
+
     def test_spectrum(self, capsys, p3_file):
         code, out = run(capsys, ["spectrum", "--graph", p3_file])
         assert code == 0

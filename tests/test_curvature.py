@@ -106,6 +106,18 @@ def ollivier_bruteforce(graph, x, y):
     return float(value + const)
 
 
+def spy_lps(monkeypatch):
+    """Record (cost, a, b) of every LP the edge curvature hands the simplex."""
+    lps = []
+
+    def spy(c, a, b):
+        lps.append((np.array(c), np.array(a), np.array(b)))
+        return solve_lp(c, a, b)
+
+    monkeypatch.setattr(curvature, "solve_lp", spy)
+    return lps
+
+
 class TestBakryEmery:
     def test_single_edge_curvature(self):
         g = single_edge()
@@ -254,25 +266,36 @@ class TestOllivier:
         with pytest.raises(ValueError):
             ollivier_curvature(path_graph(3), 0, 2)
 
-    def test_matches_bruteforce_on_random_graphs(self):
+    def test_matches_bruteforce_on_random_graphs(self, monkeypatch):
+        lps = spy_lps(monkeypatch)
         rng = np.random.default_rng(12)
+        lp_free = gain_two = 0
         for model in ("unit", "lognormal"):
             checked = 0
             while checked < 15:
                 g = random_graph(rng, 6, weight_model=model)
                 for u, v, _w in g.edges():
+                    lps.clear()
                     got = ollivier_curvature(g, u, v)
                     want = ollivier_bruteforce(g, u, v)
                     assert got == pytest.approx(want, abs=1e-9)
                     checked += 1
+                    lp_free += not lps
+                    gain_two += any(-2.0 in cost for cost, _a, _b in lps)
+        # the checked edges reach both ends of the reduction: an edge priced
+        # in closed form, and a pair that gains 2 by shipping direct
+        assert lp_free > 0 and gain_two > 0
 
-    # exact values on graphs whose unit balls are too large for the oracle
+    # exact values on graphs whose unit balls are too large for the oracle,
+    # and on C5, whose edges rest on a pair that gains 1 (a sender and a
+    # receiver at distance 2): Lin-Lu-Yau's curvature 1/2 times the degree
     @pytest.mark.parametrize(
         "graph, kappa",
         [(complete_graph(n), n) for n in (10, 30, 45)]
         + [(hypercube(d), 2.0) for d in (3, 4, 5)]
-        + [(cycle(n), 0.0) for n in (6, 8, 12)],
-        ids=["K10", "K30", "K45", "Q3", "Q4", "Q5", "C6", "C8", "C12"],
+        + [(cycle(n), 0.0) for n in (6, 8, 12)]
+        + [(cycle(5), 1.0)],
+        ids=["K10", "K30", "K45", "Q3", "Q4", "Q5", "C6", "C8", "C12", "C5"],
     )
     def test_exact_values_on_symmetric_graphs(self, graph, kappa):
         values = ollivier_curvature_all(graph).per_location.values()
@@ -298,53 +321,89 @@ class TestOllivier:
                     assert kappa == pytest.approx(t * base[edge], abs=tol)
 
     def test_lp_has_one_row_per_free_ball_vertex(self, monkeypatch):
-        shapes = []
-
-        def spy(c, a, b):
-            shapes.append(np.shape(a))
-            return solve_lp(c, a, b)
-
-        monkeypatch.setattr(curvature, "solve_lp", spy)
-        g = random_graph(np.random.default_rng(16), 12)
-        dist = curvature._distances(g)
-        for u, v, _w in g.edges():
-            shapes.clear()
-            ollivier_curvature(g, u, v)
-            ball = np.flatnonzero((dist[u] <= 1) | (dist[v] <= 1))
-            assert [shape[0] for shape in shapes] == ([ball.size - 2] if ball.size > 2 else [])
-
-    def test_lp_columns_run_from_senders_to_receivers(self, monkeypatch):
-        columns = []
-
-        def spy(c, a, b):
-            columns.append(np.array(a))
-            return solve_lp(c, a, b)
-
-        monkeypatch.setattr(curvature, "solve_lp", spy)
+        # one row per sender and receiver, so at most one per free ball
+        # vertex; x and y have none
+        lps = spy_lps(monkeypatch)
         g = random_graph(np.random.default_rng(16), 12)
         lap = -full_laplacian(g).matrix
         dist = hop_distances_bfs(g.weights)
+        solved = 0
         for u, v, _w in g.edges():
-            columns.clear()
+            lps.clear()
             ollivier_curvature(g, u, v)
             ball = np.flatnonzero((dist[u] <= 1) | (dist[v] <= 1))
             free = ball[(ball != u) & (ball != v)]
-            if free.size == 0:
-                assert columns == []
-                continue
             c = (lap[v] - lap[u])[free]
-            senders, receivers = set(np.flatnonzero(c < 0)), set(np.flatnonzero(c > 0))
-            (a,) = columns
-            assert a.shape == (free.size, (len(senders) + 2) * (len(receivers) + 2) - 4)
-            for col in a.T:
-                out, into = np.flatnonzero(col == -1.0), np.flatnonzero(col == 1.0)
-                assert np.count_nonzero(col) == out.size + into.size
-                assert out.size <= 1 and into.size <= 1 and out.size + into.size >= 1
-                assert set(out) <= senders and set(into) <= receivers
-        # K10: every free vertex is balanced, so no column survives
-        columns.clear()
+            assert [a.shape[0] for _cost, a, _b in lps] in ([], [np.count_nonzero(c)])
+            solved += len(lps)
+        assert solved > 0
+
+    def test_lp_columns_run_from_senders_to_receivers(self, monkeypatch):
+        lps = spy_lps(monkeypatch)
+        rng = np.random.default_rng(16)
+        free_edges = 0
+        for model in ("unit", "lognormal"):
+            g = random_graph(rng, 12, weight_model=model)
+            lap = -full_laplacian(g).matrix
+            dist = hop_distances_bfs(g.weights)
+            for x, y, _w in g.edges():
+                lps.clear()
+                ollivier_curvature(g, x, y)
+                ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
+                free = ball[(ball != x) & (ball != y)]
+                c = (lap[y] - lap[x])[free]
+                senders, receivers = np.flatnonzero(c < 0), np.flatnonzero(c > 0)
+                # a sender's cheapest outlet is x or y, a receiver's cheapest
+                # fill is x or y, and a direct shipment gains their sum less
+                # its own cost
+                want = []
+                for v in senders:
+                    dvx, dvy = dist[x, free[v]], dist[y, free[v]]
+                    for w in receivers:
+                        dwx, dwy = dist[x, free[w]], dist[y, free[w]]
+                        gain = (min(dvx + dvy + 1, 2 * dvy) + min(0, dwx - 1 - dwy)
+                                - (dist[free[v], free[w]] + dvy - dwy))
+                        if gain > 0:
+                            want.append((v, w, gain))
+                if not want:
+                    assert lps == []
+                    free_edges += 1
+                    continue
+                (lp,) = lps
+                cost, a, b = lp
+                assert a.shape == (senders.size + receivers.size, len(want))
+                assert (b >= 0.0).all()
+                assert set(np.unique(cost)) <= {-1.0, -2.0}
+                assert np.isin(a, (0.0, 1.0)).all() and (a.sum(axis=0) == 2.0).all()
+                got = []
+                for j, col in enumerate(a.T):
+                    s_row, r_row = np.flatnonzero(col)
+                    assert s_row < senders.size <= r_row
+                    got.append((senders[s_row], receivers[r_row - senders.size], -cost[j]))
+                assert sorted(got) == sorted(want)
+        assert free_edges > 0
+        # K10: every free vertex is balanced, so there is no LP
+        lps.clear()
         assert ollivier_curvature(complete_graph(10), 0, 1) == pytest.approx(10.0, abs=1e-9)
-        assert [a.shape for a in columns] == [(8, 0)]
+        assert lps == []
+
+    @pytest.mark.parametrize("model, n, count", [
+        ("unit", 12, 10), ("lognormal", 12, 10), ("lognormal", 49, 2),
+    ])
+    def test_symmetric_in_the_edge_ends(self, model, n, count):
+        # kappa(x, y) and kappa(y, x) solve different LPs: senders and
+        # receivers trade places and x, y are priced differently
+        rng = np.random.default_rng(21)
+        done = 0
+        while done < count:
+            g = random_graph(rng, n, weight_model=model)
+            if n > 12 and g.vertex_count < 40:
+                continue
+            tol = 1e-12 * max(1.0, float(degree_vector(g).max()))
+            for u, v, _w in g.edges():
+                assert ollivier_curvature(g, u, v) == pytest.approx(
+                    ollivier_curvature(g, v, u), abs=tol)
+            done += 1
 
     def test_distant_pendant_does_not_change_edge_curvature(self):
         g = path_graph(5)
@@ -415,10 +474,13 @@ class TestLichnerowicz:
 
 class TestSimplexAgainstOracle:
     def test_trivial_lp(self):
-        # min x s.t. -x <= -3  (i.e. x >= 3)
-        value, x = solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]))
-        assert value == pytest.approx(3.0, abs=1e-12)
+        # min -x s.t. x <= 3
+        value, x = solve_lp(np.array([-1.0]), np.array([[1.0]]), np.array([3.0]))
+        assert value == pytest.approx(-3.0, abs=1e-12)
         assert x[0] == pytest.approx(3.0, abs=1e-12)
+        # x >= 3 as -x <= -3 has an infeasible origin, which the simplex refuses
+        with pytest.raises(ValueError, match="nonnegative right-hand side"):
+            solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]))
         value, x = solve_lp(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
         assert value == 0.0 and x.size == 0
 
