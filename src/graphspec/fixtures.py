@@ -139,21 +139,33 @@ def laplacian_dirichlet_recipe(
 # seeded random generator for audits
 
 
-class NormalizationFailed(RuntimeError):
-    """Iterative scaling did not reach Deg = 1 on this draw."""
+def _normalize_weights(measure, weights, max_iter=500, tol=1e-13):
+    """``weights`` rescaled to D w D with every weighted degree 1, or ``None``
+    when the draw cannot be scaled.
 
+    The symmetric Sinkhorn iteration runs on the scaling vector x: with
+    Deg_x = x_x (w x)_x / m_x, it sets x <- x / sqrt(Deg) until every Deg is
+    within ``tol`` of 1, and w * outer(x, x) is formed only to confirm that
+    its row sums are too.  That matrix is bitwise symmetric.
 
-def _normalize_weights(measure, weights, max_iter=500, tol=1e-10):
-    """Scale weights so every weighted degree is 1 (iterative proportional
-    fitting); raises NormalizationFailed when the draw cannot be scaled."""
-    w = weights.copy()
+    A symmetric nonnegative matrix has such a scaling only when it has total
+    support (Csima-Datta, "The DAD theorem for symmetric non-negative
+    matrices", 1972).  The model's measure is 1, so a vertex with one
+    neighbour denies it: its one edge must weigh 1, which leaves 0 for its
+    neighbour's other edges, and a connected draw on three or more vertices
+    has some.  Such draws are rejected before iterating.
+    """
+    if np.any(np.count_nonzero(weights, axis=1) == 1):
+        return None
+    x = np.ones(measure.size)
     for _ in range(max_iter):
-        deg = w.sum(axis=1) / measure
+        deg = x * (weights @ x) / measure
         if np.all(np.abs(deg - 1.0) <= tol):
-            return w
-        scale = 1.0 / np.sqrt(np.maximum(deg, 1e-300))
-        w = w * scale[:, None] * scale[None, :]
-    raise NormalizationFailed("degree normalization did not converge")
+            scaled = weights * np.outer(x, x)
+            if np.all(np.abs(scaled.sum(axis=1) / measure - 1.0) <= tol):
+                return scaled
+        x = x / np.sqrt(deg)
+    return None
 
 
 def random_graph(
@@ -165,8 +177,10 @@ def random_graph(
 
     Interior: Erdos-Renyi (forced connected by a random spanning tree).
     Boundary: each boundary vertex attaches to a nonempty random interior
-    subset.  Weight models: "unit", "lognormal", "normalized"; normalized
-    draws that cannot be rescaled to Deg = 1 are rejected and retried.
+    subset.  Weight models: "unit" (unit measure and weights), "lognormal"
+    (lognormal measure and weights) and "normalized" (unit measure, lognormal
+    weights scaled symmetrically to Deg = 1 at every vertex); a normalized
+    draw that cannot be scaled, such as any draw with a leaf, is redrawn.
     """
     models = ["unit", "lognormal", "normalized"]
     for _ in range(200):
@@ -184,10 +198,10 @@ def random_graph(
             a, b = order[i], order[rng.integers(i)]
             w[a, b] = w[b, a] = 1.0
         p_edge = 0.4
-        for i in range(nb, n):
-            for k in range(i + 1, n):
-                if rng.random() < p_edge:
-                    w[i, k] = w[k, i] = 1.0
+        iu, iv = np.triu_indices(nom, 1)
+        coin = rng.random(iu.size) < p_edge
+        iu, iv = iu[coin] + nb, iv[coin] + nb
+        w[iu, iv] = w[iv, iu] = 1.0
         for x in range(nb):
             nbrs = interior[rng.random(nom) < 0.5]
             if nbrs.size == 0:
@@ -212,9 +226,8 @@ def random_graph(
             vals = np.exp(rng.normal(0.0, 0.3, iu.size))
             raw[iu, iv] = vals
             raw[iv, iu] = vals
-            try:
-                weights = _normalize_weights(measure, raw)
-            except NormalizationFailed:
+            weights = _normalize_weights(measure, raw)
+            if weights is None:
                 continue
         graph = WeightedBoundaryGraph(
             measure=measure, weights=weights, boundary=np.arange(nb)

@@ -8,8 +8,9 @@ definition through the normal extension, one column at a time, the
 Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 hop distances from a breadth-first search per vertex, the NeuVsLap quadratic
 form on the mean-zero boundary functions through a basis read off the
-eigenvectors of the orthogonal projector onto them, and CLI JSON text through
-the standard library's encoder.
+eigenvectors of the orthogonal projector onto them, CLI JSON text through
+the standard library's encoder, and total support from the positive
+diagonals found by enumerating permutations.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections import deque
 import numpy as np
 
 MAX_EIG_DIM = 6
+MAX_SUPPORT_DIM = 7
 
 
 class DimensionTooLarge(ValueError):
@@ -367,3 +369,18 @@ def dumps_json_reference(obj) -> str:
     string value that itself reads ``"@@f:...@@"`` would be unquoted too.)"""
     text = json.dumps(_tokenize_floats(obj), indent=2, sort_keys=True)
     return _FLOAT_TOKEN.sub(r"\1", text)
+
+
+def total_support(weights: np.ndarray) -> bool:
+    """Whether every positive entry of square ``weights`` lies on a positive
+    diagonal, a permutation sigma with weights[i, sigma(i)] > 0 for every i.
+    Enumerates all |V|! permutations, so |V| <= MAX_SUPPORT_DIM."""
+    n = weights.shape[0]
+    if n > MAX_SUPPORT_DIM:
+        raise TooLarge(f"{n} vertices; at most {MAX_SUPPORT_DIM}")
+    positive = weights > 0.0
+    covered = np.zeros_like(positive)
+    for sigma in itertools.permutations(range(n)):
+        if all(positive[i, sigma[i]] for i in range(n)):
+            covered[range(n), sigma] = True
+    return bool(positive.any()) and bool(np.array_equal(covered, positive))

@@ -1,0 +1,66 @@
+"""The seeded random generator's normalized weight model: its scaling against
+the total-support referee, and its graphs in the audit corpus."""
+
+import numpy as np
+
+from graphspec import fixtures
+from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.graph import save, validate
+from graphspec.rigidity import check_corollary_normalized
+
+from oracle import total_support
+from test_cli import run
+
+
+def _has_leaf(weights):
+    return bool(np.any(np.count_nonzero(weights, axis=1) == 1))
+
+
+def test_total_support_referee():
+    assert total_support(complete_bipartite(2, 2).weights)
+    assert total_support(np.ones((3, 3)) - np.eye(3))
+    # the edge 0-1 of a path lies on no positive diagonal
+    assert not total_support(path_graph(3).weights)
+    assert not total_support(path_graph(5).weights)
+
+
+def test_normalized_draws_against_total_support(monkeypatch):
+    calls = []
+    normalize = fixtures._normalize_weights
+
+    def spy(measure, weights):
+        scaled = normalize(measure, weights)
+        calls.append((weights, scaled))
+        return scaled
+
+    monkeypatch.setattr(fixtures, "_normalize_weights", spy)
+    rng = np.random.default_rng(11)
+    graphs = [random_graph(rng, 7, weight_model="normalized") for _ in range(40)]
+    assert any(_has_leaf(weights) for weights, _ in calls)
+    for weights, scaled in calls:
+        if scaled is not None:
+            assert total_support(weights)
+        if _has_leaf(weights):
+            assert scaled is None
+            assert not total_support(weights)
+    # every scaled draw is returned, so none fails validation
+    accepted = [scaled for _, scaled in calls if scaled is not None]
+    assert len(accepted) == len(graphs)
+    for g, scaled in zip(graphs, accepted):
+        assert np.array_equal(g.weights, scaled)
+        validate(g)
+        assert np.array_equal(g.weights, g.weights.T)
+        assert g.is_normalized(1e-12)
+
+
+def test_corpus_reaches_the_normalized_corollary(corpus, capsys, tmp_path):
+    normalized = [g for g in corpus if g.is_normalized(1e-12)]
+    assert normalized
+    for g in normalized:
+        # raises NotApplicable on a graph it does not accept
+        assert check_corollary_normalized(g).consistent is not False
+    path = tmp_path / "normalized.json"
+    save(normalized[0], path)
+    code, _ = run(capsys, ["certify", "--graph", str(path),
+                           "--theorem", "LapVsDiriNormalizedCorollary"])
+    assert code in (0, 2)
