@@ -32,9 +32,9 @@ Two notions of curvature are computed on a plain weighted connected graph:
   column out of a sender costs at least 0, so some optimal plan ships
   exactly each sender's excess, and what is left is to choose the
   sender-receiver pairs that gain (by 1 or 2 per unit) by shipping direct
-  instead: a max-gain problem with one row per sender and receiver and a
-  nonnegative right-hand side, which the simplex starts from its slack
-  basis (see ``ollivier_curvature``).
+  instead: a bipartite max-gain problem whose totally unimodular dual is
+  a minimum s-t cut, so the gain is a maximum flow (see
+  ``ollivier_curvature``).
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
@@ -58,7 +58,6 @@ from .graph import (
     validate,
 )
 from .operators import operator_by_label
-from .simplex import solve_lp
 from .spectra import spectrum, symmetric_eigh, weighted_singular_values
 
 
@@ -201,9 +200,21 @@ def ollivier_curvature(
     with ``sum_w t_vw <= |c_v|`` and ``sum_v t_vw <= c_w``.  Only pairs
     with ``g_vw > 0`` can raise that maximum, and each such gain is 1 or 2,
     since free vertices lie at distance 1 or 2 from ``x`` and ``y`` and
-    ``d(v, w) >= 1``.  The simplex gets one column per such pair and one
-    row per sender and receiver; the right-hand side is nonnegative, so the
-    slack basis is feasible.  An edge without a gaining pair needs no LP.
+    ``d(v, w) >= 1``.  An edge without a gaining pair needs no flow.
+
+    The gain problem's constraint matrix is a bipartite incidence matrix,
+    so it is totally unimodular, and with integral gains its dual
+    ``min sum |c_v| p_v + sum c_w q_w`` over ``p, q >= 0`` with
+    ``p_v + q_w >= g_vw`` has an optimum with ``p, q`` in {0, 1, 2}
+    (Schrijver, Combinatorial Optimization, 2003).  Split sender ``v``
+    into ``v1``, ``v2``, each fed from the source at capacity ``|c_v|``,
+    and receiver ``w`` into ``w1``, ``w2``, each draining to the sink at
+    ``c_w``; add unbounded arcs ``v1 -> v2``, ``w2 -> w1``, ``v1 -> w1``
+    for a gaining pair and also ``v2 -> w1``, ``v1 -> w2`` if it gains 2.
+    The finite cuts are the feasible ``p, q``: ``v1`` (``v2``) is on the
+    sink side where ``p_v >= 1`` (2), ``w1`` (``w2``) on the source side
+    where ``q_w >= 1`` (2), and the cut costs the dual objective, so the
+    maximum gain is the value of a maximum flow.
     """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
@@ -217,8 +228,8 @@ def ollivier_curvature(
     dx, dy = dist[x, free], dist[y, free]
     const = float(obj_row[x] - c @ dy)
     # c carries the degree scale; dividing it exactly by a power of two near
-    # Deg(x) + Deg(y) keeps the simplex's absolute tolerances meaningful for
-    # weights of any magnitude
+    # Deg(x) + Deg(y) gives the flow unit-sized capacities for weights of any
+    # magnitude, and kappa is scaled back exactly
     scale = 2.0 ** (math.frexp(-lap[x, x] - lap[y, y])[1] - 1)
     c = c / scale
     send, recv = c < 0.0, c > 0.0
@@ -229,13 +240,68 @@ def ollivier_curvature(
     gain = dy[send][:, None] + dx[recv] - 1.0 - dist[np.ix_(free[send], free[recv])]
     v, w = np.nonzero(gain > 0.0)
     if v.size:
-        cols = np.arange(v.size)
-        a = np.zeros((supply.size + demand.size, v.size))
-        a[v, cols] = 1.0
-        a[supply.size + w, cols] = 1.0
-        lp_value, _ = solve_lp(-gain[v, w], a, np.concatenate((supply, demand)))
-        value += lp_value
+        # source 0, v1 and v2 of each sender, w1 and w2 of each receiver, sink
+        ns, nr, inf = supply.size, demand.size, math.inf
+        sink = 2 * (ns + nr) + 1
+        arcs = []
+        for i, cap in enumerate(supply.tolist(), 1):
+            arcs += [(0, i, cap), (0, i + ns, cap), (i, i + ns, inf)]
+        for j, cap in enumerate(demand.tolist(), 1 + 2 * ns):
+            arcs += [(j, sink, cap), (j + nr, sink, cap), (j + nr, j, inf)]
+        for i, j, g in zip((1 + v).tolist(), (1 + 2 * ns + w).tolist(), gain[v, w].tolist()):
+            arcs += [(i, j, inf)] + ([(i + ns, j, inf), (i, j + nr, inf)] if g > 1.0 else [])
+        value -= _max_flow(sink + 1, arcs)
     return const - scale * value
+
+
+def _max_flow(node_count: int, arcs: list) -> float:
+    """Value of a maximum flow from node 0 to node ``node_count - 1`` along
+    ``(tail, head, capacity)`` arcs, by Dinic's algorithm: breadth-first
+    levels, then augmenting paths kept on an explicit stack, so the depth
+    is not bounded by the recursion limit.  Every source-sink path needs a
+    finite arc, and each augmentation leaves its bottleneck at exactly 0.
+    """
+    sink = node_count - 1
+    to, cap, out = [], [], [[] for _ in range(node_count)]
+    for tail, head, c in arcs:  # arc e and its reverse e ^ 1
+        out[tail].append(len(to))
+        out[head].append(len(to) + 1)
+        to += [head, tail]
+        cap += [c, 0.0]
+    total = 0.0
+    while True:
+        level, queue = [0] + [-1] * sink, [0]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] > 0.0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            return total
+        cursor, path, u = [0] * node_count, [], 0
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                total += push
+                # resume from the tail of the first saturated arc
+                k = next(k for k, e in enumerate(path) if cap[e] == 0.0)
+                u = to[path[k] ^ 1]
+                del path[k:]
+            elif cursor[u] < len(out[u]):
+                e = out[u][cursor[u]]
+                if cap[e] > 0.0 and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                else:
+                    cursor[u] += 1
+            elif path:  # dead end: retreat and skip the arc that led here
+                u = to[path.pop() ^ 1]
+                cursor[u] += 1
+            else:
+                break
 
 
 def ollivier_curvature_all(graph: WeightedBoundaryGraph) -> CurvatureResult:

@@ -139,14 +139,19 @@ def laplacian_dirichlet_recipe(
 # seeded random generator for audits
 
 
-def _normalize_weights(measure, weights, max_iter=500, tol=1e-13):
+# the Sinkhorn iteration's round cap and its tolerance on every degree
+NORMALIZE_ROUNDS = 500
+NORMALIZE_TOL = 1e-13
+
+
+def _normalize_weights(measure, weights):
     """``weights`` rescaled to D w D with every weighted degree 1, or ``None``
     when the draw cannot be scaled.
 
     The symmetric Sinkhorn iteration runs on the scaling vector x: with
     Deg_x = x_x (w x)_x / m_x, it sets x <- x / sqrt(Deg) until every Deg is
-    within ``tol`` of 1, and w * outer(x, x) is formed only to confirm that
-    its row sums are too.  That matrix is bitwise symmetric.
+    within ``NORMALIZE_TOL`` of 1, and w * outer(x, x) is formed only to
+    confirm that its row sums are too.  That matrix is bitwise symmetric.
 
     A symmetric nonnegative matrix has such a scaling only when it has total
     support (Csima-Datta, "The DAD theorem for symmetric non-negative
@@ -158,11 +163,11 @@ def _normalize_weights(measure, weights, max_iter=500, tol=1e-13):
     if np.any(np.count_nonzero(weights, axis=1) == 1):
         return None
     x = np.ones(measure.size)
-    for _ in range(max_iter):
+    for _ in range(NORMALIZE_ROUNDS):
         deg = x * (weights @ x) / measure
-        if np.all(np.abs(deg - 1.0) <= tol):
+        if np.all(np.abs(deg - 1.0) <= NORMALIZE_TOL):
             scaled = weights * np.outer(x, x)
-            if np.all(np.abs(scaled.sum(axis=1) / measure - 1.0) <= tol):
+            if np.all(np.abs(scaled.sum(axis=1) / measure - 1.0) <= NORMALIZE_TOL):
                 return scaled
         x = x / np.sqrt(deg)
     return None

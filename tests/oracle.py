@@ -39,10 +39,6 @@ class Infeasible(RuntimeError):
     pass
 
 
-class Unbounded(RuntimeError):
-    pass
-
-
 def _count_below(s: np.ndarray, t: float) -> int:
     """Number of eigenvalues of symmetric ``s`` strictly below ``t``,
     counted as sign changes in the leading principal minors of s - tI."""

@@ -1,9 +1,9 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
 
-from graphspec import curvature, simplex
+from graphspec import curvature
 from graphspec.curvature import (
     LICHNEROWICZ_VARIANTS,
     NotApplicable,
@@ -16,7 +16,6 @@ from graphspec.curvature import (
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 from graphspec.graph import WeightedBoundaryGraph, degree_vector
 from graphspec.operators import full_laplacian
-from graphspec.simplex import solve_lp
 from graphspec.spectra import symmetric_eigh
 
 from oracle import (
@@ -64,7 +63,7 @@ def cycle(n):
 
 def ollivier_bruteforce(graph, x, y):
     """Independent re-derivation of kappa(x, y) solved by the enumeration
-    oracle instead of the production simplex."""
+    oracle instead of the production max flow."""
     lap = -full_laplacian(graph).matrix
     dist = hop_distances_bfs(graph.weights)
     ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
@@ -106,16 +105,28 @@ def ollivier_bruteforce(graph, x, y):
     return float(value + const)
 
 
-def spy_lps(monkeypatch):
-    """Record (cost, a, b) of every LP the edge curvature hands the simplex."""
-    lps = []
+def spy_flows(monkeypatch):
+    """Record (node_count, arcs) of every network the edge curvature hands
+    its max-flow helper."""
+    flows = []
+    max_flow = curvature._max_flow
 
-    def spy(c, a, b):
-        lps.append((np.array(c), np.array(a), np.array(b)))
-        return solve_lp(c, a, b)
+    def spy(node_count, arcs):
+        flows.append((node_count, list(arcs)))
+        return max_flow(node_count, arcs)
 
-    monkeypatch.setattr(curvature, "solve_lp", spy)
-    return lps
+    monkeypatch.setattr(curvature, "_max_flow", spy)
+    return flows
+
+
+def gains_two(flow):
+    """Whether a network has a pair that gains 2: an arc out of a v2 node.
+    Nodes are the source 0, v1 and v2 of each sender, w1 and w2 of each
+    receiver, and the sink."""
+    _node_count, arcs = flow
+    senders = sum(tail == 0 for tail, _head, _cap in arcs) // 2
+    return any(senders < tail <= 2 * senders and head > 2 * senders
+               for tail, head, _cap in arcs)
 
 
 class TestBakryEmery:
@@ -267,21 +278,21 @@ class TestOllivier:
             ollivier_curvature(path_graph(3), 0, 2)
 
     def test_matches_bruteforce_on_random_graphs(self, monkeypatch):
-        lps = spy_lps(monkeypatch)
+        flows = spy_flows(monkeypatch)
         rng = np.random.default_rng(12)
         lp_free = gain_two = 0
-        for model in ("unit", "lognormal"):
+        for model in ("unit", "lognormal", "normalized"):
             checked = 0
             while checked < 15:
                 g = random_graph(rng, 6, weight_model=model)
                 for u, v, _w in g.edges():
-                    lps.clear()
+                    flows.clear()
                     got = ollivier_curvature(g, u, v)
                     want = ollivier_bruteforce(g, u, v)
                     assert got == pytest.approx(want, abs=1e-9)
                     checked += 1
-                    lp_free += not lps
-                    gain_two += any(-2.0 in cost for cost, _a, _b in lps)
+                    lp_free += not flows
+                    gain_two += any(gains_two(flow) for flow in flows)
         # the checked edges reach both ends of the reduction: an edge priced
         # in closed form, and a pair that gains 2 by shipping direct
         assert lp_free > 0 and gain_two > 0
@@ -309,7 +320,7 @@ class TestOllivier:
         while g.vertex_count < 36:
             g = random_graph(rng, 40, weight_model="lognormal")
         base = ollivier_curvature_all(g).per_location
-        # far from unit scale, the simplex's absolute tolerances must not bite
+        # far from unit scale, nothing may overflow, underflow or lose digits
         for t in (1e-8, 1e8):
             heavier = WeightedBoundaryGraph(measure=g.measure, weights=t * g.weights,
                                             boundary=g.boundary)
@@ -321,25 +332,39 @@ class TestOllivier:
                     assert kappa == pytest.approx(t * base[edge], abs=tol)
 
     def test_lp_has_one_row_per_free_ball_vertex(self, monkeypatch):
-        # one row per sender and receiver, so at most one per free ball
-        # vertex; x and y have none
-        lps = spy_lps(monkeypatch)
+        # one node pair per sender and per receiver, so at most one per free
+        # ball vertex, each fed from the source or draining to the sink with
+        # capacity |c_v| up to one power-of-two scale; x and y have none
+        flows = spy_flows(monkeypatch)
         g = random_graph(np.random.default_rng(16), 12)
         lap = -full_laplacian(g).matrix
         dist = hop_distances_bfs(g.weights)
         solved = 0
         for u, v, _w in g.edges():
-            lps.clear()
+            flows.clear()
             ollivier_curvature(g, u, v)
             ball = np.flatnonzero((dist[u] <= 1) | (dist[v] <= 1))
             free = ball[(ball != u) & (ball != v)]
             c = (lap[v] - lap[u])[free]
-            assert [a.shape[0] for _cost, a, _b in lps] in ([], [np.count_nonzero(c)])
-            solved += len(lps)
+            if not flows:
+                continue
+            (node_count, arcs), = flows
+            senders, receivers = -c[c < 0], c[c > 0]
+            assert node_count == 2 + 2 * (senders.size + receivers.size)
+            sink = node_count - 1
+            ratio = next(cap for tail, _head, cap in arcs if tail == 0) / senders[0]
+            assert math.frexp(ratio)[0] == 0.5
+            fed = sorted((head, cap) for tail, head, cap in arcs if tail == 0)
+            drained = sorted((tail, cap) for tail, head, cap in arcs if head == sink)
+            assert fed == sorted(zip(range(1, 1 + 2 * senders.size),
+                                     np.tile(senders * ratio, 2).tolist()))
+            assert drained == sorted(zip(range(1 + 2 * senders.size, sink),
+                                         np.tile(receivers * ratio, 2).tolist()))
+            solved += 1
         assert solved > 0
 
     def test_lp_columns_run_from_senders_to_receivers(self, monkeypatch):
-        lps = spy_lps(monkeypatch)
+        flows = spy_flows(monkeypatch)
         rng = np.random.default_rng(16)
         free_edges = 0
         for model in ("unit", "lognormal"):
@@ -347,7 +372,7 @@ class TestOllivier:
             lap = -full_laplacian(g).matrix
             dist = hop_distances_bfs(g.weights)
             for x, y, _w in g.edges():
-                lps.clear()
+                flows.clear()
                 ollivier_curvature(g, x, y)
                 ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
                 free = ball[(ball != x) & (ball != y)]
@@ -366,26 +391,49 @@ class TestOllivier:
                         if gain > 0:
                             want.append((v, w, gain))
                 if not want:
-                    assert lps == []
+                    assert flows == []
                     free_edges += 1
                     continue
-                (lp,) = lps
-                cost, a, b = lp
-                assert a.shape == (senders.size + receivers.size, len(want))
-                assert (b >= 0.0).all()
-                assert set(np.unique(cost)) <= {-1.0, -2.0}
-                assert np.isin(a, (0.0, 1.0)).all() and (a.sum(axis=0) == 2.0).all()
-                got = []
-                for j, col in enumerate(a.T):
-                    s_row, r_row = np.flatnonzero(col)
-                    assert s_row < senders.size <= r_row
-                    got.append((senders[s_row], receivers[r_row - senders.size], -cost[j]))
-                assert sorted(got) == sorted(want)
+                (node_count, arcs), = flows
+                ns, nr = senders.size, receivers.size
+                sink = node_count - 1
+                v1 = {v: 1 + i for i, v in enumerate(senders)}
+                v2 = {v: 1 + ns + i for i, v in enumerate(senders)}
+                w1 = {w: 1 + 2 * ns + j for j, w in enumerate(receivers)}
+                w2 = {w: 1 + 2 * ns + nr + j for j, w in enumerate(receivers)}
+                # the unbounded arcs: v1 -> v2, w2 -> w1, and one pair arc
+                # for a pair that gains 1, three for a pair that gains 2
+                links = [(v1[v], v2[v]) for v in senders] + [(w2[w], w1[w]) for w in receivers]
+                pairs = []
+                for v, w, gain in want:
+                    assert gain in (1, 2)
+                    pairs.append((v1[v], w1[w]))
+                    if gain == 2:
+                        pairs += [(v2[v], w1[w]), (v1[v], w2[w])]
+                unbounded = [(tail, head) for tail, head, cap in arcs if cap == math.inf]
+                assert sorted(unbounded) == sorted(links + pairs)
+                assert all(0.0 < cap < math.inf for tail, head, cap in arcs
+                           if tail == 0 or head == sink)
+                assert len(arcs) == len(unbounded) + 2 * (ns + nr)
         assert free_edges > 0
-        # K10: every free vertex is balanced, so there is no LP
-        lps.clear()
+        # K10: every free vertex is balanced, so there is no flow
+        flows.clear()
         assert ollivier_curvature(complete_graph(10), 0, 1) == pytest.approx(10.0, abs=1e-9)
-        assert lps == []
+        assert flows == []
+
+    @pytest.mark.parametrize("delta", [1e-11, 9e-11])
+    def test_near_tie_matches_bruteforce(self, delta):
+        # the 4-cycle 0-1-2-3-0 with w_03 = 1 + delta: sender 3 and receiver 2
+        # gain 2 per unit, capped by the smaller of |c_3| = 1 + delta and
+        # c_2 = 1, so kappa(0, 1) = 2 - delta
+        w = np.zeros((4, 4))
+        for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]:
+            w[a, b] = w[b, a] = 1.0
+        w[0, 3] = w[3, 0] = 1.0 + delta
+        g = unit_graph(w)
+        want = ollivier_bruteforce(g, 0, 1)
+        assert want == pytest.approx(2.0 - delta, abs=1e-14)
+        assert ollivier_curvature(g, 0, 1) == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("model, n, count", [
         ("unit", 12, 10), ("lognormal", 12, 10), ("lognormal", 49, 2),
@@ -470,75 +518,3 @@ class TestLichnerowicz:
         # not count as positive whichever sign the round-off takes
         with pytest.raises(NotApplicable):
             certify_lichnerowicz(path_graph(5, boundary=[0]), "be-g-nu2", n=4.0)
-
-
-class TestSimplexAgainstOracle:
-    def test_trivial_lp(self):
-        # min -x s.t. x <= 3
-        value, x = solve_lp(np.array([-1.0]), np.array([[1.0]]), np.array([3.0]))
-        assert value == pytest.approx(-3.0, abs=1e-12)
-        assert x[0] == pytest.approx(3.0, abs=1e-12)
-        # x >= 3 as -x <= -3 has an infeasible origin, which the simplex refuses
-        with pytest.raises(ValueError, match="nonnegative right-hand side"):
-            solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]))
-        value, x = solve_lp(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
-        assert value == 0.0 and x.size == 0
-
-    def test_random_lps_match_enumeration(self):
-        rng = np.random.default_rng(13)
-        done = 0
-        while done < 40:
-            nvar = int(rng.integers(1, 5))
-            ncon = int(rng.integers(1, 7))
-            c = rng.normal(size=nvar)
-            a = rng.normal(size=(ncon, nvar))
-            b = rng.uniform(0.5, 2.0, ncon)  # origin feasible, bounded often
-            try:
-                want, _ = lp_bruteforce(c, a, b)
-            except Exception:
-                continue
-            # enumeration found a bounded optimum over basic points; confirm
-            # the simplex agrees when it also reports an optimum
-            try:
-                got, _ = solve_lp(c, a, b)
-            except Exception:
-                continue
-            assert got == pytest.approx(want, abs=1e-9)
-            done += 1
-        # degenerate LPs: small integer data ties reduced costs and ratios,
-        # and zero right-hand sides, as in the transport duals, make the
-        # origin a degenerate vertex; the row sum(x) <= 10 bounds every LP,
-        # so the simplex must report the enumerated optimum
-        for _ in range(200):
-            nvar = int(rng.integers(2, 7))
-            ncon = int(rng.integers(2, 8))
-            c = rng.integers(-3, 4, size=nvar).astype(float)
-            a = rng.integers(-3, 4, size=(ncon, nvar)).astype(float)
-            b = np.where(rng.random(ncon) < 0.5, 0.0, rng.integers(1, 4, size=ncon))
-            a = np.vstack([a, np.ones(nvar)])
-            b = np.append(b, 10.0)
-            want, _ = lp_bruteforce(c, a, b)
-            got, x = solve_lp(c, a, b)
-            assert got == pytest.approx(want, abs=1e-9)
-            assert (x >= -1e-9).all() and (a @ x <= b + 1e-9).all()
-
-    def test_beale_cycling_lp_terminates(self, monkeypatch):
-        # Beale's example, on which Dantzig's rule with this leaving rule
-        # cycles; the Bland fallback must end it
-        calls = itertools.count(1)
-
-        def counted(*args):
-            if next(calls) > 1000:
-                raise AssertionError("simplex cycles")
-            return pivot(*args)
-
-        pivot = simplex._pivot
-        monkeypatch.setattr(simplex, "_pivot", counted)
-        c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0])
-        a = np.array([[0.25, -60.0, -1.0 / 25.0, 9.0],
-                      [0.5, -90.0, -1.0 / 50.0, 3.0],
-                      [0.0, 0.0, 1.0, 0.0]])
-        b = np.array([0.0, 0.0, 1.0])
-        value, x = solve_lp(c, a, b)
-        assert value == pytest.approx(-1.0 / 20.0, abs=1e-12)
-        assert (x >= -1e-12).all() and (a @ x <= b + 1e-12).all()
