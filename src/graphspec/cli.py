@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .combinatorial import fiedler_bounds, friedman_bounds
-from .comparisons import ALL_COMPARISONS, ComparisonCertificate, run_all
+from .comparisons import (
+    ALL_COMPARISONS, DEFAULT_TOL, EQUALITY_TOL, ComparisonCertificate, run_all,
+)
 from .curvature import (
     bakry_emery_curvature,
     certify_lichnerowicz,
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--theorems", default="all")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--json", dest="table", action="store_false", default=False)
     p.add_argument("--table", dest="table", action="store_true")
     p.set_defaults(func=cmd_compare)
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--theorem", choices=sorted(ALL_RIGIDITY), required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=EQUALITY_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("curvature", help="per-vertex curvature-dimension constants "
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "Friedman-type (path comparison) lower bounds, unit weight only")
     p.add_argument("--graph", required=True)
     p.add_argument("--family", choices=["fiedler", "friedman"], required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random-audit", help="run every comparison certificate over "
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=200)
     p.add_argument("--max-v", type=_max_vertices, default=12)
     p.add_argument("--seed", type=_count, default=42)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--curvature", action="store_true",
                    help="also check the curvature spectral-gap bounds where applicable")
     p.set_defaults(func=cmd_random_audit)

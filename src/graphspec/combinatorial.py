@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .comparisons import ComparisonCertificate, _abs_tol, _one_sided
+from .comparisons import DEFAULT_TOL, ComparisonCertificate, _abs_tol, _one_sided
 from .graph import (
     NotApplicable,
     WeightedBoundaryGraph,
@@ -82,7 +82,7 @@ def edge_connectivity(graph: WeightedBoundaryGraph, which: str = "graph") -> int
 
 
 def fiedler_bounds(
-    graph: WeightedBoundaryGraph, tol: float = 1e-9
+    graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """The five edge-connectivity lower bounds on nu_2 and lambda_2."""
     _require_unit(graph)
@@ -135,7 +135,7 @@ def path_dirichlet_value(k: int, lam: float) -> float:
 
 
 def friedman_bounds(
-    graph: WeightedBoundaryGraph, tol: float = 1e-9
+    graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """Path-comparison lower bounds on nu_i and lambda_i for i = 2..|Omega|.
 

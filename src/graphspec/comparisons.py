@@ -3,7 +3,10 @@
 Each certificate records, index by index, the two sides of one comparison
 inequality together with its margin.  A certificate Holds when every margin
 is at least ``-tol_abs`` where ``tol_abs = tol * max(1, spectral radius of
-the spectra involved)``.
+the spectra involved)``; an index is an equality (``IndexRecord.equal``) at
+the same ``tol_abs``.  The rigidity cross-checks follow one rule: they read
+these ``equal`` flags and compare eigenvalue bounds at the certificate's
+``tolerance``, never at a threshold of their own.
 """
 
 from __future__ import annotations
@@ -41,23 +44,13 @@ class ComparisonCertificate:
     def holds(self) -> bool:
         return self.verdict == "Holds"
 
-    def equality_indices(self, tol: float | None = None) -> tuple[int, ...]:
-        """1-based indices where the comparison is an equality.
+    def equality_indices(self) -> tuple[int, ...]:
+        """1-based indices where the comparison is an equality, as each
+        record's ``equal`` flag decided it at ``tolerance``."""
+        return tuple(r.index for r in self.per_index if r.equal)
 
-        With an explicit ``tol`` the margins are re-thresholded (used by the
-        rigidity cross-checks, which run at a looser tolerance).  For a
-        two-sided record equality also requires the bounding interval to be
-        degenerate, not merely that the value touches the nearer bound."""
-        if tol is None:
-            return tuple(r.index for r in self.per_index if r.equal)
-        return tuple(
-            r.index
-            for r in self.per_index
-            if abs(r.margin) <= tol and abs(r.lhs - r.rhs) <= 2.0 * tol
-        )
-
-    def all_equal(self, tol: float | None = None) -> bool:
-        return len(self.equality_indices(tol)) == len(self.per_index)
+    def all_equal(self) -> bool:
+        return all(r.equal for r in self.per_index)
 
 
 def _certify(theorem_id: str, records, tol_abs: float, extra=None) -> ComparisonCertificate:
@@ -156,7 +149,7 @@ def compare_laplacian_dirichlet(
     shifted = mu.eigenvalues[nb:]
     cert = _one_sided("LapVsDiri", shifted, lam.eigenvalues, tol_abs)
     # equality at every index is impossible; surface it rather than pass it
-    full_equality = all(abs(r.margin) <= tol_abs for r in cert.per_index)
+    full_equality = cert.all_equal()
     extra = dict(cert.extra)
     extra["full_equality_anomaly"] = full_equality
     return ComparisonCertificate(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparisons import ComparisonCertificate, _abs_tol, _one_sided
+from .comparisons import DEFAULT_TOL, ComparisonCertificate, _abs_tol, _one_sided
 from .graph import (
     NotApplicable,
     WeightedBoundaryGraph,
@@ -352,7 +352,7 @@ def certify_lichnerowicz(
     graph: WeightedBoundaryGraph,
     variant: str,
     n: float = float("inf"),
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> ComparisonCertificate:
     """One of the six spectral-gap lower bounds from positive curvature.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import WeightedBoundaryGraph, validate, volumes
+from .graph import GraphValidationError, WeightedBoundaryGraph, validate, volumes
 from .spectra import spectrum
 
 
@@ -239,7 +239,7 @@ def random_graph(
         )
         try:
             validate(graph)
-        except Exception:
+        except GraphValidationError:
             continue
         return graph
     raise RuntimeError("could not draw a valid random graph in 200 attempts")

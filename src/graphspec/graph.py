@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# how far each weighted degree may sit from 1 on a normalized graph
+NORMALIZED_TOL = 1e-12
+
 
 class GraphValidationError(ValueError):
     """A structural invariant of the graph is violated.
@@ -113,9 +116,9 @@ class WeightedBoundaryGraph:
         w = self.weights
         return bool(np.all(self.measure == 1.0) and np.all((w == 0.0) | (w == 1.0)))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
+    def is_normalized(self) -> bool:
         deg = self.weights.sum(axis=1) / self.measure
-        return bool(np.all(np.abs(deg - 1.0) <= tol))
+        return bool(np.all(np.abs(deg - 1.0) <= NORMALIZED_TOL))
 
 
 def _interior(graph: WeightedBoundaryGraph) -> np.ndarray:

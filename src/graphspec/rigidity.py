@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparisons import (
+    DEFAULT_TOL,
     EQUALITY_TOL,
     compare_dirichlet_interior,
     compare_dirichlet_neumann,
@@ -116,12 +117,6 @@ def _cross_checked(
     )
 
 
-def _lap_diri_unequal(graph: WeightedBoundaryGraph, tol: float) -> list[int]:
-    """The 1-based indices i <= |Omega| at which mu_{i+|B|} = lambda_i fails."""
-    equal = compare_laplacian_dirichlet(graph).equality_indices(tol)
-    return sorted(set(range(1, graph.interior.size + 1)) - set(equal))
-
-
 def _relative_spread(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
@@ -129,7 +124,7 @@ def _relative_spread(values: np.ndarray) -> float:
 
 
 def detect_rho_factorization(
-    graph: WeightedBoundaryGraph, tol: float = 1e-9
+    graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> RhoFactorization:
     """Fit w_xy = rho_x m_x m_y on B x Omega through r_x = rho_x m_x.
 
@@ -206,6 +201,7 @@ def check_neumann_laplacian_rigidity(
     if graph.interior.size == 1:
         raise NotApplicable("NeuVsLap needs at least two interior vertices: with one, "
                             "its only index is nu_1 = mu_1 = 0")
+    cert = compare_neumann_laplacian(graph, tol)
     fact = detect_rho_factorization(graph, tol)
     conditions = [Condition("rho_factorization", fact.holds, fact.missing_edge)]
     v_omega, v_b, _ = volumes(graph)
@@ -222,11 +218,11 @@ def check_neumann_laplacian_rigidity(
             # weaker constant-extension condition mu_top <= rho V_Omega
             volume = v_omega - v_b if graph.boundary.size >= 2 else v_omega
             bound = float(fact.rho_times(volume).mean())
-            ok = mu_top <= bound + tol * max(1.0, abs(bound))
+            ok = mu_top <= bound + cert.tolerance
             conditions.append(Condition("rho_constant_bound", ok, (mu_top, bound)))
             conclusion = ok
         else:
-            strict = mu_top < (v_omega / v_b) * deg_b - tol
+            strict = mu_top < (v_omega / v_b) * deg_b - cert.tolerance
             conditions.append(
                 Condition("strict_bound", strict, (mu_top, (v_omega / v_b) * deg_b))
             )
@@ -237,14 +233,13 @@ def check_neumann_laplacian_rigidity(
         if graph.is_unit_weight():
             nb, nom = graph.boundary.size, graph.interior.size
             bound = float(nom if singleton else nom - nb)
-            spec = mu_top <= bound + tol
+            spec = mu_top <= bound + cert.tolerance
             conditions.append(Condition("unit_weight_bound", spec, (mu_top, bound)))
-        if graph.is_normalized(1e-10):
+        if graph.is_normalized():
             bound = 1.0 if singleton else (v_omega - v_b) / v_omega
-            spec = mu_top <= bound + tol
+            spec = mu_top <= bound + cert.tolerance
             conditions.append(Condition("normalized_bound", spec, (mu_top, bound)))
-    observed = compare_neumann_laplacian(graph).all_equal(tol)
-    return _cross_checked("NeuVsLap", conditions, conclusion, observed, extra)
+    return _cross_checked("NeuVsLap", conditions, conclusion, cert.all_equal(), extra)
 
 
 def check_dirichlet_interior_rigidity(
@@ -255,7 +250,7 @@ def check_dirichlet_interior_rigidity(
     deg_b = boundary_degree_vector(graph)
     spread = _relative_spread(deg_b)
     constant = spread <= tol
-    observed = compare_dirichlet_interior(graph).all_equal(tol)
+    observed = compare_dirichlet_interior(graph, tol).all_equal()
     return _cross_checked(
         "DiriVsInteriorTwoSided",
         [Condition("boundary_degree_constant", constant, spread)],
@@ -277,7 +272,7 @@ def check_neumann_interior_rigidity(
     counts = _interior_neighbor_counts(graph)
     bad = np.flatnonzero(counts != 1)
     ok = bad.size == 0
-    observed = compare_neumann_interior(graph).all_equal(tol)
+    observed = compare_neumann_interior(graph, tol).all_equal()
     witness = int(graph.boundary[bad[0]]) if bad.size else None
     return _cross_checked(
         "NeuVsInterior", [Condition("one_interior_neighbor_each", ok, witness)], ok, observed
@@ -307,7 +302,7 @@ def check_dirichlet_neumann_rigidity(
     spread = _relative_spread(s_vals)
     s_const = spread <= tol
     conclusion = one_each and s_const
-    observed = compare_dirichlet_neumann(graph).all_equal(tol)
+    observed = compare_dirichlet_neumann(graph, tol).all_equal()
     conditions = [
         Condition("one_interior_neighbor_each", one_each),
         Condition("boundary_influence_constant", s_const, spread),
@@ -326,10 +321,10 @@ def check_laplacian_dirichlet_rigidity(
     In the constant-rho case the theorem is an iff, and both directions are
     recorded.
     """
-    n = graph.interior.size
-    missing = _lap_diri_unequal(graph, tol)
-    extra = {"equality_indices": sorted(set(range(1, n + 1)) - set(missing))}
-    if len(missing) == n:
+    cert = compare_laplacian_dirichlet(graph, tol)
+    missing = [r.index for r in cert.per_index if not r.equal]
+    extra = {"equality_indices": list(cert.equality_indices())}
+    if len(missing) == len(cert.per_index):
         return RigidityReport(
             theorem_id="LapVsDiri",
             conditions=(Condition("no_equality_indices", True),),
@@ -363,9 +358,7 @@ def check_laplacian_dirichlet_rigidity(
     if fact.holds:
         rho_sum = float(fact.rho_mass.sum())
         head = lam[:j]
-        head_ok = bool(
-            np.all(np.abs(head - rho_sum) <= tol * max(1.0, abs(rho_sum)))
-        )
+        head_ok = bool(np.all(np.abs(head - rho_sum) <= cert.tolerance))
         conditions.append(Condition("lambda_head_equals_rho_mass", head_ok, (list(head), rho_sum)))
         conclusion = conclusion and head_ok
         if fact.constant:
@@ -373,7 +366,7 @@ def check_laplacian_dirichlet_rigidity(
             rho_volume = float(fact.rho_times(v_omega).mean())  # rho_c V_Omega
             mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
             if j < mu_om.size:
-                gap_ok = float(mu_om[j]) >= rho_volume - tol * max(1.0, rho_volume)
+                gap_ok = float(mu_om[j]) >= rho_volume - cert.tolerance
                 witness = (float(mu_om[j]), rho_volume)
             else:
                 gap_ok, witness = True, None  # mu_{j+1}(Omega) does not exist
@@ -406,7 +399,8 @@ def check_corollary_unit_weight(
     size_ok = omega.size <= b.size
     conclusion = complete_bipartite and size_ok
     # the corollary forces j = |Omega|: the last index is the only unequal one
-    observed = _lap_diri_unequal(graph, tol) == [omega.size]
+    cert = compare_laplacian_dirichlet(graph, tol)
+    observed = [r.index for r in cert.per_index if not r.equal] == [omega.size]
     conditions = [
         Condition("complete_bipartite", complete_bipartite),
         Condition("interior_not_larger_than_boundary", size_ok, (omega.size, b.size)),
@@ -424,7 +418,7 @@ def check_corollary_normalized(
     boundary weights, complete interior with mu_2(Omega) >= 1 and
     Deg_Omega = 1 - V_B/V_Omega.
     """
-    if not graph.is_normalized(1e-12):
+    if not graph.is_normalized():
         raise NotApplicable("graph must have Deg = 1 at every vertex")
     b, omega = graph.boundary, graph.interior
     v_omega, v_b, _ = volumes(graph)
@@ -440,10 +434,11 @@ def check_corollary_normalized(
     deg_om = interior_degree_vector(graph)
     target = 1.0 - v_b / v_omega
     deg_ok = bool(np.all(np.abs(deg_om - target) <= tol * max(1.0, abs(target))))
+    cert = compare_laplacian_dirichlet(graph, tol)
     mu2_ok = False
     if omega.size >= 2:
         mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
-        mu2_ok = float(mu_om[1]) >= 1.0 - tol
+        mu2_ok = float(mu_om[1]) >= 1.0 - cert.tolerance
     case2 = (
         weights_ok
         and v_omega >= v_b - tol * max(1.0, v_b)
@@ -452,7 +447,7 @@ def check_corollary_normalized(
         and mu2_ok
     )
     conclusion = case1 or case2
-    observed = len(_lap_diri_unequal(graph, tol)) == 1
+    observed = sum(not r.equal for r in cert.per_index) == 1
     conditions = [
         Condition("boundary_weights_are_m_outer_over_volume", weights_ok),
         Condition("case1_trivial_interior_equal_volumes", case1),

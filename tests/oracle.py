@@ -6,11 +6,13 @@ principal minors), linear programs from vertex enumeration, minimum cuts
 from exhaustive bipartition search, the Neumann operator from its
 definition through the normal extension, one column at a time, the
 Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
-hop distances from a breadth-first search per vertex, the NeuVsLap quadratic
-form on the mean-zero boundary functions through a basis read off the
-eigenvectors of the orthogonal projector onto them, CLI JSON text through
-the standard library's encoder, and total support from the positive
-diagonals found by enumerating permutations.
+edge curvatures from their LP by vertex enumeration and by exhaustive search
+over the integer 1-Lipschitz functions, hop distances from a breadth-first
+search per vertex, the NeuVsLap quadratic form on the mean-zero boundary
+functions through a basis read off the eigenvectors of the orthogonal
+projector onto them, CLI JSON text through the standard library's encoder,
+and total support from the positive diagonals found by enumerating
+permutations.
 """
 
 from __future__ import annotations
@@ -221,6 +223,79 @@ def lp_bruteforce(
     if best_x is None:
         raise Infeasible("no feasible basic point")
     return best, best_x
+
+
+def _ollivier_ball(graph, x, y):
+    """``(obj, dist, free)`` for the edge curvature kappa(x, y): the row
+    Lap(y) - Lap(x) of the Laplacian formed from the raw weights, the hop
+    distances, and the vertices of B_1(x) u B_1(y) other than x and y."""
+    w = np.asarray(graph.weights, dtype=float)
+    lap = (w - np.diag(w.sum(axis=1))) / np.asarray(graph.measure, dtype=float)[:, None]
+    dist = hop_distances_bfs(w)
+    ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
+    free = [int(v) for v in ball if v != x and v != y]
+    return lap[y] - lap[x], dist, free
+
+
+def ollivier_bruteforce(graph, x, y) -> float:
+    """kappa(x, y) = min Lap f(y) - Lap f(x) over 1-Lipschitz f on
+    B_1(x) u B_1(y) with f(x) = 1 and f(y) = 0, as an LP solved by
+    ``lp_bruteforce`` on g = f + d(y, .) >= 0.  Two rows per pair of ball
+    vertices, so it refuses balls with five or more free vertices."""
+    obj, dist, free = _ollivier_ball(graph, x, y)
+    fixed = {x: 1.0, y: 0.0}
+    const = sum(obj[v] * fv for v, fv in fixed.items())
+    shift = np.array([dist[y, v] for v in free])
+    c = np.array([obj[v] for v in free])
+    const += float(-c @ shift)
+    members = list(fixed) + free
+    index = {v: i for i, v in enumerate(free)}
+    rows, rhs = [], []
+    for ai in range(len(members)):
+        for bi in range(ai + 1, len(members)):
+            u, v = members[ai], members[bi]
+            d = dist[u, v]
+            if not np.isfinite(d):
+                continue
+            row = np.zeros(len(free))
+            offset = 0.0
+            if u in fixed:
+                offset += fixed[u]
+            else:
+                row[index[u]] = 1.0
+                offset -= shift[index[u]]
+            if v in fixed:
+                offset -= fixed[v]
+            else:
+                row[index[v]] = -1.0
+                offset += shift[index[v]]
+            rows.append(row.copy())
+            rhs.append(d - offset)
+            rows.append(-row)
+            rhs.append(d + offset)
+    if not free:
+        return float(const)
+    value, _ = lp_bruteforce(c, np.vstack(rows), np.array(rhs))
+    return float(value + const)
+
+
+def ollivier_by_enumeration(graph, x, y) -> float:
+    """The same minimum as ``ollivier_bruteforce``, over integer f only.
+
+    The constraints f(u) - f(v) <= d(u, v) have a totally unimodular
+    matrix and integral right-hand sides, so the LP has an integral
+    optimum.  Being 1-Lipschitz to f(x) = 1 and f(y) = 0 leaves each free
+    vertex at most three integer values, so at most 3^k candidates for k
+    free vertices; every one is tried.
+    """
+    obj, dist, free = _ollivier_ball(graph, x, y)
+    ranges = [range(int(max(1 - dist[x, v], -dist[y, v])),
+                    int(min(1 + dist[x, v], dist[y, v])) + 1) for v in free]
+    f = np.array(list(itertools.product(*ranges)), dtype=float).reshape(-1, len(free))
+    lipschitz = np.ones(f.shape[0], dtype=bool)
+    for i, j in itertools.combinations(range(len(free)), 2):
+        lipschitz &= np.abs(f[:, i] - f[:, j]) <= dist[free[i], free[j]]
+    return float(obj[x] + (f[lipschitz] @ obj[free]).min())
 
 
 def cut_bruteforce(weights: np.ndarray) -> int:

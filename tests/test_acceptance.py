@@ -50,8 +50,7 @@ from graphspec.spectra import eigensolve, weighted_singular_values
 
 from builders import BICONDITIONAL_BUILDERS
 from conftest import AUDIT_MAX_V, AUDIT_SEED, AUDIT_SIZE
-from oracle import cut_bruteforce, eigen_bruteforce
-from test_curvature import ollivier_bruteforce
+from oracle import cut_bruteforce, eigen_bruteforce, ollivier_bruteforce
 from test_spectra import random_operator
 
 

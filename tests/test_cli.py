@@ -248,7 +248,8 @@ class TestExitCodes:
         code, out, err = run_streams(capsys, ["certify", "--graph", str(path),
                                               "--theorem", theorem])
         assert err == ""
-        conditions = {c["name"]: c for c in json.loads(out)["results"]["conditions"]}
+        results = json.loads(out)["results"]
+        conditions = {c["name"]: c for c in results["conditions"]}
         assert conditions["rho_factorization"]["holds"] is True
         if theorem == "LapVsDiri":
             assert code == 2  # equality fails only at j = 2, and the interior is connected
@@ -257,6 +258,11 @@ class TestExitCodes:
         else:
             assert conditions["rho_constant_bound"]["witness"][1] == pytest.approx(
                 2e305, rel=1e-12)  # rho V_Omega
+            # compare finds nu_i = mu_i at both indices, at its tolerance
+            # 1e-7 * max(1, spectral radius); certify reads the same flags
+            assert code == 0
+            assert results["equality_observed"] is True
+            assert results["consistent"] is True
 
     def test_spectrum(self, capsys, p3_file):
         code, out = run(capsys, ["spectrum", "--graph", p3_file])

@@ -86,10 +86,6 @@ class TestCertificateSemantics:
         assert loose.all_equal()
         assert not tight.all_equal()
 
-    def test_equality_indices_rethresholded(self, k22):
-        cert = compare_laplacian_dirichlet(k22)
-        assert cert.equality_indices(1e3) == (1, 2)
-
     def test_corpus_all_certificates_hold(self, corpus_certificates):
         for certs in corpus_certificates:
             for cert in certs:

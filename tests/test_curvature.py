@@ -22,7 +22,8 @@ from oracle import (
     bakry_emery_by_polarization,
     bakry_emery_forms,
     hop_distances_bfs,
-    lp_bruteforce,
+    ollivier_bruteforce,
+    ollivier_by_enumeration,
     rayleigh_min_bruteforce,
 )
 
@@ -59,50 +60,6 @@ def cycle(n):
     for v in range(n):
         w[v, (v + 1) % n] = w[(v + 1) % n, v] = 1.0
     return unit_graph(w)
-
-
-def ollivier_bruteforce(graph, x, y):
-    """Independent re-derivation of kappa(x, y) solved by the enumeration
-    oracle instead of the production max flow."""
-    lap = -full_laplacian(graph).matrix
-    dist = hop_distances_bfs(graph.weights)
-    ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
-    free = [v for v in ball if v != x and v != y]
-    fixed = {x: 1.0, y: 0.0}
-    obj = lap[y] - lap[x]
-    const = sum(obj[v] * fv for v, fv in fixed.items())
-    shift = np.array([dist[y, v] for v in free])
-    c = np.array([obj[v] for v in free])
-    const += float(-c @ shift)
-    members = list(fixed) + free
-    index = {v: i for i, v in enumerate(free)}
-    rows, rhs = [], []
-    for ai in range(len(members)):
-        for bi in range(ai + 1, len(members)):
-            u, v = members[ai], members[bi]
-            d = dist[u, v]
-            if not np.isfinite(d):
-                continue
-            row = np.zeros(len(free))
-            offset = 0.0
-            if u in fixed:
-                offset += fixed[u]
-            else:
-                row[index[u]] = 1.0
-                offset -= shift[index[u]]
-            if v in fixed:
-                offset -= fixed[v]
-            else:
-                row[index[v]] = -1.0
-                offset += shift[index[v]]
-            rows.append(row.copy())
-            rhs.append(d - offset)
-            rows.append(-row)
-            rhs.append(d + offset)
-    if not free:
-        return float(const)
-    value, _ = lp_bruteforce(c, np.vstack(rows), np.array(rhs))
-    return float(value + const)
 
 
 def spy_flows(monkeypatch):
@@ -290,6 +247,7 @@ class TestOllivier:
                     got = ollivier_curvature(g, u, v)
                     want = ollivier_bruteforce(g, u, v)
                     assert got == pytest.approx(want, abs=1e-9)
+                    assert ollivier_by_enumeration(g, u, v) == pytest.approx(want, abs=1e-9)
                     checked += 1
                     lp_free += not flows
                     gain_two += any(gains_two(flow) for flow in flows)
@@ -297,7 +255,22 @@ class TestOllivier:
         # in closed form, and a pair that gains 2 by shipping direct
         assert lp_free > 0 and gain_two > 0
 
-    # exact values on graphs whose unit balls are too large for the oracle,
+    def test_matches_enumeration_on_large_balls(self):
+        # the LP oracle refuses balls with five or more free vertices; the
+        # enumeration over integer 1-Lipschitz functions referees them
+        rng = np.random.default_rng(42)
+        large = 0
+        for _ in range(40):
+            g = random_graph(rng, 12)
+            tol = 1e-13 * max(1.0, float(degree_vector(g).max()))
+            dist = hop_distances_bfs(g.weights)
+            for u, v, _w in g.edges():
+                want = ollivier_by_enumeration(g, u, v)
+                assert ollivier_curvature(g, u, v) == pytest.approx(want, abs=tol)
+                large += int(np.count_nonzero((dist[u] <= 1) | (dist[v] <= 1))) - 2 >= 5
+        assert large > 0
+
+    # exact values on graphs whose unit balls are too large for the LP oracle,
     # and on C5, whose edges rest on a pair that gains 1 (a sender and a
     # receiver at distance 2): Lin-Lu-Yau's curvature 1/2 times the degree
     @pytest.mark.parametrize(

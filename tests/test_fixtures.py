@@ -50,11 +50,11 @@ def test_normalized_draws_against_total_support(monkeypatch):
         assert np.array_equal(g.weights, scaled)
         validate(g)
         assert np.array_equal(g.weights, g.weights.T)
-        assert g.is_normalized(1e-12)
+        assert g.is_normalized()
 
 
 def test_corpus_reaches_the_normalized_corollary(corpus, capsys, tmp_path):
-    normalized = [g for g in corpus if g.is_normalized(1e-12)]
+    normalized = [g for g in corpus if g.is_normalized()]
     assert normalized
     for g in normalized:
         # raises NotApplicable on a graph it does not accept

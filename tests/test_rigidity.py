@@ -7,6 +7,7 @@ from graphspec.fixtures import (
     laplacian_dirichlet_recipe,
     neumann_equality_recipe,
     path_graph,
+    random_graph,
 )
 from graphspec.graph import WeightedBoundaryGraph, validate
 from graphspec.rigidity import (
@@ -303,3 +304,49 @@ class TestBiconditionalFixtures:
             neg = check(build_neg(rng))
             assert not neg.conclusion and not neg.equality_observed
             assert neg.consistent
+
+
+def _outcome(check, graph):
+    """A checker's verdict triple, or the name of the exception it raised."""
+    try:
+        report = check(graph)
+    except (NotApplicable, EqualityPatternUnsupported) as exc:
+        return type(exc).__name__
+    return report.conclusion, report.equality_observed, report.consistent
+
+
+@pytest.fixture(scope="module")
+def scale_base():
+    """100 seeded graphs and six recipe graphs, each with every checker's
+    outcome at unit scale."""
+    rng = np.random.default_rng(7)
+    graphs = [random_graph(rng, 12) for _ in range(100)]
+    graphs += [neumann_equality_recipe(*a) for a in [(1, 3), (2, 3), (3, 4)]]
+    graphs += [laplacian_dirichlet_recipe(*a) for a in [(1, 2, 3), (2, 3, 2), (3, 3, 3)]]
+    return [(g, {name: _outcome(check, g) for name, check in ALL_RIGIDITY.items()})
+            for g in graphs]
+
+
+class TestScaleInvariance:
+    # t w and m / t multiply every spectrum by t, and the certificates'
+    # tolerance tol * max(1, spectral radius) by t once the radius passes 1.
+    # No t < 1: that floor at 1 keeps the tolerance from shrinking with
+    # spectra below 1, so the comparison certificates themselves change
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e8])
+    @pytest.mark.parametrize("scaled", ["weights", "measure"])
+    def test_reports_survive_scaling(self, scale_base, t, scaled):
+        for g, base in scale_base:
+            if scaled == "weights":
+                h = WeightedBoundaryGraph(measure=g.measure, weights=t * g.weights,
+                                          boundary=g.boundary)
+            else:
+                h = WeightedBoundaryGraph(measure=g.measure / t, weights=g.weights,
+                                          boundary=g.boundary)
+            for name, check in ALL_RIGIDITY.items():
+                got = _outcome(check, h)
+                if "Corollary" in name:
+                    # unit weight and Deg = 1 do not survive scaling
+                    assert got == "NotApplicable" or (
+                        got == base[name] and got[2] is not False), (name, base[name], got)
+                else:
+                    assert got == base[name], (name, base[name], got)
