@@ -4,11 +4,14 @@ Subcommands: validate, spectrum, compare, certify, curvature, bounds,
 random-audit, dump-operator.  Exit codes: 0 success / certificate holds,
 1 usage error, 2 certificate fails or rigidity conclusion false,
 3 not applicable / unsupported equality pattern, 4 invalid graph file.
+``main`` maps every ``NotApplicable`` a subcommand raises to exit 3, with
+``not applicable: ...`` on stderr.
 
 All JSON output is deterministic for a fixed (input, flags, seed).
 ``dumps_json`` writes it in one recursive pass: keys sorted, a 2-space
 indent, finite floats with 17 significant digits and non-finite ones as
-their quoted ``repr``.  The argument parser is built once per process,
+their quoted ``repr``; a certificate or report dataclass is written as the
+object of its fields (``vars``).  The argument parser is built once per process,
 when this module is imported, and every ``main`` call reuses it.
 """
 
@@ -19,15 +22,14 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import is_dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 from . import __version__
 from .combinatorial import fiedler_bounds, friedman_bounds
-from .comparisons import (
-    ALL_COMPARISONS, DEFAULT_TOL, EQUALITY_TOL, ComparisonCertificate, run_all,
-)
+from .comparisons import ALL_COMPARISONS, DEFAULT_TOL, EQUALITY_TOL, run_all
 from .curvature import (
     bakry_emery_curvature,
     certify_lichnerowicz,
@@ -69,16 +71,18 @@ def _json(obj, newline: str) -> str:
     if isinstance(obj, np.floating):
         return _json(float(obj), newline)
     inner = newline + "  "
-    if isinstance(obj, dict):
-        items = [f"{_string(_key(k))}: {_json(v, inner)}" for k, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             obj = [float(v) for v in obj]
         items = [_json(v, inner) for v in obj]
         brackets = "[]"
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not isinstance(obj, dict):
+            if not is_dataclass(obj):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            obj = vars(obj)  # a certificate or report: the object of its fields
+        items = [f"{_string(_key(k))}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
@@ -90,40 +94,6 @@ def _key(key) -> str:
     if key is None or isinstance(key, (int, float)):
         return json.dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def certificate_dict(cert: ComparisonCertificate) -> dict:
-    return {
-        "theorem_id": cert.theorem_id,
-        "verdict": cert.verdict,
-        "tolerance": cert.tolerance,
-        "failing_indices": list(cert.failing_indices),
-        "per_index": [
-            {
-                "index": r.index,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-                "equal": r.equal,
-            }
-            for r in cert.per_index
-        ],
-        "extra": cert.extra,
-    }
-
-
-def rigidity_dict(report) -> dict:
-    return {
-        "theorem_id": report.theorem_id,
-        "conclusion": report.conclusion,
-        "equality_observed": report.equality_observed,
-        "consistent": report.consistent,
-        "conditions": [
-            {"name": c.name, "holds": c.holds, "witness": c.witness}
-            for c in report.conditions
-        ],
-        "extra": report.extra,
-    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,7 +196,7 @@ def cmd_compare(args) -> int:
             for r in cert.per_index:
                 print(f"  i={r.index:<3d} lhs={r.lhs:.12g} rhs={r.rhs:.12g} margin={r.margin:.3e}")
     else:
-        print(dumps_json(_report(args, [certificate_dict(c) for c in certs])))
+        print(dumps_json(_report(args, certs)))
     return 0 if all(c.holds for c in certs) else 2
 
 
@@ -238,26 +208,19 @@ def cmd_certify(args) -> int:
     except EqualityPatternUnsupported as exc:
         print(dumps_json(_report(args, {"unsupported": str(exc)})))
         return 3
-    except NotApplicable as exc:
-        sys.stderr.write(f"not applicable: {exc}\n")
-        return 3
-    print(dumps_json(_report(args, rigidity_dict(report))))
+    print(dumps_json(_report(args, report)))
     return 0 if report.conclusion else 2
 
 
 def cmd_curvature(args) -> int:
     graph = _load_graph(args.graph, require_boundary=(args.on == "interior"))
     target = interior_subgraph(graph) if args.on == "interior" else graph
-    try:
-        if args.kind == "be":
-            result = bakry_emery_curvature(target, float(args.n))
-            per = {str(k): v for k, v in result.per_location.items()}
-        else:
-            result = ollivier_curvature_all(target)
-            per = {f"{u},{v}": val for (u, v), val in result.per_location.items()}
-    except NotApplicable as exc:
-        sys.stderr.write(f"not applicable: {exc}\n")
-        return 3
+    if args.kind == "be":
+        result = bakry_emery_curvature(target, float(args.n))
+        per = {str(k): v for k, v in result.per_location.items()}
+    else:
+        result = ollivier_curvature_all(target)
+        per = {f"{u},{v}": val for (u, v), val in result.per_location.items()}
     out = {"kind": result.kind, "dimension": result.dimension,
            "per_location": per, "global_min": result.global_min}
     print(dumps_json(_report(args, out)))
@@ -266,15 +229,9 @@ def cmd_curvature(args) -> int:
 
 def cmd_bounds(args) -> int:
     graph = _load_graph(args.graph)
-    try:
-        if args.family == "fiedler":
-            cert = fiedler_bounds(graph, args.tol)
-        else:
-            cert = friedman_bounds(graph, args.tol)
-    except NotApplicable as exc:
-        sys.stderr.write(f"not applicable: {exc}\n")
-        return 3
-    print(dumps_json(_report(args, certificate_dict(cert))))
+    bounds = fiedler_bounds if args.family == "fiedler" else friedman_bounds
+    cert = bounds(graph, args.tol)
+    print(dumps_json(_report(args, cert)))
     return 0 if cert.holds else 2
 
 
@@ -390,7 +347,11 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NotApplicable as exc:
+        sys.stderr.write(f"not applicable: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .comparisons import DEFAULT_TOL, ComparisonCertificate, _abs_tol, _one_sided
+from .comparisons import DEFAULT_TOL, ComparisonCertificate, certificate
 from .graph import (
     NotApplicable,
     WeightedBoundaryGraph,
@@ -20,8 +20,7 @@ from .graph import (
     component_count,
     interior_subgraph,
 )
-from .spectra import spectrum, weighted_singular_values
-from .fixtures import path_graph
+from .spectra import spectrum, symmetric_eigh, weighted_singular_values
 
 
 def _require_unit(graph: WeightedBoundaryGraph) -> None:
@@ -63,56 +62,45 @@ def stoer_wagner_min_cut(weights: np.ndarray) -> float:
     return best
 
 
-def edge_connectivity(graph: WeightedBoundaryGraph, which: str = "graph") -> int:
-    """Minimum number of edges disconnecting G (``which="graph"``) or its
-    interior subgraph (``which="interior"``; 0 when already disconnected)."""
+def edge_connectivity(graph: WeightedBoundaryGraph) -> int:
+    """Minimum number of edges disconnecting ``graph`` (0 when already
+    disconnected); pass ``interior_subgraph(graph)`` for the interior's."""
     _require_unit(graph)
-    if which == "interior":
-        target = interior_subgraph(graph)
-    elif which == "graph":
-        target = graph
-    else:
-        raise ValueError("which must be 'graph' or 'interior'")
-    if target.vertex_count < 2:
+    if graph.vertex_count < 2 or component_count(graph) != 1:
         return 0
-    if component_count(target) != 1:
-        return 0
-    cut = stoer_wagner_min_cut(target.weights)
-    return int(round(cut))
+    return int(round(stoer_wagner_min_cut(graph.weights)))
 
 
 def fiedler_bounds(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
-    """The five edge-connectivity lower bounds on nu_2 and lambda_2."""
+    """The five edge-connectivity lower bounds on nu_2 and lambda_2 (none
+    when |Omega| = 1, where neither exists)."""
     _require_unit(graph)
     nu = spectrum(graph, "NeumannLaplacian")
     lam = spectrum(graph, "DirichletLaplacian")
-    tol_abs = _abs_tol(tol, nu, lam)
     n_v = graph.vertex_count
     n_om = graph.interior.size
-    e_g = edge_connectivity(graph, "graph")
-    e_om = edge_connectivity(graph, "interior")
-    s1sq = weighted_singular_values(graph).s1_squared
-    min_deg_b = float(boundary_degree_vector(graph).min())
-    bound_g = 2.0 * e_g * (1.0 - math.cos(math.pi / n_v))
-    bound_om = 2.0 * e_om * (1.0 - math.cos(math.pi / n_om)) if n_om >= 1 else 0.0
+    e_g = edge_connectivity(graph)
+    e_om = edge_connectivity(interior_subgraph(graph))
     items = []
-    nu2 = float(nu.eigenvalues[1]) if nu.eigenvalues.size >= 2 else None
-    lam2 = float(lam.eigenvalues[1]) if lam.eigenvalues.size >= 2 else None
-    if nu2 is not None:
-        items.append(("item1_nu2_vs_eG", nu2, bound_g))
-    if lam2 is not None:
-        items.append(("item2_lambda2_vs_eG_s1", lam2, bound_g + s1sq))
-    if nu2 is not None:
-        items.append(("item3_nu2_vs_eOmega", nu2, bound_om))
-    if lam2 is not None:
-        items.append(("item4_lambda2_vs_eOmega_s1", lam2, bound_om + s1sq))
-        items.append(("item5_lambda2_vs_eOmega_degb", lam2, bound_om + min_deg_b))
+    if n_om >= 2:
+        s1sq = weighted_singular_values(graph).s1_squared
+        min_deg_b = float(boundary_degree_vector(graph).min())
+        bound_g = 2.0 * e_g * (1.0 - math.cos(math.pi / n_v))
+        bound_om = 2.0 * e_om * (1.0 - math.cos(math.pi / n_om))
+        nu2, lam2 = float(nu.eigenvalues[1]), float(lam.eigenvalues[1])
+        items = [
+            ("item1_nu2_vs_eG", nu2, bound_g),
+            ("item2_lambda2_vs_eG_s1", lam2, bound_g + s1sq),
+            ("item3_nu2_vs_eOmega", nu2, bound_om),
+            ("item4_lambda2_vs_eOmega_s1", lam2, bound_om + s1sq),
+            ("item5_lambda2_vs_eOmega_degb", lam2, bound_om + min_deg_b),
+        ]
     names, lhs, rhs = zip(*items) if items else ((), (), ())
-    return _one_sided(
-        "FiedlerType", lhs, rhs, tol_abs,
-        {"items": list(names), "e_graph": e_g, "e_interior": e_om},
+    return certificate(
+        "FiedlerType", (nu, lam), tol, lhs, rhs,
+        extra={"items": list(names), "e_graph": e_g, "e_interior": e_om},
     )
 
 
@@ -128,10 +116,13 @@ def path_dirichlet_value(k: int, lam: float) -> float:
     unit measures, unit interior weights and first-edge weight ``lam``."""
     if k < 1 or lam <= 0:
         raise ValueError("need k >= 1 and lam > 0")
-    weights = [lam] + [1.0] * (k - 1)
-    graph = path_graph(k + 1, boundary=[0], weights=weights)
-    spec = spectrum(graph, "DirichletLaplacian")
-    return float(spec.eigenvalues[0])
+    # the Dirichlet Laplacian on 1..k: degree lam + 1 at vertex 1 (lam alone
+    # when k = 1), 2 inside, 1 at the free end, and -1 beside the diagonal
+    degrees = np.full(k, 2.0)
+    degrees[-1] = 1.0
+    degrees[0] = lam + 1.0 if k >= 2 else lam
+    matrix = np.diag(degrees) - np.eye(k, k=1) - np.eye(k, k=-1)
+    return float(symmetric_eigh(matrix)[0][0])
 
 
 def friedman_bounds(
@@ -146,7 +137,6 @@ def friedman_bounds(
     _require_unit(graph)
     nu_spec = spectrum(graph, "NeumannLaplacian")
     lam_spec = spectrum(graph, "DirichletLaplacian")
-    tol_abs = _abs_tol(tol, nu_spec, lam_spec)
     nu, lam = nu_spec.eigenvalues, lam_spec.eigenvalues
     s1sq = weighted_singular_values(graph).s1_squared
     min_deg_b = float(boundary_degree_vector(graph).min())
@@ -175,7 +165,7 @@ def friedman_bounds(
                 (f"i{i}_item5_lambda_degb", float(lam[i - 1]), b_om + min_deg_b),
             ]
     names, lhs, rhs = zip(*items) if items else ((), (), ())
-    return _one_sided(
-        "FriedmanType", lhs, rhs, tol_abs,
-        {"items": list(names), "interior_connected": interior_connected},
+    return certificate(
+        "FriedmanType", (nu_spec, lam_spec), tol, lhs, rhs,
+        extra={"items": list(names), "interior_connected": interior_connected},
     )

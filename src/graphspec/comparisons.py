@@ -1,20 +1,23 @@
 """Eigenvalue comparison certificates.
 
 Each certificate records, index by index, the two sides of one comparison
-inequality together with its margin.  A certificate Holds when every margin
-is at least ``-tol_abs`` where ``tol_abs = tol * max(1, spectral radius of
-the spectra involved)``; an index is an equality (``IndexRecord.equal``) at
-the same ``tol_abs``.  The rigidity cross-checks follow one rule: they read
-these ``equal`` flags and compare eigenvalue bounds at the certificate's
-``tolerance``, never at a threshold of their own.
+inequality together with its margin.  Every certificate, the five
+comparisons here as well as the Fiedler-, Friedman- and Lichnerowicz-type
+bounds, is built by ``certificate``, which derives ``tol_abs = tol *
+max(1, spectral radius of the spectra involved)``.  A certificate Holds
+when every margin is at least ``-tol_abs``; an index is an equality
+(``IndexRecord.equal``) at the same ``tol_abs``.  The rigidity
+cross-checks follow one rule: they read these ``equal`` flags and compare
+eigenvalue bounds at the certificate's ``tolerance``, never at a threshold
+of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .graph import WeightedBoundaryGraph, boundary_degree_vector
-from .spectra import Spectrum, spectral_radius, spectrum, weighted_singular_values
+from .spectra import spectral_radius, spectrum, weighted_singular_values
 
 DEFAULT_TOL = 1e-9
 EQUALITY_TOL = 1e-7  # looser, for rigidity cross-checks
@@ -53,7 +56,29 @@ class ComparisonCertificate:
         return all(r.equal for r in self.per_index)
 
 
-def _certify(theorem_id: str, records, tol_abs: float, extra=None) -> ComparisonCertificate:
+def certificate(
+    theorem_id: str, spectra, tol: float, lhs, rhs, upper=None, extra=None
+) -> ComparisonCertificate:
+    """The certificate of ``lhs_i >= rhs_i`` at every index, or, when ``upper``
+    is given, of ``lhs_i <= rhs_i <= upper_i``, whose records then hold the
+    lower bound as ``lhs`` and the upper one as ``rhs``.  The tolerance is
+    ``tol * max(1, spectral radius of spectra)``.
+
+    A two-sided margin is the distance to the nearer bound, and equality
+    means the interval degenerates onto the value (both bounds active)."""
+    tol_abs = tol * max(1.0, spectral_radius(*spectra))
+    records = []
+    if upper is None:
+        for i, (a, b) in enumerate(zip(lhs, rhs), start=1):
+            margin = float(a - b)
+            records.append(IndexRecord(i, float(a), float(b), margin, abs(margin) <= tol_abs))
+    else:
+        for i, (lo, x, hi) in enumerate(zip(lhs, rhs, upper), start=1):
+            lo_margin = float(x - lo)
+            hi_margin = float(hi - x)
+            margin = min(lo_margin, hi_margin)
+            equal = max(abs(lo_margin), abs(hi_margin)) <= tol_abs
+            records.append(IndexRecord(i, float(lo), float(hi), margin, equal))
     failing = tuple(r.index for r in records if r.margin < -tol_abs)
     return ComparisonCertificate(
         theorem_id=theorem_id,
@@ -65,40 +90,14 @@ def _certify(theorem_id: str, records, tol_abs: float, extra=None) -> Comparison
     )
 
 
-def _abs_tol(tol: float, *spectra: Spectrum) -> float:
-    return tol * max(1.0, spectral_radius(*spectra))
-
-
-def _one_sided(theorem_id, lhs, rhs, tol_abs, extra=None) -> ComparisonCertificate:
-    records = []
-    for i, (a, b) in enumerate(zip(lhs, rhs), start=1):
-        margin = float(a - b)
-        records.append(IndexRecord(i, float(a), float(b), margin, abs(margin) <= tol_abs))
-    return _certify(theorem_id, records, tol_abs, extra)
-
-
-def _two_sided(theorem_id, lower, mid, upper, tol_abs, extra=None) -> ComparisonCertificate:
-    # margin is the distance to the nearer bound; equality means the
-    # interval degenerates onto the value (both bounds active).
-    records = []
-    for i, (lo, x, hi) in enumerate(zip(lower, mid, upper), start=1):
-        lo_margin = float(x - lo)
-        hi_margin = float(hi - x)
-        margin = min(lo_margin, hi_margin)
-        equal = max(abs(lo_margin), abs(hi_margin)) <= tol_abs
-        records.append(IndexRecord(i, float(lo), float(hi), margin, equal))
-    return _certify(theorem_id, records, tol_abs, extra)
-
-
 def compare_neumann_laplacian(
     graph: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> ComparisonCertificate:
     """nu_i >= mu_i for i = 1..|Omega|."""
     nu = spectrum(graph, "NeumannLaplacian")
     mu = spectrum(graph, "FullLaplacian")
-    tol_abs = _abs_tol(tol, nu, mu)
     k = nu.eigenvalues.size
-    return _one_sided("NeuVsLap", nu.eigenvalues, mu.eigenvalues[:k], tol_abs)
+    return certificate("NeuVsLap", (nu, mu), tol, nu.eigenvalues, mu.eigenvalues[:k])
 
 
 def compare_dirichlet_interior(
@@ -108,10 +107,10 @@ def compare_dirichlet_interior(
     lam = spectrum(graph, "DirichletLaplacian")
     mu_om = spectrum(graph, "InteriorLaplacian")
     deg_b = boundary_degree_vector(graph)
-    tol_abs = _abs_tol(tol, lam, mu_om)
-    lo = mu_om.eigenvalues + deg_b.min()
-    hi = mu_om.eigenvalues + deg_b.max()
-    return _two_sided("DiriVsInteriorTwoSided", lo, lam.eigenvalues, hi, tol_abs)
+    return certificate(
+        "DiriVsInteriorTwoSided", (lam, mu_om), tol,
+        mu_om.eigenvalues + deg_b.min(), lam.eigenvalues, mu_om.eigenvalues + deg_b.max(),
+    )
 
 
 def compare_neumann_interior(
@@ -120,8 +119,7 @@ def compare_neumann_interior(
     """nu_i >= mu_i(Omega)."""
     nu = spectrum(graph, "NeumannLaplacian")
     mu_om = spectrum(graph, "InteriorLaplacian")
-    tol_abs = _abs_tol(tol, nu, mu_om)
-    return _one_sided("NeuVsInterior", nu.eigenvalues, mu_om.eigenvalues, tol_abs)
+    return certificate("NeuVsInterior", (nu, mu_om), tol, nu.eigenvalues, mu_om.eigenvalues)
 
 
 def compare_dirichlet_neumann(
@@ -131,11 +129,11 @@ def compare_dirichlet_neumann(
     lam = spectrum(graph, "DirichletLaplacian")
     nu = spectrum(graph, "NeumannLaplacian")
     sing = weighted_singular_values(graph)
-    tol_abs = _abs_tol(tol, lam, nu)
-    lo = nu.eigenvalues + sing.s1_squared
-    hi = nu.eigenvalues + sing.smax_squared
-    extra = {"s1_squared": sing.s1_squared, "smax_squared": sing.smax_squared}
-    return _two_sided("DiriVsNeuTwoSided", lo, lam.eigenvalues, hi, tol_abs, extra)
+    return certificate(
+        "DiriVsNeuTwoSided", (lam, nu), tol,
+        nu.eigenvalues + sing.s1_squared, lam.eigenvalues, nu.eigenvalues + sing.smax_squared,
+        {"s1_squared": sing.s1_squared, "smax_squared": sing.smax_squared},
+    )
 
 
 def compare_laplacian_dirichlet(
@@ -144,21 +142,14 @@ def compare_laplacian_dirichlet(
     """mu_{i+|B|} >= lambda_i, with full equality flagged as anomalous."""
     lam = spectrum(graph, "DirichletLaplacian")
     mu = spectrum(graph, "FullLaplacian")
-    tol_abs = _abs_tol(tol, lam, mu)
     nb = graph.boundary.size
-    shifted = mu.eigenvalues[nb:]
-    cert = _one_sided("LapVsDiri", shifted, lam.eigenvalues, tol_abs)
+    cert = certificate("LapVsDiri", (lam, mu), tol, mu.eigenvalues[nb:], lam.eigenvalues)
     # equality at every index is impossible; surface it rather than pass it
     full_equality = cert.all_equal()
-    extra = dict(cert.extra)
-    extra["full_equality_anomaly"] = full_equality
-    return ComparisonCertificate(
-        theorem_id=cert.theorem_id,
-        per_index=cert.per_index,
-        tolerance=cert.tolerance,
+    return replace(
+        cert,
         verdict="FailsAt" if full_equality else cert.verdict,
-        failing_indices=cert.failing_indices,
-        extra=extra,
+        extra={"full_equality_anomaly": full_equality},
     )
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparisons import DEFAULT_TOL, ComparisonCertificate, _abs_tol, _one_sided
+from .comparisons import DEFAULT_TOL, ComparisonCertificate, certificate
 from .graph import (
     NotApplicable,
     WeightedBoundaryGraph,
@@ -371,21 +371,21 @@ def certify_lichnerowicz(
         bound = _curvature_bound(interior_subgraph(graph), variant, n, tol)
         nu = spectrum(graph, "NeumannLaplacian")
         lam = spectrum(graph, "DirichletLaplacian")
-        tol_abs = _abs_tol(tol, nu, lam)
+        spectra = (nu, lam)
         lhs = [float(nu.eigenvalues[1]), float(lam.eigenvalues[1])]
         rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
-        return _one_sided(theorem_id, lhs, rhs, tol_abs, {"variant": variant, "bound": bound})
-    bound = _curvature_bound(graph, variant, n, tol)
-    if variant.endswith("-nu2"):
-        nu = spectrum(graph, "NeumannLaplacian")
-        tol_abs = _abs_tol(tol, nu)
-        if nu.eigenvalues.size < 2:
-            raise NotApplicable("nu_2 does not exist (singleton interior)")
-        lhs, rhs = float(nu.eigenvalues[1]), bound
-    else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
-        lam = spectrum(graph, "DirichletLaplacian")
-        tol_abs = _abs_tol(tol, lam)
-        if lam.eigenvalues.size < 2:
-            raise NotApplicable("lambda_2 does not exist (singleton interior)")
-        lhs, rhs = float(lam.eigenvalues[1]), bound + weighted_singular_values(graph).s1_squared
-    return _one_sided(theorem_id, [lhs], [rhs], tol_abs, {"variant": variant, "bound": bound})
+    else:
+        bound = _curvature_bound(graph, variant, n, tol)
+        if variant.endswith("-nu2"):
+            nu = spectrum(graph, "NeumannLaplacian")
+            if nu.eigenvalues.size < 2:
+                raise NotApplicable("nu_2 does not exist (singleton interior)")
+            spectra, lhs, rhs = (nu,), [float(nu.eigenvalues[1])], [bound]
+        else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
+            lam = spectrum(graph, "DirichletLaplacian")
+            if lam.eigenvalues.size < 2:
+                raise NotApplicable("lambda_2 does not exist (singleton interior)")
+            s1sq = weighted_singular_values(graph).s1_squared
+            spectra, lhs, rhs = (lam,), [float(lam.eigenvalues[1])], [bound + s1sq]
+    return certificate(theorem_id, spectra, tol, lhs, rhs,
+                       extra={"variant": variant, "bound": bound})

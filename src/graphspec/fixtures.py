@@ -27,85 +27,66 @@ def path_graph(n: int, boundary=(), weights=None, measure=None) -> WeightedBound
     return WeightedBoundaryGraph(measure=m, weights=w, boundary=np.asarray(boundary, dtype=np.intp))
 
 
-def complete_bipartite(
-    nb: int, nom: int, weight: float = 1.0, measure=None
-) -> WeightedBoundaryGraph:
-    """K_{B,Omega} with the boundary listed first (vertices 0..nb-1)."""
+def complete_bipartite(nb: int, nom: int, weight: float = 1.0) -> WeightedBoundaryGraph:
+    """K_{B,Omega} with unit measures and the boundary listed first
+    (vertices 0..nb-1)."""
     n = nb + nom
     w = np.zeros((n, n))
     w[:nb, nb:] = weight
     w[nb:, :nb] = weight
-    m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
-    return WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
+    return WeightedBoundaryGraph(measure=np.ones(n), weights=w, boundary=np.arange(nb))
 
 
-def neumann_equality_recipe(
-    nb: int,
-    nom: int,
-    rho: float = 1.0,
-    interior_scale: float | None = None,
-    boundary_measure: float = 1.0,
-    interior_measure: float | None = None,
-) -> WeightedBoundaryGraph:
+def neumann_equality_recipe(nb: int, nom: int, rho: float = 1.0) -> WeightedBoundaryGraph:
     """Graph on which nu_i = mu_i at every index.
 
-    Boundary weights w_xy = rho m_x m_y for all boundary-interior pairs with
-    V_Omega > V_B, and a complete interior whose weights are scaled down until
-    the top interior eigenvalue is at most rho (V_Omega - V_B).
+    Unit boundary measures, interior measures 2|B| / max(|Omega| - 1, 1),
+    which make V_Omega > V_B, boundary weights w_xy = rho m_x m_y for all
+    boundary-interior pairs, and a complete interior whose weights are
+    scaled down until the top interior eigenvalue is at most
+    rho (V_Omega - V_B).
     """
-    if interior_measure is None:
-        # make V_Omega comfortably larger than V_B
-        interior_measure = 2.0 * boundary_measure * nb / max(nom - 1, 1)
+    interior_measure = 2.0 * nb / max(nom - 1, 1)
     n = nb + nom
-    m = np.concatenate([np.full(nb, boundary_measure), np.full(nom, interior_measure)])
+    m = np.concatenate([np.ones(nb), np.full(nom, interior_measure)])
     w = np.zeros((n, n))
     for x in range(nb):
         for y in range(nb, n):
             w[x, y] = w[y, x] = rho * m[x] * m[y]
     graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
     v_omega, v_b, _ = volumes(graph)
-    if v_omega <= v_b:
-        raise ValueError("recipe requires V_Omega > V_B; enlarge interior measures")
     budget = rho * (v_omega - v_b)
     if nom >= 2:
-        if interior_scale is None:
-            # complete unit interior, then shrink until mu_top fits the budget
-            w_int = np.ones((nom, nom)) - np.eye(nom)
-            probe = WeightedBoundaryGraph(
-                measure=m[nb:], weights=w_int, boundary=np.array([], dtype=np.intp)
-            )
-            mu_top = spectrum(probe, "FullLaplacian").eigenvalues[-1]
-            interior_scale = 0.5 * budget / mu_top if mu_top > 0 else 1.0
+        # complete unit interior, then shrink until mu_top fits the budget
+        w_int = np.ones((nom, nom)) - np.eye(nom)
+        probe = WeightedBoundaryGraph(
+            measure=m[nb:], weights=w_int, boundary=np.array([], dtype=np.intp)
+        )
+        mu_top = spectrum(probe, "FullLaplacian").eigenvalues[-1]
+        interior_scale = 0.5 * budget / mu_top if mu_top > 0 else 1.0
         w2 = w.copy()
-        w2[nb:, nb:] = interior_scale * (np.ones((nom, nom)) - np.eye(nom))
+        w2[nb:, nb:] = interior_scale * w_int
         graph = WeightedBoundaryGraph(measure=m, weights=w2, boundary=np.arange(nb))
     validate(graph)
     return graph
 
 
-def laplacian_dirichlet_recipe(
-    j: int,
-    nb: int,
-    nom: int,
-    rho: float = 1.0,
-    boundary_measure: float | None = None,
-) -> WeightedBoundaryGraph:
+def laplacian_dirichlet_recipe(j: int, nb: int, nom: int) -> WeightedBoundaryGraph:
     """Graph on which mu_{i+|B|} = lambda_i at every index except j.
 
-    Interior split into j complete components, all boundary-interior pairs
-    carry w_xy = rho m_x m_y, V_Omega <= V_B, and the interior weights are
-    scaled up until mu_{j+1}(Omega) >= rho V_Omega.
+    Interior split into j complete components with unit measures, all
+    boundary-interior pairs carry w_xy = m_x m_y (rho = 1), V_Omega <= V_B,
+    and the interior weights are scaled up until mu_{j+1}(Omega) >= V_Omega.
     """
     if not (1 <= j <= nom):
         raise ValueError("need 1 <= j <= |Omega|")
-    if boundary_measure is None:
-        boundary_measure = max(1.0, 1.5 * nom / nb)  # V_B >= V_Omega with unit interior
+    boundary_measure = max(1.0, 1.5 * nom / nb)  # V_B > V_Omega with unit interior
     n = nb + nom
     m = np.concatenate([np.full(nb, boundary_measure), np.ones(nom)])
     w = np.zeros((n, n))
     for x in range(nb):
         for y in range(nb, n):
-            w[x, y] = w[y, x] = rho * m[x] * m[y]
+            w[x, y] = w[y, x] = m[x] * m[y]
     # split interior vertices into j blocks, each a clique
     blocks = np.array_split(np.arange(nb, n), j)
     for block in blocks:
@@ -114,16 +95,13 @@ def laplacian_dirichlet_recipe(
                 if a != b:
                     w[a, b] = 1.0
     graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
-    v_omega, v_b, _ = volumes(graph)
-    if v_omega > v_b:
-        raise ValueError("recipe requires V_Omega <= V_B; enlarge boundary measures")
-    target = rho * v_omega
+    v_omega = volumes(graph)[0]
     if j < nom:
         mu = spectrum(graph, "InteriorLaplacian").eigenvalues
         mu_next = float(mu[j])
         if mu_next <= 0:
             raise ValueError("interior block structure inconsistent with j")
-        scale = 2.0 * target / mu_next
+        scale = 2.0 * v_omega / mu_next
         w2 = w.copy()
         for block in blocks:
             for a in block:

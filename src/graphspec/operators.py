@@ -36,10 +36,6 @@ class SelfAdjointOperator:
     inner_measure: np.ndarray
     label: str  # FullLaplacian | DirichletLaplacian | NeumannLaplacian | InteriorLaplacian
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def self_adjointness_defect(self) -> float:
         """max |m_i A_ij - m_j A_ji| relative to the matrix scale."""
         ma = self.inner_measure[:, None] * self.matrix

@@ -32,7 +32,7 @@ from graphspec.fixtures import (
     path_graph,
     random_graph,
 )
-from graphspec.graph import boundary_degree_vector
+from graphspec.graph import boundary_degree_vector, interior_subgraph
 from graphspec.operators import (
     dirichlet_laplacian,
     full_laplacian,
@@ -192,9 +192,9 @@ def test_criterion_8_combinatorial_bounds(corpus):
     for g in corpus:
         if not g.is_unit_weight() or g.vertex_count > 8:
             continue
-        assert edge_connectivity(g, "graph") == cut_bruteforce(g.weights)
+        assert edge_connectivity(g) == cut_bruteforce(g.weights)
         sub = g.weights[np.ix_(g.interior, g.interior)]
-        assert edge_connectivity(g, "interior") == cut_bruteforce(sub)
+        assert edge_connectivity(interior_subgraph(g)) == cut_bruteforce(sub)
         checked += 1
     assert checked > 0
     report(f"criterion 8 PASS: path bounds, tight Fiedler bound, {checked} cut checks")

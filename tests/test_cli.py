@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -7,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspec import cli, curvature
+from graphspec import cli, comparisons, curvature
 from graphspec import graph as graph_module
 from graphspec.cli import dumps_json, main
+from graphspec.combinatorial import fiedler_bounds, friedman_bounds
+from graphspec.comparisons import certificate, run_all
+from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
-from graphspec.graph import WeightedBoundaryGraph, save, to_json_dict
+from graphspec.graph import NotApplicable, WeightedBoundaryGraph, save, to_json_dict
+from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 
 from oracle import dumps_json_reference
 
@@ -357,6 +362,63 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["results"]["failure_count"] == 0
         assert doc["seed"] == 7
+
+    def test_certify_unsupported_equality_pattern(self, capsys, tmp_path):
+        # K_{2,3}: mu_{i+2} = lambda_i only at i = 1
+        path = tmp_path / "k23.json"
+        save(complete_bipartite(2, 3), path)
+        code, out = run(capsys, ["certify", "--graph", str(path), "--theorem", "LapVsDiri"])
+        assert code == 3
+        assert json.loads(out)["results"] == {
+            "unsupported": "equality fails at indices [2, 3]; no characterization applies"
+        }
+
+    def test_random_audit_with_curvature(self, capsys):
+        code, out = run(capsys, ["random-audit", "--n", "20", "--seed", "42", "--curvature"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["failure_count"] == 0
+        assert results["lichnerowicz_checked"] > 0
+
+    def test_random_audit_lists_failures(self, capsys, monkeypatch):
+        def fails_at_index_1(graph, tol):
+            return certificate("LapVsDiri", (), tol, [0.0], [1.0])
+
+        monkeypatch.setitem(comparisons.ALL_COMPARISONS, "LapVsDiri", fails_at_index_1)
+        code, out = run(capsys, ["random-audit", "--n", "3", "--seed", "42"])
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["failure_count"] == 3
+        assert results["failures"] == [
+            {"instance": k, "theorem_id": "LapVsDiri", "failing_indices": [1]} for k in range(3)
+        ]
+
+    def test_not_applicable_from_any_subcommand_exits_3(self, capsys, monkeypatch, p3_file):
+        def out_of_scope(graph, label):
+            raise NotApplicable("no spectrum here")
+
+        monkeypatch.setattr(cli, "spectrum", out_of_scope)
+        code, out, err = run_streams(capsys, ["spectrum", "--graph", p3_file])
+        assert (code, out, err) == (3, "", "not applicable: no spectrum here\n")
+
+
+def test_certificates_and_reports_are_written_as_their_fields(corpus):
+    """Every certificate and report the CLI prints, on the audit corpus,
+    reads the same as the standard encoder's text of ``dataclasses.asdict``."""
+    objs = []
+    for g in corpus:
+        objs += run_all(g)
+        for build in [fiedler_bounds, friedman_bounds, *ALL_RIGIDITY.values()]:
+            with contextlib.suppress(NotApplicable, EqualityPatternUnsupported):
+                objs.append(build(g))
+        for variant in LICHNEROWICZ_VARIANTS:
+            with contextlib.suppress(NotApplicable):
+                objs.append(certify_lichnerowicz(g, variant))
+    theorems = {obj.theorem_id for obj in objs}
+    assert theorems >= set(comparisons.ALL_COMPARISONS) | set(ALL_RIGIDITY) | {
+        "FiedlerType", "FriedmanType", "LichnerowiczBE", "LichnerowiczOllivier"}
+    for obj in objs:
+        assert dumps_json(obj) == dumps_json_reference(dataclasses.asdict(obj))
 
 
 class TestDeterminism:

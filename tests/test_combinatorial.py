@@ -13,7 +13,7 @@ from graphspec.combinatorial import (
     stoer_wagner_min_cut,
 )
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
-from graphspec.graph import WeightedBoundaryGraph
+from graphspec.graph import WeightedBoundaryGraph, interior_subgraph
 from graphspec.operators import full_laplacian
 from graphspec.spectra import eigensolve
 
@@ -54,10 +54,10 @@ class TestMinCut:
         rng = np.random.default_rng(20)
         for _ in range(30):
             g = random_graph(rng, 8, weight_model="unit")
-            got = edge_connectivity(g, "graph")
+            got = edge_connectivity(g)
             assert got == cut_bruteforce(g.weights)
             sub_w = g.weights[np.ix_(g.interior, g.interior)]
-            assert edge_connectivity(g, "interior") == cut_bruteforce(sub_w)
+            assert edge_connectivity(interior_subgraph(g)) == cut_bruteforce(sub_w)
 
     def test_weighted_graph_rejected(self):
         g = path_graph(3, boundary=[0], weights=[2.0, 1.0])
