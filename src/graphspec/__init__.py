@@ -10,14 +10,11 @@ from .graph import (
     volumes,
 )
 from .operators import (
-    BoundaryMap,
     SelfAdjointOperator,
-    boundary_map,
     dirichlet_laplacian,
     full_laplacian,
     interior_laplacian,
     neumann_laplacian,
-    normal_derivative,
 )
 from .spectra import (
     ConvergenceError,

@@ -64,7 +64,8 @@ def stoer_wagner_min_cut(weights: np.ndarray) -> float:
 
 def edge_connectivity(graph: WeightedBoundaryGraph) -> int:
     """Minimum number of edges disconnecting ``graph`` (0 when already
-    disconnected); pass ``interior_subgraph(graph)`` for the interior's."""
+    disconnected); for the interior's, pass ``interior_subgraph(graph)``,
+    the one subgraph object kept on ``graph``."""
     _require_unit(graph)
     if graph.vertex_count < 2 or component_count(graph) != 1:
         return 0

@@ -98,10 +98,8 @@ def laplacian_dirichlet_recipe(j: int, nb: int, nom: int) -> WeightedBoundaryGra
     v_omega = volumes(graph)[0]
     if j < nom:
         mu = spectrum(graph, "InteriorLaplacian").eigenvalues
-        mu_next = float(mu[j])
-        if mu_next <= 0:
-            raise ValueError("interior block structure inconsistent with j")
-        scale = 2.0 * v_omega / mu_next
+        # j unit cliques leave exactly j zero eigenvalues, so mu[j] >= 2 > 0
+        scale = 2.0 * v_omega / float(mu[j])
         w2 = w.copy()
         for block in blocks:
             for a in block:

@@ -52,8 +52,9 @@ class WeightedBoundaryGraph:
     ``n x n`` matrix; ``boundary`` is a sorted index array (possibly empty,
     in which case the object is a plain weighted graph).
 
-    The arrays are read-only, so values computed from a graph (operators,
-    spectra, distances) are computed once per instance, by ``derived``.
+    The arrays are read-only, so values computed from a graph (its interior
+    subgraph, operators, spectra, distances) are computed once per instance,
+    by ``derived``.
     """
 
     measure: np.ndarray
@@ -151,16 +152,25 @@ def hop_distances(weights: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _components(weights: np.ndarray) -> np.ndarray:
+def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
+    return hop_distances(graph.weights)
+
+
+def distances(graph: WeightedBoundaryGraph) -> np.ndarray:
+    """Hop distances of ``graph``, computed once per graph object."""
+    return graph.derived("distances", _graph_distances)
+
+
+def _components(graph: WeightedBoundaryGraph) -> np.ndarray:
     """Connected-component labels: each vertex is labelled by the smallest
     vertex it reaches."""
-    return np.isfinite(hop_distances(weights)).argmax(axis=1)
+    return np.isfinite(distances(graph)).argmax(axis=1)
 
 
 def component_count(graph: WeightedBoundaryGraph) -> int:
     if graph.vertex_count == 0:
         return 0
-    labels = _components(graph.weights)
+    labels = _components(graph)
     return int(np.count_nonzero(labels == np.arange(labels.size)))
 
 
@@ -217,7 +227,7 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
             raise GraphValidationError("IsolatedBoundaryVertex", int(b[isolated[0]]))
     if graph.vertex_count:
         # vertex 0 has label 0; a nonzero label marks a vertex it does not reach
-        outside = np.flatnonzero(_components(w))
+        outside = np.flatnonzero(_components(graph))
         if outside.size:
             raise GraphValidationError("Disconnected", int(outside[0]))
 
@@ -237,7 +247,12 @@ def interior_degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
 
 
 def interior_subgraph(graph: WeightedBoundaryGraph) -> WeightedBoundaryGraph:
-    """The plain weighted graph induced on Omega (may be disconnected)."""
+    """The plain weighted graph induced on Omega (may be disconnected), one
+    object per graph object, so its own derived values are computed once."""
+    return graph.derived("interior_subgraph", _interior_subgraph)
+
+
+def _interior_subgraph(graph: WeightedBoundaryGraph) -> WeightedBoundaryGraph:
     omega = graph.interior
     return WeightedBoundaryGraph(
         measure=graph.measure[omega],

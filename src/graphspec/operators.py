@@ -5,18 +5,22 @@ Laplacians), so eigenvalues can be read off directly.  Every operator is
 self-adjoint under the measure-weighted inner product
 ``<u, v> = sum_x u(x) v(x) m_x`` on its vertex set.
 
-The Dirichlet operator is the Omega x Omega block of the full operator.  The
-Neumann operator is defined through the normal extension, which gives each
-boundary vertex the weighted average of its interior neighbours, so that
-the normal derivative vanishes on B.  It is assembled from the identity
+Every operator comes from the full one.  The Dirichlet operator is its
+Omega x Omega block.  The Neumann operator is defined through the normal
+extension, which gives each boundary vertex the weighted average of its
+interior neighbours, so that the normal derivative vanishes on B.  It is
+assembled from the identity
 
     neumann = dirichlet - A_B Deg^{-1} A_Omega,
 
 which the test suite checks column by column against the extension (the
-oracle ``neumann_by_extension``).
+oracle ``neumann_by_extension``).  The interior operator is the full
+operator of the subgraph induced on Omega.
 
-``operator_by_label`` builds each operator once per graph object; the
-``*_laplacian`` builders compute afresh.
+``operator_by_label`` builds each operator once per graph object.  The
+builders take the full operator, the coupling ``A_B Deg^{-1} A_Omega`` and
+the interior subgraph from the graph's memo, so each of these is also
+computed once per graph object.
 """
 
 from __future__ import annotations
@@ -36,22 +40,6 @@ class SelfAdjointOperator:
     inner_measure: np.ndarray
     label: str  # FullLaplacian | DirichletLaplacian | NeumannLaplacian | InteriorLaplacian
 
-    def self_adjointness_defect(self) -> float:
-        """max |m_i A_ij - m_j A_ji| relative to the matrix scale."""
-        ma = self.inner_measure[:, None] * self.matrix
-        scale = max(1.0, float(np.abs(ma).max(initial=0.0)))
-        return float(np.abs(ma - ma.T).max(initial=0.0)) / scale
-
-
-@dataclass(frozen=True)
-class BoundaryMap:
-    """The averaging map A_Omega (interior -> boundary) and its adjoint A_B."""
-
-    a_omega: np.ndarray  # |B| x |Omega|
-    a_b: np.ndarray      # |Omega| x |B|
-    boundary_measure: np.ndarray
-    interior_measure: np.ndarray
-
 
 def full_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """The negated Laplacian on all of V: row x is (Deg(x) delta_x - w_x/m_x)."""
@@ -63,42 +51,35 @@ def full_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
 
 def interior_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """The negated Laplacian of the induced interior subgraph."""
-    sub = interior_subgraph(graph)
-    op = full_laplacian(sub)
+    op = operator_by_label(interior_subgraph(graph), "FullLaplacian")
     return SelfAdjointOperator(op.matrix, op.inner_measure, "InteriorLaplacian")
-
-
-def boundary_map(graph: WeightedBoundaryGraph) -> BoundaryMap:
-    b, omega = graph.boundary, graph.interior
-    a_omega = graph.weights[np.ix_(b, omega)] / graph.measure[b][:, None]
-    a_b = graph.weights[np.ix_(omega, b)] / graph.measure[omega][:, None]
-    return BoundaryMap(a_omega, a_b, graph.measure[b], graph.measure[omega])
-
-
-def normal_derivative(graph: WeightedBoundaryGraph, u: np.ndarray) -> np.ndarray:
-    """(du/dn)(x) = (1/m_x) sum_y (u(x) - u(y)) w_xy for x in B."""
-    full = operator_by_label(graph, "FullLaplacian").matrix @ u
-    return full[graph.boundary]
 
 
 def dirichlet_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """Negated Dirichlet Laplacian on Omega (zero boundary conditions)."""
     omega = graph.interior
-    mat = full_laplacian(graph).matrix[np.ix_(omega, omega)]
+    mat = operator_by_label(graph, "FullLaplacian").matrix[np.ix_(omega, omega)]
     return SelfAdjointOperator(mat, graph.measure[omega], "DirichletLaplacian")
 
 
 def neumann_coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
     """The matrix A_B Deg^{-1} A_Omega on Omega (difference of the Dirichlet
-    and Neumann operators)."""
-    bm = boundary_map(graph)
-    deg_b = degree_vector(graph)[graph.boundary]
-    return bm.a_b @ (bm.a_omega / deg_b[:, None])
+    and Neumann operators), computed once per graph object."""
+    return graph.derived("neumann_coupling", _coupling)
+
+
+def _coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
+    # the averaging map A_Omega (interior -> boundary) and its adjoint A_B
+    b, omega = graph.boundary, graph.interior
+    a_omega = graph.weights[np.ix_(b, omega)] / graph.measure[b][:, None]
+    a_b = graph.weights[np.ix_(omega, b)] / graph.measure[omega][:, None]
+    deg_b = degree_vector(graph)[b]
+    return a_b @ (a_omega / deg_b[:, None])
 
 
 def neumann_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """Negated Neumann Laplacian on Omega (vanishing normal derivative)."""
-    mat = dirichlet_laplacian(graph).matrix - neumann_coupling(graph)
+    mat = operator_by_label(graph, "DirichletLaplacian").matrix - neumann_coupling(graph)
     return SelfAdjointOperator(mat, graph.measure[graph.interior], "NeumannLaplacian")
 
 

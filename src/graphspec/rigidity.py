@@ -55,14 +55,6 @@ class RhoFactorization:
     holds: bool
     missing_edge: tuple[int, int] | None = None
 
-    @property
-    def rho(self) -> np.ndarray | None:
-        """rho_x = r_x / m_x, inf where it exceeds the float range."""
-        if self.rho_mass is None:
-            return None
-        with np.errstate(over="ignore"):
-            return self.rho_mass / self.measure
-
     def rho_times(self, volume: float) -> np.ndarray:
         """rho_x * volume on the boundary, formed as r_x (volume / m_x) so
         that a finite product never passes through an overflowing rho_x."""

@@ -5,7 +5,8 @@ bisection on the characteristic polynomial (root counting through leading
 principal minors), linear programs from vertex enumeration, minimum cuts
 from exhaustive bipartition search, the Neumann operator from its
 definition through the normal extension, one column at a time, the
-Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
+normal derivative and the self-adjointness defect entry by entry from their
+definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, hop distances from a breadth-first
 search per vertex, the NeuVsLap quadratic form on the mean-zero boundary
@@ -119,6 +120,28 @@ def neumann_by_extension(measure, weights, boundary) -> np.ndarray:
         for i, vi in enumerate(omega):
             out[i, j] = sum(w[vi][y] * (u[vi] - u[y]) for y in range(n)) / m[vi]
     return out
+
+
+def normal_derivative(measure, weights, boundary, u) -> np.ndarray:
+    """(du/dn)(x) = (1/m_x) sum_y (u(x) - u(y)) w_xy at each x in B, in the
+    order of ``boundary``, as plain sums over the raw weights."""
+    n = len(measure)
+    return np.array([
+        sum((float(u[x]) - float(u[y])) * float(weights[x][y]) for y in range(n))
+        / float(measure[x])
+        for x in boundary
+    ])
+
+
+def self_adjointness_defect(matrix, measure) -> float:
+    """max |m_i A_ij - m_j A_ji| over all pairs, relative to
+    max(1, max |m_i A_ij|): 0 exactly when ``matrix`` is self-adjoint in
+    the inner product weighted by ``measure``."""
+    n = len(measure)
+    entries = [[float(measure[i]) * float(matrix[i][j]) for j in range(n)] for i in range(n)]
+    scale = max([1.0] + [abs(e) for row in entries for e in row])
+    return max([0.0] + [abs(entries[i][j] - entries[j][i])
+                        for i in range(n) for j in range(n)]) / scale
 
 
 def bakry_emery_forms(measure, weights, x, n):

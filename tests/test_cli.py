@@ -8,14 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspec import cli, comparisons, curvature
+from graphspec import cli, comparisons, operators
 from graphspec import graph as graph_module
 from graphspec.cli import dumps_json, main
 from graphspec.combinatorial import fiedler_bounds, friedman_bounds
 from graphspec.comparisons import certificate, run_all
 from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import complete_bipartite, path_graph, random_graph
-from graphspec.graph import NotApplicable, WeightedBoundaryGraph, save, to_json_dict
+from graphspec.graph import (
+    NotApplicable,
+    WeightedBoundaryGraph,
+    interior_subgraph,
+    save,
+    to_json_dict,
+)
 from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 
 from oracle import dumps_json_reference
@@ -329,19 +335,18 @@ class TestExitCodes:
     def test_curvature_finds_hop_distances_once_after_validation(self, monkeypatch, capsys,
                                                                  k22_file):
         calls = []
-        hop_distances = graph_module.hop_distances
+        distances = graph_module._graph_distances
 
-        def counted(weights):
+        def counted(graph):
             calls.append(1)
-            return hop_distances(weights)
+            return distances(graph)
 
-        monkeypatch.setattr(graph_module, "hop_distances", counted)
-        monkeypatch.setattr(curvature, "hop_distances", counted)
+        monkeypatch.setattr(graph_module, "_graph_distances", counted)
         for kind in ("be", "ollivier"):
             calls.clear()
             code, _ = run(capsys, ["curvature", "--graph", k22_file, "--kind", kind])
             assert code == 0
-            assert len(calls) == 2  # validate's connectivity check, the curvature's memo
+            assert len(calls) == 1  # validate fills the memo the curvature reads
 
     def test_bounds_fiedler(self, capsys, p3_file):
         code, out = run(capsys, ["bounds", "--graph", p3_file, "--family", "fiedler"])
@@ -452,6 +457,49 @@ class TestDeterminism:
             "random-audit",
         ):
             assert name in out
+
+
+class TestDerivedPartsBuiltOnce:
+    """Each graph's full Laplacian, Neumann coupling, interior subgraph and
+    hop distances are computed once per graph object and shared by every
+    operator, spectrum and bound that reads them."""
+
+    def test_each_part_built_once_per_graph(self, monkeypatch, capsys, tmp_path):
+        # unit weights reach the Fiedler bounds, and the interior 1-2-3 is a
+        # path, so every call below reaches the interior subgraph
+        path = tmp_path / "p5.json"
+        save(path_graph(5, boundary=[0, 4]), path)
+        built = {"full": [], "coupling": [], "distances": []}
+
+        def spy(key, compute):
+            def counted(graph):
+                built[key].append(graph)
+                return compute(graph)
+            return counted
+
+        monkeypatch.setitem(operators.BUILDERS, "FullLaplacian",
+                            spy("full", operators.full_laplacian))
+        monkeypatch.setattr(operators, "_coupling", spy("coupling", operators._coupling))
+        monkeypatch.setattr(graph_module, "_graph_distances",
+                            spy("distances", graph_module._graph_distances))
+        for argv in (["compare"], ["bounds", "--family", "fiedler"],
+                     ["curvature", "--kind", "be", "--on", "interior"]):
+            for calls in built.values():
+                calls.clear()
+            code, _ = run(capsys, argv + ["--graph", str(path)])
+            assert code == 0
+            g = built["distances"][0]  # validate's connectivity check
+            sub = interior_subgraph(g)
+            assert interior_subgraph(g) is sub
+            for key in ("full", "coupling"):
+                assert len({id(x) for x in built[key]}) == len(built[key]), (argv, key)
+            ids = {key: [id(x) for x in calls] for key, calls in built.items()}
+            if argv[0] == "compare":
+                assert ids["full"] == [id(g), id(sub)] and ids["coupling"] == [id(g)]
+                assert ids["distances"] == [id(g)]
+            else:
+                # then the interior's components (fiedler) or its curvature balls
+                assert ids["distances"] == [id(g), id(sub)]
 
 
 class TestParserReuse:

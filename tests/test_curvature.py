@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphspec import curvature
+from graphspec import graph as graph_module
 from graphspec.curvature import (
     LICHNEROWICZ_VARIANTS,
     NotApplicable,
@@ -203,20 +204,20 @@ class TestBakryEmery:
 
 def test_distances_computed_once_per_graph(monkeypatch):
     calls = []
-    distances = curvature._graph_distances
+    compute = graph_module._graph_distances
 
     def counted(graph):
         calls.append(graph)
-        return distances(graph)
+        return compute(graph)
 
-    monkeypatch.setattr(curvature, "_graph_distances", counted)
+    monkeypatch.setattr(graph_module, "_graph_distances", counted)
     g = random_graph(np.random.default_rng(14), 8)
     bakry_emery_curvature(g, 4)
     assert len(calls) == 1
     ollivier_curvature_all(g)
     assert len(calls) == 1
     with pytest.raises(ValueError):
-        curvature._distances(g)[0, 0] = 1.0
+        graph_module.distances(g)[0, 0] = 1.0
 
 
 class TestOllivier:

@@ -9,6 +9,7 @@ from graphspec.graph import (
     GraphFormatError,
     GraphValidationError,
     WeightedBoundaryGraph,
+    _graph_distances,
     boundary_degree_vector,
     component_count,
     degree_vector,
@@ -21,7 +22,6 @@ from graphspec.graph import (
     validate,
     volumes,
 )
-from graphspec.curvature import _graph_distances
 from graphspec.fixtures import path_graph, random_graph
 
 from oracle import hop_distances_bfs

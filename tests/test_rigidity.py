@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphspec.comparisons import EQUALITY_TOL
+from graphspec.comparisons import EQUALITY_TOL, run_all
 from graphspec.fixtures import (
     complete_bipartite,
     laplacian_dirichlet_recipe,
@@ -32,7 +32,7 @@ class TestRhoFactorization:
     def test_k22_unit(self, k22):
         fact = detect_rho_factorization(k22)
         assert fact.holds and fact.constant
-        assert np.abs(fact.rho - 1.0).max() <= 1e-12
+        assert np.abs(fact.rho_mass / fact.measure - 1.0).max() <= 1e-12
 
     def test_missing_edge_witnessed(self, p3_one_end):
         fact = detect_rho_factorization(p3_one_end)
@@ -49,7 +49,7 @@ class TestRhoFactorization:
         g = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.array([0, 1]))
         fact = detect_rho_factorization(g)
         assert fact.holds and fact.residual <= 1e-12
-        assert np.abs(fact.rho - 3.0).max() <= 1e-12
+        assert np.abs(fact.rho_mass / fact.measure - 3.0).max() <= 1e-12
 
 
 class TestNeumannLaplacian:
@@ -350,3 +350,39 @@ class TestScaleInvariance:
                         got == base[name] and got[2] is not False), (name, base[name], got)
                 else:
                     assert got == base[name], (name, base[name], got)
+
+
+def _relabelled(graph, rng):
+    """``graph`` with its vertices renamed by a random permutation: new
+    vertex i is old vertex order[i]."""
+    order = rng.permutation(graph.vertex_count)
+    return WeightedBoundaryGraph(measure=graph.measure[order],
+                                 weights=graph.weights[np.ix_(order, order)],
+                                 boundary=np.argsort(order)[graph.boundary])
+
+
+def _report_outcome(check, graph):
+    """A checker's verdicts and condition outcomes, or the exception it
+    raised."""
+    try:
+        report = check(graph)
+    except (NotApplicable, EqualityPatternUnsupported) as exc:
+        return type(exc).__name__, str(exc)
+    return (report.conclusion, report.equality_observed, report.consistent,
+            tuple((c.name, c.holds) for c in report.conditions))
+
+
+class TestRelabelling:
+    def test_vertex_permutation_keeps_every_result(self, corpus, corpus_certificates):
+        # every certificate and characterization is a statement about the
+        # spectra and the structure, so renaming the vertices changes none
+        rng = np.random.default_rng(2)
+        for g, certs in zip(corpus, corpus_certificates):
+            h = _relabelled(g, rng)
+            for a, b in zip(certs, run_all(h)):
+                assert (a.theorem_id, a.verdict, a.failing_indices, a.equality_indices()) == (
+                    b.theorem_id, b.verdict, b.failing_indices, b.equality_indices())
+                for ra, rb in zip(a.per_index, b.per_index, strict=True):
+                    assert abs(ra.margin - rb.margin) <= a.tolerance
+            for name, check in ALL_RIGIDITY.items():
+                assert _report_outcome(check, g) == _report_outcome(check, h), name
