@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--theorems", default="all")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.add_argument("--json", dest="table", action="store_false", default=False)
     p.add_argument("--table", dest="table", action="store_true")
     p.set_defaults(func=cmd_compare)
 

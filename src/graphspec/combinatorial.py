@@ -29,46 +29,39 @@ def _require_unit(graph: WeightedBoundaryGraph) -> None:
 
 
 def stoer_wagner_min_cut(weights: np.ndarray) -> float:
-    """Global minimum cut weight of an undirected weighted graph."""
-    n = weights.shape[0]
-    if n < 2:
-        return 0.0
-    w = weights.copy().astype(float)
-    active = list(range(n))
-    best = math.inf
-    while len(active) > 1:
-        # maximum adjacency (minimum cut phase)
-        a = [active[0]]
-        in_a = {active[0]}
-        conn = {v: w[active[0], v] for v in active if v != active[0]}
-        while len(a) < len(active):
-            nxt = max(conn, key=lambda v: conn[v])
-            a.append(nxt)
-            in_a.add(nxt)
-            del conn[nxt]
-            for v in conn:
-                conn[v] += w[nxt, v]
-        s, t = a[-2], a[-1]
-        cut_of_phase = float(w[t, [v for v in active if v != t]].sum())
-        best = min(best, cut_of_phase)
-        # merge t into s
-        for v in active:
-            if v != s and v != t:
-                w[s, v] += w[t, v]
-                w[v, s] = w[s, v]
-        active.remove(t)
-        w[t, :] = 0.0
-        w[:, t] = 0.0
+    """Global minimum cut weight of an undirected weighted graph: 0 when it
+    is disconnected or has fewer than two vertices.
+
+    Each maximum-adjacency phase grows a set from vertex 0, which is never
+    merged away, keeping every vertex's connectivity to the set in one
+    vector where added and merged vertices read -inf; the phase's cut is the
+    last vertex's connectivity when it is picked, and that vertex t is then
+    merged into the one picked before it (Stoer and Wagner, J. ACM 1997).
+    """
+    w = np.array(weights, dtype=float)
+    best = math.inf if len(w) > 1 else 0.0
+    for size in range(len(w), 1, -1):
+        conn = w[0].copy()
+        conn[0] = -math.inf
+        s = t = 0
+        for _ in range(size - 1):
+            s, t = t, int(np.argmax(conn))
+            cut = conn[t]
+            conn += w[t]
+            conn[t] = -math.inf
+        best = min(best, float(cut))
+        w[s] += w[t]
+        w[:, s] += w[:, t]
+        w[t] = w[:, t] = -math.inf
     return best
 
 
 def edge_connectivity(graph: WeightedBoundaryGraph) -> int:
-    """Minimum number of edges disconnecting ``graph`` (0 when already
-    disconnected); for the interior's, pass ``interior_subgraph(graph)``,
-    the one subgraph object kept on ``graph``."""
+    """Minimum number of edges disconnecting ``graph``: the minimum cut,
+    which is 0 when ``graph`` is already disconnected or has fewer than two
+    vertices; for the interior's, pass ``interior_subgraph(graph)``, the one
+    subgraph object kept on ``graph``."""
     _require_unit(graph)
-    if graph.vertex_count < 2 or component_count(graph) != 1:
-        return 0
     return int(round(stoer_wagner_min_cut(graph.weights)))
 
 

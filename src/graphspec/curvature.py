@@ -109,12 +109,12 @@ def bakry_emery_curvature_at(
     if s1.size == 0:
         raise NotApplicable(f"vertex {x} is isolated")
     ball = np.concatenate(([x], s1, np.flatnonzero(dist == 2)))
-    lap = -operator_by_label(graph, "FullLaplacian").matrix
+    op = operator_by_label(graph, "FullLaplacian").matrix  # -Lap
     # dividing by an exact power of two near Deg(x) keeps the forms of
     # moderate size at any weight scale, and K is scaled back exactly
-    scale = 2.0 ** (math.frexp(-lap[x, x])[1] - 1)
+    scale = 2.0 ** (math.frexp(op[x, x])[1] - 1)
     with np.errstate(all="ignore"):
-        sub = lap[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
+        sub = -op[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
         deg = -np.diag(sub)
         p = sub + np.diag(deg)
         ell = sub[0]
@@ -210,19 +210,19 @@ def ollivier_curvature(
     """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
-    lap = -operator_by_label(graph, "FullLaplacian").matrix
+    op = operator_by_label(graph, "FullLaplacian").matrix  # -Lap
     dist = distances(graph)
     ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
     free = ball[(ball != x) & (ball != y)]
     # objective Lap f(y) - Lap f(x) = c.g + const
-    obj_row = lap[y] - lap[x]
+    obj_row = op[x] - op[y]
     c = obj_row[free]
     dx, dy = dist[x, free], dist[y, free]
     const = float(obj_row[x] - c @ dy)
     # c carries the degree scale; dividing it exactly by a power of two near
     # Deg(x) + Deg(y) gives the flow unit-sized capacities for weights of any
     # magnitude, and kappa is scaled back exactly
-    scale = 2.0 ** (math.frexp(-lap[x, x] - lap[y, y])[1] - 1)
+    scale = 2.0 ** (math.frexp(op[x, x] + op[y, y])[1] - 1)
     c = c / scale
     send, recv = c < 0.0, c > 0.0
     supply, demand = -c[send], c[recv]

@@ -169,8 +169,6 @@ def random_graph(
         n = int(rng.integers(3, max_vertices + 1))
         nb = int(rng.integers(1, max(2, n // 2 + 1)))
         nom = n - nb
-        if nom < 1:
-            continue
         w = np.zeros((n, n))
         # spanning tree on the interior keeps Omega's support connected
         interior = np.arange(nb, n)

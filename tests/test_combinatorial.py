@@ -59,6 +59,39 @@ class TestMinCut:
             sub_w = g.weights[np.ix_(g.interior, g.interior)]
             assert edge_connectivity(interior_subgraph(g)) == cut_bruteforce(sub_w)
 
+    def test_disconnected_graph_cut_is_zero(self):
+        # a triangle, an edge and an isolated vertex
+        w = np.zeros((6, 6))
+        for u, v in ((0, 1), (1, 2), (0, 2), (3, 4)):
+            w[u, v] = w[v, u] = 1.0
+        assert stoer_wagner_min_cut(w) == 0.0
+        assert cut_bruteforce(w) == 0
+        assert edge_connectivity(unit_graph(w, boundary=[0])) == 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_cut_is_zero(self, n):
+        w = np.zeros((n, n))
+        assert stoer_wagner_min_cut(w) == 0.0
+        assert cut_bruteforce(w) == 0
+        assert edge_connectivity(unit_graph(w)) == 0
+
+    # cut_bruteforce stops at 8 vertices, so these cuts were computed once by
+    # a dict-based Stoer-Wagner implementation and are fixed here
+    @pytest.mark.parametrize(
+        "n, cut", [(16, 1), (24, 2), (32, 3), (40, 3), (48, 4), (56, 4), (64, 5)]
+    )
+    def test_large_unit_graphs_keep_their_cut(self, n, cut):
+        # two seeded Erdos-Renyi halves (p = 1/2) joined by n // 16 + 1 random
+        # edges, so the cut is sometimes below the least degree
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        half, bridges = n // 2, n // 16 + 1
+        upper[:half, half:] = False
+        upper[rng.integers(half, size=bridges), rng.integers(half, n, size=bridges)] = True
+        w = (upper | upper.T).astype(float)
+        assert stoer_wagner_min_cut(w) == cut
+        assert edge_connectivity(unit_graph(w, boundary=[0])) == cut
+
     def test_weighted_graph_rejected(self):
         g = path_graph(3, boundary=[0], weights=[2.0, 1.0])
         with pytest.raises(NotApplicable):
