@@ -274,55 +274,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    graph_file = argparse.ArgumentParser(add_help=False)
+    graph_file.add_argument("--graph", required=True)
 
-    p = sub.add_parser("validate", help="check a graph file against the structural axioms")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("validate", parents=[graph_file],
+                       help="check a graph file against the structural axioms")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of the full, Dirichlet, Neumann "
-                       "and interior operators, as JSON keyed by operator label")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("spectrum", parents=[graph_file], help="eigenvalues of the full, "
+                       "Dirichlet, Neumann and interior operators, as JSON keyed by "
+                       "operator label")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("dump-operator", help="emit one operator matrix as JSON rows")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("dump-operator", parents=[graph_file],
+                       help="emit one operator matrix as JSON rows")
     p.add_argument("--operator", choices=tuple(BUILDERS), default="FullLaplacian")
     p.set_defaults(func=cmd_dump_operator)
 
     p = sub.add_parser(
-        "compare",
+        "compare", parents=[graph_file],
         help="certify eigenvalue comparisons: NeuVsLap (nu_i >= mu_i), "
         "DiriVsInteriorTwoSided (mu_i(Omega)+Deg_b bounds on lambda_i), "
         "NeuVsInterior (nu_i >= mu_i(Omega)), DiriVsNeuTwoSided "
         "(nu_i + s^2 bounds on lambda_i), LapVsDiri (mu_{i+|B|} >= lambda_i)",
     )
-    p.add_argument("--graph", required=True)
     p.add_argument("--theorems", default="all")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--table", dest="table", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
-        "certify",
+        "certify", parents=[graph_file],
         help="test the structural equality characterization for one comparison",
     )
-    p.add_argument("--graph", required=True)
     p.add_argument("--theorem", choices=sorted(ALL_RIGIDITY), required=True)
     p.add_argument("--tol", type=_tolerance, default=EQUALITY_TOL)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("curvature", help="per-vertex curvature-dimension constants "
-                       "or per-edge transport curvature")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("curvature", parents=[graph_file], help="per-vertex "
+                       "curvature-dimension constants or per-edge transport curvature")
     p.add_argument("--kind", choices=["be", "ollivier"], required=True)
     p.add_argument("--n", type=_dimension, default="inf",
                    help="dimension parameter for --kind be (a number > 1, or 'inf')")
     p.add_argument("--on", choices=["g", "interior"], default="g")
     p.set_defaults(func=cmd_curvature)
 
-    p = sub.add_parser("bounds", help="Fiedler-type (edge connectivity) or "
-                       "Friedman-type (path comparison) lower bounds, unit weight only")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("bounds", parents=[graph_file], help="Fiedler-type (edge connectivity) "
+                       "or Friedman-type (path comparison) lower bounds, unit weight only")
     p.add_argument("--family", choices=["fiedler", "friedman"], required=True)
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_bounds)

@@ -99,9 +99,7 @@ def fiedler_bounds(
 
 
 def max_path_eigenvalue(i: int) -> float:
-    """Largest Laplacian eigenvalue of the unit path on ``i`` vertices."""
-    if i < 2:
-        return 0.0
+    """Largest Laplacian eigenvalue of the unit path on ``i >= 2`` vertices."""
     return 2.0 * (1.0 + math.cos(math.pi / i))
 
 

@@ -351,15 +351,16 @@ def certify_lichnerowicz(
     Variants: curvature of the whole graph bounding nu_2; curvature of the
     interior bounding both nu_2 and lambda_2 (with min boundary degree);
     curvature of the whole graph bounding lambda_2 (with the smallest
-    squared singular value).  Raises NotApplicable when hypotheses fail.
+    squared singular value).  Raises NotApplicable when hypotheses fail,
+    first, before any curvature, when nu_2 and lambda_2 do not exist.
     """
     if variant not in LICHNEROWICZ_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     validate(graph)
+    if graph.interior.size < 2:
+        raise NotApplicable("nu_2 and lambda_2 do not exist (singleton interior)")
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-interior"):
-        # the curvature guard leaves a connected interior of >= 2 vertices,
-        # so nu_2 and lambda_2 exist
         bound = _curvature_bound(interior_subgraph(graph), variant, n, tol)
         nu = spectrum(graph, "NeumannLaplacian")
         lam = spectrum(graph, "DirichletLaplacian")
@@ -370,13 +371,9 @@ def certify_lichnerowicz(
         bound = _curvature_bound(graph, variant, n, tol)
         if variant.endswith("-nu2"):
             nu = spectrum(graph, "NeumannLaplacian")
-            if nu.eigenvalues.size < 2:
-                raise NotApplicable("nu_2 does not exist (singleton interior)")
             spectra, lhs, rhs = (nu,), [float(nu.eigenvalues[1])], [bound]
         else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
             lam = spectrum(graph, "DirichletLaplacian")
-            if lam.eigenvalues.size < 2:
-                raise NotApplicable("lambda_2 does not exist (singleton interior)")
             s1sq = weighted_singular_values(graph).s1_squared
             spectra, lhs, rhs = (lam,), [float(lam.eigenvalues[1])], [bound + s1sq]
     return certificate(theorem_id, spectra, tol, lhs, rhs,

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import GraphValidationError, WeightedBoundaryGraph, validate, volumes
+from .graph import WeightedBoundaryGraph, validate, volumes
 from .spectra import spectrum
 
 
 def path_graph(n: int, boundary=(), weights=None, measure=None) -> WeightedBoundaryGraph:
     """Unit path v0 - v1 - ... - v(n-1); optional per-edge weights."""
-    w = np.zeros((n, n))
-    for i in range(n - 1):
-        wi = 1.0 if weights is None else weights[i]
-        w[i, i + 1] = w[i + 1, i] = wi
+    d = np.ones(n - 1) if weights is None else np.asarray(weights, dtype=float)
+    w = np.diag(d, 1) + np.diag(d, -1)
     m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
     return WeightedBoundaryGraph(measure=m, weights=w, boundary=np.asarray(boundary, dtype=np.intp))
 
@@ -50,9 +48,8 @@ def neumann_equality_recipe(nb: int, nom: int, rho: float = 1.0) -> WeightedBoun
     n = nb + nom
     m = np.concatenate([np.ones(nb), np.full(nom, interior_measure)])
     w = np.zeros((n, n))
-    for x in range(nb):
-        for y in range(nb, n):
-            w[x, y] = w[y, x] = rho * m[x] * m[y]
+    w[:nb, nb:] = rho * m[:nb, None] * m[nb:]
+    w[nb:, :nb] = w[:nb, nb:].T
     graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
     v_omega, v_b, _ = volumes(graph)
     budget = rho * (v_omega - v_b)
@@ -84,16 +81,12 @@ def laplacian_dirichlet_recipe(j: int, nb: int, nom: int) -> WeightedBoundaryGra
     n = nb + nom
     m = np.concatenate([np.full(nb, boundary_measure), np.ones(nom)])
     w = np.zeros((n, n))
-    for x in range(nb):
-        for y in range(nb, n):
-            w[x, y] = w[y, x] = m[x] * m[y]
+    w[:nb, nb:] = m[:nb, None] * m[nb:]
+    w[nb:, :nb] = w[:nb, nb:].T
     # split interior vertices into j blocks, each a clique
-    blocks = np.array_split(np.arange(nb, n), j)
-    for block in blocks:
-        for a in block:
-            for b in block:
-                if a != b:
-                    w[a, b] = 1.0
+    label = np.repeat(np.arange(j), [b.size for b in np.array_split(np.arange(nom), j)])
+    clique = (label[:, None] == label) & ~np.eye(nom, dtype=bool)
+    w[nb:, nb:] = clique
     graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
     v_omega = volumes(graph)[0]
     if j < nom:
@@ -101,11 +94,7 @@ def laplacian_dirichlet_recipe(j: int, nb: int, nom: int) -> WeightedBoundaryGra
         # j unit cliques leave exactly j zero eigenvalues, so mu[j] >= 2 > 0
         scale = 2.0 * v_omega / float(mu[j])
         w2 = w.copy()
-        for block in blocks:
-            for a in block:
-                for b in block:
-                    if a != b:
-                        w2[a, b] = scale
+        w2[nb:, nb:] = scale * clique
         graph = WeightedBoundaryGraph(measure=m, weights=w2, boundary=np.arange(nb))
     validate(graph)
     return graph
@@ -185,35 +174,18 @@ def random_graph(
             nbrs = interior[rng.random(nom) < 0.5]
             if nbrs.size == 0:
                 nbrs = interior[[rng.integers(nom)]]
-            w[x, nbrs] = 1.0
-            w[nbrs, x] = 1.0
-        support = w > 0
-        if model == "unit":
-            measure = np.ones(n)
-            weights = support.astype(float)
-        elif model == "lognormal":
-            measure = np.exp(rng.normal(0.0, 0.5, n))
-            weights = np.zeros((n, n))
-            iu, iv = np.nonzero(np.triu(support, k=1))
-            vals = np.exp(rng.normal(0.0, 0.7, iu.size))
-            weights[iu, iv] = vals
-            weights[iv, iu] = vals
-        else:
-            measure = np.ones(n)
-            raw = np.zeros((n, n))
-            iu, iv = np.nonzero(np.triu(support, k=1))
-            vals = np.exp(rng.normal(0.0, 0.3, iu.size))
-            raw[iu, iv] = vals
-            raw[iv, iu] = vals
-            weights = _normalize_weights(measure, raw)
-            if weights is None:
+            w[x, nbrs] = w[nbrs, x] = 1.0
+        measure = np.exp(rng.normal(0.0, 0.5, n)) if model == "lognormal" else np.ones(n)
+        if model != "unit":
+            # lognormal weights on the support of w
+            sigma = 0.7 if model == "lognormal" else 0.3
+            iu, iv = np.nonzero(np.triu(w, k=1))
+            w[iu, iv] = w[iv, iu] = np.exp(rng.normal(0.0, sigma, iu.size))
+        if model == "normalized":
+            w = _normalize_weights(measure, w)
+            if w is None:
                 continue
-        graph = WeightedBoundaryGraph(
-            measure=measure, weights=weights, boundary=np.arange(nb)
-        )
-        try:
-            validate(graph)
-        except GraphValidationError:
-            continue
+        graph = WeightedBoundaryGraph(measure=measure, weights=w, boundary=np.arange(nb))
+        validate(graph)
         return graph
     raise RuntimeError("could not draw a valid random graph in 200 attempts")

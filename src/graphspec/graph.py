@@ -94,10 +94,6 @@ class WeightedBoundaryGraph:
         """Sorted indices of Omega = V \\ B."""
         return self.derived("interior", _interior)
 
-    @property
-    def has_boundary(self) -> bool:
-        return self.boundary.size > 0
-
     def __eq__(self, other):
         if not isinstance(other, WeightedBoundaryGraph):
             return NotImplemented
@@ -136,11 +132,11 @@ def _read_only(value):
     return value
 
 
-def hop_distances(weights: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances on the support of ``weights``, ``inf`` between
+def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
+    """All-pairs hop distances on the support of the weights, ``inf`` between
     components.  The vertices first reached at hop ``h`` come from one
     boolean product of the hop ``h - 1`` frontier with the adjacency."""
-    adj = (weights > 0.0).astype(float)
+    adj = (graph.weights > 0.0).astype(float)
     reached = np.eye(adj.shape[0], dtype=bool)
     dist = np.where(reached, 0.0, np.inf)
     frontier, hop = reached, 0
@@ -150,10 +146,6 @@ def hop_distances(weights: np.ndarray) -> np.ndarray:
         reached |= frontier
         dist[frontier] = hop
     return dist
-
-
-def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
-    return hop_distances(graph.weights)
 
 
 def distances(graph: WeightedBoundaryGraph) -> np.ndarray:
@@ -180,8 +172,8 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     Violations are checked in a fixed order so messages are deterministic:
     NonfiniteValue (NaN or infinite measure, then weight), SelfLoop,
     AsymmetricWeight, NegativeWeight, NonpositiveMeasure, NonfiniteValue
-    (a weighted degree that overflows), EmptyBoundary, BoundaryEdge,
-    IsolatedBoundaryVertex, Disconnected.
+    (a weighted degree that overflows, then one whose double does),
+    EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
     """
     w = graph.weights
     bad_m = np.flatnonzero(~np.isfinite(graph.measure))
@@ -205,15 +197,19 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     bad_m = np.flatnonzero(graph.measure <= 0.0)
     if bad_m.size:
         raise GraphValidationError("NonpositiveMeasure", int(bad_m[0]))
-    # finite entries can still overflow, e.g. a weight of 1e300 over a measure of 1e-320
+    # finite entries can still overflow, e.g. a weight of 1e300 over a measure
+    # of 1e-320; every eigenvalue and curvature is at most 2 max Deg, so that
+    # must be finite too
     with np.errstate(over="ignore"):
-        bad_deg = np.flatnonzero(~np.isfinite(w.sum(axis=1) / graph.measure))
-    if bad_deg.size:
-        raise GraphValidationError("NonfiniteValue", int(bad_deg[0]))
+        deg = w.sum(axis=1) / graph.measure
+        for bound in (deg, 2.0 * deg):
+            bad_deg = np.flatnonzero(~np.isfinite(bound))
+            if bad_deg.size:
+                raise GraphValidationError("NonfiniteValue", int(bad_deg[0]))
     if require_boundary:
-        if not graph.has_boundary:
-            raise GraphValidationError("EmptyBoundary")
         b = graph.boundary
+        if b.size == 0:
+            raise GraphValidationError("EmptyBoundary")
         inside = np.argwhere(w[np.ix_(b, b)] > 0.0)
         if inside.size:
             u, v = inside[0]
@@ -239,11 +235,6 @@ def degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
 def boundary_degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
     omega = graph.interior
     return graph.weights[np.ix_(omega, graph.boundary)].sum(axis=1) / graph.measure[omega]
-
-
-def interior_degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
-    omega = graph.interior
-    return graph.weights[np.ix_(omega, omega)].sum(axis=1) / graph.measure[omega]
 
 
 def interior_subgraph(graph: WeightedBoundaryGraph) -> WeightedBoundaryGraph:
@@ -316,8 +307,8 @@ def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
     verts = _records(doc, "vertices", {"id", "measure"}, "vertex")
     n = len(verts)
     ids = [_vertex_index(v["id"], n, "vertex id") for v in verts]
-    if sorted(ids) != list(range(n)):
-        raise GraphFormatError("vertex ids must be 0..n-1 without gaps")
+    if len(set(ids)) < n:  # n ids, each in 0..n-1
+        raise GraphFormatError("each vertex id must appear once")
     measure = np.empty(n)
     for i, v in zip(ids, verts):
         measure[i] = _number(v["measure"], f"measure of vertex {i}")

@@ -27,7 +27,7 @@ from .graph import (
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
-    interior_degree_vector,
+    degree_vector,
     interior_subgraph,
     volumes,
 )
@@ -62,9 +62,8 @@ class RhoFactorization:
 
     @property
     def constant(self) -> bool:
-        """rho's spread is at most 1e-9 max(1, max rho), both sides times V_B."""
-        if self.rho_mass is None or self.rho_mass.size == 0:
-            return True
+        """rho's spread is at most 1e-9 max(1, max rho), both sides times V_B;
+        read only on a fit that holds."""
         v_b = float(self.measure.sum())
         scaled = self.rho_times(v_b)
         top = float(scaled.max())
@@ -110,8 +109,7 @@ def _cross_checked(
 
 
 def _relative_spread(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
+    """Spread of a nonempty vector relative to max(1, its largest magnitude)."""
     return float(values.max() - values.min()) / max(1.0, float(np.abs(values).max()))
 
 
@@ -326,14 +324,8 @@ def check_laplacian_dirichlet_rigidity(
             extra=extra,
         )
     if not missing:
-        return RigidityReport(
-            theorem_id="LapVsDiri",
-            conditions=(Condition("full_equality_anomaly", False),),
-            conclusion=False,
-            equality_observed=True,
-            consistent=False,
-            extra=extra,
-        )
+        anomaly = [Condition("full_equality_anomaly", False)]
+        return _cross_checked("LapVsDiri", anomaly, False, True, extra)
     if len(missing) > 1:
         raise EqualityPatternUnsupported(
             f"equality fails at indices {missing}; no characterization applies"
@@ -423,7 +415,7 @@ def check_corollary_normalized(
     interior_empty = not np.any(interior_w > 0.0)
     case1 = weights_ok and interior_empty and abs(v_omega - v_b) <= tol * max(1.0, v_b)
     interior_complete = bool(np.all((interior_w > 0.0) | np.eye(omega.size, dtype=bool)))
-    deg_om = interior_degree_vector(graph)
+    deg_om = degree_vector(interior_subgraph(graph))
     target = 1.0 - v_b / v_omega
     deg_ok = bool(np.all(np.abs(deg_om - target) <= tol * max(1.0, abs(target))))
     cert = compare_laplacian_dirichlet(graph, tol)

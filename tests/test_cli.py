@@ -118,6 +118,25 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["spectrum"], ["compare"], ["certify", "--theorem", "NeuVsLap"],
+         ["curvature", "--kind", "ollivier"], ["curvature", "--kind", "be"]],
+        ids=" ".join,
+    )
+    def test_doubled_degree_overflow_is_invalid_graph(self, capsys, tmp_path, command):
+        # every Deg is finite, at most 1.5e308, but 2 Deg(0) = 2e308 is not;
+        # the eigensolver's s + s.T and the edge curvature 2-3 reach 2 max Deg
+        w = np.zeros((4, 4))
+        for u, v in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            w[u, v] = w[v, u] = 5e307
+        g = WeightedBoundaryGraph(measure=np.ones(4), weights=w, boundary=np.array([0]))
+        path = tmp_path / "doubled.json"
+        save(g, path)
+        code, out, err = run_streams(capsys, [*command, "--graph", str(path)])
+        assert (code, out) == (4, "")
+        assert err == "invalid graph file: NonfiniteValue: 0\n"
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda doc: doc["vertices"][1].update(measure="abc"),
@@ -398,6 +417,20 @@ class TestExitCodes:
             {"instance": k, "theorem_id": "LapVsDiri", "failing_indices": [1]} for k in range(3)
         ]
 
+    def test_random_audit_lists_lichnerowicz_failures(self, capsys, monkeypatch):
+        def fails(graph, variant, n, tol):
+            return certificate("LichnerowiczBE", (), tol, [0.0], [1.0])
+
+        monkeypatch.setattr(cli, "certify_lichnerowicz", fails)
+        code, out = run(capsys, ["random-audit", "--n", "2", "--seed", "42", "--curvature"])
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["lichnerowicz_checked"] == 4
+        assert results["failures"] == [
+            {"instance": k, "theorem_id": "LichnerowiczBE", "variant": variant}
+            for k in range(2) for variant in ("be-g-nu2", "ollivier-g-nu2")
+        ]
+
     def test_not_applicable_from_any_subcommand_exits_3(self, capsys, monkeypatch, p3_file):
         def out_of_scope(graph, label):
             raise NotApplicable("no spectrum here")
@@ -573,6 +606,10 @@ JSON_TREES = st.recursive(
         # str and int keys together cannot be sorted
         st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)), inner, max_size=3),
         st.dictionaries(st.one_of(st.none(), st.booleans(), FLOATS), inner, max_size=3),
+        # keys json refuses
+        st.dictionaries(st.one_of(st.tuples(st.integers(0, 3)), st.binary(max_size=2),
+                                  st.frozensets(st.integers(0, 3), max_size=2)),
+                        inner, max_size=2),
     ),
     max_leaves=12,
 )

@@ -480,6 +480,20 @@ class TestLichnerowicz:
             with pytest.raises(NotApplicable):
                 certify_lichnerowicz(g, variant, n=4.0)
 
+    @pytest.mark.parametrize("graph", [path_graph(2, boundary=[0]),
+                                       path_graph(3, boundary=[0, 2])], ids=["P2", "P3"])
+    def test_single_interior_vertex_rejected_before_any_curvature(self, monkeypatch, graph):
+        # nu_2 and lambda_2 need two interior vertices; no curvature is
+        # computed to find that out
+        def no_curvature(*args):
+            raise AssertionError("curvature computed")
+
+        monkeypatch.setattr(curvature, "bakry_emery_curvature", no_curvature)
+        monkeypatch.setattr(curvature, "ollivier_curvature_all", no_curvature)
+        for variant in LICHNEROWICZ_VARIANTS:
+            with pytest.raises(NotApplicable, match="singleton interior"):
+                certify_lichnerowicz(graph, variant, n=4.0)
+
     def test_unknown_variant_rejected(self, k22):
         with pytest.raises(ValueError):
             certify_lichnerowicz(k22, "bogus")

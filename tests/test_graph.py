@@ -15,7 +15,6 @@ from graphspec.graph import (
     degree_vector,
     dumps,
     from_json_dict,
-    interior_degree_vector,
     interior_subgraph,
     loads,
     to_json_dict,
@@ -124,7 +123,7 @@ class TestDegrees:
         g = random_graph(rng, 10)
         omega = g.interior
         total = degree_vector(g)[omega]
-        parts = interior_degree_vector(g) + boundary_degree_vector(g)
+        parts = degree_vector(interior_subgraph(g)) + boundary_degree_vector(g)
         assert np.abs(total - parts).max() <= 1e-12 * max(1.0, total.max())
 
     def test_volumes_add_up(self, k22):
@@ -244,6 +243,21 @@ class TestJson:
             "boundary": [],
         }
         with pytest.raises(GraphFormatError):
+            from_json_dict(doc)
+
+    def test_duplicate_vertex_ids_rejected(self):
+        doc = {
+            "vertices": [{"id": 0, "measure": 1.0}, {"id": 0, "measure": 1.0}],
+            "edges": [],
+            "boundary": [],
+        }
+        with pytest.raises(GraphFormatError, match="^each vertex id must appear once$"):
+            from_json_dict(doc)
+
+    def test_self_loop_edge_record_rejected(self, p3_two_ends):
+        doc = to_json_dict(p3_two_ends)
+        doc["edges"][0]["v"] = doc["edges"][0]["u"]
+        with pytest.raises(GraphFormatError, match="^bad edge endpoints"):
             from_json_dict(doc)
 
     def test_bad_edge_endpoints_rejected(self, p3_two_ends):
