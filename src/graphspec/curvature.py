@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -207,6 +208,18 @@ def ollivier_curvature(
     sink side where ``p_v >= 1`` (2), ``w1`` (``w2``) on the source side
     where ``q_w >= 1`` (2), and the cut costs the dual objective, so the
     maximum gain is the value of a maximum flow.
+
+    The pair arcs are handed over with those of the pairs that gain 2
+    first, so the flow's feasible start (see ``_max_flow``) fills the pairs
+    that gain most before the rest; Dinic's phases reroute whatever the
+    start left short, so the maximum, and with it kappa, stays exact.
+
+    The code works in units of ``scale``, a power of two near
+    ``Deg(x) + Deg(y)``: it divides the objective row by ``scale`` before
+    it forms ``c`` and ``const``, and returns ``scale * (const - value)``.
+    Dividing and multiplying by a power of two are exact, the flow's
+    capacities are unit-sized for weights of any magnitude, and no
+    intermediate sum overflows for weights near the float range.
     """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
@@ -214,16 +227,12 @@ def ollivier_curvature(
     dist = distances(graph)
     ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
     free = ball[(ball != x) & (ball != y)]
-    # objective Lap f(y) - Lap f(x) = c.g + const
-    obj_row = op[x] - op[y]
+    # objective Lap f(y) - Lap f(x) = scale * (c.g + const)
+    scale = 2.0 ** (math.frexp(op[x, x] + op[y, y])[1] - 1)
+    obj_row = (op[x] - op[y]) / scale
     c = obj_row[free]
     dx, dy = dist[x, free], dist[y, free]
     const = float(obj_row[x] - c @ dy)
-    # c carries the degree scale; dividing it exactly by a power of two near
-    # Deg(x) + Deg(y) gives the flow unit-sized capacities for weights of any
-    # magnitude, and kappa is scaled back exactly
-    scale = 2.0 ** (math.frexp(op[x, x] + op[y, y])[1] - 1)
-    c = c / scale
     send, recv = c < 0.0, c > 0.0
     supply, demand = -c[send], c[recv]
     outlet = 2.0 * dy[send]  # a_v: ship to y
@@ -240,27 +249,59 @@ def ollivier_curvature(
             arcs += [(0, i, cap), (0, i + ns, cap), (i, i + ns, inf)]
         for j, cap in enumerate(demand.tolist(), 1 + 2 * ns):
             arcs += [(j, sink, cap), (j + nr, sink, cap), (j + nr, j, inf)]
-        for i, j, g in zip((1 + v).tolist(), (1 + 2 * ns + w).tolist(), gain[v, w].tolist()):
-            arcs += [(i, j, inf)] + ([(i + ns, j, inf), (i, j + nr, inf)] if g > 1.0 else [])
+        # the arcs of the pairs that gain 2 first, as the flow's start
+        # pushes in arc order
+        v1, w1, two = 1 + v, 1 + 2 * ns + w, gain[v, w] > 1.0
+        for tails, heads in ((v1[two] + ns, w1[two]), (v1[two], w1[two] + nr), (v1, w1)):
+            arcs += zip(tails.tolist(), heads.tolist(), repeat(inf))
         value -= _max_flow(sink + 1, arcs)
-    return const - scale * value
+    return scale * (const - value)
 
 
 def _max_flow(node_count: int, arcs: list) -> float:
     """Value of a maximum flow from node 0 to node ``node_count - 1`` along
-    ``(tail, head, capacity)`` arcs, by Dinic's algorithm: breadth-first
-    levels, then augmenting paths kept on an explicit stack, so the depth
-    is not bounded by the recursion limit.  Every source-sink path needs a
-    finite arc, and each augmentation leaves its bottleneck at exactly 0.
+    ``(tail, head, capacity)`` arcs, by Dinic's algorithm started from a
+    feasible flow.
+
+    The start is one pass over the arcs in the order given: an arc whose
+    tail is fed from the source and whose head drains to the sink closes a
+    path source -> tail -> head -> sink, and the pass pushes along it what
+    is left on its three arcs.  The reverse capacities are set as in any
+    augmentation, so the residual network is that of a feasible flow, and
+    Dinic's phases (breadth-first levels, then augmenting paths kept on an
+    explicit stack, so the depth is not bounded by the recursion limit)
+    reroute it through them to a maximum: a flow is maximum exactly when
+    its residual network has no source-sink path, whatever flow it started
+    from.  Every source-sink path needs a finite arc, and every push, in
+    the start or in an augmentation, leaves its bottleneck at exactly 0.
     """
     sink = node_count - 1
-    to, cap, out = [], [], [[] for _ in range(node_count)]
-    for tail, head, c in arcs:  # arc e and its reverse e ^ 1
-        out[tail].append(len(to))
-        out[head].append(len(to) + 1)
-        to += [head, tail]
-        cap += [c, 0.0]
+    tails, heads, caps = zip(*arcs)
+    to = [0] * (2 * len(arcs))  # arc e and its reverse e ^ 1
+    to[::2], to[1::2] = heads, tails
+    cap = [0.0] * (len(to) + 1)  # and a spare slot, of capacity 0
+    cap[:-1:2] = caps
+    out = [[] for _ in range(node_count)]
+    for e, (tail, head, _c) in enumerate(arcs):
+        out[tail].append(2 * e)
+        out[head].append(2 * e + 1)
+    # each node's residual arc from the source and to the sink, or the spare
+    fed, drained = [len(to)] * node_count, [len(to)] * node_count
+    for e in out[0]:
+        fed[to[e]] = e
+    for e in out[sink]:
+        drained[to[e]] = e ^ 1
     total = 0.0
+    for e, (tail, head, _c) in enumerate(arcs):
+        f = fed[tail]
+        if cap[f] > 0.0:
+            d = drained[head]
+            if cap[d] > 0.0:
+                push = min(cap[f], cap[2 * e], cap[d])
+                for a in (f, 2 * e, d):
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                total += push
     while True:
         level, queue = [0] + [-1] * sink, [0]
         for u in queue:

@@ -8,7 +8,8 @@ definition through the normal extension, one column at a time, the
 normal derivative and the self-adjointness defect entry by entry from their
 definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 edge curvatures from their LP by vertex enumeration and by exhaustive search
-over the integer 1-Lipschitz functions, hop distances from a breadth-first
+over the integer 1-Lipschitz functions, sender-receiver gain problems
+from their integral duals by enumeration, hop distances from a breadth-first
 search per vertex, the NeuVsLap quadratic form on the mean-zero boundary
 functions through a basis read off the eigenvectors of the orthogonal
 projector onto them, CLI JSON text through the standard library's encoder,
@@ -319,6 +320,29 @@ def ollivier_by_enumeration(graph, x, y) -> float:
     for i, j in itertools.combinations(range(len(free)), 2):
         lipschitz &= np.abs(f[:, i] - f[:, j]) <= dist[free[i], free[j]]
     return float(obj[x] + (f[lipschitz] @ obj[free]).min())
+
+
+def gain_dual_bruteforce(supply, demand, gains) -> float:
+    """Maximum of sum g_vw t_vw over t >= 0 with row sums at most
+    ``supply`` and column sums at most ``demand``, for integer gains in
+    {0, 1, 2}.
+
+    By LP duality it is the minimum of sum supply_v p_v + sum demand_w q_w
+    over p, q >= 0 with p_v + q_w >= g_vw.  The constraint matrix is
+    totally unimodular, so the minimum is attained with p, q in {0, 1, 2};
+    all 3^(senders + receivers) candidates are tried (at most 8 in all).
+    """
+    supply, demand = np.asarray(supply, float), np.asarray(demand, float)
+    gains = np.asarray(gains)
+    if supply.size + demand.size > 8:
+        raise TooLarge(f"{supply.size + demand.size} > 8")
+    p = np.array(list(itertools.product(range(3), repeat=supply.size))).reshape(-1, supply.size)
+    q = np.array(list(itertools.product(range(3), repeat=demand.size))).reshape(-1, demand.size)
+    # the least q_w each p allows is max_v (g_vw - p_v)
+    need = (gains[None, :, :] - p[:, :, None]).max(axis=1)
+    feasible = (q[None, :, :] >= need[:, None, :]).all(axis=2)
+    cost = (p @ supply)[:, None] + q @ demand
+    return float(cost[feasible].min())
 
 
 def cut_bruteforce(weights: np.ndarray) -> int:

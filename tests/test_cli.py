@@ -328,6 +328,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["results"]["global_min"] == pytest.approx(weight / 2, rel=1e-12)
 
+    def test_curvature_ollivier_near_the_float_range(self, capsys, tmp_path):
+        # a valid symmetric path whose edge curvatures are both 4e307; the
+        # edge curvature divides the objective row by its power-of-two scale
+        # before it forms c and const, so no sum overflows to inf or warns
+        path = tmp_path / "heavy.json"
+        save(path_graph(3, boundary=[0, 2], weights=[4e307, 4e307]), path)
+        code, out, err = run_streams(capsys, ["curvature", "--graph", str(path),
+                                              "--kind", "ollivier"])
+        assert (code, err) == (0, "")
+        per = json.loads(out)["results"]["per_location"]
+        assert set(per) == {"0,1", "1,2"}
+        for kappa in per.values():
+            assert kappa == pytest.approx(4e307, rel=1e-12)
+
     def test_curvature_be_forms_overflow(self, capsys, tmp_path):
         # a valid graph whose degrees in one 2-ball differ by more than the
         # float range, so the Bakry-Emery forms overflow

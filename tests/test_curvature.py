@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspec import curvature
 from graphspec import graph as graph_module
@@ -22,6 +24,7 @@ from graphspec.spectra import symmetric_eigh
 from oracle import (
     bakry_emery_by_polarization,
     bakry_emery_forms,
+    gain_dual_bruteforce,
     hop_distances_bfs,
     ollivier_bruteforce,
     ollivier_by_enumeration,
@@ -85,6 +88,65 @@ def gains_two(flow):
     senders = sum(tail == 0 for tail, _head, _cap in arcs) // 2
     return any(senders < tail <= 2 * senders and head > 2 * senders
                for tail, head, _cap in arcs)
+
+
+def gain_network(supply, demand, gains):
+    """(node_count, arcs) of the maximum-gain network in the layout the
+    edge curvature uses: the source 0, v1 and v2 of each sender, w1 and w2
+    of each receiver, and the sink; the arcs of the pairs that gain 2
+    first."""
+    ns, nr, inf = len(supply), len(demand), math.inf
+    sink = 2 * (ns + nr) + 1
+    arcs = []
+    for i, cap in enumerate(supply, 1):
+        arcs += [(0, i, cap), (0, i + ns, cap), (i, i + ns, inf)]
+    for j, cap in enumerate(demand, 1 + 2 * ns):
+        arcs += [(j, sink, cap), (j + nr, sink, cap), (j + nr, j, inf)]
+    pairs = [(1 + v, 1 + 2 * ns + w, g) for v, row in enumerate(gains)
+             for w, g in enumerate(row) if g > 0]
+    arcs += [(i + ns, j, inf) for i, j, g in pairs if g == 2]
+    arcs += [(i, j + nr, inf) for i, j, g in pairs if g == 2]
+    arcs += [(i, j, inf) for i, j, _g in pairs]
+    return sink + 1, arcs
+
+
+CAPACITIES = st.one_of(st.integers(1, 4).map(float),
+                       st.floats(1e-3, 4.0, allow_nan=False, allow_infinity=False))
+
+
+class TestMaxFlow:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_dual_on_random_gain_networks(self, data):
+        ns, nr = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        supply = data.draw(st.lists(CAPACITIES, min_size=ns, max_size=ns))
+        demand = data.draw(st.lists(CAPACITIES, min_size=nr, max_size=nr))
+        gains = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=nr, max_size=nr),
+                                   min_size=ns, max_size=ns))
+        want = gain_dual_bruteforce(supply, demand, gains)
+        if not want:
+            return  # no gaining pair: the edge curvature builds no network
+        node_count, arcs = gain_network(supply, demand, gains)
+        tol = 1e-12 * max(sum(supply), sum(demand))
+        assert curvature._max_flow(node_count, arcs) == pytest.approx(want, abs=tol)
+        # the start pushes in arc order, and any order must end at the maximum
+        shuffled = data.draw(st.permutations(arcs))
+        assert curvature._max_flow(node_count, shuffled) == pytest.approx(want, abs=tol)
+
+    def test_repairs_a_start_that_is_not_maximum(self):
+        # senders a, b and receivers u, w, each of size 1; a gains 1 with u
+        # and with w, b only with u.  The start pushes 1 along a1 -> u1,
+        # which uses up a's supply and saturates u1, the receiver that both
+        # senders reach, so b1 -> u1 and a1 -> w1 stay empty.  The maximum
+        # is 2 (a to w, b to u): Dinic must reroute a's unit through the
+        # reverse of a1 -> u1
+        node_count, arcs = gain_network([1.0, 1.0], [1.0, 1.0], [[1, 1], [1, 0]])
+        a1, b1, u1, w1 = 1, 2, 5, 6
+        pairs = [(tail, head) for tail, head, _cap in arcs if 0 < tail <= 4 < head]
+        assert pairs == [(a1, u1), (a1, w1), (b1, u1)]
+        want = gain_dual_bruteforce([1.0, 1.0], [1.0, 1.0], [[1, 1], [1, 0]])
+        assert want == 2.0
+        assert curvature._max_flow(node_count, arcs) == want
 
 
 class TestBakryEmery:
