@@ -367,9 +367,11 @@ LICHNEROWICZ_VARIANTS = (
 def _curvature_bound(graph, variant, n, tol):
     """The curvature lower bound of ``graph`` behind ``variant``.
 
-    Curvature scales like the degrees, so a value within
-    ``tol * max(1, max Deg)`` of zero counts as zero (not positive)."""
-    zero_tol = tol * max(1.0, float(degree_vector(graph).max(initial=0.0)))
+    Curvature scales like the degrees, so a value within ``tol * max Deg``
+    of zero counts as zero (not positive).  max Deg is positive once the
+    curvature is computed at all: both curvatures need a connected graph
+    with an edge, which rules out an edgeless interior."""
+    zero_tol = tol * float(degree_vector(graph).max())
     if variant.startswith("be"):
         k_min = bakry_emery_curvature(graph, n).global_min
         if k_min <= zero_tol:
@@ -403,19 +405,17 @@ def certify_lichnerowicz(
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-interior"):
         bound = _curvature_bound(interior_subgraph(graph), variant, n, tol)
-        nu = spectrum(graph, "NeumannLaplacian")
-        lam = spectrum(graph, "DirichletLaplacian")
-        spectra = (nu, lam)
-        lhs = [float(nu.eigenvalues[1]), float(lam.eigenvalues[1])]
+        nu2 = float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])
+        lam2 = float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])
+        lhs = [nu2, lam2]
         rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
     else:
         bound = _curvature_bound(graph, variant, n, tol)
         if variant.endswith("-nu2"):
-            nu = spectrum(graph, "NeumannLaplacian")
-            spectra, lhs, rhs = (nu,), [float(nu.eigenvalues[1])], [bound]
+            lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])]
+            rhs = [bound]
         else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
-            lam = spectrum(graph, "DirichletLaplacian")
-            s1sq = weighted_singular_values(graph).s1_squared
-            spectra, lhs, rhs = (lam,), [float(lam.eigenvalues[1])], [bound + s1sq]
-    return certificate(theorem_id, spectra, tol, lhs, rhs,
+            lhs = [float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
+            rhs = [bound + weighted_singular_values(graph).s1_squared]
+    return certificate(theorem_id, graph, tol, lhs, rhs,
                        extra={"variant": variant, "bound": bound})

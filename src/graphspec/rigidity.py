@@ -62,12 +62,9 @@ class RhoFactorization:
 
     @property
     def constant(self) -> bool:
-        """rho's spread is at most 1e-9 max(1, max rho), both sides times V_B;
-        read only on a fit that holds."""
-        v_b = float(self.measure.sum())
-        scaled = self.rho_times(v_b)
-        top = float(scaled.max())
-        return top - float(scaled.min()) <= 1e-9 * max(v_b, top)
+        """rho V_B has a relative spread of at most 1e-9; read only on a fit
+        that holds, whose rho is positive."""
+        return _relative_spread(self.rho_times(float(self.measure.sum()))) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,10 @@ def _cross_checked(
 
 
 def _relative_spread(values: np.ndarray) -> float:
-    """Spread of a nonempty vector relative to max(1, its largest magnitude)."""
-    return float(values.max() - values.min()) / max(1.0, float(np.abs(values).max()))
+    """Spread of a vector relative to its largest magnitude, which is positive
+    on every vector passed here: rho V_B, and Deg_b and s(z) on the interior,
+    which a valid graph's boundary-interior edge makes positive somewhere."""
+    return float(values.max() - values.min()) / float(np.abs(values).max())
 
 
 def detect_rho_factorization(
@@ -119,7 +118,8 @@ def detect_rho_factorization(
     """Fit w_xy = rho_x m_x m_y on B x Omega through r_x = rho_x m_x.
 
     Requires every boundary-interior pair to be adjacent; otherwise reports
-    the first missing pair as a witness.
+    the first missing pair as a witness.  The fit holds when its residual is
+    at most ``tol`` times the largest of these (positive) weights.
     """
     b, omega = graph.boundary, graph.interior
     wb = graph.weights[np.ix_(b, omega)]
@@ -133,9 +133,8 @@ def detect_rho_factorization(
     m_omega = graph.measure[omega]
     rho_mass = (wb / m_omega).mean(axis=1)
     residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
-    max_w = float(wb.max(initial=0.0))
     return RhoFactorization(rho_mass=rho_mass, measure=graph.measure[b], residual=residual,
-                            holds=residual <= tol * max(1.0, max_w))
+                            holds=residual <= tol * float(wb.max()))
 
 
 def _quadratic_form_condition(
@@ -148,6 +147,8 @@ def _quadratic_form_condition(
             - (V_G / (V_Omega Deg_b - V_B mu_top)) <rho, f>_B^2
 
     for a non-constant rho, which needs |B| >= 2; ``rho_mass`` is rho m_B.
+    The least eigenvalue may fall ``tol`` times the largest |entry| of the
+    form below 0; a form that is exactly 0 gets the exact test.
     """
     v_omega, v_b, v_g = volumes(graph)
     m_b = graph.measure[graph.boundary]
@@ -172,8 +173,7 @@ def _quadratic_form_condition(
     reduced = cols.T @ q @ cols
     eigs, _ = symmetric_eigh(0.5 * (reduced + reduced.T))
     min_eig = float(eigs[0])
-    scale = max(1.0, float(np.abs(q).max(initial=0.0)))
-    return min_eig >= -tol * scale, min_eig
+    return min_eig >= -tol * float(np.abs(q).max()), min_eig
 
 
 def check_neumann_laplacian_rigidity(
@@ -355,7 +355,7 @@ def check_laplacian_dirichlet_rigidity(
             else:
                 gap_ok, witness = True, None  # mu_{j+1}(Omega) does not exist
             conditions.append(Condition("interior_gap", gap_ok, witness))
-            vol_ok = (j <= 1) or (v_omega <= v_b + tol * max(1.0, v_b))
+            vol_ok = (j <= 1) or (v_omega - v_b <= tol * v_b)
             conditions.append(Condition("volume_order", vol_ok, (v_omega, v_b)))
             conclusion = conclusion and gap_ok and vol_ok
     return RigidityReport(
@@ -400,24 +400,24 @@ def check_corollary_normalized(
     Case 1: j = |Omega|, complete bipartite, V_Omega = V_B and
     w_xy = m_x m_y / V_Omega.  Case 2: j = 1, V_Omega >= V_B, the same
     boundary weights, complete interior with mu_2(Omega) >= 1 and
-    Deg_Omega = 1 - V_B/V_Omega.
+    Deg_Omega = 1 - V_B/V_Omega.  Each test allows ``tol`` times the size of
+    what it compares with: the largest m_x m_y / V_Omega, V_B, and the
+    degree target, which is 0 when V_B = V_Omega, where its test is exact.
     """
     if not graph.is_normalized():
         raise NotApplicable("graph must have Deg = 1 at every vertex")
     b, omega = graph.boundary, graph.interior
     v_omega, v_b, _ = volumes(graph)
     wb = graph.weights[np.ix_(b, omega)]
-    outer = graph.measure[b][:, None] * graph.measure[omega][None, :]
-    weights_ok = bool(
-        np.all(np.abs(wb - outer / v_omega) <= tol * max(1.0, float(outer.max())))
-    )
+    target_w = graph.measure[b][:, None] * graph.measure[omega][None, :] / v_omega
+    weights_ok = bool(np.all(np.abs(wb - target_w) <= tol * float(target_w.max())))
     interior_w = graph.weights[np.ix_(omega, omega)]
     interior_empty = not np.any(interior_w > 0.0)
-    case1 = weights_ok and interior_empty and abs(v_omega - v_b) <= tol * max(1.0, v_b)
+    case1 = weights_ok and interior_empty and abs(v_omega - v_b) <= tol * v_b
     interior_complete = bool(np.all((interior_w > 0.0) | np.eye(omega.size, dtype=bool)))
     deg_om = degree_vector(interior_subgraph(graph))
     target = 1.0 - v_b / v_omega
-    deg_ok = bool(np.all(np.abs(deg_om - target) <= tol * max(1.0, abs(target))))
+    deg_ok = bool(np.all(np.abs(deg_om - target) <= tol * abs(target)))
     cert = compare_laplacian_dirichlet(graph, tol)
     mu2_ok = False
     if omega.size >= 2:
@@ -425,7 +425,7 @@ def check_corollary_normalized(
         mu2_ok = float(mu_om[1]) >= 1.0 - cert.tolerance
     case2 = (
         weights_ok
-        and v_omega >= v_b - tol * max(1.0, v_b)
+        and v_omega >= v_b - tol * v_b
         and interior_complete
         and deg_ok
         and mu2_ok

@@ -124,8 +124,3 @@ def _singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
     vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
     return SingularSpectrum(singular_values=vals)
 
-
-def spectral_radius(*spectra: Spectrum) -> float:
-    return max(
-        (float(np.abs(s.eigenvalues).max(initial=0.0)) for s in spectra), default=0.0
-    )

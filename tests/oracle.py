@@ -45,11 +45,12 @@ class Infeasible(RuntimeError):
 
 def _count_below(s: np.ndarray, t: float) -> int:
     """Number of eigenvalues of symmetric ``s`` strictly below ``t``,
-    counted as sign changes in the leading principal minors of s - tI."""
+    counted as sign changes in the leading principal minors of s - tI.  A
+    zero minor moves t up by 1e-13 times the largest |entry| of s (1e-13
+    when s is 0), then by growing steps."""
     n = s.shape[0]
     shift = s - t * np.eye(n)
-    scale = max(1.0, float(np.abs(s).max()))
-    eps = 1e-13 * scale
+    eps = 1e-13 * (float(np.abs(s).max()) or 1.0)
     for attempt in range(60):
         minors = [1.0]
         ok = True
@@ -136,13 +137,13 @@ def normal_derivative(measure, weights, boundary, u) -> np.ndarray:
 
 def self_adjointness_defect(matrix, measure) -> float:
     """max |m_i A_ij - m_j A_ji| over all pairs, relative to
-    max(1, max |m_i A_ij|): 0 exactly when ``matrix`` is self-adjoint in
-    the inner product weighted by ``measure``."""
+    max |m_i A_ij|: 0 exactly when ``matrix`` is self-adjoint in the inner
+    product weighted by ``measure``."""
     n = len(measure)
     entries = [[float(measure[i]) * float(matrix[i][j]) for j in range(n)] for i in range(n)]
-    scale = max([1.0] + [abs(e) for row in entries for e in row])
-    return max([0.0] + [abs(entries[i][j] - entries[j][i])
-                        for i in range(n) for j in range(n)]) / scale
+    defect = max([0.0] + [abs(entries[i][j] - entries[j][i])
+                          for i in range(n) for j in range(n)])
+    return defect / max(abs(e) for row in entries for e in row) if defect else 0.0
 
 
 def bakry_emery_forms(measure, weights, x, n):
@@ -190,8 +191,9 @@ def bakry_emery_by_polarization(measure, weights, x, n) -> float:
 
     Gamma is diagonalized and its null directions are eliminated by a
     pseudo-inverse Schur complement (they must carry a nonnegative form,
-    else K = -inf).  Unit-scale weights are assumed: the null tests are
-    absolute.
+    else K = -inf).  The tests on that null block are relative to its
+    largest |eigenvalue|; the test that Gamma vanishes is absolute, which
+    assumes unit-scale weights.
     """
     ball, g_mat, q_mat = bakry_emery_forms(measure, weights, x, n)
     if ball.size == 0:
@@ -207,7 +209,7 @@ def bakry_emery_by_polarization(measure, weights, x, n) -> float:
         q_zz = z_vecs.T @ q_mat @ z_vecs
         q_pz = p_vecs.T @ q_mat @ z_vecs
         zz_eigs, zz_vecs = np.linalg.eigh(0.5 * (q_zz + q_zz.T))
-        zz_scale = max(1.0, float(np.abs(zz_eigs).max()))
+        zz_scale = float(np.abs(zz_eigs).max())
         if float(zz_eigs[0]) < -1e-9 * zz_scale:
             return float("-inf")
         keep = zz_eigs > 1e-12 * zz_scale
@@ -414,8 +416,8 @@ def quadratic_form_min_eig(measure, boundary, rho, mu_top) -> tuple[float, float
         <rho f, f>_B - ((mu_top + Deg_b)/V_Omega) <f, f>_B
             - (V_G / (V_Omega Deg_b - V_B mu_top)) <rho, f>_B^2,
 
-    Deg_b = <rho, 1>_B, on {f : <f, 1>_B = 0}, and the largest entry of the
-    form (at least 1).  The least eigenvalue is -inf when the denominator is
+    Deg_b = <rho, 1>_B, on {f : <f, 1>_B = 0}, and the largest |entry| of
+    the form.  The least eigenvalue is -inf when the denominator is
     not positive.  The basis of the subspace is the eigenvectors of the
     projector I - m m^T / m^T m with eigenvalue 1, m the boundary measure.
     """
@@ -438,7 +440,7 @@ def quadratic_form_min_eig(measure, boundary, rho, mu_top) -> tuple[float, float
     cols = u[:, w > 0.5]
     reduced = cols.T @ q @ cols
     least = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
-    return least, max(1.0, float(np.abs(q).max()))
+    return least, float(np.abs(q).max())
 
 
 def hop_distances_bfs(weights) -> np.ndarray:

@@ -289,7 +289,7 @@ class TestExitCodes:
             assert conditions["rho_constant_bound"]["witness"][1] == pytest.approx(
                 2e305, rel=1e-12)  # rho V_Omega
             # compare finds nu_i = mu_i at both indices, at its tolerance
-            # 1e-7 * max(1, spectral radius); certify reads the same flags
+            # 1e-7 * max Deg; certify reads the same flags
             assert code == 0
             assert results["equality_observed"] is True
             assert results["consistent"] is True
@@ -420,7 +420,7 @@ class TestExitCodes:
 
     def test_random_audit_lists_failures(self, capsys, monkeypatch):
         def fails_at_index_1(graph, tol):
-            return certificate("LapVsDiri", (), tol, [0.0], [1.0])
+            return certificate("LapVsDiri", graph, tol, [0.0], [1.0])
 
         monkeypatch.setitem(comparisons.ALL_COMPARISONS, "LapVsDiri", fails_at_index_1)
         code, out = run(capsys, ["random-audit", "--n", "3", "--seed", "42"])
@@ -433,7 +433,7 @@ class TestExitCodes:
 
     def test_random_audit_lists_lichnerowicz_failures(self, capsys, monkeypatch):
         def fails(graph, variant, n, tol):
-            return certificate("LichnerowiczBE", (), tol, [0.0], [1.0])
+            return certificate("LichnerowiczBE", graph, tol, [0.0], [1.0])
 
         monkeypatch.setattr(cli, "certify_lichnerowicz", fails)
         code, out = run(capsys, ["random-audit", "--n", "2", "--seed", "42", "--curvature"])

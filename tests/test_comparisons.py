@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from graphspec.comparisons import (
@@ -10,6 +11,7 @@ from graphspec.comparisons import (
     run_all,
 )
 from graphspec.fixtures import path_graph
+from graphspec.graph import WeightedBoundaryGraph
 
 
 class TestP3TwoEnds:
@@ -90,3 +92,19 @@ class TestCertificateSemantics:
         for certs in corpus_certificates:
             for cert in certs:
                 assert cert.holds, (cert.theorem_id, cert.failing_indices)
+
+    def test_lognormal_stars_hold_with_neumann_interior_equality(self):
+        # with |Omega| = 1, nu_1 = Deg(y) - coupling cancels to within an ulp
+        # of mu_1(Omega) = 0; a tolerance scaled by those two spectra alone
+        # would shrink to an ulp and reject the equality it should record
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            nb = int(rng.integers(1, 9))
+            w = np.zeros((nb + 1, nb + 1))
+            w[:nb, nb] = w[nb, :nb] = rng.lognormal(size=nb)
+            g = WeightedBoundaryGraph(measure=rng.lognormal(size=nb + 1), weights=w,
+                                      boundary=np.arange(nb))
+            certs = {c.theorem_id: c for c in run_all(g)}
+            for cert in certs.values():
+                assert cert.holds, (cert.theorem_id, cert.per_index)
+            assert certs["NeuVsInterior"].equality_indices() == (1,)

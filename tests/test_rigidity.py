@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphspec.comparisons import EQUALITY_TOL, run_all
+from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import (
     complete_bipartite,
     laplacian_dirichlet_recipe,
@@ -327,21 +328,44 @@ def scale_base():
             for g in graphs]
 
 
+def _scaled(graph, t, scaled):
+    """``graph`` with its weights times ``t`` or its measure over ``t``: both
+    multiply every spectrum, every degree and every curvature by ``t``."""
+    if scaled == "weights":
+        return WeightedBoundaryGraph(measure=graph.measure, weights=t * graph.weights,
+                                     boundary=graph.boundary)
+    return WeightedBoundaryGraph(measure=graph.measure / t, weights=graph.weights,
+                                 boundary=graph.boundary)
+
+
+def _lichnerowicz(graph, variant):
+    try:
+        return certify_lichnerowicz(graph, variant, n=4.0)
+    except NotApplicable:
+        return None
+
+
+@pytest.fixture(scope="module")
+def lichnerowicz_base(scale_base):
+    """The first 30 seeded graphs, each with its six Lichnerowicz
+    certificates (None where NotApplicable) at unit scale."""
+    return [(g, {v: _lichnerowicz(g, v) for v in LICHNEROWICZ_VARIANTS})
+            for g, _ in scale_base[:30]]
+
+
+SCALES = [1e-8, 1e-4, 1e-2, 1e2, 1e4, 1e8]
+
+
 class TestScaleInvariance:
-    # t w and m / t multiply every spectrum by t, and the certificates'
-    # tolerance tol * max(1, spectral radius) by t once the radius passes 1.
-    # No t < 1: that floor at 1 keeps the tolerance from shrinking with
-    # spectra below 1, so the comparison certificates themselves change
-    @pytest.mark.parametrize("t", [1e2, 1e4, 1e8])
+    # t w and m / t multiply every spectrum, every degree and every curvature
+    # by t, and with them every tolerance, tol * max Deg for the certificates
+    # and the size of the compared values for each structural test; so no
+    # verdict depends on the unit, below 1 as above it
+    @pytest.mark.parametrize("t", SCALES)
     @pytest.mark.parametrize("scaled", ["weights", "measure"])
     def test_reports_survive_scaling(self, scale_base, t, scaled):
         for g, base in scale_base:
-            if scaled == "weights":
-                h = WeightedBoundaryGraph(measure=g.measure, weights=t * g.weights,
-                                          boundary=g.boundary)
-            else:
-                h = WeightedBoundaryGraph(measure=g.measure / t, weights=g.weights,
-                                          boundary=g.boundary)
+            h = _scaled(g, t, scaled)
             for name, check in ALL_RIGIDITY.items():
                 got = _outcome(check, h)
                 if "Corollary" in name:
@@ -350,6 +374,24 @@ class TestScaleInvariance:
                         got == base[name] and got[2] is not False), (name, base[name], got)
                 else:
                     assert got == base[name], (name, base[name], got)
+
+    @pytest.mark.parametrize("t", SCALES)
+    @pytest.mark.parametrize("scaled", ["weights", "measure"])
+    def test_lichnerowicz_survives_scaling(self, lichnerowicz_base, t, scaled):
+        applicable = 0
+        for g, base in lichnerowicz_base:
+            h = _scaled(g, t, scaled)
+            for variant, want in base.items():
+                got = _lichnerowicz(h, variant)
+                assert (got is None) == (want is None), (variant, want, got)
+                if got is None:
+                    continue
+                applicable += 1
+                assert (got.verdict, got.failing_indices) == (
+                    want.verdict, want.failing_indices), variant
+                bound = got.extra["bound"]
+                assert abs(bound - t * want.extra["bound"]) <= got.tolerance, variant
+        assert applicable > 0
 
 
 def _relabelled(graph, rng):
@@ -375,14 +417,20 @@ def _report_outcome(check, graph):
 class TestRelabelling:
     def test_vertex_permutation_keeps_every_result(self, corpus, corpus_certificates):
         # every certificate and characterization is a statement about the
-        # spectra and the structure, so renaming the vertices changes none
+        # spectra and the structure, so renaming the vertices changes none,
+        # at unit scale and with the weights or the measure scaled by 1e-4
         rng = np.random.default_rng(2)
-        for g, certs in zip(corpus, corpus_certificates):
-            h = _relabelled(g, rng)
-            for a, b in zip(certs, run_all(h)):
-                assert (a.theorem_id, a.verdict, a.failing_indices, a.equality_indices()) == (
-                    b.theorem_id, b.verdict, b.failing_indices, b.equality_indices())
-                for ra, rb in zip(a.per_index, b.per_index, strict=True):
-                    assert abs(ra.margin - rb.margin) <= a.tolerance
-            for name, check in ALL_RIGIDITY.items():
-                assert _report_outcome(check, g) == _report_outcome(check, h), name
+        for scaled in (None, "weights", "measure"):
+            for g, certs in zip(corpus, corpus_certificates):
+                if scaled is not None:
+                    g = _scaled(g, 1e-4, scaled)
+                    certs = run_all(g)
+                h = _relabelled(g, rng)
+                for a, b in zip(certs, run_all(h)):
+                    assert (a.theorem_id, a.verdict, a.failing_indices,
+                            a.equality_indices()) == (b.theorem_id, b.verdict,
+                                                      b.failing_indices, b.equality_indices())
+                    for ra, rb in zip(a.per_index, b.per_index, strict=True):
+                        assert abs(ra.margin - rb.margin) <= a.tolerance
+                for name, check in ALL_RIGIDITY.items():
+                    assert _report_outcome(check, g) == _report_outcome(check, h), (name, scaled)

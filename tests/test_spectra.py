@@ -17,7 +17,6 @@ from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 from graphspec.spectra import (
     ConvergenceError,
     eigensolve,
-    spectral_radius,
     spectrum,
     weighted_singular_values,
 )
@@ -131,12 +130,6 @@ class TestSingularValues:
             s2 = weighted_singular_values(g).singular_values ** 2
             assert s2.min() >= 0.0
             assert s2.max() <= boundary_degree_vector(g).max() + 1e-9
-
-
-def test_spectral_radius():
-    g = path_graph(3, boundary=[0, 2])
-    spec = eigensolve(full_laplacian(g))
-    assert spectral_radius(spec) == pytest.approx(3.0, abs=1e-12)
 
 
 def record_calls(monkeypatch, fn, record):
