@@ -405,9 +405,8 @@ def certify_lichnerowicz(
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
     if variant.endswith("-interior"):
         bound = _curvature_bound(interior_subgraph(graph), variant, n, tol)
-        nu2 = float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])
-        lam2 = float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])
-        lhs = [nu2, lam2]
+        lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1]),
+               float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
         rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
     else:
         bound = _curvature_bound(graph, variant, n, tol)
