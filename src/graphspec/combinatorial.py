@@ -18,6 +18,7 @@ from .graph import (
     WeightedBoundaryGraph,
     boundary_degree_vector,
     component_count,
+    degree_vector,
     interior_subgraph,
 )
 from .spectra import spectrum, symmetric_eigh, weighted_singular_values
@@ -92,7 +93,7 @@ def fiedler_bounds(
         ]
     names, lhs, rhs = zip(*items) if items else ((), (), ())
     return certificate(
-        "FiedlerType", graph, tol, lhs, rhs,
+        "FiedlerType", degree_vector(graph)[graph.interior], tol, lhs, rhs,
         extra={"items": list(names), "e_graph": e_g, "e_interior": e_om},
     )
 
@@ -156,6 +157,6 @@ def friedman_bounds(
             ]
     names, lhs, rhs = zip(*items) if items else ((), (), ())
     return certificate(
-        "FriedmanType", graph, tol, lhs, rhs,
+        "FriedmanType", degree_vector(graph)[graph.interior], tol, lhs, rhs,
         extra={"items": list(names), "interior_connected": interior_connected},
     )

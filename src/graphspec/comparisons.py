@@ -3,16 +3,16 @@
 Each certificate records, index by index, the two sides of one comparison
 inequality together with its margin.  Every certificate, the five
 comparisons here as well as the Fiedler-, Friedman- and Lichnerowicz-type
-bounds, is built by ``certificate``, which derives ``tol_abs = tol * max
-Deg`` from the graph compared.  Every eigenvalue of every operator of the
-graph lies within 2 max Deg of 0, the bound ``validate`` keeps finite, and
-scaling the weights by t (or the measure by 1/t) multiplies the spectra
-and max Deg alike, so the tolerance is unit-free.  A certificate Holds when
-every margin is at least ``-tol_abs``; an index is an equality
-(``IndexRecord.equal``) at the same ``tol_abs``.  The rigidity
-cross-checks follow one rule: they read these ``equal`` flags and compare
-eigenvalue bounds at the certificate's ``tolerance``, never at a threshold
-of their own.
+bounds, is built by ``certificate`` with ``tol_abs = tol * max Deg`` over
+the vertices the compared values come from: Omega for the Dirichlet,
+Neumann and interior spectra (a boundary vertex's Deg never reaches them),
+every vertex once the full Laplacian or the whole graph's curvature
+enters.  Those values lie within 2 max Deg of 0 and scale with it, so the
+tolerance is unit-free.  A certificate Holds when every margin is at least
+``-tol_abs``; an index is an equality (``IndexRecord.equal``) at the same
+``tol_abs``.  The rigidity cross-checks follow one rule: they read these
+``equal`` flags and compare eigenvalue bounds at the certificate's
+``tolerance``, never at a threshold of their own.
 """
 
 from __future__ import annotations
@@ -60,16 +60,17 @@ class ComparisonCertificate:
 
 
 def certificate(
-    theorem_id: str, graph: WeightedBoundaryGraph, tol: float, lhs, rhs, upper=None, extra=None
+    theorem_id: str, degrees, tol: float, lhs, rhs, upper=None, extra=None
 ) -> ComparisonCertificate:
     """The certificate of ``lhs_i >= rhs_i`` at every index, or, when ``upper``
     is given, of ``lhs_i <= rhs_i <= upper_i``, whose records then hold the
     lower bound as ``lhs`` and the upper one as ``rhs``.  The tolerance is
-    ``tol * max Deg`` of ``graph``, positive on every valid graph.
+    ``tol * max(degrees)``, over the Deg of the vertices the compared values
+    come from, positive on every valid graph.
 
     A two-sided margin is the distance to the nearer bound, and equality
     means the interval degenerates onto the value (both bounds active)."""
-    tol_abs = tol * float(degree_vector(graph).max())
+    tol_abs = tol * float(degrees.max())
     records = []
     if upper is None:
         for i, (a, b) in enumerate(zip(lhs, rhs), start=1):
@@ -100,7 +101,7 @@ def compare_neumann_laplacian(
     nu = spectrum(graph, "NeumannLaplacian")
     mu = spectrum(graph, "FullLaplacian")
     k = nu.eigenvalues.size
-    return certificate("NeuVsLap", graph, tol, nu.eigenvalues, mu.eigenvalues[:k])
+    return certificate("NeuVsLap", degree_vector(graph), tol, nu.eigenvalues, mu.eigenvalues[:k])
 
 
 def compare_dirichlet_interior(
@@ -111,7 +112,7 @@ def compare_dirichlet_interior(
     mu_om = spectrum(graph, "InteriorLaplacian")
     deg_b = boundary_degree_vector(graph)
     return certificate(
-        "DiriVsInteriorTwoSided", graph, tol,
+        "DiriVsInteriorTwoSided", degree_vector(graph)[graph.interior], tol,
         mu_om.eigenvalues + deg_b.min(), lam.eigenvalues, mu_om.eigenvalues + deg_b.max(),
     )
 
@@ -122,7 +123,8 @@ def compare_neumann_interior(
     """nu_i >= mu_i(Omega)."""
     nu = spectrum(graph, "NeumannLaplacian")
     mu_om = spectrum(graph, "InteriorLaplacian")
-    return certificate("NeuVsInterior", graph, tol, nu.eigenvalues, mu_om.eigenvalues)
+    return certificate("NeuVsInterior", degree_vector(graph)[graph.interior], tol,
+                       nu.eigenvalues, mu_om.eigenvalues)
 
 
 def compare_dirichlet_neumann(
@@ -133,7 +135,7 @@ def compare_dirichlet_neumann(
     nu = spectrum(graph, "NeumannLaplacian")
     sing = weighted_singular_values(graph)
     return certificate(
-        "DiriVsNeuTwoSided", graph, tol,
+        "DiriVsNeuTwoSided", degree_vector(graph)[graph.interior], tol,
         nu.eigenvalues + sing.s1_squared, lam.eigenvalues, nu.eigenvalues + sing.smax_squared,
         {"s1_squared": sing.s1_squared, "smax_squared": sing.smax_squared},
     )
@@ -146,7 +148,7 @@ def compare_laplacian_dirichlet(
     lam = spectrum(graph, "DirichletLaplacian")
     mu = spectrum(graph, "FullLaplacian")
     nb = graph.boundary.size
-    cert = certificate("LapVsDiri", graph, tol, mu.eigenvalues[nb:], lam.eigenvalues)
+    cert = certificate("LapVsDiri", degree_vector(graph), tol, mu.eigenvalues[nb:], lam.eigenvalues)
     # equality at every index is impossible; surface it rather than pass it
     full_equality = cert.all_equal()
     return replace(

@@ -403,18 +403,18 @@ def certify_lichnerowicz(
     if graph.interior.size < 2:
         raise NotApplicable("nu_2 and lambda_2 do not exist (singleton interior)")
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"
-    if variant.endswith("-interior"):
-        bound = _curvature_bound(interior_subgraph(graph), variant, n, tol)
+    interior = variant.endswith("-interior")
+    degrees = degree_vector(graph)[graph.interior] if interior else degree_vector(graph)
+    bound = _curvature_bound(interior_subgraph(graph) if interior else graph, variant, n, tol)
+    if interior:
         lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1]),
                float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
         rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
-    else:
-        bound = _curvature_bound(graph, variant, n, tol)
-        if variant.endswith("-nu2"):
-            lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])]
-            rhs = [bound]
-        else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
-            lhs = [float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
-            rhs = [bound + weighted_singular_values(graph).s1_squared]
-    return certificate(theorem_id, graph, tol, lhs, rhs,
+    elif variant.endswith("-nu2"):
+        lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])]
+        rhs = [bound]
+    else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
+        lhs = [float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
+        rhs = [bound + weighted_singular_values(graph).s1_squared]
+    return certificate(theorem_id, degrees, tol, lhs, rhs,
                        extra={"variant": variant, "bound": bound})

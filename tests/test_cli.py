@@ -18,6 +18,7 @@ from graphspec.fixtures import complete_bipartite, path_graph, random_graph
 from graphspec.graph import (
     NotApplicable,
     WeightedBoundaryGraph,
+    degree_vector,
     interior_subgraph,
     save,
     to_json_dict,
@@ -420,7 +421,7 @@ class TestExitCodes:
 
     def test_random_audit_lists_failures(self, capsys, monkeypatch):
         def fails_at_index_1(graph, tol):
-            return certificate("LapVsDiri", graph, tol, [0.0], [1.0])
+            return certificate("LapVsDiri", degree_vector(graph), tol, [0.0], [1.0])
 
         monkeypatch.setitem(comparisons.ALL_COMPARISONS, "LapVsDiri", fails_at_index_1)
         code, out = run(capsys, ["random-audit", "--n", "3", "--seed", "42"])
@@ -433,7 +434,7 @@ class TestExitCodes:
 
     def test_random_audit_lists_lichnerowicz_failures(self, capsys, monkeypatch):
         def fails(graph, variant, n, tol):
-            return certificate("LichnerowiczBE", graph, tol, [0.0], [1.0])
+            return certificate("LichnerowiczBE", degree_vector(graph), tol, [0.0], [1.0])
 
         monkeypatch.setattr(cli, "certify_lichnerowicz", fails)
         code, out = run(capsys, ["random-audit", "--n", "2", "--seed", "42", "--curvature"])

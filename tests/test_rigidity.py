@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphspec.comparisons import EQUALITY_TOL, run_all
+from graphspec.comparisons import EQUALITY_TOL, compare_dirichlet_interior, run_all
 from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import (
     complete_bipartite,
@@ -139,6 +139,18 @@ class TestDirichletInterior:
     def test_corpus_biconditional(self, corpus):
         for g in corpus:
             assert check_dirichlet_interior_rigidity(g).consistent
+
+    def test_small_boundary_measure_keeps_interior_tolerance(self):
+        # m_0 = 1e-8 makes Deg(0) = 1e8, but lambda, mu(Omega) and Deg_b do not
+        # see m_0; a tolerance sized by Deg(0) (10 here) would call every
+        # index equal and contradict the nonconstant Deg_b = (1, 0)
+        g = path_graph(3, boundary=[0], measure=[1e-8, 1.0, 1.0])
+        cert = compare_dirichlet_interior(g, EQUALITY_TOL)
+        assert cert.tolerance == EQUALITY_TOL * 2.0  # max Deg over Omega
+        assert cert.equality_indices() == ()
+        report = check_dirichlet_interior_rigidity(g)
+        assert not report.conclusion and not report.equality_observed
+        assert report.consistent
 
 
 class TestNeumannInterior:
@@ -392,6 +404,32 @@ class TestScaleInvariance:
                 bound = got.extra["bound"]
                 assert abs(bound - t * want.extra["bound"]) <= got.tolerance, variant
         assert applicable > 0
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-4, 1e4])
+    def test_boundary_measure_leaves_interior_results(self, scale_base, lichnerowicz_base, t):
+        # the Dirichlet, Neumann and interior spectra, Deg_b and the interior's
+        # curvature do not depend on the boundary measures, so neither may the
+        # certificates and characterizations built from them alone, tolerance
+        # included, however large the boundary's own Deg becomes
+        interior_only = ["DiriVsInteriorTwoSided", "NeuVsInterior", "DiriVsNeuTwoSided"]
+        for k, (g, base) in enumerate(scale_base):
+            m = g.measure.copy()
+            m[g.boundary] *= t
+            h = WeightedBoundaryGraph(measure=m, weights=g.weights, boundary=g.boundary)
+            want = {c.theorem_id: c for c in run_all(g, EQUALITY_TOL)}
+            got = {c.theorem_id: c for c in run_all(h, EQUALITY_TOL)}
+            for name in interior_only:
+                a, b = want[name], got[name]
+                assert (b.verdict, b.failing_indices, b.equality_indices(), b.tolerance) == (
+                    a.verdict, a.failing_indices, a.equality_indices(), a.tolerance), name
+                assert _outcome(ALL_RIGIDITY[name], h) == base[name], name
+            if k < len(lichnerowicz_base):
+                for variant in ("be-interior", "ollivier-interior"):
+                    a, b = lichnerowicz_base[k][1][variant], _lichnerowicz(h, variant)
+                    assert (a is None) == (b is None), variant
+                    if a is not None:
+                        assert (b.verdict, b.failing_indices, b.tolerance) == (
+                            a.verdict, a.failing_indices, a.tolerance), variant
 
 
 def _relabelled(graph, rng):
