@@ -33,7 +33,8 @@ Two notions of curvature are computed on a plain weighted connected graph:
   exactly each sender's excess, and what is left is to choose the
   sender-receiver pairs that gain (by 1 or 2 per unit) by shipping direct
   instead: a bipartite max-gain problem whose totally unimodular dual is
-  a minimum s-t cut, so the gain is a maximum flow (see
+  a minimum s-t cut, so the gain is a maximum flow on a bipartite
+  network, found from a one-pass start by shortest augmenting paths (see
   ``ollivier_curvature``).
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def bakry_emery_curvature_at(
 
 def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureResult:
     """Curvature-dimension constants K(x, n) at every vertex."""
-    if n != float("inf") and n <= 1:
+    if not n > 1.0:
         raise ValueError("dimension parameter must exceed 1 (or be inf)")
     _require_connected(graph)
     per = {x: bakry_emery_curvature_at(graph, x, n) for x in range(graph.vertex_count)}
@@ -199,20 +199,22 @@ def ollivier_curvature(
     so it is totally unimodular, and with integral gains its dual
     ``min sum |c_v| p_v + sum c_w q_w`` over ``p, q >= 0`` with
     ``p_v + q_w >= g_vw`` has an optimum with ``p, q`` in {0, 1, 2}
-    (Schrijver, Combinatorial Optimization, 2003).  Split sender ``v``
-    into ``v1``, ``v2``, each fed from the source at capacity ``|c_v|``,
-    and receiver ``w`` into ``w1``, ``w2``, each draining to the sink at
-    ``c_w``; add unbounded arcs ``v1 -> v2``, ``w2 -> w1``, ``v1 -> w1``
-    for a gaining pair and also ``v2 -> w1``, ``v1 -> w2`` if it gains 2.
-    The finite cuts are the feasible ``p, q``: ``v1`` (``v2``) is on the
-    sink side where ``p_v >= 1`` (2), ``w1`` (``w2``) on the source side
-    where ``q_w >= 1`` (2), and the cut costs the dual objective, so the
-    maximum gain is the value of a maximum flow.
-
-    The pair arcs are handed over with those of the pairs that gain 2
-    first, so the flow's feasible start (see ``_max_flow``) fills the pairs
-    that gain most before the rest; Dinic's phases reroute whatever the
-    start left short, so the maximum, and with it kappa, stays exact.
+    (Schrijver, Combinatorial Optimization, 2003).  Split sender ``v`` into
+    ``v1``, ``v2``, each fed from the source at capacity ``|c_v|``, and
+    receiver ``w`` into ``w1``, ``w2``, each draining to the sink at
+    ``c_w``.  A gaining pair gives the unbounded arc ``v1 -> w1``, and a
+    pair that gains 2 also ``v2 -> w1`` and ``v1 -> w2``.  With unbounded
+    arcs ``v1 -> v2`` and ``w2 -> w1`` added, the finite cuts would be
+    exactly the feasible ``p, q``: ``v1`` (``v2``) on the sink side where
+    ``p_v >= 1`` (2), ``w1`` (``w2``) on the source side where ``q_w >= 1``
+    (2), each cut costing the dual objective.  A minimum cut never needs
+    those two arcs, so the network is bipartite, from sender copies to
+    receiver copies.  In a finite cut, the heads of the arcs out of a
+    source-side ``v1`` are on the source side, and they include the heads of
+    ``v2``'s arcs, so ``v2`` can join ``v1`` there at no cost.  Likewise the
+    tails of the arcs into a sink-side ``w1`` are on the sink side and
+    include the tails of ``w2``'s arcs, so ``w2`` can join ``w1`` there.  So
+    the maximum gain is the value of a maximum flow (``_max_gain``).
 
     The code works in units of ``scale``, a power of two near
     ``Deg(x) + Deg(y)``: it divides the objective row by ``scale`` before
@@ -239,102 +241,78 @@ def ollivier_curvature(
     fill = dx[recv] - 1.0 - dy[recv]  # b_w: take from x
     value = float(supply @ outlet + demand @ fill)
     gain = dy[send][:, None] + dx[recv] - 1.0 - dist[np.ix_(free[send], free[recv])]
-    v, w = np.nonzero(gain > 0.0)
-    if v.size:
-        # source 0, v1 and v2 of each sender, w1 and w2 of each receiver, sink
-        ns, nr, inf = supply.size, demand.size, math.inf
-        sink = 2 * (ns + nr) + 1
-        arcs = []
-        for i, cap in enumerate(supply.tolist(), 1):
-            arcs += [(0, i, cap), (0, i + ns, cap), (i, i + ns, inf)]
-        for j, cap in enumerate(demand.tolist(), 1 + 2 * ns):
-            arcs += [(j, sink, cap), (j + nr, sink, cap), (j + nr, j, inf)]
-        # the arcs of the pairs that gain 2 first, as the flow's start
-        # pushes in arc order
-        v1, w1, two = 1 + v, 1 + 2 * ns + w, gain[v, w] > 1.0
-        for tails, heads in ((v1[two] + ns, w1[two]), (v1[two], w1[two] + nr), (v1, w1)):
-            arcs += zip(tails.tolist(), heads.tolist(), repeat(inf))
-        value -= _max_flow(sink + 1, arcs)
+    if (gain > 0.0).any():
+        value -= _max_gain(supply, demand, gain)
     return scale * (const - value)
 
 
-def _max_flow(node_count: int, arcs: list) -> float:
-    """Value of a maximum flow from node 0 to node ``node_count - 1`` along
-    ``(tail, head, capacity)`` arcs, by Dinic's algorithm started from a
-    feasible flow.
+def _max_gain(supply: np.ndarray, demand: np.ndarray, gain: np.ndarray) -> float:
+    """Maximum of ``sum gain_vw t_vw`` over ``t >= 0`` with row sums at most
+    ``supply`` and column sums at most ``demand`` (gains at most 2): the
+    value of a maximum flow on the network of ``ollivier_curvature``.
 
-    The start is one pass over the arcs in the order given: an arc whose
-    tail is fed from the source and whose head drains to the sink closes a
-    path source -> tail -> head -> sink, and the pass pushes along it what
-    is left on its three arcs.  The reverse capacities are set as in any
-    augmentation, so the residual network is that of a feasible flow, and
-    Dinic's phases (breadth-first levels, then augmenting paths kept on an
-    explicit stack, so the depth is not bounded by the recursion limit)
-    reroute it through them to a maximum: a flow is maximum exactly when
-    its residual network has no source-sink path, whatever flow it started
-    from.  Every source-sink path needs a finite arc, and every push, in
-    the start or in an augmentation, leaves its bottleneck at exactly 0.
+    Sender copies are ``v2 = v`` and ``v1 = ns + v``, receiver copies
+    ``w2 = w`` and ``w1 = nr + w``; the state is the supply or demand each
+    copy has left and the flow on each arc.  A one-pass start pushes along
+    the arcs in turn, those of the pairs that gain 2 first (``v2 -> w1``,
+    ``v1 -> w2``, then every ``v1 -> w1``).  Then each breadth-first search
+    from the receiver copies with demand left levels the copies by their
+    distance to the sink, and the shortest augmenting path (Edmonds and
+    Karp, J. ACM 1972) runs down the levels from a sender copy with supply
+    left, forward along an arc and backward along one that carries flow.
+    It takes the first copy in index order at each step, and the first
+    sender, ``v1`` before ``v2``, at the start: that fixes which path is
+    taken, and so the rounding of the total.  The flow is maximum once no
+    path is left.  Every push leaves its bottleneck (a supply, a demand or
+    a flow carried backward) at exactly 0, since ``a - a == 0`` in floating
+    point, so as in exact arithmetic the distance to the sink never falls
+    and at most copies times arcs paths are pushed.
     """
-    sink = node_count - 1
-    tails, heads, caps = zip(*arcs)
-    to = [0] * (2 * len(arcs))  # arc e and its reverse e ^ 1
-    to[::2], to[1::2] = heads, tails
-    cap = [0.0] * (len(to) + 1)  # and a spare slot, of capacity 0
-    cap[:-1:2] = caps
-    out = [[] for _ in range(node_count)]
-    for e, (tail, head, _c) in enumerate(arcs):
-        out[tail].append(2 * e)
-        out[head].append(2 * e + 1)
-    # each node's residual arc from the source and to the sink, or the spare
-    fed, drained = [len(to)] * node_count, [len(to)] * node_count
-    for e in out[0]:
-        fed[to[e]] = e
-    for e in out[sink]:
-        drained[to[e]] = e ^ 1
-    total = 0.0
-    for e, (tail, head, _c) in enumerate(arcs):
-        f = fed[tail]
-        if cap[f] > 0.0:
-            d = drained[head]
-            if cap[d] > 0.0:
-                push = min(cap[f], cap[2 * e], cap[d])
-                for a in (f, 2 * e, d):
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                total += push
+    ns, nr = gain.shape
+    one, two = gain > 0.0, gain > 1.0
+    arcs = np.zeros((2 * ns, 2 * nr), dtype=bool)
+    arcs[:ns, nr:] = arcs[ns:, :nr] = two
+    arcs[ns:, nr:] = one
+    flow, total = np.zeros(arcs.shape), 0.0
+    left, right = supply.tolist() * 2, demand.tolist() * 2
+    # the arcs block by block, v2 -> w1, v1 -> w2, then v1 -> w1, each by rows
+    tc, hc, v, w = arcs.reshape(2, ns, 2, nr).transpose(0, 2, 1, 3).nonzero()
+    for t, h in zip((tc * ns + v).tolist(), (hc * nr + w).tolist()):
+        if left[t] > 0.0 and right[h] > 0.0:
+            push = min(left[t], right[h])
+            left[t] -= push
+            right[h] -= push
+            flow[t, h] = push
+            total += push
     while True:
-        level, queue = [0] + [-1] * sink, [0]
-        for u in queue:
-            for e in out[u]:
-                if cap[e] > 0.0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[sink] < 0:
-            return total
-        cursor, path, u = [0] * node_count, [], 0
+        fed, supplied = flow > 0.0, np.array(left) > 0.0
+        receivers, senders = [np.array(right) > 0.0], []
+        reached, seen = receivers[0], np.zeros(2 * ns, dtype=bool)
         while True:
-            if u == sink:
-                push = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= push
-                    cap[e ^ 1] += push
-                total += push
-                # resume from the tail of the first saturated arc
-                k = next(k for k, e in enumerate(path) if cap[e] == 0.0)
-                u = to[path[k] ^ 1]
-                del path[k:]
-            elif cursor[u] < len(out[u]):
-                e = out[u][cursor[u]]
-                if cap[e] > 0.0 and level[to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = to[e]
-                else:
-                    cursor[u] += 1
-            elif path:  # dead end: retreat and skip the arc that led here
-                u = to[path.pop() ^ 1]
-                cursor[u] += 1
-            else:
+            new = arcs @ receivers[-1] & ~seen
+            starts = new & supplied
+            if np.count_nonzero(starts):
                 break
+            back = new @ fed & ~reached
+            if not np.count_nonzero(back):
+                return total
+            seen, reached = seen | new, reached | back
+            senders.append(new)
+            receivers.append(back)
+        # the first sender with a start, its v1 copy before its v2 copy
+        v, copy = divmod(int(starts.reshape(2, ns)[::-1].T.argmax()), 2)
+        ts, hs = [v + ns * (1 - copy)], []
+        for k in range(len(receivers) - 1, -1, -1):
+            hs.append(int((receivers[k] & arcs[ts[-1]]).argmax()))
+            if k:
+                ts.append(int((senders[k - 1] & fed[:, hs[-1]]).argmax()))
+        ts, hs = np.array(ts), np.array(hs)
+        push = float(min(left[ts[0]], right[hs[-1]], *flow[ts[1:], hs[:-1]]))
+        left[ts[0]] -= push
+        right[hs[-1]] -= push
+        flow[ts, hs] += push
+        flow[ts[1:], hs[:-1]] -= push
+        total += push
 
 
 def ollivier_curvature_all(graph: WeightedBoundaryGraph) -> CurvatureResult:

@@ -1,4 +1,12 @@
-"""Constructed fixtures for the equality characterizations.
+"""Constructed graphs for the tests: named small graphs, the equality-case
+recipes, and fixtures for the equality characterizations.
+
+The two recipe builders realize the explicit equality constructions: one
+produces graphs where every Neumann eigenvalue equals the corresponding
+full-graph eigenvalue (factorized boundary weights, light interior), the
+other produces graphs where the shifted full spectrum matches the Dirichlet
+spectrum at every index but one (factorized boundary weights, heavy
+interior with a prescribed number of components).
 
 For each biconditional theorem a positive builder produces a graph that
 satisfies the structural condition exactly, and the matching negative
@@ -9,8 +17,91 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphspec.fixtures import neumann_equality_recipe
-from graphspec.graph import WeightedBoundaryGraph, validate
+from graphspec.graph import WeightedBoundaryGraph, validate, volumes
+from graphspec.spectra import spectrum
+
+
+def path_graph(n: int, boundary=(), weights=None, measure=None) -> WeightedBoundaryGraph:
+    """Unit path v0 - v1 - ... - v(n-1); optional per-edge weights."""
+    d = np.ones(n - 1) if weights is None else np.asarray(weights, dtype=float)
+    w = np.diag(d, 1) + np.diag(d, -1)
+    m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
+    return WeightedBoundaryGraph(measure=m, weights=w, boundary=np.asarray(boundary, dtype=np.intp))
+
+
+def complete_bipartite(nb: int, nom: int, weight: float = 1.0) -> WeightedBoundaryGraph:
+    """K_{B,Omega} with unit measures and the boundary listed first
+    (vertices 0..nb-1)."""
+    n = nb + nom
+    w = np.zeros((n, n))
+    w[:nb, nb:] = weight
+    w[nb:, :nb] = weight
+    return WeightedBoundaryGraph(measure=np.ones(n), weights=w, boundary=np.arange(nb))
+
+
+def neumann_equality_recipe(nb: int, nom: int, rho: float = 1.0) -> WeightedBoundaryGraph:
+    """Graph on which nu_i = mu_i at every index.
+
+    Unit boundary measures, interior measures 2|B| / max(|Omega| - 1, 1),
+    which make V_Omega > V_B, boundary weights w_xy = rho m_x m_y for all
+    boundary-interior pairs, and a complete interior whose weights are
+    scaled down until the top interior eigenvalue is at most
+    rho (V_Omega - V_B).
+    """
+    interior_measure = 2.0 * nb / max(nom - 1, 1)
+    n = nb + nom
+    m = np.concatenate([np.ones(nb), np.full(nom, interior_measure)])
+    w = np.zeros((n, n))
+    w[:nb, nb:] = rho * m[:nb, None] * m[nb:]
+    w[nb:, :nb] = w[:nb, nb:].T
+    graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
+    v_omega, v_b, _ = volumes(graph)
+    budget = rho * (v_omega - v_b)
+    if nom >= 2:
+        # complete unit interior, then shrink until mu_top fits the budget
+        w_int = np.ones((nom, nom)) - np.eye(nom)
+        probe = WeightedBoundaryGraph(
+            measure=m[nb:], weights=w_int, boundary=np.array([], dtype=np.intp)
+        )
+        mu_top = spectrum(probe, "FullLaplacian").eigenvalues[-1]
+        interior_scale = 0.5 * budget / mu_top if mu_top > 0 else 1.0
+        w2 = w.copy()
+        w2[nb:, nb:] = interior_scale * w_int
+        graph = WeightedBoundaryGraph(measure=m, weights=w2, boundary=np.arange(nb))
+    validate(graph)
+    return graph
+
+
+def laplacian_dirichlet_recipe(j: int, nb: int, nom: int) -> WeightedBoundaryGraph:
+    """Graph on which mu_{i+|B|} = lambda_i at every index except j.
+
+    Interior split into j complete components with unit measures, all
+    boundary-interior pairs carry w_xy = m_x m_y (rho = 1), V_Omega <= V_B,
+    and the interior weights are scaled up until mu_{j+1}(Omega) >= V_Omega.
+    """
+    if not (1 <= j <= nom):
+        raise ValueError("need 1 <= j <= |Omega|")
+    boundary_measure = max(1.0, 1.5 * nom / nb)  # V_B > V_Omega with unit interior
+    n = nb + nom
+    m = np.concatenate([np.full(nb, boundary_measure), np.ones(nom)])
+    w = np.zeros((n, n))
+    w[:nb, nb:] = m[:nb, None] * m[nb:]
+    w[nb:, :nb] = w[:nb, nb:].T
+    # split interior vertices into j blocks, each a clique
+    label = np.repeat(np.arange(j), [b.size for b in np.array_split(np.arange(nom), j)])
+    clique = (label[:, None] == label) & ~np.eye(nom, dtype=bool)
+    w[nb:, nb:] = clique
+    graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
+    v_omega = volumes(graph)[0]
+    if j < nom:
+        mu = spectrum(graph, "InteriorLaplacian").eigenvalues
+        # j unit cliques leave exactly j zero eigenvalues, so mu[j] >= 2 > 0
+        scale = 2.0 * v_omega / float(mu[j])
+        w2 = w.copy()
+        w2[nb:, nb:] = scale * clique
+        graph = WeightedBoundaryGraph(measure=m, weights=w2, boundary=np.arange(nb))
+    validate(graph)
+    return graph
 
 
 def random_connected_weights(rng: np.random.Generator, n: int) -> np.ndarray:

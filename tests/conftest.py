@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 
 from graphspec.comparisons import run_all
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
+
+from builders import complete_bipartite, path_graph
 
 AUDIT_SEED = 42
 AUDIT_SIZE = 200

@@ -26,12 +26,7 @@ from graphspec.curvature import (
     certify_lichnerowicz,
     ollivier_curvature,
 )
-from graphspec.fixtures import (
-    laplacian_dirichlet_recipe,
-    neumann_equality_recipe,
-    path_graph,
-    random_graph,
-)
+from graphspec.fixtures import random_graph
 from graphspec.graph import boundary_degree_vector, interior_subgraph
 from graphspec.operators import (
     dirichlet_laplacian,
@@ -47,7 +42,12 @@ from graphspec.rigidity import (
 )
 from graphspec.spectra import eigensolve, weighted_singular_values
 
-from builders import BICONDITIONAL_BUILDERS
+from builders import (
+    BICONDITIONAL_BUILDERS,
+    laplacian_dirichlet_recipe,
+    neumann_equality_recipe,
+    path_graph,
+)
 from conftest import AUDIT_MAX_V, AUDIT_SEED, AUDIT_SIZE
 from oracle import cut_bruteforce, eigen_bruteforce, normal_derivative, ollivier_bruteforce
 from test_spectra import random_operator

@@ -14,7 +14,7 @@ from graphspec.cli import dumps_json, main
 from graphspec.combinatorial import fiedler_bounds, friedman_bounds
 from graphspec.comparisons import certificate, run_all
 from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
 from graphspec.graph import (
     NotApplicable,
     WeightedBoundaryGraph,
@@ -25,6 +25,7 @@ from graphspec.graph import (
 )
 from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 
+from builders import complete_bipartite, path_graph
 from oracle import dumps_json_reference
 
 

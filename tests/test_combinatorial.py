@@ -12,11 +12,12 @@ from graphspec.combinatorial import (
     path_dirichlet_value,
     stoer_wagner_min_cut,
 )
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, interior_subgraph
 from graphspec.operators import full_laplacian
 from graphspec.spectra import eigensolve
 
+from builders import complete_bipartite, path_graph
 from oracle import cut_bruteforce
 
 

@@ -10,8 +10,9 @@ from graphspec.comparisons import (
     compare_neumann_laplacian,
     run_all,
 )
-from graphspec.fixtures import path_graph
 from graphspec.graph import WeightedBoundaryGraph
+
+from builders import path_graph
 
 
 class TestP3TwoEnds:

@@ -16,11 +16,12 @@ from graphspec.curvature import (
     ollivier_curvature,
     ollivier_curvature_all,
 )
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, degree_vector
 from graphspec.operators import full_laplacian
 from graphspec.spectra import symmetric_eigh
 
+from builders import complete_bipartite, path_graph
 from oracle import (
     bakry_emery_by_polarization,
     bakry_emery_forms,
@@ -67,47 +68,23 @@ def cycle(n):
 
 
 def spy_flows(monkeypatch):
-    """Record (node_count, arcs) of every network the edge curvature hands
-    its max-flow helper."""
+    """Record (supply, demand, gain) of every gain problem the edge
+    curvature hands its max-gain solver."""
     flows = []
-    max_flow = curvature._max_flow
+    max_gain = curvature._max_gain
 
-    def spy(node_count, arcs):
-        flows.append((node_count, list(arcs)))
-        return max_flow(node_count, arcs)
+    def spy(supply, demand, gain):
+        flows.append((supply, demand, gain))
+        return max_gain(supply, demand, gain)
 
-    monkeypatch.setattr(curvature, "_max_flow", spy)
+    monkeypatch.setattr(curvature, "_max_gain", spy)
     return flows
 
 
 def gains_two(flow):
-    """Whether a network has a pair that gains 2: an arc out of a v2 node.
-    Nodes are the source 0, v1 and v2 of each sender, w1 and w2 of each
-    receiver, and the sink."""
-    _node_count, arcs = flow
-    senders = sum(tail == 0 for tail, _head, _cap in arcs) // 2
-    return any(senders < tail <= 2 * senders and head > 2 * senders
-               for tail, head, _cap in arcs)
-
-
-def gain_network(supply, demand, gains):
-    """(node_count, arcs) of the maximum-gain network in the layout the
-    edge curvature uses: the source 0, v1 and v2 of each sender, w1 and w2
-    of each receiver, and the sink; the arcs of the pairs that gain 2
-    first."""
-    ns, nr, inf = len(supply), len(demand), math.inf
-    sink = 2 * (ns + nr) + 1
-    arcs = []
-    for i, cap in enumerate(supply, 1):
-        arcs += [(0, i, cap), (0, i + ns, cap), (i, i + ns, inf)]
-    for j, cap in enumerate(demand, 1 + 2 * ns):
-        arcs += [(j, sink, cap), (j + nr, sink, cap), (j + nr, j, inf)]
-    pairs = [(1 + v, 1 + 2 * ns + w, g) for v, row in enumerate(gains)
-             for w, g in enumerate(row) if g > 0]
-    arcs += [(i + ns, j, inf) for i, j, g in pairs if g == 2]
-    arcs += [(i, j + nr, inf) for i, j, g in pairs if g == 2]
-    arcs += [(i, j, inf) for i, j, _g in pairs]
-    return sink + 1, arcs
+    """Whether a gain problem has a pair that gains 2."""
+    _supply, _demand, gain = flow
+    return bool((gain > 1.0).any())
 
 
 CAPACITIES = st.one_of(st.integers(1, 4).map(float),
@@ -119,34 +96,32 @@ class TestMaxFlow:
     @given(st.data())
     def test_matches_the_dual_on_random_gain_networks(self, data):
         ns, nr = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        supply = data.draw(st.lists(CAPACITIES, min_size=ns, max_size=ns))
-        demand = data.draw(st.lists(CAPACITIES, min_size=nr, max_size=nr))
-        gains = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=nr, max_size=nr),
-                                   min_size=ns, max_size=ns))
+        supply = np.array(data.draw(st.lists(CAPACITIES, min_size=ns, max_size=ns)))
+        demand = np.array(data.draw(st.lists(CAPACITIES, min_size=nr, max_size=nr)))
+        gains = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=nr, max_size=nr),
+                                            min_size=ns, max_size=ns)), dtype=float)
         want = gain_dual_bruteforce(supply, demand, gains)
-        if not want:
-            return  # no gaining pair: the edge curvature builds no network
-        node_count, arcs = gain_network(supply, demand, gains)
-        tol = 1e-12 * max(sum(supply), sum(demand))
-        assert curvature._max_flow(node_count, arcs) == pytest.approx(want, abs=tol)
-        # the start pushes in arc order, and any order must end at the maximum
-        shuffled = data.draw(st.permutations(arcs))
-        assert curvature._max_flow(node_count, shuffled) == pytest.approx(want, abs=tol)
+        tol = 1e-12 * max(supply.sum(), demand.sum())
+        assert curvature._max_gain(supply, demand, gains) == pytest.approx(want, abs=tol)
+        # the start pushes in sender and receiver order, and any order must
+        # end at the maximum
+        senders = np.array(data.draw(st.permutations(range(ns))))
+        receivers = np.array(data.draw(st.permutations(range(nr))))
+        permuted = curvature._max_gain(supply[senders], demand[receivers],
+                                       gains[np.ix_(senders, receivers)])
+        assert permuted == pytest.approx(want, abs=tol)
 
     def test_repairs_a_start_that_is_not_maximum(self):
         # senders a, b and receivers u, w, each of size 1; a gains 1 with u
-        # and with w, b only with u.  The start pushes 1 along a1 -> u1,
-        # which uses up a's supply and saturates u1, the receiver that both
-        # senders reach, so b1 -> u1 and a1 -> w1 stay empty.  The maximum
-        # is 2 (a to w, b to u): Dinic must reroute a's unit through the
-        # reverse of a1 -> u1
-        node_count, arcs = gain_network([1.0, 1.0], [1.0, 1.0], [[1, 1], [1, 0]])
-        a1, b1, u1, w1 = 1, 2, 5, 6
-        pairs = [(tail, head) for tail, head, _cap in arcs if 0 < tail <= 4 < head]
-        assert pairs == [(a1, u1), (a1, w1), (b1, u1)]
-        want = gain_dual_bruteforce([1.0, 1.0], [1.0, 1.0], [[1, 1], [1, 0]])
+        # and with w, b only with u.  The start pushes 1 from a to u, which
+        # uses up a's supply and fills u, the receiver that both senders
+        # reach, so b to u and a to w stay empty.  The maximum is 2 (a to w,
+        # b to u): an augmenting path must reroute a's unit away from u
+        supply, demand = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+        gains = np.array([[1.0, 1.0], [1.0, 0.0]])
+        want = gain_dual_bruteforce(supply, demand, gains)
         assert want == 2.0
-        assert curvature._max_flow(node_count, arcs) == want
+        assert curvature._max_gain(supply, demand, gains) == want
 
 
 class TestBakryEmery:
@@ -174,6 +149,15 @@ class TestBakryEmery:
     def test_rejects_dimension_at_most_one(self):
         with pytest.raises(ValueError):
             bakry_emery_curvature(single_edge(), 1.0)
+
+    def test_rejects_nan_dimension(self):
+        # NaN compares false with everything, so it must fail the n > 1 test
+        # rather than reach the forms
+        g = path_graph(4, boundary=[0])
+        with pytest.raises(ValueError, match="must exceed 1"):
+            bakry_emery_curvature(g, float("nan"))
+        with pytest.raises(ValueError, match="must exceed 1"):
+            certify_lichnerowicz(g, "be-g-nu2", n=float("nan"))
 
     # exact K(x, inf) at every vertex of vertex-transitive unit graphs
     @pytest.mark.parametrize(
@@ -368,9 +352,9 @@ class TestOllivier:
                     assert kappa == pytest.approx(t * base[edge], abs=tol)
 
     def test_lp_has_one_row_per_free_ball_vertex(self, monkeypatch):
-        # one node pair per sender and per receiver, so at most one per free
-        # ball vertex, each fed from the source or draining to the sink with
-        # capacity |c_v| up to one power-of-two scale; x and y have none
+        # one supply per sender and one demand per receiver, so at most one
+        # per free ball vertex, each |c_v| up to one power-of-two scale; x and
+        # y have none
         flows = spy_flows(monkeypatch)
         g = random_graph(np.random.default_rng(16), 12)
         lap = -full_laplacian(g).matrix
@@ -384,18 +368,13 @@ class TestOllivier:
             c = (lap[v] - lap[u])[free]
             if not flows:
                 continue
-            (node_count, arcs), = flows
+            (supply, demand, gain), = flows
             senders, receivers = -c[c < 0], c[c > 0]
-            assert node_count == 2 + 2 * (senders.size + receivers.size)
-            sink = node_count - 1
-            ratio = next(cap for tail, _head, cap in arcs if tail == 0) / senders[0]
+            assert gain.shape == (senders.size, receivers.size)
+            ratio = supply[0] / senders[0]
             assert math.frexp(ratio)[0] == 0.5
-            fed = sorted((head, cap) for tail, head, cap in arcs if tail == 0)
-            drained = sorted((tail, cap) for tail, head, cap in arcs if head == sink)
-            assert fed == sorted(zip(range(1, 1 + 2 * senders.size),
-                                     np.tile(senders * ratio, 2).tolist()))
-            assert drained == sorted(zip(range(1 + 2 * senders.size, sink),
-                                         np.tile(receivers * ratio, 2).tolist()))
+            assert supply.tolist() == (senders * ratio).tolist()
+            assert demand.tolist() == (receivers * ratio).tolist()
             solved += 1
         assert solved > 0
 
@@ -430,27 +409,14 @@ class TestOllivier:
                     assert flows == []
                     free_edges += 1
                     continue
-                (node_count, arcs), = flows
-                ns, nr = senders.size, receivers.size
-                sink = node_count - 1
-                v1 = {v: 1 + i for i, v in enumerate(senders)}
-                v2 = {v: 1 + ns + i for i, v in enumerate(senders)}
-                w1 = {w: 1 + 2 * ns + j for j, w in enumerate(receivers)}
-                w2 = {w: 1 + 2 * ns + nr + j for j, w in enumerate(receivers)}
-                # the unbounded arcs: v1 -> v2, w2 -> w1, and one pair arc
-                # for a pair that gains 1, three for a pair that gains 2
-                links = [(v1[v], v2[v]) for v in senders] + [(w2[w], w1[w]) for w in receivers]
-                pairs = []
-                for v, w, gain in want:
-                    assert gain in (1, 2)
-                    pairs.append((v1[v], w1[w]))
-                    if gain == 2:
-                        pairs += [(v2[v], w1[w]), (v1[v], w2[w])]
-                unbounded = [(tail, head) for tail, head, cap in arcs if cap == math.inf]
-                assert sorted(unbounded) == sorted(links + pairs)
-                assert all(0.0 < cap < math.inf for tail, head, cap in arcs
-                           if tail == 0 or head == sink)
-                assert len(arcs) == len(unbounded) + 2 * (ns + nr)
+                (supply, demand, gain), = flows
+                assert gain.shape == (senders.size, receivers.size)
+                got = [(v, w, gain[i, j]) for i, v in enumerate(senders)
+                       for j, w in enumerate(receivers) if gain[i, j] > 0]
+                assert got == want
+                assert all(k in (1, 2) for _v, _w, k in got)
+                assert np.all((0.0 < supply) & (supply < math.inf))
+                assert np.all((0.0 < demand) & (demand < math.inf))
         assert free_edges > 0
         # K10: every free vertex is balanced, so there is no flow
         flows.clear()
@@ -487,6 +453,27 @@ class TestOllivier:
             for u, v, _w in g.edges():
                 assert ollivier_curvature(g, u, v) == pytest.approx(
                     ollivier_curvature(g, v, u), abs=tol)
+            done += 1
+
+    def test_relabelling_the_vertices_keeps_every_kappa(self):
+        # relabelling reorders the senders, the receivers and the pairs, so
+        # the start and the augmenting paths differ; no referee reaches
+        # balls this large, so kappa must agree with itself
+        rng = np.random.default_rng(22)
+        done = 0
+        while done < 3:
+            g = random_graph(rng, 49, weight_model="lognormal")
+            if g.vertex_count < 36:
+                continue
+            order = rng.permutation(g.vertex_count)  # new vertex i is old order[i]
+            label = np.argsort(order)  # old vertex v is new vertex label[v]
+            relabelled = WeightedBoundaryGraph(measure=g.measure[order],
+                                               weights=g.weights[np.ix_(order, order)],
+                                               boundary=label[g.boundary])
+            tol = 4e-13 * float(degree_vector(g).max())
+            for u, v, _w in g.edges():
+                assert ollivier_curvature(relabelled, label[u], label[v]) == pytest.approx(
+                    ollivier_curvature(g, u, v), abs=tol)
             done += 1
 
     def test_distant_pendant_does_not_change_edge_curvature(self):

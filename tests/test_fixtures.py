@@ -4,10 +4,11 @@ the total-support referee, and its graphs in the audit corpus."""
 import numpy as np
 
 from graphspec import fixtures
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
 from graphspec.graph import save, validate
 from graphspec.rigidity import check_corollary_normalized
 
+from builders import complete_bipartite, path_graph
 from oracle import total_support
 from test_cli import run
 

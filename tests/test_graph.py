@@ -21,8 +21,9 @@ from graphspec.graph import (
     validate,
     volumes,
 )
-from graphspec.fixtures import path_graph, random_graph
+from graphspec.fixtures import random_graph
 
+from builders import path_graph
 from oracle import hop_distances_bfs
 
 

@@ -10,8 +10,9 @@ from graphspec.operators import (
     neumann_laplacian,
     operator_by_label,
 )
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
 
+from builders import complete_bipartite, path_graph
 from oracle import neumann_by_extension, normal_derivative, self_adjointness_defect
 
 ALL_OPS = [full_laplacian, dirichlet_laplacian, neumann_laplacian, interior_laplacian]

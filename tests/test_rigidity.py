@@ -3,13 +3,7 @@ import pytest
 
 from graphspec.comparisons import EQUALITY_TOL, compare_dirichlet_interior, run_all
 from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
-from graphspec.fixtures import (
-    complete_bipartite,
-    laplacian_dirichlet_recipe,
-    neumann_equality_recipe,
-    path_graph,
-    random_graph,
-)
+from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, validate
 from graphspec.rigidity import (
     ALL_RIGIDITY,
@@ -25,7 +19,14 @@ from graphspec.rigidity import (
     detect_rho_factorization,
 )
 
-from builders import BICONDITIONAL_BUILDERS, rho_factorized_graph
+from builders import (
+    BICONDITIONAL_BUILDERS,
+    complete_bipartite,
+    laplacian_dirichlet_recipe,
+    neumann_equality_recipe,
+    path_graph,
+    rho_factorized_graph,
+)
 from oracle import quadratic_form_min_eig
 
 

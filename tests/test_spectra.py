@@ -20,8 +20,9 @@ from graphspec.spectra import (
     spectrum,
     weighted_singular_values,
 )
-from graphspec.fixtures import complete_bipartite, path_graph, random_graph
+from graphspec.fixtures import random_graph
 
+from builders import complete_bipartite, path_graph
 from oracle import DimensionTooLarge, eigen_bruteforce, self_adjointness_defect
 
 
