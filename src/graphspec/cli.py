@@ -127,24 +127,22 @@ _tolerance = _arg_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite
 _dimension = _arg_type(str, lambda t: float(t) > 1.0, "a number > 1 or 'inf'")
 
 
-def _load_graph(path, require_boundary=True):
+def _load_graph(args, require_boundary=True):
+    """The checked graph in ``args.graph``, and the sha256 of the bytes it
+    was parsed from: the file is read once."""
+    digest = hashlib.sha256()
     try:
-        graph = load(path)
+        graph = load(args.graph, digest)
         validate(graph, require_boundary=require_boundary)
-        return graph
+        return graph, digest.hexdigest()
     except (OSError, GraphFormatError, GraphValidationError) as exc:
         sys.stderr.write(f"invalid graph file: {exc}\n")
         raise SystemExit(4)
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _report(args, results, seed=None) -> dict:
+def _report(args, results, digest=None, seed=None) -> dict:
     return {
-        "graph_digest": _digest(args.graph) if getattr(args, "graph", None) else None,
+        "graph_digest": digest,
         "invocation": {"command": args.command, **{
             k: v for k, v in vars(args).items() if k not in {"command", "func"}
         }},
@@ -155,32 +153,32 @@ def _report(args, results, seed=None) -> dict:
 
 
 def cmd_validate(args) -> int:
-    _load_graph(args.graph)
-    print(dumps_json({"valid": True, "graph_digest": _digest(args.graph)}))
+    _, digest = _load_graph(args)
+    print(dumps_json({"valid": True, "graph_digest": digest}))
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args)
     out = {label: spectrum(graph, label).eigenvalues for label in BUILDERS}
-    print(dumps_json(_report(args, out)))
+    print(dumps_json(_report(args, out, digest)))
     return 0
 
 
 def cmd_dump_operator(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args)
     op = operator_by_label(graph, args.operator)
     out = {
         "label": op.label,
         "matrix": list(op.matrix),
         "inner_measure": op.inner_measure,
     }
-    print(dumps_json(_report(args, out)))
+    print(dumps_json(_report(args, out, digest)))
     return 0
 
 
 def cmd_compare(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args)
     if args.theorems == "all":
         names = list(ALL_COMPARISONS)
     else:
@@ -196,24 +194,24 @@ def cmd_compare(args) -> int:
             for r in cert.per_index:
                 print(f"  i={r.index:<3d} lhs={r.lhs:.12g} rhs={r.rhs:.12g} margin={r.margin:.3e}")
     else:
-        print(dumps_json(_report(args, certs)))
+        print(dumps_json(_report(args, certs, digest)))
     return 0 if all(c.holds for c in certs) else 2
 
 
 def cmd_certify(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args)
     checker = ALL_RIGIDITY[args.theorem]
     try:
         report = checker(graph, args.tol)
     except EqualityPatternUnsupported as exc:
-        print(dumps_json(_report(args, {"unsupported": str(exc)})))
+        print(dumps_json(_report(args, {"unsupported": str(exc)}, digest)))
         return 3
-    print(dumps_json(_report(args, report)))
+    print(dumps_json(_report(args, report, digest)))
     return 0 if report.conclusion else 2
 
 
 def cmd_curvature(args) -> int:
-    graph = _load_graph(args.graph, require_boundary=(args.on == "interior"))
+    graph, digest = _load_graph(args, require_boundary=(args.on == "interior"))
     target = interior_subgraph(graph) if args.on == "interior" else graph
     if args.kind == "be":
         result = bakry_emery_curvature(target, float(args.n))
@@ -223,15 +221,15 @@ def cmd_curvature(args) -> int:
         per = {f"{u},{v}": val for (u, v), val in result.per_location.items()}
     out = {"kind": result.kind, "dimension": result.dimension,
            "per_location": per, "global_min": result.global_min}
-    print(dumps_json(_report(args, out)))
+    print(dumps_json(_report(args, out, digest)))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args)
     bounds = fiedler_bounds if args.family == "fiedler" else friedman_bounds
     cert = bounds(graph, args.tol)
-    print(dumps_json(_report(args, cert)))
+    print(dumps_json(_report(args, cert, digest)))
     return 0 if cert.holds else 2
 
 

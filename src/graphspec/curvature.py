@@ -116,19 +116,24 @@ def bakry_emery_curvature_at(
     scale = 2.0 ** (math.frexp(op[x, x])[1] - 1)
     with np.errstate(all="ignore"):
         sub = -op[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
-        deg = -np.diag(sub)
-        p = sub + np.diag(deg)
+        deg = -sub.diagonal()
+        diagonal = slice(None, None, ball.size + 1)  # in a flattened 2-ball matrix
+        p = sub.copy()
+        p.flat[diagonal] += deg
         ell = sub[0]
         # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
         # p_xv (L_v - l) / 2
-        half_lap_gamma = 0.25 * (np.diag(p.T @ ell + ell * deg) - (ell[:, None] * p + p.T * ell))
+        half_lap_gamma = ell[:, None] * p
+        half_lap_gamma += p.T * ell
+        half_lap_gamma *= -0.25
+        half_lap_gamma.flat[diagonal] += 0.25 * (p.T @ ell + ell * deg)
         half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
         inv_n = 0.0 if math.isinf(n) else 1.0 / n
         q = half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T) - inv_n * np.outer(ell, ell)
         q = q[1:, 1:]  # f(x) = 0
         k = s1.size
         q12 = q[:k, k:]
-        schur = q[:k, :k] - (q12 / np.diag(q)[k:]) @ q12.T
+        schur = q[:k, :k] - (q12 / q.diagonal()[k:]) @ q12.T
         d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
         form = d[:, None] * schur * d
     # an entry of sub that overflows leaves a non-finite entry in q

@@ -15,6 +15,59 @@ NORMALIZE_ROUNDS = 500
 NORMALIZE_TOL = 1e-13
 
 
+def _perfect_matching(positive: np.ndarray):
+    """``col_of`` with ``positive[i, col_of[i]]`` for every row ``i`` and no
+    column twice, or ``None`` when the bipartite graph rows x columns of the
+    square boolean ``positive`` has no perfect matching.  Each row in turn is
+    matched along an augmenting path found by breadth-first search."""
+    n = positive.shape[0]
+    neighbours = [np.flatnonzero(row).tolist() for row in positive]
+    row_of, col_of = [-1] * n, [-1] * n
+    for root in range(n):
+        came_from, queue, free = {}, [root], -1
+        for row in queue:  # the queue grows as matched rows are reached
+            for col in neighbours[row]:
+                if col in came_from:
+                    continue
+                came_from[col] = row
+                if row_of[col] < 0:
+                    free = col
+                    break
+                queue.append(row_of[col])
+            if free >= 0:
+                break
+        if free < 0:
+            return None
+        col = free
+        while col >= 0:  # flip the path: each row takes the column it reached
+            row = came_from[col]
+            row_of[col], col_of[row], col = row, col, col_of[row]
+    return col_of
+
+
+def _has_total_support(weights: np.ndarray) -> bool:
+    """Whether every positive entry of square ``weights`` lies on a positive
+    diagonal, a permutation sigma with every ``weights[i, sigma(i)] > 0``.
+
+    Take one such sigma (a perfect matching).  An entry ``(i, sigma(k))``
+    lies on a positive diagonal exactly when it closes a cycle of the
+    digraph with an arc i -> k for each positive ``weights[i, sigma(k)]``,
+    that is when k reaches i (the Dulmage-Mendelsohn decomposition: no arc
+    joins two of its strong components)."""
+    positive = weights > 0.0
+    sigma = _perfect_matching(positive)
+    if sigma is None:
+        return False
+    arcs = positive[:, sigma]  # arcs[i, k]: row i meets the column matched to row k
+    reach = arcs.astype(float)
+    while True:  # square the reachability until it stops growing
+        longer = (reach @ reach > 0.0).astype(float)
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    return bool((reach.T > 0.0)[arcs].all())
+
+
 def _normalize_weights(measure, weights):
     """``weights`` rescaled to D w D with every weighted degree 1, or ``None``
     when the draw cannot be scaled.
@@ -26,12 +79,10 @@ def _normalize_weights(measure, weights):
 
     A symmetric nonnegative matrix has such a scaling only when it has total
     support (Csima-Datta, "The DAD theorem for symmetric non-negative
-    matrices", 1972).  The model's measure is 1, so a vertex with one
-    neighbour denies it: its one edge must weigh 1, which leaves 0 for its
-    neighbour's other edges, and a connected draw on three or more vertices
-    has some.  Such draws are rejected before iterating.
+    matrices", 1972), so a draw without it, such as any connected draw on
+    three or more vertices with a leaf, is rejected before iterating.
     """
-    if np.any(np.count_nonzero(weights, axis=1) == 1):
+    if not _has_total_support(weights):
         return None
     x = np.ones(measure.size)
     for _ in range(NORMALIZE_ROUNDS):

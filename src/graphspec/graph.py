@@ -175,57 +175,54 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     (a weighted degree that overflows, then one whose double does),
     EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
     """
-    w = graph.weights
-    bad_m = np.flatnonzero(~np.isfinite(graph.measure))
-    if bad_m.size:
-        raise GraphValidationError("NonfiniteValue", int(bad_m[0]))
-    bad_w = np.argwhere(~np.isfinite(w))
-    if bad_w.size:
-        u, v = bad_w[0]
-        raise GraphValidationError("NonfiniteValue", (int(u), int(v)))
-    diag = np.flatnonzero(np.diag(w) != 0.0)
-    if diag.size:
-        raise GraphValidationError("SelfLoop", int(diag[0]))
-    asym = np.argwhere(w != w.T)
-    if asym.size:
-        u, v = asym[0]
-        raise GraphValidationError("AsymmetricWeight", (int(u), int(v)))
-    neg = np.argwhere(w < 0.0)
-    if neg.size:
-        u, v = neg[0]
-        raise GraphValidationError("NegativeWeight", (int(u), int(v)))
-    bad_m = np.flatnonzero(graph.measure <= 0.0)
-    if bad_m.size:
-        raise GraphValidationError("NonpositiveMeasure", int(bad_m[0]))
+    m, w = graph.measure, graph.weights
+    if not np.isfinite(m).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(m)))
+    if not np.isfinite(w).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(w)))
+    if w.diagonal().any():
+        raise GraphValidationError("SelfLoop", _first(w.diagonal() != 0.0))
+    if not (w == w.T).all():
+        raise GraphValidationError("AsymmetricWeight", _first(w != w.T))
+    if (w < 0.0).any():
+        raise GraphValidationError("NegativeWeight", _first(w < 0.0))
+    if not (m > 0.0).all():
+        raise GraphValidationError("NonpositiveMeasure", _first(m <= 0.0))
     # finite entries can still overflow, e.g. a weight of 1e300 over a measure
     # of 1e-320; every eigenvalue and curvature is at most 2 max Deg, so that
     # must be finite too
     with np.errstate(over="ignore"):
-        deg = w.sum(axis=1) / graph.measure
-        for bound in (deg, 2.0 * deg):
-            bad_deg = np.flatnonzero(~np.isfinite(bound))
-            if bad_deg.size:
-                raise GraphValidationError("NonfiniteValue", int(bad_deg[0]))
+        row_sums = w.sum(axis=1)
+        deg = row_sums / m
+        if not np.isfinite(2.0 * deg).all():
+            bad = ~np.isfinite(deg)
+            raise GraphValidationError(
+                "NonfiniteValue", _first(bad if bad.any() else ~np.isfinite(2.0 * deg)))
     if require_boundary:
         b = graph.boundary
         if b.size == 0:
             raise GraphValidationError("EmptyBoundary")
-        inside = np.argwhere(w[np.ix_(b, b)] > 0.0)
-        if inside.size:
-            u, v = inside[0]
+        inside = w[b][:, b] > 0.0
+        if inside.any():
+            u, v = _first(inside)
             raise GraphValidationError("BoundaryEdge", (int(b[u]), int(b[v])))
-        omega = graph.interior
-        if omega.size == 0:
-            # no interior vertex can satisfy Def. condition (ii)
-            raise GraphValidationError("IsolatedBoundaryVertex", int(b[0]))
-        isolated = np.flatnonzero(w[np.ix_(b, omega)].sum(axis=1) == 0.0)
-        if isolated.size:
-            raise GraphValidationError("IsolatedBoundaryVertex", int(b[isolated[0]]))
+        # with no boundary edge, a boundary row's weight is all on the
+        # interior (Def. condition (ii)); no interior at all leaves it 0
+        isolated = row_sums[b] == 0.0
+        if isolated.any():
+            raise GraphValidationError("IsolatedBoundaryVertex", int(b[_first(isolated)]))
     if graph.vertex_count:
-        # vertex 0 has label 0; a nonzero label marks a vertex it does not reach
-        outside = np.flatnonzero(_components(graph))
-        if outside.size:
-            raise GraphValidationError("Disconnected", int(outside[0]))
+        # the vertices that vertex 0 does not reach
+        outside = ~np.isfinite(distances(graph)[0])
+        if outside.any():
+            raise GraphValidationError("Disconnected", _first(outside))
+
+
+def _first(mask: np.ndarray):
+    """The first index that ``mask`` marks, in row-major order: an int, or
+    for a matrix a (row, column) pair of ints."""
+    flat = int(mask.argmax())
+    return flat if mask.ndim == 1 else tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
 def degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
@@ -285,17 +282,72 @@ def _vertex_index(value, n: int, what) -> int:
     return value
 
 
-def _records(doc: dict, key: str, fields: set, name: str) -> list:
+def _columns(doc: dict, key: str, fields: tuple, name: str) -> list:
+    """One list per field of the records in ``doc[key]``, in document order.
+    The first record that is not an object with exactly ``fields`` raises."""
     items = doc[key]
     if not isinstance(items, list):
         raise GraphFormatError(f"{key} must be a list")
+    if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
+        try:
+            return [[item[f] for item in items] for f in fields]
+        except KeyError:
+            pass
     for item in items:
-        if not isinstance(item, dict) or set(item) != fields:
+        if not isinstance(item, dict) or item.keys() != set(fields):
             raise GraphFormatError(f"bad {name} record: {item!r}")
-    return items
+    return [[item[f] for item in items] for f in fields]
+
+
+def _indices(values: list, n: int):
+    """``values`` as an index array, and the mask of those that
+    ``_vertex_index`` rejects (each must be an integer in 0..n-1), or
+    ``None`` when the column is sound."""
+    if set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < n):
+        return np.array(values, dtype=np.intp), None
+    return _checked(values, lambda value: _vertex_index(value, n, ""), np.intp)
+
+
+def _numbers(values: list):
+    """``values`` as floats, and the mask of those ``_number`` rejects, or
+    ``None`` when the column is sound."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=float), None
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return _checked(values, lambda value: _number(value, ""), float)
+
+
+def _checked(values: list, check, dtype):
+    """``values`` passed through ``check`` one by one, as a ``dtype`` array
+    in which those it rejects read 0, and the mask of those.  A column from
+    ``json.loads`` comes here only when it holds a faulty value."""
+    converted, rejected = [], []
+    for value in values:
+        try:
+            converted.append(check(value))
+            rejected.append(False)
+        except GraphFormatError:
+            converted.append(0)
+            rejected.append(True)
+    return np.array(converted, dtype=dtype), np.array(rejected, dtype=bool)
+
+
+def _raise_first(rejected, check) -> None:
+    """``check(r)``, which raises, for the first ``r`` that the mask
+    ``rejected`` marks, if any."""
+    if rejected is not None and rejected.any():
+        check(int(rejected.argmax()))
 
 
 def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
+    """The graph of a JSON document.  Each field is read as one column over
+    its records and checked by whole-array masks; a faulty document raises
+    the ``GraphFormatError`` of its first faulty record in document order,
+    with checks in this order: the vertex records, their ids, their
+    measures, the edge records, then per edge u, v, u != v, no earlier
+    record for the pair, the weight, and last the boundary entries."""
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -304,32 +356,55 @@ def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
     for key in _TOP_KEYS:
         if key not in doc:
             raise GraphFormatError(f"missing key: {key}")
-    verts = _records(doc, "vertices", {"id", "measure"}, "vertex")
-    n = len(verts)
-    ids = [_vertex_index(v["id"], n, "vertex id") for v in verts]
-    if len(set(ids)) < n:  # n ids, each in 0..n-1
+    id_column, measure_column = _columns(doc, "vertices", ("id", "measure"), "vertex")
+    n = len(id_column)
+    ids, rejected = _indices(id_column, n)
+    _raise_first(rejected, lambda r: _vertex_index(id_column[r], n, "vertex id"))
+    placed = np.zeros(n, dtype=bool)
+    placed[ids] = True
+    if not placed.all():  # n ids, each in 0..n-1
         raise GraphFormatError("each vertex id must appear once")
+    masses, rejected = _numbers(measure_column)
+    _raise_first(rejected, lambda r: _number(measure_column[r], f"measure of vertex {ids[r]}"))
     measure = np.empty(n)
-    for i, v in zip(ids, verts):
-        measure[i] = _number(v["measure"], f"measure of vertex {i}")
+    measure[ids] = masses
+
+    u_column, v_column, weight_column = _columns(doc, "edges", ("u", "v", "weight"), "edge")
+    us, bad_u = _indices(u_column, n)
+    vs, bad_v = _indices(v_column, n)
+    ws, bad_w = _numbers(weight_column)
+    # a record is faulty when any of its checks fails; records before the
+    # first faulty one are sound, so its pair repeats a sound record's
+    _, first = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs), return_index=True)
+    repeated = np.ones(us.size, dtype=bool)
+    repeated[first] = False
+    faulty = repeated | (us == vs)
+    for rejected in (bad_u, bad_v, bad_w):
+        if rejected is not None:
+            faulty |= rejected
+    _raise_first(faulty, lambda r: _edge_fault(doc["edges"][r], n, repeated[r]))
     weights = np.zeros((n, n))
-    seen = set()
-    for e in _records(doc, "edges", {"u", "v", "weight"}, "edge"):
-        u = _vertex_index(e["u"], n, "edge endpoint")
-        v = _vertex_index(e["v"], n, "edge endpoint")
-        if u == v:
-            raise GraphFormatError(f"bad edge endpoints: {e!r}")
-        pair = (min(u, v), max(u, v))
-        if pair in seen:
-            raise GraphFormatError(f"duplicate edge records for the pair {pair}")
-        seen.add(pair)
-        weights[u, v] = weights[v, u] = _number(e["weight"], f"weight of edge {pair}")
+    weights[us, vs] = ws
+    weights[vs, us] = ws
+
     if not isinstance(doc["boundary"], list):
         raise GraphFormatError("boundary must be a list")
-    boundary = [_vertex_index(b, n, "boundary index") for b in doc["boundary"]]
-    return WeightedBoundaryGraph(
-        measure=measure, weights=weights, boundary=np.asarray(boundary, dtype=np.intp)
-    )
+    boundary, rejected = _indices(doc["boundary"], n)
+    _raise_first(rejected, lambda r: _vertex_index(doc["boundary"][r], n, "boundary index"))
+    return WeightedBoundaryGraph(measure=measure, weights=weights, boundary=boundary)
+
+
+def _edge_fault(e: dict, n: int, repeated: bool) -> None:
+    """Raise the error of the faulty edge record ``e``; ``repeated`` says
+    whether an earlier record has its pair."""
+    u = _vertex_index(e["u"], n, "edge endpoint")
+    v = _vertex_index(e["v"], n, "edge endpoint")
+    if u == v:
+        raise GraphFormatError(f"bad edge endpoints: {e!r}")
+    pair = (min(u, v), max(u, v))
+    if repeated:
+        raise GraphFormatError(f"duplicate edge records for the pair {pair}")
+    _number(e["weight"], f"weight of edge {pair}")
 
 
 def to_json_dict(graph: WeightedBoundaryGraph) -> dict:
@@ -357,12 +432,19 @@ def dumps(graph: WeightedBoundaryGraph) -> str:
     return json.dumps(to_json_dict(graph), indent=2, sort_keys=True)
 
 
-def load(path) -> WeightedBoundaryGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+def load(path, hasher=None) -> WeightedBoundaryGraph:
+    """The graph in the file at ``path``, which is read once.  ``hasher``, a
+    ``hashlib`` object, is fed exactly the bytes that are parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if hasher is not None:
+        hasher.update(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # line ends as a text-mode read translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return loads(text)
 
 

@@ -13,8 +13,9 @@ from their integral duals by enumeration, hop distances from a breadth-first
 search per vertex, the NeuVsLap quadratic form on the mean-zero boundary
 functions through a basis read off the eigenvectors of the orthogonal
 projector onto them, CLI JSON text through the standard library's encoder,
-and total support from the positive diagonals found by enumerating
-permutations.
+total support from the positive diagonals found by enumerating
+permutations, and graph documents through a parser that reads and checks
+one record at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import re
 from collections import deque
 
 import numpy as np
+
+from graphspec.graph import GraphFormatError, WeightedBoundaryGraph
 
 MAX_EIG_DIM = 6
 MAX_SUPPORT_DIM = 7
@@ -504,3 +507,73 @@ def total_support(weights: np.ndarray) -> bool:
         if all(positive[i, sigma[i]] for i in range(n)):
             covered[range(n), sigma] = True
     return bool(positive.any()) and bool(np.array_equal(covered, positive))
+
+
+_TOP_KEYS = {"vertices", "edges", "boundary"}
+
+
+def _number(value, what) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphFormatError(f"{what} must be a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{what} is out of range: {value!r}") from None
+
+
+def _vertex_index(value, n: int, what) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphFormatError(f"{what} must be an integer: {value!r}")
+    if not 0 <= value < n:
+        raise GraphFormatError(f"{what} out of range: {value!r}")
+    return value
+
+
+def _records(doc: dict, key: str, fields: set, name: str) -> list:
+    items = doc[key]
+    if not isinstance(items, list):
+        raise GraphFormatError(f"{key} must be a list")
+    for item in items:
+        if not isinstance(item, dict) or set(item) != fields:
+            raise GraphFormatError(f"bad {name} record: {item!r}")
+    return items
+
+
+def graph_from_json_sequential(doc: dict) -> WeightedBoundaryGraph:
+    """The graph of a JSON document, read and checked one record at a time:
+    each record's checks run in document order, and the first that fails
+    raises its ``GraphFormatError``."""
+    if not isinstance(doc, dict):
+        raise GraphFormatError("top-level document must be an object")
+    unknown = set(doc) - _TOP_KEYS
+    if unknown:
+        raise GraphFormatError(f"unknown keys: {sorted(unknown)}")
+    for key in _TOP_KEYS:
+        if key not in doc:
+            raise GraphFormatError(f"missing key: {key}")
+    verts = _records(doc, "vertices", {"id", "measure"}, "vertex")
+    n = len(verts)
+    ids = [_vertex_index(v["id"], n, "vertex id") for v in verts]
+    if len(set(ids)) < n:  # n ids, each in 0..n-1
+        raise GraphFormatError("each vertex id must appear once")
+    measure = np.empty(n)
+    for i, v in zip(ids, verts):
+        measure[i] = _number(v["measure"], f"measure of vertex {i}")
+    weights = np.zeros((n, n))
+    seen = set()
+    for e in _records(doc, "edges", {"u", "v", "weight"}, "edge"):
+        u = _vertex_index(e["u"], n, "edge endpoint")
+        v = _vertex_index(e["v"], n, "edge endpoint")
+        if u == v:
+            raise GraphFormatError(f"bad edge endpoints: {e!r}")
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise GraphFormatError(f"duplicate edge records for the pair {pair}")
+        seen.add(pair)
+        weights[u, v] = weights[v, u] = _number(e["weight"], f"weight of edge {pair}")
+    if not isinstance(doc["boundary"], list):
+        raise GraphFormatError("boundary must be a list")
+    boundary = [_vertex_index(b, n, "boundary index") for b in doc["boundary"]]
+    return WeightedBoundaryGraph(
+        measure=measure, weights=weights, boundary=np.asarray(boundary, dtype=np.intp)
+    )

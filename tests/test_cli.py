@@ -1,5 +1,7 @@
 import contextlib
+import builtins
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -473,6 +475,48 @@ def test_certificates_and_reports_are_written_as_their_fields(corpus):
         "FiedlerType", "FriedmanType", "LichnerowiczBE", "LichnerowiczOllivier"}
     for obj in objs:
         assert dumps_json(obj) == dumps_json_reference(dataclasses.asdict(obj))
+
+
+class TestGraphFileReadOnce:
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["spectrum"], ["dump-operator"], ["compare"],
+         ["certify", "--theorem", "LapVsDiri"], ["curvature", "--kind", "be"],
+         ["bounds", "--family", "fiedler"]],
+        ids=" ".join,
+    )
+    def test_digest_is_the_hash_of_the_file_opened_once(self, monkeypatch, capsys, p3_file,
+                                                        command):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == p3_file:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out = run(capsys, [*command, "--graph", p3_file])
+        monkeypatch.undo()
+        assert code in (0, 2)
+        assert len(opened) == 1
+        with open(p3_file, "rb") as fh:
+            assert json.loads(out)["graph_digest"] == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_digest_is_of_the_bytes_parsed(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "p3.json"
+        save(path_graph(3, boundary=[0, 2]), path)
+        parsed = path.read_bytes()
+        validate = cli.validate
+
+        def rewrite_then_validate(graph, **kwargs):
+            path.write_text("{}")
+            validate(graph, **kwargs)
+
+        monkeypatch.setattr(cli, "validate", rewrite_then_validate)
+        code, out = run(capsys, ["compare", "--graph", str(path)])
+        assert code == 0
+        assert json.loads(out)["graph_digest"] == hashlib.sha256(parsed).hexdigest()
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
 """The seeded random generator's normalized weight model: its scaling against
 the total-support referee, and its graphs in the audit corpus."""
 
+import itertools
+
 import numpy as np
+import pytest
 
 from graphspec import fixtures
 from graphspec.fixtures import random_graph
@@ -25,6 +28,26 @@ def test_total_support_referee():
     assert not total_support(path_graph(5).weights)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_total_support_test_on_every_symmetric_pattern(n):
+    iu, iv = np.triu_indices(n, 1)
+    for bits in itertools.product((0.0, 1.0), repeat=iu.size):
+        w = np.zeros((n, n))
+        w[iu, iv] = w[iv, iu] = bits
+        assert fixtures._has_total_support(w) == total_support(w), w
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_total_support_test_on_random_patterns(n):
+    rng = np.random.default_rng(n)
+    for density in (0.2, 0.4, 0.6, 0.8):
+        for _ in range(40):
+            w = (rng.random((n, n)) < density) * rng.lognormal(size=(n, n))
+            assert fixtures._has_total_support(w) == total_support(w), w
+            sym = np.triu(w, 1) + np.triu(w, 1).T
+            assert fixtures._has_total_support(sym) == total_support(sym), sym
+
+
 def test_normalized_draws_against_total_support(monkeypatch):
     calls = []
     normalize = fixtures._normalize_weights
@@ -39,6 +62,7 @@ def test_normalized_draws_against_total_support(monkeypatch):
     graphs = [random_graph(rng, 7, weight_model="normalized") for _ in range(40)]
     assert any(_has_leaf(weights) for weights, _ in calls)
     for weights, scaled in calls:
+        assert fixtures._has_total_support(weights) == total_support(weights)
         if scaled is not None:
             assert total_support(weights)
         if _has_leaf(weights):

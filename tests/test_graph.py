@@ -1,3 +1,5 @@
+import collections
+import copy
 import json
 
 import numpy as np
@@ -24,7 +26,7 @@ from graphspec.graph import (
 from graphspec.fixtures import random_graph
 
 from builders import path_graph
-from oracle import hop_distances_bfs
+from oracle import graph_from_json_sequential, hop_distances_bfs
 
 
 def graph_from(measure, weights, boundary):
@@ -108,6 +110,43 @@ class TestValidationOrder:
     def test_negative_reported_before_bad_measure(self):
         g = graph_from([1, -1], [[0, -1], [-1, 0]], [0])
         assert kind_of(g) == "NegativeWeight"
+
+    @pytest.mark.parametrize(
+        "measure, weights, boundary, first",
+        [
+            # nonfinite measures before nonfinite weights, each at its first index
+            ([1, np.inf, np.nan], [[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]], [0],
+             ("NonfiniteValue", 1)),
+            ([1, 1, 1], [[0, 1, np.inf], [1, 0, 1], [np.nan, 1, 0]], [0],
+             ("NonfiniteValue", (0, 2))),
+            # self-loops before asymmetry, negativity and measures
+            ([1, -1, 1], [[0, 1, -1], [2, 3, 1], [1, 1, 5]], [0], ("SelfLoop", 1)),
+            ([0, 1, 1], [[0, 1, 2], [1, 0, -1], [1, -2, 0]], [0], ("AsymmetricWeight", (0, 2))),
+            ([1, 0, -1], [[0, 1, 0], [1, 0, -1], [0, -1, 0]], [], ("NegativeWeight", (1, 2))),
+            ([1, 0, -1], [[0, 1, 0], [1, 0, 1], [0, 1, 0]], [], ("NonpositiveMeasure", 1)),
+            # a degree whose double overflows comes after one that overflows itself
+            ([1, 1, 1e-320], [[0, 1e308, 0], [1e308, 0, 1e300], [0, 1e300, 0]], [0, 1],
+             ("NonfiniteValue", 2)),
+            ([1, 1, 1, 1], [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]], [],
+             ("EmptyBoundary", None)),
+            # boundary edges in row-major order, before isolated boundary vertices
+            ([1] * 5, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 1, 1],
+                       [1, 0, 1, 0, 0], [0, 0, 1, 0, 0]], [0, 1, 2, 3],
+             ("BoundaryEdge", (0, 3))),
+            ([1] * 5, [[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 1], [0, 1, 0, 1, 0]], [0, 2, 3],
+             ("IsolatedBoundaryVertex", 0)),
+            # a boundary vertex whose only neighbour is a boundary vertex
+            ([1] * 4, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [1, 3],
+             ("Disconnected", 2)),
+            ([1] * 5, [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 1],
+                       [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]], [0], ("Disconnected", 2)),
+        ],
+    )
+    def test_first_of_several_violations(self, measure, weights, boundary, first):
+        with pytest.raises(GraphValidationError) as err:
+            validate(graph_from(measure, weights, boundary))
+        assert (err.value.kind, err.value.detail) == first
 
     def test_valid_graph_passes(self, p3_two_ends):
         validate(p3_two_ends)
@@ -343,6 +382,155 @@ class TestJson:
         again = loads(text)
         assert again == g
         assert json.loads(text) == to_json_dict(g)
+
+
+# The column parser against the sequential referee: each example draws a
+# valid document, applies a few faults (or none) and parses it both ways.
+INDEX_JUNK = st.sampled_from(
+    [True, False, 0.0, 1.0, 2.5, -1, 6, 7, 10**30, -(10**30), 2**63, "1", None, [0]])
+NUMBER_JUNK = st.sampled_from(
+    [10**400, -(10**400), True, False, "1", None, [1.0], {}, 2**63 + 1, -(2**70) - 1,
+     10**300, float("nan"), float("inf"), float("-inf"), -0.0, 0, 5e-324])
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def graph_documents(draw):
+    n = draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(n)))
+    vertices = [{"id": i, "measure": draw(NUMBERS)} for i in ids]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append({"u": u, "v": v, "weight": draw(NUMBERS)})
+    boundary = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+    return {"vertices": vertices, "edges": edges, "boundary": boundary}
+
+
+def _pick(data, items):
+    """A drawn item of ``items``, or ``None`` when it is empty."""
+    return items[data.draw(st.integers(0, len(items) - 1))] if items else None
+
+
+def _fault(doc, data):
+    """Break ``doc`` in one drawn way; a fault that needs a record the
+    document lacks leaves it as it is."""
+    kind = data.draw(st.sampled_from([
+        "id", "measure", "endpoint", "weight", "boundary", "reversed duplicate",
+        "self-edge", "extra key", "missing key", "non-list section", "non-object record",
+        "vertex order"]))
+    sections = [doc.get(key) if isinstance(doc.get(key), list) else []
+                for key in ("vertices", "edges", "boundary")]
+    verts, edges, boundary = sections
+    vertex = _pick(data, [r for r in verts if isinstance(r, dict) and {"id", "measure"} <= set(r)])
+    edge = _pick(data, [r for r in edges if isinstance(r, dict) and {"u", "v", "weight"} <= set(r)])
+    if kind == "id" and vertex:
+        vertex["id"] = data.draw(INDEX_JUNK)
+    elif kind == "measure" and vertex:
+        vertex["measure"] = data.draw(NUMBER_JUNK)
+    elif kind == "endpoint" and edge:
+        edge[data.draw(st.sampled_from(["u", "v"]))] = data.draw(INDEX_JUNK)
+    elif kind == "weight" and edge:
+        edge["weight"] = data.draw(NUMBER_JUNK)
+    elif kind == "boundary":
+        boundary.insert(data.draw(st.integers(0, len(boundary))), data.draw(INDEX_JUNK))
+    elif kind == "reversed duplicate" and edge:
+        edges.insert(data.draw(st.integers(0, len(edges))),
+                     {"u": edge["v"], "v": edge["u"], "weight": data.draw(NUMBERS)})
+    elif kind == "self-edge":
+        u = data.draw(st.integers(0, max(len(verts) - 1, 0)))
+        edges.insert(data.draw(st.integers(0, len(edges))), {"u": u, "v": u, "weight": 1.0})
+    elif kind == "extra key":
+        target = _pick(data, [r for r in verts + edges if isinstance(r, dict)]) or doc
+        target[data.draw(st.sampled_from(["id", "u", "color", "weight"]))] = 1
+    elif kind == "missing key":
+        target = _pick(data, [r for r in verts + edges if isinstance(r, dict) and r]) or doc
+        if target:
+            del target[data.draw(st.sampled_from(sorted(target)))]
+    elif kind == "non-list section" and doc:
+        doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(
+            st.sampled_from([3, {}, "x", None, (1,)]))
+    elif kind == "non-object record" and (section := _pick(data, [s for s in (verts, edges) if s])):
+        section[data.draw(st.integers(0, len(section) - 1))] = data.draw(
+            st.sampled_from([[0, 1], None, 1, "u"]))
+    elif kind == "vertex order":
+        data.draw(st.randoms()).shuffle(verts)
+
+
+def _parsed(parse, doc):
+    """The arrays ``parse`` builds from a copy of ``doc``, with their dtypes
+    and shapes, or the message of the ``GraphFormatError`` it raises."""
+    try:
+        g = parse(copy.deepcopy(doc))
+    except GraphFormatError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (g.measure, g.weights, g.boundary)]
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=600)
+    @given(doc=graph_documents(), faults=st.integers(0, 4), data=st.data())
+    def test_same_arrays_or_same_message(self, doc, faults, data):
+        for _ in range(faults):
+            _fault(doc, data)
+        assert _parsed(from_json_dict, doc) == _parsed(graph_from_json_sequential, doc)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generator_documents(self, seed):
+        doc = to_json_dict(random_graph(np.random.default_rng(seed), 12))
+        want = _parsed(graph_from_json_sequential, doc)
+        assert isinstance(want, list)
+        assert _parsed(from_json_dict, doc) == want
+
+    def test_other_mappings_and_integer_types(self, p3_two_ends):
+        class Index(int):
+            pass
+
+        doc = to_json_dict(p3_two_ends)
+        doc["vertices"] = [collections.OrderedDict(v) for v in doc["vertices"]]
+        doc["edges"][0]["u"] = Index(doc["edges"][0]["u"])
+        doc["boundary"][0] = Index(doc["boundary"][0])
+        assert isinstance(_parsed(from_json_dict, doc), list)
+        assert _parsed(from_json_dict, doc) == _parsed(graph_from_json_sequential, doc)
+        # a record that makes up missing keys is still one with the wrong keys
+        doc["edges"][1] = collections.defaultdict(float, u=1, v=2, color=1.0)
+        assert _parsed(from_json_dict, doc).startswith("bad edge record: defaultdict")
+        assert _parsed(from_json_dict, doc) == _parsed(graph_from_json_sequential, doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["vertices"][1].update(id=True), "vertex id must be an integer: True"),
+            (lambda d: d["vertices"][1].update(id=1.0), "vertex id must be an integer: 1.0"),
+            (lambda d: d["edges"][1].update(weight=10**400),
+             f"weight of edge (1, 2) is out of range: {10**400!r}"),
+            # the faulty weight of record 0 comes before the bad endpoint of record 1
+            (lambda d: (d["edges"][0].update(weight="w"), d["edges"][1].update(u=9)),
+             "weight of edge (0, 1) must be a number: 'w'"),
+            (lambda d: (d["edges"][1].update(u=9), d["edges"][0].update(weight="w")),
+             "weight of edge (0, 1) must be a number: 'w'"),
+            # within one record: u before v, v before the self-edge test
+            (lambda d: d["edges"][1].update(u=-1, v=True), "edge endpoint out of range: -1"),
+            (lambda d: d["edges"][1].update(u=2, v=2),
+             "bad edge endpoints: {'u': 2, 'v': 2, 'weight': 1.0}"),
+            (lambda d: d["edges"].insert(1, {"u": 1, "v": 0, "weight": "w"}),
+             "duplicate edge records for the pair (0, 1)"),
+            (lambda d: (d["boundary"].append(3), d["vertices"][2].update(measure=None)),
+             "measure of vertex 2 must be a number: None"),
+            (lambda d: d["boundary"].extend([1, 2.0, -1]), "boundary index must be an integer: 2.0"),
+        ],
+    )
+    def test_first_faulty_record_in_document_order(self, p3_two_ends, edit, message):
+        doc = to_json_dict(p3_two_ends)
+        edit(doc)
+        with pytest.raises(GraphFormatError) as err:
+            from_json_dict(doc)
+        assert str(err.value) == message
+        assert _parsed(graph_from_json_sequential, doc) == message
 
 
 def test_path_graph_shape():
