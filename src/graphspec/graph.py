@@ -260,7 +260,7 @@ def volumes(graph: WeightedBoundaryGraph) -> tuple[float, float, float]:
 # JSON format: {"vertices": [{"id", "measure"}...],
 #               "edges": [{"u", "v", "weight"}...], "boundary": [int...]}
 
-_TOP_KEYS = {"vertices", "edges", "boundary"}
+_TOP_KEYS = ("vertices", "edges", "boundary")
 
 
 def _number(value, what) -> float:
@@ -282,129 +282,124 @@ def _vertex_index(value, n: int, what) -> int:
     return value
 
 
-def _columns(doc: dict, key: str, fields: tuple, name: str) -> list:
-    """One list per field of the records in ``doc[key]``, in document order.
-    The first record that is not an object with exactly ``fields`` raises."""
+def _records(doc: dict, key: str, fields: tuple, name: str) -> list:
     items = doc[key]
     if not isinstance(items, list):
         raise GraphFormatError(f"{key} must be a list")
-    if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
-        try:
-            return [[item[f] for item in items] for f in fields]
-        except KeyError:
-            pass
     for item in items:
         if not isinstance(item, dict) or item.keys() != set(fields):
             raise GraphFormatError(f"bad {name} record: {item!r}")
-    return [[item[f] for item in items] for f in fields]
+    return items
 
 
-def _indices(values: list, n: int):
-    """``values`` as an index array, and the mask of those that
-    ``_vertex_index`` rejects (each must be an integer in 0..n-1), or
-    ``None`` when the column is sound."""
-    if set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < n):
-        return np.array(values, dtype=np.intp), None
-    return _checked(values, lambda value: _vertex_index(value, n, ""), np.intp)
-
-
-def _numbers(values: list):
-    """``values`` as floats, and the mask of those ``_number`` rejects, or
-    ``None`` when the column is sound."""
-    if set(map(type, values)) <= {int, float}:
-        try:
-            return np.array(values, dtype=float), None
-        except OverflowError:  # an integer beyond the float range
-            pass
-    return _checked(values, lambda value: _number(value, ""), float)
-
-
-def _checked(values: list, check, dtype):
-    """``values`` passed through ``check`` one by one, as a ``dtype`` array
-    in which those it rejects read 0, and the mask of those.  A column from
-    ``json.loads`` comes here only when it holds a faulty value."""
-    converted, rejected = [], []
-    for value in values:
-        try:
-            converted.append(check(value))
-            rejected.append(False)
-        except GraphFormatError:
-            converted.append(0)
-            rejected.append(True)
-    return np.array(converted, dtype=dtype), np.array(rejected, dtype=bool)
-
-
-def _raise_first(rejected, check) -> None:
-    """``check(r)``, which raises, for the first ``r`` that the mask
-    ``rejected`` marks, if any."""
-    if rejected is not None and rejected.any():
-        check(int(rejected.argmax()))
-
-
-def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
-    """The graph of a JSON document.  Each field is read as one column over
-    its records and checked by whole-array masks; a faulty document raises
-    the ``GraphFormatError`` of its first faulty record in document order,
-    with checks in this order: the vertex records, their ids, their
-    measures, the edge records, then per edge u, v, u != v, no earlier
-    record for the pair, the weight, and last the boundary entries."""
+def _by_records(doc) -> WeightedBoundaryGraph:
+    """The graph of ``doc``, read and checked one record at a time in
+    document order; the first fault raises its ``GraphFormatError``."""
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
         raise GraphFormatError(f"unknown keys: {sorted(unknown)}")
     for key in _TOP_KEYS:
         if key not in doc:
             raise GraphFormatError(f"missing key: {key}")
-    id_column, measure_column = _columns(doc, "vertices", ("id", "measure"), "vertex")
-    n = len(id_column)
-    ids, rejected = _indices(id_column, n)
-    _raise_first(rejected, lambda r: _vertex_index(id_column[r], n, "vertex id"))
-    placed = np.zeros(n, dtype=bool)
-    placed[ids] = True
-    if not placed.all():  # n ids, each in 0..n-1
+    verts = _records(doc, "vertices", ("id", "measure"), "vertex")
+    n = len(verts)
+    ids = [_vertex_index(v["id"], n, "vertex id") for v in verts]
+    if len(set(ids)) < n:  # n ids, each in 0..n-1
         raise GraphFormatError("each vertex id must appear once")
-    masses, rejected = _numbers(measure_column)
-    _raise_first(rejected, lambda r: _number(measure_column[r], f"measure of vertex {ids[r]}"))
+    measure = np.empty(n)
+    for i, v in zip(ids, verts):
+        measure[i] = _number(v["measure"], f"measure of vertex {i}")
+    weights = np.zeros((n, n))
+    seen = set()
+    for e in _records(doc, "edges", ("u", "v", "weight"), "edge"):
+        u = _vertex_index(e["u"], n, "edge endpoint")
+        v = _vertex_index(e["v"], n, "edge endpoint")
+        if u == v:
+            raise GraphFormatError(f"bad edge endpoints: {e!r}")
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise GraphFormatError(f"duplicate edge records for the pair {pair}")
+        seen.add(pair)
+        weights[u, v] = weights[v, u] = _number(e["weight"], f"weight of edge {pair}")
+    if not isinstance(doc["boundary"], list):
+        raise GraphFormatError("boundary must be a list")
+    boundary = [_vertex_index(b, n, "boundary index") for b in doc["boundary"]]
+    return WeightedBoundaryGraph(
+        measure=measure, weights=weights, boundary=np.array(boundary, dtype=np.intp))
+
+
+def _columns(items, fields: tuple):
+    """One list per field of the records ``items``, or ``None`` unless
+    ``items`` is a list of plain dicts, each with exactly the keys ``fields``."""
+    if (type(items) is not list or set(map(type, items)) - {dict}
+            or set(map(len, items)) - {len(fields)}):
+        return None
+    try:
+        return [[item[f] for item in items] for f in fields]
+    except KeyError:
+        return None
+
+
+def _indices(values: list, n: int):
+    """``values`` as an index array, or ``None`` unless each is a plain
+    ``int`` in 0..n-1."""
+    if set(map(type, values)) - {int} or values and not 0 <= min(values) <= max(values) < n:
+        return None
+    return np.array(values, dtype=np.intp)
+
+
+def _numbers(values: list):
+    """``values`` as a float array, or ``None`` unless each is a plain
+    ``int`` or ``float`` that converts."""
+    if set(map(type, values)) - {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _by_columns(doc):
+    """The graph of ``doc`` with each field read as one column over its
+    records, or ``None`` when ``doc`` has a fault of any kind; which fault
+    comes first is left to ``_by_records``."""
+    if not isinstance(doc, dict) or doc.keys() != set(_TOP_KEYS):
+        return None
+    vertices = _columns(doc["vertices"], ("id", "measure"))
+    edges = _columns(doc["edges"], ("u", "v", "weight"))
+    if vertices is None or edges is None or type(doc["boundary"]) is not list:
+        return None
+    n = len(doc["vertices"])
+    ids, us, vs, boundary = (_indices(c, n) for c in (vertices[0], *edges[:2], doc["boundary"]))
+    masses, ws = _numbers(vertices[1]), _numbers(edges[2])
+    if any(a is None for a in (ids, us, vs, boundary, masses, ws)):
+        return None
+    pairs = np.minimum(us, vs) * n + np.maximum(us, vs)
+    # once sorted, a repeated id or pair sits beside its twin (a sort is
+    # much faster here than np.unique, which hashes)
+    if (us == vs).any() or any((np.diff(np.sort(k)) == 0).any() for k in (ids, pairs)):
+        return None
     measure = np.empty(n)
     measure[ids] = masses
-
-    u_column, v_column, weight_column = _columns(doc, "edges", ("u", "v", "weight"), "edge")
-    us, bad_u = _indices(u_column, n)
-    vs, bad_v = _indices(v_column, n)
-    ws, bad_w = _numbers(weight_column)
-    # a record is faulty when any of its checks fails; records before the
-    # first faulty one are sound, so its pair repeats a sound record's
-    _, first = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs), return_index=True)
-    repeated = np.ones(us.size, dtype=bool)
-    repeated[first] = False
-    faulty = repeated | (us == vs)
-    for rejected in (bad_u, bad_v, bad_w):
-        if rejected is not None:
-            faulty |= rejected
-    _raise_first(faulty, lambda r: _edge_fault(doc["edges"][r], n, repeated[r]))
     weights = np.zeros((n, n))
     weights[us, vs] = ws
     weights[vs, us] = ws
-
-    if not isinstance(doc["boundary"], list):
-        raise GraphFormatError("boundary must be a list")
-    boundary, rejected = _indices(doc["boundary"], n)
-    _raise_first(rejected, lambda r: _vertex_index(doc["boundary"][r], n, "boundary index"))
     return WeightedBoundaryGraph(measure=measure, weights=weights, boundary=boundary)
 
 
-def _edge_fault(e: dict, n: int, repeated: bool) -> None:
-    """Raise the error of the faulty edge record ``e``; ``repeated`` says
-    whether an earlier record has its pair."""
-    u = _vertex_index(e["u"], n, "edge endpoint")
-    v = _vertex_index(e["v"], n, "edge endpoint")
-    if u == v:
-        raise GraphFormatError(f"bad edge endpoints: {e!r}")
-    pair = (min(u, v), max(u, v))
-    if repeated:
-        raise GraphFormatError(f"duplicate edge records for the pair {pair}")
-    _number(e["weight"], f"weight of edge {pair}")
+def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
+    """The graph of a JSON document.  A sound document is read by column,
+    each field over all its records at once.  Any other is read again one
+    record at a time, and the ``GraphFormatError`` of its first fault is
+    raised.  The checks run in this order: the document is an object, no
+    unknown top-level key, then the first missing key of vertices, edges,
+    boundary; the vertex records, their ids (then that each appears once),
+    their measures; the edge records, then per edge u, v, u != v, no earlier
+    record for the pair, the weight; and last the boundary entries."""
+    graph = _by_columns(doc)
+    return _by_records(doc) if graph is None else graph
 
 
 def to_json_dict(graph: WeightedBoundaryGraph) -> dict:

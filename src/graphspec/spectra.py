@@ -54,19 +54,6 @@ class Spectrum:
     eigenvectors: np.ndarray
     measure: np.ndarray
 
-    def orthonormality_defect(self) -> float:
-        gram = self.eigenvectors.T @ (self.measure[:, None] * self.eigenvectors)
-        return float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
-
-    def residual(self, op: SelfAdjointOperator) -> float:
-        """max_i ||A v_i - lam_i v_i||_m / max(1, |lam_i|)."""
-        worst = 0.0
-        for i, lam in enumerate(self.eigenvalues):
-            r = op.matrix @ self.eigenvectors[:, i] - lam * self.eigenvectors[:, i]
-            norm = float(np.sqrt(np.sum(r * r * self.measure)))
-            worst = max(worst, norm / max(1.0, abs(lam)))
-        return worst
-
 
 @dataclass(frozen=True)
 class SingularSpectrum:

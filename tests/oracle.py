@@ -10,7 +10,8 @@ definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by p
 edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, sender-receiver gain problems
 from their integral duals by enumeration, hop distances from a breadth-first
-search per vertex, the NeuVsLap quadratic form on the mean-zero boundary
+search per vertex, eigenpair residuals and orthonormality defects from
+their definitions, the NeuVsLap quadratic form on the mean-zero boundary
 functions through a basis read off the eigenvectors of the orthogonal
 projector onto them, CLI JSON text through the standard library's encoder,
 total support from the positive diagonals found by enumerating
@@ -99,6 +100,24 @@ def eigen_bruteforce(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
                 lo = mid
         out.append(0.5 * (lo + hi))
     return np.array(out)
+
+
+def eigen_residual(matrix, spec) -> float:
+    """max_i ||A v_i - lam_i v_i||_m / max(1, |lam_i|) over the eigenpairs
+    of ``spec`` (a ``Spectrum``) of the operator matrix ``A``."""
+    worst = 0.0
+    for i, lam in enumerate(spec.eigenvalues):
+        r = matrix @ spec.eigenvectors[:, i] - lam * spec.eigenvectors[:, i]
+        norm = float(np.sqrt(np.sum(r * r * spec.measure)))
+        worst = max(worst, norm / max(1.0, abs(lam)))
+    return worst
+
+
+def orthonormality_defect(spec) -> float:
+    """max |V^T M V - I| over the eigenvector columns V of ``spec`` (a
+    ``Spectrum``) in its measure inner product M."""
+    gram = spec.eigenvectors.T @ (spec.measure[:, None] * spec.eigenvectors)
+    return float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
 
 
 def neumann_by_extension(measure, weights, boundary) -> np.ndarray:
@@ -509,7 +528,7 @@ def total_support(weights: np.ndarray) -> bool:
     return bool(positive.any()) and bool(np.array_equal(covered, positive))
 
 
-_TOP_KEYS = {"vertices", "edges", "boundary"}
+_TOP_KEYS = ("vertices", "edges", "boundary")
 
 
 def _number(value, what) -> float:
@@ -545,7 +564,7 @@ def graph_from_json_sequential(doc: dict) -> WeightedBoundaryGraph:
     raises its ``GraphFormatError``."""
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
         raise GraphFormatError(f"unknown keys: {sorted(unknown)}")
     for key in _TOP_KEYS:

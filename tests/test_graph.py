@@ -1,12 +1,17 @@
 import collections
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphspec
 from graphspec.graph import (
     GraphFormatError,
     GraphValidationError,
@@ -271,6 +276,23 @@ class TestJson:
         with pytest.raises(GraphFormatError):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4"])
+    def test_missing_key_message_does_not_depend_on_the_hash_seed(self, hash_seed):
+        # the first missing key in the order vertices, edges, boundary, in a
+        # fresh interpreter, since the string hash is fixed per process
+        script = (
+            "from graphspec.graph import GraphFormatError, from_json_dict\n"
+            "for doc in ({'vertices': []}, {}):\n"
+            "    try:\n"
+            "        from_json_dict(doc)\n"
+            "    except GraphFormatError as exc:\n"
+            "        print(exc)\n")
+        src = str(Path(graphspec.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines() == ["missing key: edges", "missing key: vertices"]
+
     def test_bad_vertex_record_rejected(self):
         doc = {"vertices": [{"id": 0}], "edges": [], "boundary": []}
         with pytest.raises(GraphFormatError):
@@ -471,6 +493,10 @@ def _parsed(parse, doc):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in (g.measure, g.weights, g.boundary)]
 
 
+def _refuse_record_reading(doc):
+    raise AssertionError("a sound document was read record by record")
+
+
 class TestParserAgainstReference:
     @settings(max_examples=600)
     @given(doc=graph_documents(), faults=st.integers(0, 4), data=st.data())
@@ -485,6 +511,24 @@ class TestParserAgainstReference:
         want = _parsed(graph_from_json_sequential, doc)
         assert isinstance(want, list)
         assert _parsed(from_json_dict, doc) == want
+
+    # the record reader gives the same graph as the column reader, only
+    # slower, so no other test sees a column reader that turns sound
+    # documents away
+    @pytest.mark.parametrize("n", [12, 32])
+    def test_generator_documents_are_read_by_column(self, monkeypatch, n):
+        monkeypatch.setattr("graphspec.graph._by_records", _refuse_record_reading)
+        for seed in range(20):
+            g = random_graph(np.random.default_rng(seed), n)
+            assert from_json_dict(to_json_dict(g)) == g
+
+    @settings(max_examples=200)
+    @given(doc=graph_documents())
+    def test_sound_documents_are_read_by_column(self, doc):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("graphspec.graph._by_records", _refuse_record_reading)
+            parsed = _parsed(from_json_dict, doc)
+        assert parsed == _parsed(graph_from_json_sequential, doc)
 
     def test_other_mappings_and_integer_types(self, p3_two_ends):
         class Index(int):
