@@ -37,6 +37,15 @@ Two notions of curvature are computed on a plain weighted connected graph:
   network, found from a one-pass start by shortest augmenting paths (see
   ``ollivier_curvature``).
 
+Both are computed for a whole graph in one pass, and the one-location entry
+points run the same pass on one vertex or edge.  The Laplacian, the
+power-of-two scales and the hop distances are set up once per graph.  Each
+vertex then assembles and solves its own forms; every edge's closed-form
+transport part is one row of a few (edges x vertices) array expressions,
+and only edges with a pair that gains solve a flow.  Those rows are summed
+left to right, in a fixed order that does not depend on the BLAS library,
+so an edge's kappa is the same number alone or with the others.
+
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
 """
@@ -105,43 +114,7 @@ def bakry_emery_curvature_at(
     block or the forms assembled from it are not finite, which happens only
     when the degrees in the 2-ball differ by more than the float range.
     """
-    dist = distances(graph)[x]
-    s1 = np.flatnonzero(dist == 1)
-    if s1.size == 0:
-        raise NotApplicable(f"vertex {x} is isolated")
-    ball = np.concatenate(([x], s1, np.flatnonzero(dist == 2)))
-    op = operator_by_label(graph, "FullLaplacian").matrix  # -Lap
-    # dividing by an exact power of two near Deg(x) keeps the forms of
-    # moderate size at any weight scale, and K is scaled back exactly
-    scale = 2.0 ** (math.frexp(op[x, x])[1] - 1)
-    with np.errstate(all="ignore"):
-        sub = -op[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
-        deg = -sub.diagonal()
-        diagonal = slice(None, None, ball.size + 1)  # in a flattened 2-ball matrix
-        p = sub.copy()
-        p.flat[diagonal] += deg
-        ell = sub[0]
-        # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
-        # p_xv (L_v - l) / 2
-        half_lap_gamma = ell[:, None] * p
-        half_lap_gamma += p.T * ell
-        half_lap_gamma *= -0.25
-        half_lap_gamma.flat[diagonal] += 0.25 * (p.T @ ell + ell * deg)
-        half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
-        inv_n = 0.0 if math.isinf(n) else 1.0 / n
-        q = half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T) - inv_n * np.outer(ell, ell)
-        q = q[1:, 1:]  # f(x) = 0
-        k = s1.size
-        q12 = q[:k, k:]
-        schur = q[:k, :k] - (q12 / q.diagonal()[k:]) @ q12.T
-        d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
-        form = d[:, None] * schur * d
-    # an entry of sub that overflows leaves a non-finite entry in q
-    if not (np.isfinite(q).all() and np.isfinite(form).all()):
-        raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
-                            "in its 2-ball differ by more than the float range")
-    eigs, _ = symmetric_eigh(form)
-    return scale * float(eigs[0])
+    return _bakry_emery_curvatures(graph, [x], n)[0]
 
 
 def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureResult:
@@ -149,13 +122,64 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
     if not n > 1.0:
         raise ValueError("dimension parameter must exceed 1 (or be inf)")
     _require_connected(graph)
-    per = {x: bakry_emery_curvature_at(graph, x, n) for x in range(graph.vertex_count)}
+    ks = _bakry_emery_curvatures(graph, range(graph.vertex_count), n)
+    per = dict(enumerate(ks))
     return CurvatureResult(
         kind="BakryEmery",
         dimension=n,
         per_location=per,
         global_min=min(per.values()),
     )
+
+
+def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) -> list:
+    """K(x, n) for each ``x`` in ``vertices`` (see ``bakry_emery_curvature_at``).
+
+    The Laplacian, the power-of-two scales and the float error state are set
+    up once for all of them; each vertex then assembles and solves its own
+    forms on its 2-ball."""
+    dist = distances(graph)
+    lap = -operator_by_label(graph, "FullLaplacian").matrix
+    # dividing by an exact power of two near Deg(x) keeps the forms of
+    # moderate size at any weight scale, and K is scaled back exactly
+    scales = np.ldexp(0.5, np.frexp(-lap.diagonal())[1]).tolist()
+    inv_n = 0.0 if math.isinf(n) else 1.0 / n
+    ks = []
+    with np.errstate(all="ignore"):
+        for x in vertices:
+            s1 = np.flatnonzero(dist[x] == 1)
+            if s1.size == 0:
+                raise NotApplicable(f"vertex {x} is isolated")
+            ball = np.concatenate(([x], s1, np.flatnonzero(dist[x] == 2)))
+            scale = scales[x]
+            sub = lap[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
+            deg = -sub.diagonal()
+            diagonal = slice(None, None, ball.size + 1)  # in a flattened 2-ball matrix
+            p = sub.copy()
+            p.flat[diagonal] += deg
+            ell = sub[0]
+            # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
+            # p_xv (L_v - l) / 2
+            half_lap_gamma = ell[:, None] * p
+            half_lap_gamma += p.T * ell
+            half_lap_gamma *= -0.25
+            half_lap_gamma.flat[diagonal] += 0.25 * (p.T @ ell + ell * deg)
+            half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
+            q = (half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T)
+                 - inv_n * np.outer(ell, ell))
+            q = q[1:, 1:]  # f(x) = 0
+            k = s1.size
+            q12 = q[:k, k:]
+            schur = q[:k, :k] - (q12 / q.diagonal()[k:]) @ q12.T
+            d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
+            form = d[:, None] * schur * d
+            # an entry of sub that overflows leaves a non-finite entry in q
+            if not (np.isfinite(q).all() and np.isfinite(form).all()):
+                raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
+                                    "in its 2-ball differ by more than the float range")
+            eigs, _ = symmetric_eigh(form)
+            ks.append(scale * float(eigs[0]))
+    return ks
 
 
 def ollivier_curvature(
@@ -226,29 +250,74 @@ def ollivier_curvature(
     it forms ``c`` and ``const``, and returns ``scale * (const - value)``.
     Dividing and multiplying by a power of two are exact, the flow's
     capacities are unit-sized for weights of any magnitude, and no
-    intermediate sum overflows for weights near the float range.
+    intermediate sum overflows for weights near the float range.  The edge
+    goes through the same whole-array pass as every edge of
+    ``ollivier_curvature_all`` (``_ollivier_edges``).
     """
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
+    return float(_ollivier_edges(graph, np.array([x]), np.array([y]))[0])
+
+
+# (edges x vertices) entries per whole-array pass of _ollivier_edges, which
+# bounds its temporaries on large graphs
+_PASS_ENTRIES = 1 << 16
+
+
+def _ollivier_edges(graph: WeightedBoundaryGraph, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """kappa(xs[i], ys[i]) for edges given by their ends, as in
+    ``ollivier_curvature``, in whole-array passes over blocks of edges.
+
+    Row ``i`` of each (edges x vertices) array holds edge ``i``'s scaled
+    objective row with its entries at ``x`` and ``y`` set to 0, and the hop
+    distances from its ends.  The row is 0 off the ball, since a vertex that
+    is adjacent to neither end has no weight to either, so the free ball
+    needs no mask, and the closed-form part of every edge in a block is a
+    few array expressions.  The sums ``c.dy``, ``supply.outlet`` and
+    ``demand.fill`` are taken left to right along each row; zero terms
+    leave such a sum as it is, so an edge's kappa depends neither on the
+    vertices off its ball nor on which edges share its pass.  Only an edge
+    with a pair that gains goes on to ``_max_gain``.
+    """
     op = operator_by_label(graph, "FullLaplacian").matrix  # -Lap
     dist = distances(graph)
-    ball = np.flatnonzero((dist[x] <= 1) | (dist[y] <= 1))
-    free = ball[(ball != x) & (ball != y)]
-    # objective Lap f(y) - Lap f(x) = scale * (c.g + const)
-    scale = 2.0 ** (math.frexp(op[x, x] + op[y, y])[1] - 1)
-    obj_row = (op[x] - op[y]) / scale
-    c = obj_row[free]
-    dx, dy = dist[x, free], dist[y, free]
-    const = float(obj_row[x] - c @ dy)
-    send, recv = c < 0.0, c > 0.0
-    supply, demand = -c[send], c[recv]
-    outlet = 2.0 * dy[send]  # a_v: ship to y
-    fill = dx[recv] - 1.0 - dy[recv]  # b_w: take from x
-    value = float(supply @ outlet + demand @ fill)
-    gain = dy[send][:, None] + dx[recv] - 1.0 - dist[np.ix_(free[send], free[recv])]
-    if (gain > 0.0).any():
-        value -= _max_gain(supply, demand, gain)
-    return scale * (const - value)
+    capped = graph.derived("ball_distances", _ball_distances)
+    deg = op.diagonal()
+    step = max(1, _PASS_ENTRIES // graph.vertex_count)
+    kappa = np.empty(len(xs))
+    for lo in range(0, len(xs), step):
+        x, y = xs[lo : lo + step], ys[lo : lo + step]
+        rows = np.arange(x.size)
+        # objective Lap f(y) - Lap f(x) = scale * (c.g + const)
+        scale = np.ldexp(0.5, np.frexp(deg.take(x) + deg.take(y))[1])
+        c = (op.take(x, axis=0) - op.take(y, axis=0)) / scale[:, None]
+        at_x = c[rows, x]
+        c[rows, x] = c[rows, y] = 0.0
+        dx, dy = capped.take(x, axis=0), capped.take(y, axis=0)
+        supply, demand = np.maximum(-c, 0.0), np.maximum(c, 0.0)
+        # sender v ships |c_v| to y at a_v = 2 d(y, v); receiver w takes c_w
+        # from x at b_w = d(x, w) - 1 - d(y, w).  Each sum runs left to right
+        # along its row, in an order that the code fixes and BLAS does not
+        terms = np.array((c * dy, supply * (2.0 * dy), demand * (dx - 1.0 - dy)))
+        c_dy, outlets, fills = terms.cumsum(axis=-1)[..., -1]
+        const, value = at_x - c_dy, outlets + fills
+        send, recv = supply > 0.0, demand > 0.0
+        for e in range(x.size):
+            vs, ws = send[e].nonzero()[0], recv[e].nonzero()[0]
+            if not (vs.size and ws.size):
+                continue
+            gain = dy[e][vs][:, None] + dx[e][ws] - 1.0 - dist[vs[:, None], ws]
+            if np.count_nonzero(gain > 0.0):
+                value[e] -= _max_gain(supply[e][vs], demand[e][ws], gain)
+        kappa[lo : lo + step] = scale * (const - value)
+    return kappa
+
+
+def _ball_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
+    """The hop distances capped at 2.  A free ball vertex lies within 2 hops
+    of both ends of its edge, so its distances are exact, and off the ball,
+    where the objective row is 0, the cap keeps every product finite."""
+    return np.minimum(distances(graph), 2.0)
 
 
 def _max_gain(supply: np.ndarray, demand: np.ndarray, gain: np.ndarray) -> float:
@@ -268,10 +337,12 @@ def _max_gain(supply: np.ndarray, demand: np.ndarray, gain: np.ndarray) -> float
     It takes the first copy in index order at each step, and the first
     sender, ``v1`` before ``v2``, at the start: that fixes which path is
     taken, and so the rounding of the total.  The flow is maximum once no
-    path is left.  Every push leaves its bottleneck (a supply, a demand or
-    a flow carried backward) at exactly 0, since ``a - a == 0`` in floating
-    point, so as in exact arithmetic the distance to the sink never falls
-    and at most copies times arcs paths are pushed.
+    path is left, which is already so right after the start when every
+    sender copy with an arc has spent its supply or every receiver copy
+    with an arc is full.  Every push leaves its bottleneck (a supply, a
+    demand or a flow carried backward) at exactly 0, since ``a - a == 0``
+    in floating point, so as in exact arithmetic the distance to the sink
+    never falls and at most copies times arcs paths are pushed.
     """
     ns, nr = gain.shape
     one, two = gain > 0.0, gain > 1.0
@@ -289,9 +360,14 @@ def _max_gain(supply: np.ndarray, demand: np.ndarray, gain: np.ndarray) -> float
             right[h] -= push
             flow[t, h] = push
             total += push
+    supplied, unfilled = np.array(left) > 0.0, np.array(right) > 0.0
+    # a path needs a sender copy with supply left and a receiver copy with
+    # demand left, each with an arc
+    if not (np.count_nonzero(supplied @ arcs) and np.count_nonzero(arcs @ unfilled)):
+        return total
     while True:
-        fed, supplied = flow > 0.0, np.array(left) > 0.0
-        receivers, senders = [np.array(right) > 0.0], []
+        fed = flow > 0.0
+        receivers, senders = [unfilled], []
         reached, seen = receivers[0], np.zeros(2 * ns, dtype=bool)
         while True:
             new = arcs @ receivers[-1] & ~seen
@@ -311,21 +387,25 @@ def _max_gain(supply: np.ndarray, demand: np.ndarray, gain: np.ndarray) -> float
             hs.append(int((receivers[k] & arcs[ts[-1]]).argmax()))
             if k:
                 ts.append(int((senders[k - 1] & fed[:, hs[-1]]).argmax()))
-        ts, hs = np.array(ts), np.array(hs)
-        push = float(min(left[ts[0]], right[hs[-1]], *flow[ts[1:], hs[:-1]]))
+        # the path's arcs (ts[i], hs[i]) forward and (ts[i + 1], hs[i]) back
+        forward, backward = list(zip(ts, hs)), list(zip(ts[1:], hs))
+        push = float(min(left[ts[0]], right[hs[-1]], *(flow[arc] for arc in backward)))
         left[ts[0]] -= push
         right[hs[-1]] -= push
-        flow[ts, hs] += push
-        flow[ts[1:], hs[:-1]] -= push
+        for arc in forward:
+            flow[arc] += push
+        for arc in backward:
+            flow[arc] -= push
         total += push
+        supplied[ts[0]], unfilled[hs[-1]] = left[ts[0]] > 0.0, right[hs[-1]] > 0.0
 
 
 def ollivier_curvature_all(graph: WeightedBoundaryGraph) -> CurvatureResult:
-    """Transport curvature kappa(u, v) on every edge."""
+    """Transport curvature kappa(u, v) on every edge, u < v."""
     _require_connected(graph)
-    per = {}
-    for u, v, _w in graph.edges():
-        per[(u, v)] = ollivier_curvature(graph, u, v)
+    us, vs = np.nonzero(np.triu(graph.weights, k=1))
+    kappa = _ollivier_edges(graph, us, vs)
+    per = dict(zip(zip(us.tolist(), vs.tolist()), kappa.tolist()))
     return CurvatureResult(
         kind="Ollivier",
         dimension=None,

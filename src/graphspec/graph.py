@@ -212,10 +212,22 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
         if isolated.any():
             raise GraphValidationError("IsolatedBoundaryVertex", int(b[_first(isolated)]))
     if graph.vertex_count:
-        # the vertices that vertex 0 does not reach
-        outside = ~np.isfinite(distances(graph)[0])
+        outside = ~_reached_from_first(w)
         if outside.any():
             raise GraphValidationError("Disconnected", _first(outside))
+
+
+def _reached_from_first(weights: np.ndarray) -> np.ndarray:
+    """Which vertices vertex 0 reaches on the support of ``weights``: each
+    hop adds the neighbours of the last hop's new vertices."""
+    adj = weights > 0.0
+    reached = np.zeros(adj.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached
 
 
 def _first(mask: np.ndarray):

@@ -28,7 +28,13 @@ from graphspec.graph import (
 from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 
 from builders import complete_bipartite, path_graph
-from oracle import dumps_json_reference
+from oracle import (
+    bakry_emery_by_polarization,
+    dumps_json_reference,
+    hop_distances_bfs,
+    ollivier_bruteforce,
+    ollivier_by_enumeration,
+)
 
 
 @pytest.fixture()
@@ -383,7 +389,44 @@ class TestExitCodes:
             calls.clear()
             code, _ = run(capsys, ["curvature", "--graph", k22_file, "--kind", kind])
             assert code == 0
-            assert len(calls) == 1  # validate fills the memo the curvature reads
+            # validate reaches from one vertex; the curvature alone builds
+            # the hop distances, once, and its balls read them from the memo
+            assert len(calls) == 1
+
+    def test_curvature_matches_the_oracles_on_corpus_graphs(self, capsys, tmp_path):
+        # every value that `curvature` prints, on the whole graph and on its
+        # interior, against the referees; the LP's basis enumeration takes
+        # seconds from four free ball vertices on, so larger balls go to the
+        # integer enumeration
+        rng = np.random.default_rng(42)
+        ran = {"g": 0, "interior": 0}
+        for i in range(10):
+            g = random_graph(rng, 12)
+            path = tmp_path / f"corpus{i}.json"
+            save(g, path)
+            for on, target in (("g", g), ("interior", interior_subgraph(g))):
+                for kind in ("ollivier", "be"):
+                    code, out = run(capsys, ["curvature", "--graph", str(path), "--kind", kind,
+                                             "--n", "4", "--on", on])
+                    if code == 3:  # a disconnected or edgeless interior
+                        assert on == "interior"
+                        continue
+                    assert code == 0
+                    ran[on] += 1
+                    per = json.loads(out)["results"]["per_location"]
+                    tol = 4e-13 * float(degree_vector(target).max())
+                    near = hop_distances_bfs(target.weights) <= 1
+                    for key, got in per.items():
+                        if kind == "be":
+                            want = bakry_emery_by_polarization(
+                                target.measure, target.weights, int(key), 4.0)
+                        else:
+                            x, y = map(int, key.split(","))
+                            free = np.count_nonzero(near[x] | near[y]) - 2
+                            referee = ollivier_bruteforce if free <= 3 else ollivier_by_enumeration
+                            want = referee(target, x, y)
+                        assert got == pytest.approx(want, abs=tol), (i, on, kind, key)
+        assert ran["g"] == 20 and ran["interior"] > 0
 
     def test_bounds_fiedler(self, capsys, p3_file):
         code, out = run(capsys, ["bounds", "--graph", p3_file, "--family", "fiedler"])
@@ -554,8 +597,9 @@ class TestDeterminism:
 
 class TestDerivedPartsBuiltOnce:
     """Each graph's full Laplacian, Neumann coupling, interior subgraph and
-    hop distances are computed once per graph object and shared by every
-    operator, spectrum and bound that reads them."""
+    hop distances are computed at most once per graph object and shared by
+    every operator, spectrum and bound that reads them; the hop distances
+    only where a curvature or a component count needs them."""
 
     def test_each_part_built_once_per_graph(self, monkeypatch, capsys, tmp_path):
         # unit weights reach the Fiedler bounds, and the interior 1-2-3 is a
@@ -575,27 +619,34 @@ class TestDerivedPartsBuiltOnce:
         monkeypatch.setattr(operators, "_coupling", spy("coupling", operators._coupling))
         monkeypatch.setattr(graph_module, "_graph_distances",
                             spy("distances", graph_module._graph_distances))
+        loaded = []
+
+        def validate(graph, **kwargs):
+            loaded.append(graph)
+            return graph_module.validate(graph, **kwargs)
+
+        monkeypatch.setattr(cli, "validate", validate)
         for argv in (["compare"], ["bounds", "--family", "fiedler"],
                      ["curvature", "--kind", "be", "--on", "interior"]):
-            for calls in built.values():
+            for calls in (*built.values(), loaded):
                 calls.clear()
             code, _ = run(capsys, argv + ["--graph", str(path)])
             assert code == 0
-            g = built["distances"][0]  # validate's connectivity check
+            g, = loaded  # the graph read from the file
             sub = interior_subgraph(g)
             assert interior_subgraph(g) is sub
-            for key in ("full", "coupling"):
+            for key in built:
                 assert len({id(x) for x in built[key]}) == len(built[key]), (argv, key)
             ids = {key: [id(x) for x in calls] for key, calls in built.items()}
             if argv[0] == "compare":
                 assert ids["full"] == [id(g), id(sub)] and ids["coupling"] == [id(g)]
-                assert ids["distances"] == [id(g)]
+                assert ids["distances"] == []
             elif argv[0] == "bounds":
                 # the minimum cut itself reads 0 on a disconnected graph
-                assert ids["distances"] == [id(g)]
+                assert ids["distances"] == []
             else:
-                # then the interior's curvature balls
-                assert ids["distances"] == [id(g), id(sub)]
+                # the interior's curvature balls alone
+                assert ids["distances"] == [id(sub)]
 
 
 class TestParserReuse:

@@ -124,6 +124,64 @@ class TestMaxFlow:
         assert curvature._max_gain(supply, demand, gains) == want
 
 
+    def test_start_that_fills_only_the_receivers(self):
+        # senders a (supply 2) and b (1), one receiver u (demand 1) that
+        # gains 2 with a and 1 with b.  The start fills both copies of u from
+        # a's copies, and a and b keep supply with nowhere left to send it,
+        # so the start is maximum: u's unit at gain 2
+        supply, demand = np.array([2.0, 1.0]), np.array([1.0])
+        gains = np.array([[2.0], [1.0]])
+        want = gain_dual_bruteforce(supply, demand, gains)
+        assert want == 2.0
+        assert curvature._max_gain(supply, demand, gains) == want
+
+
+def lognormal_graphs(seed, sizes):
+    """One lognormal graph with exactly ``n`` vertices per size."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in sizes:
+        g = random_graph(rng, n, weight_model="lognormal")
+        while g.vertex_count != n:
+            g = random_graph(rng, n, weight_model="lognormal")
+        graphs.append(g)
+    return graphs
+
+
+def seeded_graphs():
+    rng = np.random.default_rng(23)
+    return [random_graph(rng, 12) for _ in range(30)] + lognormal_graphs(24, (40, 49))
+
+
+class TestOneLocationAndWholeGraph:
+    """The one-location entry points and the whole-graph passes compute each
+    value by the same arithmetic, so they agree to the bit."""
+
+    def test_ollivier_edge_equals_the_whole_graph_pass(self):
+        for g in seeded_graphs():
+            per = ollivier_curvature_all(g).per_location
+            assert len(per) == len(list(g.edges()))
+            for (u, v), kappa in per.items():
+                assert ollivier_curvature(g, u, v) == kappa
+
+    def test_ollivier_pass_does_not_depend_on_its_blocks(self, monkeypatch):
+        # the sums run left to right along each edge's row, so an edge's
+        # kappa is the same whichever edges share its pass
+        graphs = seeded_graphs()[-3:]
+        whole = [ollivier_curvature_all(g).per_location for g in graphs]
+        monkeypatch.setattr(curvature, "_PASS_ENTRIES", 1)
+        for g, per in zip(graphs, whole):
+            fresh = WeightedBoundaryGraph(g.measure, g.weights, g.boundary)
+            assert ollivier_curvature_all(fresh).per_location == per
+
+    def test_bakry_emery_vertex_equals_the_whole_graph_pass(self):
+        for g in seeded_graphs():
+            for n in (4.0, float("inf")):
+                per = bakry_emery_curvature(g, n).per_location
+                for x, k in per.items():
+                    assert bakry_emery_curvature_at(g, x, n) == k
+
+
 class TestBakryEmery:
     def test_single_edge_curvature(self):
         g = single_edge()
