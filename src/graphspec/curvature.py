@@ -35,7 +35,10 @@ Two notions of curvature are computed on a plain weighted connected graph:
   instead: a bipartite max-gain problem whose totally unimodular dual is
   a minimum s-t cut, so the gain is a maximum flow on a bipartite
   network, found from a one-pass start by shortest augmenting paths (see
-  ``ollivier_curvature``).
+  ``ollivier_curvature``).  The flow keeps its sets of copies as Python-int
+  bitsets and its capacities as Python floats: the start visits only the
+  receiver copies with demand left and leaves a sender copy once it is
+  spent, and each search level is a union of bitsets (``_max_gain``).
 
 Both are computed for a whole graph in one pass, and the one-location entry
 points run the same pass on one vertex or edge.  The Laplacian, the
@@ -53,7 +56,9 @@ and Dirichlet spectra.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -87,6 +92,14 @@ def _require_connected(graph: WeightedBoundaryGraph) -> None:
         raise NotApplicable("curvature needs a connected graph with an edge")
 
 
+def _require_vertices(graph: WeightedBoundaryGraph, *vertices) -> None:
+    """The one-location entry points take integer vertices 0..|V|-1, and no
+    index that numpy would wrap around or reject."""
+    for v in vertices:
+        if not 0 <= operator.index(v) < graph.vertex_count:
+            raise ValueError(f"vertex {v} is not in 0..{graph.vertex_count - 1}")
+
+
 def bakry_emery_curvature_at(
     graph: WeightedBoundaryGraph, x: int, n: float
 ) -> float:
@@ -109,18 +122,18 @@ def bakry_emery_curvature_at(
     ``Q_22`` is diagonal with entries ``sum_{y in S_1} p_xy p_yz / 4 > 0``.
     Minimizing over the ``S_2`` values leaves the Schur complement
     ``Q_11 - Q_12 Q_22^{-1} Q_21``, and ``K`` is ``s`` times its least
-    eigenvalue relative to ``G_11``.  Raises NotApplicable for an isolated
-    ``x``, where ``Gamma`` vanishes identically, and when the scaled 2-ball
-    block or the forms assembled from it are not finite, which happens only
-    when the degrees in the 2-ball differ by more than the float range.
+    eigenvalue relative to ``G_11``.  Raises ValueError for a vertex outside
+    the graph or an ``n`` that is not above 1, and NotApplicable for an
+    isolated ``x``, where ``Gamma`` vanishes identically, and when the scaled
+    2-ball block or the forms assembled from it are not finite, which happens
+    only when the degrees in the 2-ball differ by more than the float range.
     """
+    _require_vertices(graph, x)
     return _bakry_emery_curvatures(graph, [x], n)[0]
 
 
 def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureResult:
     """Curvature-dimension constants K(x, n) at every vertex."""
-    if not n > 1.0:
-        raise ValueError("dimension parameter must exceed 1 (or be inf)")
     _require_connected(graph)
     ks = _bakry_emery_curvatures(graph, range(graph.vertex_count), n)
     per = dict(enumerate(ks))
@@ -138,6 +151,8 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
     The Laplacian, the power-of-two scales and the float error state are set
     up once for all of them; each vertex then assembles and solves its own
     forms on its 2-ball."""
+    if not n > 1.0:
+        raise ValueError("dimension parameter must exceed 1 (or be inf)")
     dist = distances(graph)
     lap = -operator_by_label(graph, "FullLaplacian").matrix
     # dividing by an exact power of two near Deg(x) keeps the forms of
@@ -252,8 +267,10 @@ def ollivier_curvature(
     capacities are unit-sized for weights of any magnitude, and no
     intermediate sum overflows for weights near the float range.  The edge
     goes through the same whole-array pass as every edge of
-    ``ollivier_curvature_all`` (``_ollivier_edges``).
+    ``ollivier_curvature_all`` (``_ollivier_edges``).  Raises ValueError
+    for a vertex outside the graph or a pair that is not an edge.
     """
+    _require_vertices(graph, x, y)
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
     return float(_ollivier_edges(graph, np.array([x]), np.array([y]))[0])
@@ -298,18 +315,22 @@ def _ollivier_edges(graph: WeightedBoundaryGraph, xs: np.ndarray, ys: np.ndarray
         # sender v ships |c_v| to y at a_v = 2 d(y, v); receiver w takes c_w
         # from x at b_w = d(x, w) - 1 - d(y, w).  Each sum runs left to right
         # along its row, in an order that the code fixes and BLAS does not
-        terms = np.array((c * dy, supply * (2.0 * dy), demand * (dx - 1.0 - dy)))
+        dx1 = dx - 1.0  # d(x, .) - 1, in every fill and every gain
+        terms = np.array((c * dy, supply * (2.0 * dy), demand * (dx1 - dy)))
         c_dy, outlets, fills = terms.cumsum(axis=-1)[..., -1]
         const, value = at_x - c_dy, outlets + fills
         send, recv = supply > 0.0, demand > 0.0
+        gains = np.zeros(x.size)
         for e in range(x.size):
             vs, ws = send[e].nonzero()[0], recv[e].nonzero()[0]
             if not (vs.size and ws.size):
                 continue
-            gain = dy[e][vs][:, None] + dx[e][ws] - 1.0 - dist[vs[:, None], ws]
+            # g_vw = d(y, v) + d(x, w) - 1 - d(v, w)
+            gain = (dy[e].take(vs)[:, None] + dx1[e].take(ws)
+                    - dist.take(vs, axis=0).take(ws, axis=1))
             if np.count_nonzero(gain > 0.0):
-                value[e] -= _max_gain(supply[e][vs], demand[e][ws], gain)
-        kappa[lo : lo + step] = scale * (const - value)
+                gains[e] = _max_gain(supply[e].take(vs), demand[e].take(ws), gain)
+        kappa[lo : lo + step] = scale * (const - (value - gains))
     return kappa
 
 
@@ -320,84 +341,153 @@ def _ball_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
     return np.minimum(distances(graph), 2.0)
 
 
+# gain > 1 marks a pair that gains 2, gain > 0 a pair that gains at all
+_GAIN_THRESHOLDS = np.array([[1.0], [0.0]])
+
+
 def _max_gain(supply: np.ndarray, demand: np.ndarray, gain: np.ndarray) -> float:
     """Maximum of ``sum gain_vw t_vw`` over ``t >= 0`` with row sums at most
     ``supply`` and column sums at most ``demand`` (gains at most 2): the
     value of a maximum flow on the network of ``ollivier_curvature``.
+    Every supply and demand is positive, as ``_ollivier_edges`` passes them.
 
     Sender copies are ``v2 = v`` and ``v1 = ns + v``, receiver copies
-    ``w2 = w`` and ``w1 = nr + w``; the state is the supply or demand each
-    copy has left and the flow on each arc.  A one-pass start pushes along
-    the arcs in turn, those of the pairs that gain 2 first (``v2 -> w1``,
-    ``v1 -> w2``, then every ``v1 -> w1``).  Then each breadth-first search
+    ``w2 = w`` and ``w1 = nr + w``.  A set of copies is a Python int used as
+    a bitset, bit ``i`` standing for copy ``i``: ``heads[t]`` holds the
+    heads of the arcs out of sender copy ``t``, read off one packbits of the
+    gain matrix, and ``fed_heads[t]`` and ``fed_tails[h]`` the heads and
+    tails of the arcs that carry flow.  The supply or demand each copy has
+    left and the flow on each arc are Python floats.
+
+    A one-pass start pushes along the arcs in turn, those of the pairs that
+    gain 2 first (``v2 -> w1``, ``v1 -> w2``, then every ``v1 -> w1``), each
+    row visiting only the receiver copies that still have demand and
+    stopping once its sender copy is spent.  Then each breadth-first search
     from the receiver copies with demand left levels the copies by their
-    distance to the sink, and the shortest augmenting path (Edmonds and
+    distance to the sink: a level's sender copies are those whose heads meet
+    the receiver copies of the level before, and its next receiver copies
+    the union of their fed heads.  The shortest augmenting path (Edmonds and
     Karp, J. ACM 1972) runs down the levels from a sender copy with supply
-    left, forward along an arc and backward along one that carries flow.
-    It takes the first copy in index order at each step, and the first
-    sender, ``v1`` before ``v2``, at the start: that fixes which path is
-    taken, and so the rounding of the total.  The flow is maximum once no
-    path is left, which is already so right after the start when every
-    sender copy with an arc has spent its supply or every receiver copy
-    with an arc is full.  Every push leaves its bottleneck (a supply, a
-    demand or a flow carried backward) at exactly 0, since ``a - a == 0``
-    in floating point, so as in exact arithmetic the distance to the sink
-    never falls and at most copies times arcs paths are pushed.
+    left, forward along an arc and backward along one that carries flow.  It
+    takes the lowest copy at each step, and the lowest sender, ``v1`` before
+    ``v2``, at the start: that fixes which path is taken, and so the
+    rounding of the total, the same number that
+    ``tests/oracle.py::max_gain_by_levels`` finds with boolean matrices.
+    The flow is maximum once no path is left, which is so without a search
+    when no sender copy with an arc has supply left or no receiver copy with
+    an arc has demand left.  Every push leaves its bottleneck (a supply, a
+    demand or a flow carried backward) at exactly 0, since ``a - a == 0`` in
+    floating point, so as in exact arithmetic the distance to the sink never
+    falls and at most copies times arcs paths are pushed.
     """
     ns, nr = gain.shape
-    one, two = gain > 0.0, gain > 1.0
-    arcs = np.zeros((2 * ns, 2 * nr), dtype=bool)
-    arcs[:ns, nr:] = arcs[ns:, :nr] = two
-    arcs[ns:, nr:] = one
-    flow, total = np.zeros(arcs.shape), 0.0
+    width, w2s = 2 * nr, (1 << nr) - 1
+    # (v, 0, w): v gains 2 with w, (v, 1, w): v gains with w, so the bits of
+    # sender v are the heads of v1, its w2 copies then its w1 copies
+    packed = np.packbits(gain[:, None] > _GAIN_THRESHOLDS, bitorder="little")
+    bits, mask = int.from_bytes(packed.tobytes(), "little"), (1 << width) - 1
+    v1s = [bits >> width * v & mask for v in range(ns)]
+    heads = [(row & w2s) << nr for row in v1s] + v1s
     left, right = supply.tolist() * 2, demand.tolist() * 2
+    unfilled, supplied = (1 << 2 * nr) - 1, (1 << 2 * ns) - 1
+    flow, total = {}, 0.0
     # the arcs block by block, v2 -> w1, v1 -> w2, then v1 -> w1, each by rows
-    tc, hc, v, w = arcs.reshape(2, ns, 2, nr).transpose(0, 2, 1, 3).nonzero()
-    for t, h in zip((tc * ns + v).tolist(), (hc * nr + w).tolist()):
-        if left[t] > 0.0 and right[h] > 0.0:
-            push = min(left[t], right[h])
-            left[t] -= push
-            right[h] -= push
-            flow[t, h] = push
-            total += push
-    supplied, unfilled = np.array(left) > 0.0, np.array(right) > 0.0
+    for first, part in ((0, -1), (ns, w2s), (ns, ~w2s)):
+        for t in range(first, first + ns):
+            s = left[t]
+            if s > 0.0:
+                free = heads[t] & part & unfilled
+                while free:
+                    low = free & -free
+                    h = low.bit_length() - 1
+                    r = right[h]
+                    if r < s:  # fills h
+                        s -= r
+                        right[h] = 0.0
+                        flow[t, h] = r
+                        total += r
+                        unfilled ^= low
+                        free ^= low
+                    else:  # spends t
+                        right[h] = r - s
+                        flow[t, h] = s
+                        total += s
+                        if r == s:
+                            unfilled ^= low
+                        s = 0.0
+                        supplied ^= 1 << t
+                        break
+                left[t] = s
     # a path needs a sender copy with supply left and a receiver copy with
-    # demand left, each with an arc
-    if not (np.count_nonzero(supplied @ arcs) and np.count_nonzero(arcs @ unfilled)):
+    # demand left, each with an arc; rows holds each sender copy that has an
+    # arc, as its bit and its heads
+    rows = [(1 << t, row) for t, row in enumerate(heads) if row]
+    arc_tails = sum([bit for bit, _row in rows])
+    arc_heads = reduce(operator.or_, v1s, 0)
+    if not (supplied & arc_tails and unfilled & arc_heads):
         return total
-    while True:
-        fed = flow > 0.0
+    fed_heads, fed_tails = [0] * (2 * ns), [0] * (2 * nr)
+    for t, h in flow:
+        fed_heads[t] |= 1 << h
+        fed_tails[h] |= 1 << t
+    low_copies = (1 << ns) - 1
+    while supplied & arc_tails and unfilled & arc_heads:
         receivers, senders = [unfilled], []
-        reached, seen = receivers[0], np.zeros(2 * ns, dtype=bool)
+        reached, seen = unfilled, 0
         while True:
-            new = arcs @ receivers[-1] & ~seen
-            starts = new & supplied
-            if np.count_nonzero(starts):
+            level = receivers[-1]
+            new = sum([bit for bit, row in rows if row & level]) & ~seen
+            found = new & supplied
+            if found:
                 break
-            back = new @ fed & ~reached
-            if not np.count_nonzero(back):
+            back = _gather(new, fed_heads) & ~reached
+            if not back:
                 return total
             seen, reached = seen | new, reached | back
             senders.append(new)
             receivers.append(back)
-        # the first sender with a start, its v1 copy before its v2 copy
-        v, copy = divmod(int(starts.reshape(2, ns)[::-1].T.argmax()), 2)
-        ts, hs = [v + ns * (1 - copy)], []
+        # the lowest sender with a start, its v1 copy before its v2 copy
+        v = _lowest((found | found >> ns) & low_copies)
+        ts, hs = [v + ns if found >> ns + v & 1 else v], []
         for k in range(len(receivers) - 1, -1, -1):
-            hs.append(int((receivers[k] & arcs[ts[-1]]).argmax()))
+            hs.append(_lowest(receivers[k] & heads[ts[-1]]))
             if k:
-                ts.append(int((senders[k - 1] & fed[:, hs[-1]]).argmax()))
+                ts.append(_lowest(senders[k - 1] & fed_tails[hs[-1]]))
         # the path's arcs (ts[i], hs[i]) forward and (ts[i + 1], hs[i]) back
         forward, backward = list(zip(ts, hs)), list(zip(ts[1:], hs))
-        push = float(min(left[ts[0]], right[hs[-1]], *(flow[arc] for arc in backward)))
+        push = min(left[ts[0]], right[hs[-1]], *map(flow.__getitem__, backward))
         left[ts[0]] -= push
         right[hs[-1]] -= push
-        for arc in forward:
-            flow[arc] += push
-        for arc in backward:
-            flow[arc] -= push
+        for t, h in forward:
+            flow[t, h] = flow.get((t, h), 0.0) + push
+            fed_heads[t] |= 1 << h
+            fed_tails[h] |= 1 << t
+        for t, h in backward:
+            flow[t, h] -= push
+            if flow[t, h] == 0.0:
+                fed_heads[t] ^= 1 << h
+                fed_tails[h] ^= 1 << t
         total += push
-        supplied[ts[0]], unfilled[hs[-1]] = left[ts[0]] > 0.0, right[hs[-1]] > 0.0
+        if left[ts[0]] == 0.0:
+            supplied ^= 1 << ts[0]
+        if right[hs[-1]] == 0.0:
+            unfilled ^= 1 << hs[-1]
+    return total
+
+
+def _gather(bitset: int, table: list) -> int:
+    """The union of ``table[i]`` over the set bits ``i`` of ``bitset``."""
+    union = 0
+    while bitset:
+        low = bitset & -bitset
+        union |= table[low.bit_length() - 1]
+        bitset ^= low
+    return union
+
+
+def _lowest(bitset: int) -> int:
+    """The index of the lowest set bit of a nonzero ``bitset``."""
+    return (bitset & -bitset).bit_length() - 1
 
 
 def ollivier_curvature_all(graph: WeightedBoundaryGraph) -> CurvatureResult:

@@ -9,7 +9,8 @@ normal derivative and the self-adjointness defect entry by entry from their
 definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, sender-receiver gain problems
-from their integral duals by enumeration, hop distances from a breadth-first
+from their integral duals by enumeration and by the earlier boolean-matrix
+form of the gain flow, hop distances from a breadth-first
 search per vertex, eigenpair residuals and orthonormality defects from
 their definitions, the NeuVsLap quadratic form on the mean-zero boundary
 functions through a basis read off the eigenvectors of the orthogonal
@@ -367,6 +368,76 @@ def gain_dual_bruteforce(supply, demand, gains) -> float:
     feasible = (q[None, :, :] >= need[:, None, :]).all(axis=2)
     cost = (p @ supply)[:, None] + q @ demand
     return float(cost[feasible].min())
+
+
+def max_gain_by_levels(supply, demand, gain) -> float:
+    """The gain flow of ``curvature._max_gain`` as its boolean-matrix form
+    computed it, kept verbatim as a referee: the same one-pass start and
+    the same shortest augmenting paths, leveled by boolean matrix products
+    over a dense (2 senders x 2 receivers) arc matrix and a dense flow
+    matrix.  Its total is the solver's to the bit, since both push the
+    same paths in the same order with the same arithmetic.
+
+    Sender copies are ``v2 = v`` and ``v1 = ns + v``, receiver copies
+    ``w2 = w`` and ``w1 = nr + w``.  A gaining pair gives the arc
+    ``v1 -> w1``, and a pair that gains 2 also ``v2 -> w1`` and
+    ``v1 -> w2``; each sender copy is fed at ``supply`` and each receiver
+    copy drains at ``demand``.
+    """
+    ns, nr = gain.shape
+    one, two = gain > 0.0, gain > 1.0
+    arcs = np.zeros((2 * ns, 2 * nr), dtype=bool)
+    arcs[:ns, nr:] = arcs[ns:, :nr] = two
+    arcs[ns:, nr:] = one
+    flow, total = np.zeros(arcs.shape), 0.0
+    left, right = supply.tolist() * 2, demand.tolist() * 2
+    # the arcs block by block, v2 -> w1, v1 -> w2, then v1 -> w1, each by rows
+    tc, hc, v, w = arcs.reshape(2, ns, 2, nr).transpose(0, 2, 1, 3).nonzero()
+    for t, h in zip((tc * ns + v).tolist(), (hc * nr + w).tolist()):
+        if left[t] > 0.0 and right[h] > 0.0:
+            push = min(left[t], right[h])
+            left[t] -= push
+            right[h] -= push
+            flow[t, h] = push
+            total += push
+    supplied, unfilled = np.array(left) > 0.0, np.array(right) > 0.0
+    # a path needs a sender copy with supply left and a receiver copy with
+    # demand left, each with an arc
+    if not (np.count_nonzero(supplied @ arcs) and np.count_nonzero(arcs @ unfilled)):
+        return total
+    while True:
+        fed = flow > 0.0
+        receivers, senders = [unfilled], []
+        reached, seen = receivers[0], np.zeros(2 * ns, dtype=bool)
+        while True:
+            new = arcs @ receivers[-1] & ~seen
+            starts = new & supplied
+            if np.count_nonzero(starts):
+                break
+            back = new @ fed & ~reached
+            if not np.count_nonzero(back):
+                return total
+            seen, reached = seen | new, reached | back
+            senders.append(new)
+            receivers.append(back)
+        # the first sender with a start, its v1 copy before its v2 copy
+        v, copy = divmod(int(starts.reshape(2, ns)[::-1].T.argmax()), 2)
+        ts, hs = [v + ns * (1 - copy)], []
+        for k in range(len(receivers) - 1, -1, -1):
+            hs.append(int((receivers[k] & arcs[ts[-1]]).argmax()))
+            if k:
+                ts.append(int((senders[k - 1] & fed[:, hs[-1]]).argmax()))
+        # the path's arcs (ts[i], hs[i]) forward and (ts[i + 1], hs[i]) back
+        forward, backward = list(zip(ts, hs)), list(zip(ts[1:], hs))
+        push = float(min(left[ts[0]], right[hs[-1]], *(flow[arc] for arc in backward)))
+        left[ts[0]] -= push
+        right[hs[-1]] -= push
+        for arc in forward:
+            flow[arc] += push
+        for arc in backward:
+            flow[arc] -= push
+        total += push
+        supplied[ts[0]], unfilled[hs[-1]] = left[ts[0]] > 0.0, right[hs[-1]] > 0.0
 
 
 def cut_bruteforce(weights: np.ndarray) -> int:

@@ -562,7 +562,29 @@ class TestGraphFileReadOnce:
         assert json.loads(out)["graph_digest"] == hashlib.sha256(parsed).hexdigest()
 
 
+# sha256 of the `results` objects that `curvature --kind ollivier` prints,
+# `--on g` then `--on interior`, over the 200 graphs random_graph(rng, 12) of
+# default_rng(42), each preceded by its exit code.  The edge curvature takes no
+# LAPACK call, so these bits do not depend on the platform; a change to the
+# flow or the closed form that moves the last bit of a kappa shows here
+OLLIVIER_CORPUS_DIGEST = "d2d0c9f5f0135730461d99b32ef470470e2deaa9e75590ef9f9500fae9922ccf"
+
+
 class TestDeterminism:
+    def test_ollivier_output_is_pinned(self, capsys, tmp_path):
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(42)
+        path = tmp_path / "corpus.json"
+        for _ in range(200):
+            save(random_graph(rng, 12), path)
+            for on in ("g", "interior"):
+                code, out = run(capsys, ["curvature", "--graph", str(path), "--kind", "ollivier",
+                                         "--on", on])
+                digest.update(f"{on} {code}\n".encode())
+                if code == 0:
+                    digest.update(dumps_json(json.loads(out)["results"]).encode())
+        assert digest.hexdigest() == OLLIVIER_CORPUS_DIGEST
+
     def test_byte_identical_output(self, capsys, k22_file):
         _, first = run(capsys, ["compare", "--graph", k22_file, "--theorems", "all"])
         _, second = run(capsys, ["compare", "--graph", k22_file, "--theorems", "all"])

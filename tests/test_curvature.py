@@ -27,6 +27,7 @@ from oracle import (
     bakry_emery_forms,
     gain_dual_bruteforce,
     hop_distances_bfs,
+    max_gain_by_levels,
     ollivier_bruteforce,
     ollivier_by_enumeration,
     rayleigh_min_bruteforce,
@@ -111,6 +112,33 @@ class TestMaxFlow:
                                        gains[np.ix_(senders, receivers)])
         assert permuted == pytest.approx(want, abs=tol)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_boolean_matrix_flow(self, data):
+        # the bitset flow pushes the same paths in the same order as the
+        # boolean-matrix flow it replaced, so the totals are the same number;
+        # capacities from a pool of two or three values make equal supplies
+        # and demands, and so pushes that spend both ends at once, common
+        ns, nr = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        pool = data.draw(st.lists(CAPACITIES, min_size=2, max_size=3))
+        supply = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=ns, max_size=ns)))
+        demand = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=nr, max_size=nr)))
+        gains = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=nr, max_size=nr),
+                                            min_size=ns, max_size=ns)), dtype=float)
+        assert curvature._max_gain(supply, demand, gains) == max_gain_by_levels(supply, demand,
+                                                                                gains)
+
+    def test_equals_the_boolean_matrix_flow_on_seeded_graphs(self, monkeypatch):
+        # every gain problem of the seeded graphs and of a 64-vertex
+        # lognormal graph, rounding included
+        max_gain = curvature._max_gain
+        flows = spy_flows(monkeypatch)
+        for g in seeded_graphs() + lognormal_graphs(25, (64,)):
+            ollivier_curvature_all(g)
+        assert len(flows) > 1000
+        for supply, demand, gain in flows:
+            assert max_gain(supply, demand, gain) == max_gain_by_levels(supply, demand, gain)
+
     def test_repairs_a_start_that_is_not_maximum(self):
         # senders a, b and receivers u, w, each of size 1; a gains 1 with u
         # and with w, b only with u.  The start pushes 1 from a to u, which
@@ -174,6 +202,20 @@ class TestOneLocationAndWholeGraph:
             fresh = WeightedBoundaryGraph(g.measure, g.weights, g.boundary)
             assert ollivier_curvature_all(fresh).per_location == per
 
+    def test_one_location_rejects_vertices_outside_the_graph(self):
+        # numpy would read -1 as the last vertex and reject 4 with an
+        # IndexError; both entry points take 0..|V|-1 only
+        g = path_graph(4)
+        for x, y in ((-1, 2), (2, -1), (3, 4), (4, 3), (-4, 0)):
+            with pytest.raises(ValueError, match=r"not in 0\.\.3"):
+                ollivier_curvature(g, x, y)
+        for x in (-1, -4, 4, 100):
+            with pytest.raises(ValueError, match=r"not in 0\.\.3"):
+                bakry_emery_curvature_at(g, x, 4.0)
+        with pytest.raises(TypeError):
+            ollivier_curvature(g, 1.5, 2)
+        assert ollivier_curvature(g, np.int64(3), 2) == ollivier_curvature(g, 3, 2)
+
     def test_bakry_emery_vertex_equals_the_whole_graph_pass(self):
         for g in seeded_graphs():
             for n in (4.0, float("inf")):
@@ -207,6 +249,11 @@ class TestBakryEmery:
     def test_rejects_dimension_at_most_one(self):
         with pytest.raises(ValueError):
             bakry_emery_curvature(single_edge(), 1.0)
+        # the one-vertex entry point makes the same check
+        g = path_graph(4, boundary=[0])
+        for n in (1.0, 0.5, -3.0, -math.inf):
+            with pytest.raises(ValueError, match="must exceed 1"):
+                bakry_emery_curvature_at(g, 1, n)
 
     def test_rejects_nan_dimension(self):
         # NaN compares false with everything, so it must fail the n > 1 test
@@ -214,6 +261,8 @@ class TestBakryEmery:
         g = path_graph(4, boundary=[0])
         with pytest.raises(ValueError, match="must exceed 1"):
             bakry_emery_curvature(g, float("nan"))
+        with pytest.raises(ValueError, match="must exceed 1"):
+            bakry_emery_curvature_at(g, 1, float("nan"))
         with pytest.raises(ValueError, match="must exceed 1"):
             certify_lichnerowicz(g, "be-g-nu2", n=float("nan"))
 
