@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import WeightedBoundaryGraph, validate
+from .graph import WeightedBoundaryGraph, _hop_distances, validate
 
 # the Sinkhorn iteration's round cap and its tolerance on every degree
 NORMALIZE_ROUNDS = 500
@@ -53,19 +53,16 @@ def _has_total_support(weights: np.ndarray) -> bool:
     lies on a positive diagonal exactly when it closes a cycle of the
     digraph with an arc i -> k for each positive ``weights[i, sigma(k)]``,
     that is when k reaches i (the Dulmage-Mendelsohn decomposition: no arc
-    joins two of its strong components)."""
+    joins two of its strong components).  Who reaches whom comes from the
+    hop search from every vertex; it counts each vertex as reaching itself,
+    which changes nothing here, as every i has its own arc i -> i."""
     positive = weights > 0.0
     sigma = _perfect_matching(positive)
     if sigma is None:
         return False
     arcs = positive[:, sigma]  # arcs[i, k]: row i meets the column matched to row k
-    reach = arcs.astype(float)
-    while True:  # square the reachability until it stops growing
-        longer = (reach @ reach > 0.0).astype(float)
-        if np.array_equal(longer, reach):
-            break
-        reach = longer
-    return bool((reach.T > 0.0)[arcs].all())
+    reaches = np.isfinite(_hop_distances(arcs, np.eye(arcs.shape[0], dtype=bool)))
+    return bool(reaches.T[arcs].all())
 
 
 def _normalize_weights(measure, weights):

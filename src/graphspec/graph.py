@@ -132,12 +132,14 @@ def _read_only(value):
     return value
 
 
-def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """All-pairs hop distances on the support of the weights, ``inf`` between
-    components.  The vertices first reached at hop ``h`` come from one
-    boolean product of the hop ``h - 1`` frontier with the adjacency."""
-    adj = (graph.weights > 0.0).astype(float)
-    reached = np.eye(adj.shape[0], dtype=bool)
+def _hop_distances(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from the vertices each row of the boolean ``sources``
+    marks, along the arcs ``i -> j`` where ``adjacency[i, j]`` holds, with
+    ``inf`` where a vertex is not reached.  The vertices first reached at hop
+    ``h`` come from one boolean product of the hop ``h - 1`` frontier with
+    the adjacency."""
+    adj = adjacency.astype(float)
+    reached = np.array(sources, dtype=bool)
     dist = np.where(reached, 0.0, np.inf)
     frontier, hop = reached, 0
     while frontier.any():
@@ -148,21 +150,24 @@ def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
     return dist
 
 
+def _graph_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
+    """All-pairs hop distances on the support of the weights, ``inf`` between
+    components: the search from every vertex at once."""
+    return _hop_distances(graph.weights > 0.0, np.eye(graph.vertex_count, dtype=bool))
+
+
 def distances(graph: WeightedBoundaryGraph) -> np.ndarray:
     """Hop distances of ``graph``, computed once per graph object."""
     return graph.derived("distances", _graph_distances)
 
 
-def _components(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """Connected-component labels: each vertex is labelled by the smallest
-    vertex it reaches."""
-    return np.isfinite(distances(graph)).argmax(axis=1)
-
-
 def component_count(graph: WeightedBoundaryGraph) -> int:
+    """The number of connected components, read from the memoized hop
+    distances: each component is counted at its smallest vertex, the first
+    vertex that each of its members reaches."""
     if graph.vertex_count == 0:
         return 0
-    labels = _components(graph)
+    labels = np.isfinite(distances(graph)).argmax(axis=1)
     return int(np.count_nonzero(labels == np.arange(labels.size)))
 
 
@@ -174,6 +179,8 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     AsymmetricWeight, NegativeWeight, NonpositiveMeasure, NonfiniteValue
     (a weighted degree that overflows, then one whose double does),
     EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
+    The last is the first vertex that a hop search from vertex 0 alone does
+    not reach; the all-pairs distances are not built here.
     """
     m, w = graph.measure, graph.weights
     if not np.isfinite(m).all():
@@ -212,22 +219,10 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
         if isolated.any():
             raise GraphValidationError("IsolatedBoundaryVertex", int(b[_first(isolated)]))
     if graph.vertex_count:
-        outside = ~_reached_from_first(w)
+        from_first = _hop_distances(w > 0.0, np.eye(1, graph.vertex_count, dtype=bool))[0]
+        outside = np.isinf(from_first)
         if outside.any():
             raise GraphValidationError("Disconnected", _first(outside))
-
-
-def _reached_from_first(weights: np.ndarray) -> np.ndarray:
-    """Which vertices vertex 0 reaches on the support of ``weights``: each
-    hop adds the neighbours of the last hop's new vertices."""
-    adj = weights > 0.0
-    reached = np.zeros(adj.shape[0], dtype=bool)
-    reached[0] = True
-    frontier = reached
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~reached
-        reached |= frontier
-    return reached
 
 
 def _first(mask: np.ndarray):

@@ -225,6 +225,17 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_certify_full_equality_anomaly(self, capsys, tmp_path):
+        # every LapVsDiri index reads equal under a tolerance sized by the
+        # tiny interior measures; ROADMAP item 2 will revisit this input
+        path = tmp_path / "p3_light_interior.json"
+        save(path_graph(3, boundary=[0], measure=[1.0, 1e-8, 1e-8]), path)
+        code, out = run(capsys, ["certify", "--graph", str(path), "--theorem", "LapVsDiri"])
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert [c["name"] for c in results["conditions"]] == ["full_equality_anomaly"]
+        assert results["consistent"] is False
+
     def test_certify_unsupported(self, capsys, tmp_path):
         # weighted graph is outside the unit-weight corollary's scope
         path = tmp_path / "weighted.json"

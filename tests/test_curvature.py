@@ -610,6 +610,13 @@ class TestConnectivityGuard:
                                                     "with an edge$"):
                 compute(g)
 
+    def test_one_location_on_an_isolated_vertex(self):
+        # the one-location entry point does not ask for a connected graph,
+        # but an isolated vertex has no Gamma to compare against
+        g = unit_graph([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        with pytest.raises(NotApplicable, match="^vertex 2 is isolated$"):
+            bakry_emery_curvature_at(g, 2, 4.0)
+
 
 class TestLichnerowicz:
     def test_all_variants_on_a_curved_fixture(self):

@@ -17,6 +17,7 @@ from graphspec.graph import (
     GraphValidationError,
     WeightedBoundaryGraph,
     _graph_distances,
+    _hop_distances,
     boundary_degree_vector,
     component_count,
     degree_vector,
@@ -46,6 +47,22 @@ def kind_of(graph):
     with pytest.raises(GraphValidationError) as err:
         validate(graph)
     return err.value.kind
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("measure,weights", [
+        (np.ones(3), np.zeros((2, 2))),
+        (np.ones((3, 1)), np.zeros((3, 3))),
+    ])
+    def test_shape_mismatch_rejected(self, measure, weights):
+        with pytest.raises(GraphFormatError, match="^measure/weights shape mismatch$"):
+            WeightedBoundaryGraph(measure=measure, weights=weights, boundary=[])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_boundary_index_out_of_range_rejected(self, index):
+        with pytest.raises(GraphFormatError, match="^boundary index out of range$"):
+            WeightedBoundaryGraph(measure=np.ones(3), weights=np.zeros((3, 3)),
+                                  boundary=[index])
 
 
 class TestValidationOrder:
@@ -252,6 +269,23 @@ class TestReachability:
 
     def test_empty_graph_has_no_components(self):
         assert component_count(graph_from([], np.zeros((0, 0)), [])) == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_directed_search_from_source_subsets(self, seed):
+        # arcs i -> j that need not run back; a row of sources marking one
+        # vertex is that vertex's oracle row, and a row marking several is
+        # the least of their rows
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(1, 13))
+            arcs = rng.random((n, n)) < rng.choice([0.1, 0.25, 0.5])
+            want = hop_distances_bfs(arcs)
+            chosen = np.flatnonzero(rng.random(n) < 0.5)
+            sources = np.eye(n, dtype=bool)[chosen]
+            assert np.array_equal(_hop_distances(arcs, sources), want[chosen])
+            union = sources.any(axis=0, keepdims=True)
+            least = want[chosen].min(axis=0, initial=np.inf)[None, :]
+            assert np.array_equal(_hop_distances(arcs, union), least)
 
 
 class TestJson:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from graphspec.comparisons import EQUALITY_TOL, compare_dirichlet_interior, run_all
+from graphspec.comparisons import (
+    EQUALITY_TOL,
+    compare_dirichlet_interior,
+    compare_laplacian_dirichlet,
+    run_all,
+)
 from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, validate
@@ -223,6 +228,20 @@ class TestLaplacianDirichlet:
         report = check_laplacian_dirichlet_rigidity(g)
         assert report.extra["j"] == j
         assert report.conclusion
+
+    def test_full_equality_is_reported_as_an_anomaly(self):
+        # tiny interior measures put max Deg, and so the tolerance, at 20,
+        # far above the real margins 0.72 and 0.28: every index reads equal.
+        # ROADMAP item 2 (tolerance at the compared values' scale) will
+        # revisit this input
+        g = path_graph(3, boundary=[0], measure=[1.0, 1e-8, 1e-8])
+        cert = compare_laplacian_dirichlet(g, EQUALITY_TOL)
+        assert cert.verdict == "FailsAt"
+        assert cert.extra["full_equality_anomaly"] is True
+        report = check_laplacian_dirichlet_rigidity(g)
+        assert [c.name for c in report.conditions] == ["full_equality_anomaly"]
+        assert report.conclusion is False
+        assert report.consistent is False
 
     def test_unsupported_pattern_raises(self):
         # perturbing one boundary weight of the all-equal recipe breaks the
