@@ -8,11 +8,11 @@ Two notions of curvature are computed on a plain weighted connected graph:
   largest ``K`` with ``Gamma2(f)(x) >= (Lap f(x))^2 / n + K Gamma(f)(x)``
   for every ``f`` supported on the 2-ball of ``x``.  Both sides are
   quadratic forms in the values of ``f`` on the spheres ``S_1`` and ``S_2``
-  around ``x``, assembled in closed form from the Laplacian's entries
-  (Cushing-Liu-Peyerimhoff).  ``Gamma(f)(x)`` sees only ``S_1``, and for
-  ``f`` supported on ``S_2`` both ``Lap f(x)`` and ``Gamma(f, Lap f)(x)``
-  vanish, so the ``S_2`` block of the Gamma2 form is diagonal and positive;
-  eliminating it leaves one symmetric eigenproblem on ``S_1`` (see
+  around ``x``.  ``Gamma(f)(x)`` sees only ``S_1``, and K needs just three
+  blocks of the Gamma2 form: the ``S_1`` block, the ``S_1 x S_2`` block and
+  the ``S_2`` block, which is diagonal and positive.  Each has a closed form
+  in the Laplacian's rows at ``x`` and on ``S_1`` (Cushing-Liu-Peyerimhoff),
+  and eliminating ``S_2`` leaves one symmetric eigenproblem on ``S_1`` (see
   ``bakry_emery_curvature_at``);
 * an edge-wise transport curvature defined through 1-Lipschitz test
   functions: ``kappa(x, y) = inf { Lap f(y) - Lap f(x) }`` over ``f`` with
@@ -105,28 +105,32 @@ def bakry_emery_curvature_at(
 ) -> float:
     """K(x, n): the optimal local curvature-dimension constant at ``x``.
 
-    The forms are assembled in closed form (Cushing-Liu-Peyerimhoff) on the
-    functions with ``f(x) = 0`` supported on the spheres ``S_1``, ``S_2`` of
-    radius 1 and 2 around ``x``.  With ``L`` the Laplacian divided by a power
-    of two ``s`` near ``Deg(x)``, ``p_zy`` its off-diagonal entries and
-    ``l`` its row ``x``:
+    The forms are taken on the functions with ``f(x) = 0`` supported on the
+    spheres ``S_1``, ``S_2`` of radius 1 and 2 around ``x``, and are read off
+    the rows of ``x`` and ``S_1`` alone (Cushing-Liu-Peyerimhoff,
+    "Bakry-Emery curvature functions on graphs", 2020).  With ``L`` the
+    Laplacian divided by a power of two ``s`` near ``Deg(x)``, let
+    ``p = L_{x,S_1} > 0``, ``L_11 = L_{S_1,S_1}`` (whose diagonal is
+    ``-Deg / s``), ``P_12 = L_{S_1,S_2}`` and ``t = (L^2)_x`` on ``S_1`` and
+    ``S_2``.  Then
 
-    * ``Gamma(f)(x) = f^T G f`` with ``G = diag(p_xv / 2)`` on ``S_1`` and 0
+    * ``Gamma(f)(x) = f^T G f`` with ``G = diag(p / 2)`` on ``S_1`` and 0
       on ``S_2``;
-    * ``Gamma2(f)(x) - (Lap f(x))^2 / n = f^T Q f`` with
-      ``Q = sum_z l_z Gamma_z / 2 - sym(Gamma_x L) - l l^T / n``, where
-      ``Gamma_z = sum_y p_zy (e_y - e_z)(e_y - e_z)^T / 2`` is the form of
-      ``Gamma(f)(z)``.
+    * ``Gamma2(f)(x) - (Lap f(x))^2 / n = f^T Q f`` with the blocks
+      ``Q_11 = (1/2 - 1/n) p p^T - (diag(p) L_11 + L_11^T diag(p)) / 2
+      + diag(t_{S_1}) / 4``, ``Q_12 = -diag(p) P_12 / 2`` and
+      ``Q_22 = diag(t_{S_2}) / 4``.
 
-    On ``S_2`` both ``Lap f(x)`` and ``Gamma(f, Lap f)(x)`` vanish, so
-    ``Q_22`` is diagonal with entries ``sum_{y in S_1} p_xy p_yz / 4 > 0``.
-    Minimizing over the ``S_2`` values leaves the Schur complement
-    ``Q_11 - Q_12 Q_22^{-1} Q_21``, and ``K`` is ``s`` times its least
-    eigenvalue relative to ``G_11``.  Raises ValueError for a vertex outside
-    the graph or an ``n`` that is not above 1, and NotApplicable for an
-    isolated ``x``, where ``Gamma`` vanishes identically, and when the scaled
-    2-ball block or the forms assembled from it are not finite, which happens
-    only when the degrees in the 2-ball differ by more than the float range.
+    ``Q_22`` is diagonal because on ``S_2`` both ``Lap f(x)`` and
+    ``Gamma(f, Lap f)(x)`` vanish, and ``t_z = sum_{y in S_1} p_y L_yz > 0``
+    there.  Minimizing over the ``S_2`` values leaves the Schur complement
+    ``Q_11 - (p p^T) o (P_12 diag(1 / t_{S_2}) P_12^T)``, with ``o`` the
+    entrywise product, and ``K`` is ``s`` times its least eigenvalue
+    relative to ``G_11``.  Raises ValueError for a vertex outside the graph
+    or an ``n`` that is not above 1, and NotApplicable for an isolated
+    ``x``, where ``Gamma`` vanishes identically, and when ``t`` or the form
+    is not finite, which happens only when the degrees in the 2-ball differ
+    by more than the float range.
     """
     _require_vertices(graph, x)
     return _bakry_emery_curvatures(graph, [x], n)[0]
@@ -150,7 +154,7 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
 
     The Laplacian, the power-of-two scales and the float error state are set
     up once for all of them; each vertex then assembles and solves its own
-    forms on its 2-ball."""
+    forms from the rows of ``x`` and ``S_1``."""
     if not n > 1.0:
         raise ValueError("dimension parameter must exceed 1 (or be inf)")
     dist = distances(graph)
@@ -165,31 +169,21 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
             s1 = np.flatnonzero(dist[x] == 1)
             if s1.size == 0:
                 raise NotApplicable(f"vertex {x} is isolated")
+            k = s1.size
             ball = np.concatenate(([x], s1, np.flatnonzero(dist[x] == 2)))
             scale = scales[x]
-            sub = lap[np.ix_(ball, ball)] / scale  # L on the 2-ball, x first
-            deg = -sub.diagonal()
-            diagonal = slice(None, None, ball.size + 1)  # in a flattened 2-ball matrix
-            p = sub.copy()
-            p.flat[diagonal] += deg
-            ell = sub[0]
-            # sum_z l_z Gamma_z / 2, and half of Gamma_x L, whose row v != x is
-            # p_xv (L_v - l) / 2
-            half_lap_gamma = ell[:, None] * p
-            half_lap_gamma += p.T * ell
-            half_lap_gamma *= -0.25
-            half_lap_gamma.flat[diagonal] += 0.25 * (p.T @ ell + ell * deg)
-            half_gamma_x_lap = 0.25 * p[0][:, None] * (sub - ell)
-            q = (half_lap_gamma - (half_gamma_x_lap + half_gamma_x_lap.T)
-                 - inv_n * np.outer(ell, ell))
-            q = q[1:, 1:]  # f(x) = 0
-            k = s1.size
-            q12 = q[:k, k:]
-            schur = q[:k, :k] - (q12 / q.diagonal()[k:]) @ q12.T
-            d = 1.0 / np.sqrt(0.5 * p[0, 1 : k + 1])
+            rows = lap[np.ix_(ball[: k + 1], ball)] / scale  # L on rows x, S_1; x first
+            p = rows[0, 1 : k + 1]
+            l11, p12 = rows[1:, 1 : k + 1], rows[1:, k + 1 :]
+            t = (rows[0, : k + 1] @ rows)[1:]  # (L^2)_x on S_1 and S_2
+            q11 = (0.5 - inv_n) * np.outer(p, p) - 0.5 * (p[:, None] * l11 + l11.T * p)
+            q11.flat[:: k + 1] += 0.25 * t[:k]
+            schur = q11 - np.outer(p, p) * ((p12 / t[k:]) @ p12.T)
+            d = 1.0 / np.sqrt(0.5 * p)
             form = d[:, None] * schur * d
-            # an entry of sub that overflows leaves a non-finite entry in q
-            if not (np.isfinite(q).all() and np.isfinite(form).all()):
+            # an entry of rows that overflows leaves t or the form non-finite;
+            # t is checked too, as an infinite t on S_2 zeroes its Schur term
+            if not (np.isfinite(t).all() and np.isfinite(form).all()):
                 raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
                                     "in its 2-ball differ by more than the float range")
             eigs, _ = symmetric_eigh(form)

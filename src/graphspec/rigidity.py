@@ -47,6 +47,9 @@ class RhoFactorization:
     the boundary, beside the boundary measures m_x.  Each w_xy / m_y is at
     most Deg(y), so r is finite, while rho_x itself overflows on valid
     graphs with small measures and large weights; the checks use r.
+    ``constant`` says that rho V_B has a relative spread of at most the
+    ``tol`` of the fit; it is decided only on a fit that holds, whose rho is
+    positive, and is False on any other.
     """
 
     rho_mass: np.ndarray | None
@@ -54,17 +57,12 @@ class RhoFactorization:
     residual: float
     holds: bool
     missing_edge: tuple[int, int] | None = None
+    constant: bool = False
 
     def rho_times(self, volume: float) -> np.ndarray:
         """rho_x * volume on the boundary, formed as r_x (volume / m_x) so
         that a finite product never passes through an overflowing rho_x."""
         return self.rho_mass * (volume / self.measure)
-
-    @property
-    def constant(self) -> bool:
-        """rho V_B has a relative spread of at most 1e-9; read only on a fit
-        that holds, whose rho is positive."""
-        return _relative_spread(self.rho_times(float(self.measure.sum()))) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,8 @@ def detect_rho_factorization(
 
     Requires every boundary-interior pair to be adjacent; otherwise reports
     the first missing pair as a witness.  The fit holds when its residual is
-    at most ``tol`` times the largest of these (positive) weights.
+    at most ``tol`` times the largest of these (positive) weights, and rho is
+    constant when the relative spread of rho V_B is at most ``tol``.
     """
     b, omega = graph.boundary, graph.interior
     wb = graph.weights[np.ix_(b, omega)]
@@ -133,8 +132,12 @@ def detect_rho_factorization(
     m_omega = graph.measure[omega]
     rho_mass = (wb / m_omega).mean(axis=1)
     residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
-    return RhoFactorization(rho_mass=rho_mass, measure=graph.measure[b], residual=residual,
-                            holds=residual <= tol * float(wb.max()))
+    m_b = graph.measure[b]
+    holds = residual <= tol * float(wb.max())
+    # rho V_B formed as r (V_B / m_B), as in RhoFactorization.rho_times
+    constant = holds and _relative_spread(rho_mass * (float(m_b.sum()) / m_b)) <= tol
+    return RhoFactorization(rho_mass=rho_mass, measure=m_b, residual=residual, holds=holds,
+                            constant=constant)
 
 
 def _quadratic_form_condition(

@@ -17,7 +17,7 @@ from graphspec.curvature import (
     ollivier_curvature_all,
 )
 from graphspec.fixtures import random_graph
-from graphspec.graph import WeightedBoundaryGraph, degree_vector
+from graphspec.graph import WeightedBoundaryGraph, degree_vector, interior_subgraph
 from graphspec.operators import full_laplacian
 from graphspec.spectra import symmetric_eigh
 
@@ -280,16 +280,19 @@ class TestBakryEmery:
         for got in values:
             assert got == pytest.approx(k, abs=1e-9 * max(1.0, k))
 
-    @pytest.mark.parametrize("model", ["unit", "lognormal"])
+    @pytest.mark.parametrize("model", ["unit", "lognormal", "normalized"])
     def test_matches_polarization_oracle(self, model):
+        # each draw and its interior, as `curvature --on interior` sees it,
+        # at every vertex with a neighbour
         rng = np.random.default_rng(17)
         for _ in range(15):
-            g = random_graph(rng, 8, weight_model=model)
-            tol = 1e-12 * max(1.0, float(degree_vector(g).max()))
-            for x in range(g.vertex_count):
-                for n in (2.0, 4.0, float("inf")):
-                    want = bakry_emery_by_polarization(g.measure, g.weights, x, n)
-                    assert bakry_emery_curvature_at(g, x, n) == pytest.approx(want, abs=tol)
+            drawn = random_graph(rng, 8, weight_model=model)
+            for g in (drawn, interior_subgraph(drawn)):
+                tol = 1e-12 * max(1.0, float(degree_vector(g).max()))
+                for x in np.flatnonzero(g.weights.any(axis=1)).tolist():
+                    for n in (2.0, 4.0, float("inf")):
+                        want = bakry_emery_by_polarization(g.measure, g.weights, x, n)
+                        assert bakry_emery_curvature_at(g, x, n) == pytest.approx(want, abs=tol)
 
     def test_bounded_by_sampled_rayleigh_quotients(self):
         # x adjacent to every other vertex: Gamma is nonsingular on the
@@ -329,6 +332,17 @@ class TestBakryEmery:
         # float range: the scaled block overflows at 1e10 / 1e-315, and the
         # block is finite but the forms built from it overflow at 1e-10 / 8e297
         g = path_graph(3, boundary=[0, 2], weights=weights)
+        with pytest.raises(NotApplicable, match="vertex 0"):
+            bakry_emery_curvature_at(g, 0, 4.0)
+
+    def test_overflowing_second_sphere_sum_is_not_applicable(self):
+        # vertex 0's four neighbours share the one vertex 5 of S_2: each term
+        # of (L^2)_{0,5} is finite but their sum overflows, while the form,
+        # whose S_2 term it would silently zero, stays finite
+        w = np.zeros((6, 6))
+        w[0, 1:5] = 0.99 * 2.0**-12
+        w[1:5, 5] = 1e308 * 2.0**-11
+        g = WeightedBoundaryGraph(measure=np.ones(6), weights=w + w.T, boundary=np.array([5]))
         with pytest.raises(NotApplicable, match="vertex 0"):
             bakry_emery_curvature_at(g, 0, 4.0)
 

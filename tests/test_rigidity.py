@@ -58,6 +58,32 @@ class TestRhoFactorization:
         assert fact.holds and fact.residual <= 1e-12
         assert np.abs(fact.rho_mass / fact.measure - 3.0).max() <= 1e-12
 
+    # scaling boundary vertex b's weights by 1 + eps keeps the fit exact and
+    # gives rho V_B a relative spread of about eps, which reads constant
+    # exactly when it is within the checker's tol
+    @pytest.mark.parametrize("eps, tol, constant", [
+        (1e-10, 1e-12, False), (1e-8, 1e-7, True), (1e-10, 1e-7, True), (1e-8, 1e-12, False),
+    ])
+    def test_constancy_is_decided_at_tol(self, eps, tol, constant):
+        neumann = _boundary_scaled(neumann_equality_recipe(2, 3), 1, 1.0 + eps)
+        fact = detect_rho_factorization(neumann, tol)
+        assert fact.holds and fact.constant == constant
+        names = {c.name for c in check_neumann_laplacian_rigidity(neumann, tol).conditions}
+        assert ("rho_constant_bound" in names) == constant
+        assert ({"strict_bound", "quadratic_form_psd"} <= names) == (not constant)
+        lap_diri = _boundary_scaled(laplacian_dirichlet_recipe(2, 2, 3), 0, 1.0 + eps)
+        report = check_laplacian_dirichlet_rigidity(lap_diri, tol)
+        assert report.condition("rho_factorization").holds
+        assert ("interior_gap" in {c.name for c in report.conditions}) == constant
+
+
+def _boundary_scaled(graph, b, factor):
+    """``graph`` with every weight at boundary vertex ``b`` times ``factor``."""
+    w = graph.weights.copy()
+    w[b] *= factor
+    w[:, b] *= factor
+    return WeightedBoundaryGraph(measure=graph.measure, weights=w, boundary=graph.boundary)
+
 
 class TestNeumannLaplacian:
     def test_recipe_conclusion_true_and_equality_observed(self):
