@@ -125,8 +125,11 @@ def bakry_emery_curvature_at(
     ``Gamma(f, Lap f)(x)`` vanish, and ``t_z = sum_{y in S_1} p_y L_yz > 0``
     there.  Minimizing over the ``S_2`` values leaves the Schur complement
     ``Q_11 - (p p^T) o (P_12 diag(1 / t_{S_2}) P_12^T)``, with ``o`` the
-    entrywise product, and ``K`` is ``s`` times its least eigenvalue
-    relative to ``G_11``.  Raises ValueError for a vertex outside the graph
+    entrywise product.  Its ``S_2`` term is summed as
+    ``R diag(1 / t_{S_2}) R^T`` with ``R = diag(p) P_12``: each
+    ``p_u P_uw / t_w`` is at most 1, while ``p_u p_v`` alone underflows
+    once the weights at ``x`` span about 1e154.  ``K`` is ``s`` times the
+    Schur complement's least eigenvalue relative to ``G_11``.  Raises ValueError for a vertex outside the graph
     or an ``n`` that is not above 1, and NotApplicable for an isolated
     ``x``, where ``Gamma`` vanishes identically, and when ``t`` or the form
     is not finite, which happens only when the degrees in the 2-ball differ
@@ -178,7 +181,9 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
             t = (rows[0, : k + 1] @ rows)[1:]  # (L^2)_x on S_1 and S_2
             q11 = (0.5 - inv_n) * np.outer(p, p) - 0.5 * (p[:, None] * l11 + l11.T * p)
             q11.flat[:: k + 1] += 0.25 * t[:k]
-            schur = q11 - np.outer(p, p) * ((p12 / t[k:]) @ p12.T)
+            # each p_u P_uw / t_w is at most 1, so no p_u p_v underflows alone
+            pp12 = p[:, None] * p12
+            schur = q11 - (pp12 / t[k:]) @ pp12.T
             d = 1.0 / np.sqrt(0.5 * p)
             form = d[:, None] * schur * d
             # an entry of rows that overflows leaves t or the form non-finite;

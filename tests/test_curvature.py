@@ -326,6 +326,17 @@ class TestBakryEmery:
                 for x, k in bakry_emery_curvature(scaled, 4.0).per_location.items():
                     assert k == pytest.approx(t * base[x], abs=1e-12 * t * deg)
 
+    @pytest.mark.parametrize("eps", [1e-20, 1e-160, 1e-200])
+    def test_wide_weight_ratio_inside_one_ball(self, eps):
+        # path 0 - 1 - 2 - 3 with weights 1, eps, 1: at x = 1 (and at 2 by
+        # symmetry) p = (1, eps), the S_2 term is eps / eps, and the form is
+        # diag(1 - eps/2, eps - 1) + (1 - 2/n) [[1, sqrt eps], [sqrt eps, eps]],
+        # so K = -1 + O(eps); p_u p_v alone would underflow from about 1e-154
+        g = path_graph(4, boundary=[3], weights=(1.0, eps, 1.0))
+        for x in (1, 2):
+            for n in (4.0, float("inf")):
+                assert bakry_emery_curvature_at(g, x, n) == pytest.approx(-1.0, abs=1e-13)
+
     @pytest.mark.parametrize("weights", [(1e10, 1e-315), (1e-10, 8e297)])
     def test_overflowing_forms_are_not_applicable(self, weights):
         # valid graphs whose degrees in one 2-ball differ by more than the
