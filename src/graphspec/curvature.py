@@ -42,12 +42,16 @@ Two notions of curvature are computed on a plain weighted connected graph:
 
 Both are computed for a whole graph in one pass, and the one-location entry
 points run the same pass on one vertex or edge.  The Laplacian, the
-power-of-two scales and the hop distances are set up once per graph.  Each
-vertex then assembles and solves its own forms; every edge's closed-form
-transport part is one row of a few (edges x vertices) array expressions,
-and only edges with a pair that gains solve a flow.  Those rows are summed
-left to right, in a fixed order that does not depend on the BLAS library,
-so an edge's kappa is the same number alone or with the others.
+power-of-two scales and the hop distances are set up once per graph.  The
+vertices' forms are assembled in blocks, as a few (vertices x S_1 x
+vertices) array expressions with each ``S_1`` padded to a width set by
+``|S_1|`` alone, and the forms of one ``|S_1|`` in a block are solved in
+one stacked eigenvalue call, so a vertex's K is the same number alone or
+with the others.  Every edge's closed-form transport part is one row of a
+few (edges x vertices) array expressions, and only edges with a pair that
+gains solve a flow.  Those rows are summed left to right, in a fixed order
+that does not depend on the BLAS library, so an edge's kappa is the same
+number alone or with the others.
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
@@ -75,7 +79,7 @@ from .graph import (
 # perfbench's tracer times the distance computation under this name
 from .graph import _graph_distances  # noqa: F401
 from .operators import operator_by_label
-from .spectra import spectrum, symmetric_eigh, weighted_singular_values
+from .spectra import spectrum, symmetric_eigvalsh, weighted_singular_values
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,9 @@ def bakry_emery_curvature_at(
     ``R diag(1 / t_{S_2}) R^T`` with ``R = diag(p) P_12``: each
     ``p_u P_uw / t_w`` is at most 1, while ``p_u p_v`` alone underflows
     once the weights at ``x`` span about 1e154.  ``K`` is ``s`` times the
-    Schur complement's least eigenvalue relative to ``G_11``.  Raises ValueError for a vertex outside the graph
-    or an ``n`` that is not above 1, and NotApplicable for an isolated
+    Schur complement's least eigenvalue relative to ``G_11``, and only that
+    eigenvalue is solved for.  Raises ValueError for a vertex outside the
+    graph or an ``n`` that is not above 1, and NotApplicable for an isolated
     ``x``, where ``Gamma`` vanishes identically, and when ``t`` or the form
     is not finite, which happens only when the degrees in the 2-ball differ
     by more than the float range.
@@ -152,48 +157,109 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
     )
 
 
+# (vertices x rows x columns) entries per whole-array pass of
+# _bakry_emery_curvatures, which bounds its temporaries on large graphs
+_FORM_ENTRIES = 1 << 18
+# each S_1 is padded up to a multiple of this many vertices
+_PAD_STEP = 16
+
+
 def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) -> list:
-    """K(x, n) for each ``x`` in ``vertices`` (see ``bakry_emery_curvature_at``).
+    """K(x, n) for each ``x`` in ``vertices`` (see ``bakry_emery_curvature_at``),
+    in whole-array passes over blocks of vertices.
 
     The Laplacian, the power-of-two scales and the float error state are set
-    up once for all of them; each vertex then assembles and solves its own
-    forms from the rows of ``x`` and ``S_1``."""
+    up once.  A spare vertex, with a zero row and column of the Laplacian,
+    pads each ``S_1`` up to a multiple of ``_PAD_STEP`` vertices, at most
+    the graph's largest ``|S_1|``.  That width depends on ``|S_1|`` alone,
+    so a vertex's form is the same number alone or in any block.  The
+    vertices are taken in order of ``|S_1|``, in blocks of one width that
+    bound the temporaries, and each block's forms are assembled at once
+    (``_bakry_emery_forms``).  The forms of one ``|S_1|`` in a block are
+    solved in one stacked eigenvalue call, without their padding.  A fault
+    is raised for the first vertex of ``vertices`` that has one.
+    """
     if not n > 1.0:
         raise ValueError("dimension parameter must exceed 1 (or be inf)")
-    dist = distances(graph)
-    lap = -operator_by_label(graph, "FullLaplacian").matrix
+    vertices = np.asarray(vertices, dtype=np.intp)
+    nv = graph.vertex_count
+    dist = np.full((nv, nv + 1), np.inf)  # no vertex reaches the spare vertex nv
+    dist[:, :nv] = distances(graph)
+    lap = np.zeros((nv + 1, nv + 1))
+    lap[:nv, :nv] = -operator_by_label(graph, "FullLaplacian").matrix
     # dividing by an exact power of two near Deg(x) keeps the forms of
     # moderate size at any weight scale, and K is scaled back exactly
-    scales = np.ldexp(0.5, np.frexp(-lap.diagonal())[1]).tolist()
+    scales = np.ldexp(0.5, np.frexp(-lap.diagonal()[:nv])[1])
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
-    ks = []
+    adjacent = dist == 1.0
+    sizes = adjacent[vertices].sum(axis=1)
+    largest = int(adjacent.sum(axis=1).max())
+    widths = np.minimum(-(-sizes // _PAD_STEP) * _PAD_STEP, largest)
+    # each S_1 in ascending order, then the spare vertex
+    ranked = np.argsort(~adjacent[vertices], axis=1, kind="stable")[:, :largest]
+    spheres = np.where(np.arange(largest) < sizes[:, None], ranked, nv)
+    least = np.zeros(vertices.size)
+    finite = sizes > 0  # an isolated x has no forms
+    order = np.argsort(sizes, kind="stable")[np.count_nonzero(sizes == 0):]
     with np.errstate(all="ignore"):
-        for x in vertices:
-            s1 = np.flatnonzero(dist[x] == 1)
-            if s1.size == 0:
-                raise NotApplicable(f"vertex {x} is isolated")
-            k = s1.size
-            ball = np.concatenate(([x], s1, np.flatnonzero(dist[x] == 2)))
-            scale = scales[x]
-            rows = lap[np.ix_(ball[: k + 1], ball)] / scale  # L on rows x, S_1; x first
-            p = rows[0, 1 : k + 1]
-            l11, p12 = rows[1:, 1 : k + 1], rows[1:, k + 1 :]
-            t = (rows[0, : k + 1] @ rows)[1:]  # (L^2)_x on S_1 and S_2
-            q11 = (0.5 - inv_n) * np.outer(p, p) - 0.5 * (p[:, None] * l11 + l11.T * p)
-            q11.flat[:: k + 1] += 0.25 * t[:k]
-            # each p_u P_uw / t_w is at most 1, so no p_u p_v underflows alone
-            pp12 = p[:, None] * p12
-            schur = q11 - (pp12 / t[k:]) @ pp12.T
-            d = 1.0 / np.sqrt(0.5 * p)
-            form = d[:, None] * schur * d
-            # an entry of rows that overflows leaves t or the form non-finite;
-            # t is checked too, as an infinite t on S_2 zeroes its Schur term
-            if not (np.isfinite(t).all() and np.isfinite(form).all()):
-                raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
-                                    "in its 2-ball differ by more than the float range")
-            eigs, _ = symmetric_eigh(form)
-            ks.append(scale * float(eigs[0]))
-    return ks
+        for width in np.unique(widths[order]).tolist():
+            same_width = order[widths[order] == width]
+            step = max(1, _FORM_ENTRIES // ((width + 1) * (nv + 1)))
+            for lo in range(0, same_width.size, step):
+                block = same_width[lo : lo + step]
+                x = vertices[block]
+                forms, finite[block] = _bakry_emery_forms(
+                    lap, dist[x], x, spheres[block, :width], scales[x], inv_n)
+                ks = sizes[block]
+                for k in np.unique(ks).tolist():
+                    same = ks == k
+                    if finite[block[same]].all():
+                        least[block[same]] = symmetric_eigvalsh(forms[same, :k, :k])[:, 0]
+    faults = np.flatnonzero(~finite)
+    if faults.size:
+        x = int(vertices[faults[0]])
+        if sizes[faults[0]] == 0:
+            raise NotApplicable(f"vertex {x} is isolated")
+        raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
+                            "in its 2-ball differ by more than the float range")
+    return (scales[vertices] * least).tolist()
+
+
+def _bakry_emery_forms(lap, near, x, s1, scale, inv_n):
+    """The scaled forms of ``bakry_emery_curvature_at`` at the vertices
+    ``x``, as one (vertices x width x width) stack, and whether each
+    vertex's ``t`` on ``S_1`` and ``S_2`` and form are finite.
+
+    ``lap`` is the Laplacian with the spare vertex last, ``near`` holds the
+    hop distances from each ``x``, ``s1`` each ``S_1`` padded with the
+    spare vertex, and ``scale`` each power of two.  The rows of ``x`` and
+    ``S_1`` are gathered over all columns: ``t`` is (L^2)_x over all
+    columns, and the ``S_2`` term ``R diag(1 / t) R^T`` is one stacked
+    product, with ``t`` read as infinite off ``S_2``.  Padding adds only
+    zero rows and columns.
+    """
+    scale = scale[:, None, None]
+    ball = np.concatenate((x[:, None], s1), axis=1)
+    rows = lap[ball] / scale  # L on rows x, S_1; x first
+    head = lap[x[:, None, None], ball[:, None, :]] / scale  # L_xx, then p
+    p = head[:, 0, 1:]
+    l11 = lap[s1[:, :, None], s1[:, None, :]] / scale
+    t = (head @ rows)[:, 0]  # (L^2)_x over all columns
+    q11 = (0.5 - inv_n) * (p[:, :, None] * p[:, None, :]) - 0.5 * (
+        p[:, :, None] * l11 + l11.transpose(0, 2, 1) * p[:, None, :])
+    diag = np.arange(s1.shape[1])
+    q11[:, diag, diag] += 0.25 * t[np.arange(x.size)[:, None], s1]
+    # R = diag(p) P_12: each p_u P_uw / t_w is at most 1, so no p_u p_v
+    # underflows alone; off S_2 the infinite t zeroes R / t
+    r = p[:, :, None] * rows[:, 1:]
+    schur = q11 - (r / np.where(near == 2.0, t, np.inf)[:, None, :]) @ r.transpose(0, 2, 1)
+    # 0 on the padding, whose p is 0, so that its rows and columns stay 0
+    d = np.where(s1 < len(lap) - 1, 1.0 / np.sqrt(0.5 * p), 0.0)
+    forms = d[:, :, None] * schur * d[:, None, :]
+    # an entry of rows that overflows leaves t or the form non-finite; t is
+    # checked too, as an infinite t on S_2 zeroes its Schur term
+    t_finite = np.isfinite(t) | ~((near == 1.0) | (near == 2.0))
+    return forms, t_finite.all(axis=1) & np.isfinite(forms).all(axis=(1, 2))
 
 
 def ollivier_curvature(

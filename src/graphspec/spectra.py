@@ -4,7 +4,9 @@ The operator ``A`` is similar to the symmetric matrix
 ``S = M^{1/2} A M^{-1/2}`` (``M`` the diagonal measure), which is
 diagonalized by LAPACK's symmetric eigensolver (``numpy.linalg.eigh``);
 eigenvectors are mapped back with ``M^{-1/2}`` and are therefore orthonormal
-in the measure inner product.
+in the measure inner product.  Where only eigenvalues are read, a stack of
+symmetric matrices goes to the same solver family in one call
+(``symmetric_eigvalsh``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "eigensolve",
     "spectrum",
     "symmetric_eigh",
+    "symmetric_eigvalsh",
     "weighted_singular_values",
 ]
 
@@ -38,10 +41,24 @@ def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ConvergenceError on non-finite input, for which LAPACK would
     return finite-looking garbage, and when LAPACK does not converge.
     """
-    if not np.all(np.isfinite(matrix)):
+    return _checked(np.linalg.eigh, matrix)
+
+
+def symmetric_eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix in a stack
+    ``matrices[..., :, :]`` (only the lower triangles are read), from the
+    same LAPACK family as ``symmetric_eigh`` without the eigenvectors.
+
+    Raises ConvergenceError as ``symmetric_eigh`` does, for the whole stack.
+    """
+    return _checked(np.linalg.eigvalsh, matrices)
+
+
+def _checked(solve, matrices: np.ndarray):
+    if not np.all(np.isfinite(matrices)):
         raise ConvergenceError("matrix has non-finite entries")
     try:
-        return np.linalg.eigh(matrix)
+        return solve(matrices)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
 

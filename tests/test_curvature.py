@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from graphspec.curvature import (
 from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, degree_vector, interior_subgraph
 from graphspec.operators import full_laplacian
-from graphspec.spectra import symmetric_eigh
+from graphspec.spectra import symmetric_eigvalsh
 
 from builders import complete_bipartite, path_graph
 from oracle import (
@@ -80,6 +81,20 @@ def spy_flows(monkeypatch):
 
     monkeypatch.setattr(curvature, "_max_gain", spy)
     return flows
+
+
+def spy_form_blocks(monkeypatch):
+    """Record the vertices of every block whose Bakry-Emery forms are
+    assembled at once."""
+    blocks = []
+    forms = curvature._bakry_emery_forms
+
+    def spy(lap, near, x, *args):
+        blocks.append(x.tolist())
+        return forms(lap, near, x, *args)
+
+    monkeypatch.setattr(curvature, "_bakry_emery_forms", spy)
+    return blocks
 
 
 def gains_two(flow):
@@ -223,6 +238,21 @@ class TestOneLocationAndWholeGraph:
                 for x, k in per.items():
                     assert bakry_emery_curvature_at(g, x, n) == k
 
+    @pytest.mark.parametrize("entries", [1, 5000])
+    def test_bakry_emery_pass_does_not_depend_on_its_blocks(self, monkeypatch, entries):
+        # a vertex's S_1 is padded to a width set by |S_1| alone, so its form
+        # and K are the same numbers whichever vertices share its block
+        graphs = seeded_graphs()[-2:]
+        ns = (4.0, float("inf"))
+        whole = [[bakry_emery_curvature(g, n).per_location for n in ns] for g in graphs]
+        blocks = spy_form_blocks(monkeypatch)
+        monkeypatch.setattr(curvature, "_FORM_ENTRIES", entries)
+        for g, pers in zip(graphs, whole):
+            blocks.clear()
+            for n, per in zip(ns, pers):
+                assert bakry_emery_curvature(g, n).per_location == per
+            assert len(blocks) >= 2 * 4  # two passes of at least four blocks
+
 
 class TestBakryEmery:
     def test_single_edge_curvature(self):
@@ -357,17 +387,40 @@ class TestBakryEmery:
         with pytest.raises(NotApplicable, match="vertex 0"):
             bakry_emery_curvature_at(g, 0, 4.0)
 
-    def test_one_eigensolve_per_vertex(self, monkeypatch):
+    def test_one_stacked_eigensolve_per_sphere_size(self, monkeypatch):
+        # every vertex's form is solved once, in the one stacked call of
+        # its block for its |S_1|, without padding
         calls = []
 
-        def spy(matrix):
-            calls.append(matrix.shape)
-            return symmetric_eigh(matrix)
+        def spy(forms):
+            calls.append(forms.shape)
+            return symmetric_eigvalsh(forms)
 
-        monkeypatch.setattr(curvature, "symmetric_eigh", spy)
+        monkeypatch.setattr(curvature, "symmetric_eigvalsh", spy)
         g = random_graph(np.random.default_rng(20), 12)
+        sizes = np.count_nonzero(graph_module.distances(g) == 1, axis=1).tolist()
+        bakry_emery_curvature(g, 4.0)  # one block
+        assert [(k, m) for m, k, _k in calls] == sorted(Counter(sizes).items())
+        assert len(calls) < g.vertex_count
+        calls.clear()
+        monkeypatch.setattr(curvature, "_FORM_ENTRIES", 1)  # one vertex per block
         bakry_emery_curvature(g, 4.0)
-        assert len(calls) == g.vertex_count
+        assert sorted(calls) == sorted((1, k, k) for k in sizes)
+
+    def test_matches_polarization_oracle_across_blocks(self, monkeypatch):
+        # a 49-vertex lognormal graph, |S_1| 15 to 28, its vertices split
+        # over at least three blocks of forms
+        g = seeded_graphs()[-1]
+        blocks = spy_form_blocks(monkeypatch)
+        monkeypatch.setattr(curvature, "_FORM_ENTRIES", 5000)
+        tol = 1e-12 * float(degree_vector(g).max())
+        sampled = np.random.default_rng(26).choice(g.vertex_count, 8, replace=False).tolist()
+        for n in (4.0, float("inf")):
+            per = bakry_emery_curvature(g, n).per_location
+            for x in sampled:
+                want = bakry_emery_by_polarization(g.measure, g.weights, x, n)
+                assert per[x] == pytest.approx(want, abs=tol)
+        assert len(blocks) >= 2 * 3  # two passes of at least three blocks
 
     def test_monotone_in_dimension(self):
         rng = np.random.default_rng(11)

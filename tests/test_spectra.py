@@ -18,6 +18,8 @@ from graphspec.spectra import (
     ConvergenceError,
     eigensolve,
     spectrum,
+    symmetric_eigh,
+    symmetric_eigvalsh,
     weighted_singular_values,
 )
 from graphspec.fixtures import random_graph
@@ -101,6 +103,32 @@ class TestEigensolve:
         mat = np.array([[bad, 1.0], [1.0, 0.0]])
         with pytest.raises(ConvergenceError):
             eigensolve(SelfAdjointOperator(mat, np.ones(2), "NonFinite"))
+
+    def test_stacked_eigenvalues_are_each_matrix_alone(self):
+        # one stacked call gives each matrix the numbers it gets alone, and
+        # the eigenvalues of the solver with vectors up to rounding
+        rng = np.random.default_rng(27)
+        stack = rng.normal(size=(5, 4, 4))
+        stack = stack + stack.transpose(0, 2, 1)
+        got = symmetric_eigvalsh(stack)
+        for matrix, eigs in zip(stack, got):
+            assert eigs.tolist() == symmetric_eigvalsh(matrix[None])[0].tolist()
+            assert np.abs(eigs - symmetric_eigh(matrix)[0]).max() <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stacked_solver_refuses_nonfinite_input(self, bad):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = bad
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            symmetric_eigvalsh(stack)
+
+    def test_stacked_solver_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(matrices):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            symmetric_eigvalsh(np.eye(2)[None])
 
     def test_oracle_refuses_large_input(self):
         with pytest.raises(DimensionTooLarge):
