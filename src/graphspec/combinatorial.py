@@ -21,7 +21,7 @@ from .graph import (
     degree_vector,
     interior_subgraph,
 )
-from .spectra import spectrum, symmetric_eigh, weighted_singular_values
+from .spectra import spectrum, symmetric_eigvalsh, weighted_singular_values
 
 
 def _require_unit(graph: WeightedBoundaryGraph) -> None:
@@ -114,7 +114,7 @@ def path_dirichlet_value(k: int, lam: float) -> float:
     degrees[-1] = 1.0
     degrees[0] = lam + 1.0 if k >= 2 else lam
     matrix = np.diag(degrees) - np.eye(k, k=1) - np.eye(k, k=-1)
-    return float(symmetric_eigh(matrix)[0][0])
+    return float(symmetric_eigvalsh(matrix)[0])
 
 
 def friedman_bounds(

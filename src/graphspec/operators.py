@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedBoundaryGraph, degree_vector, interior_subgraph
+from .graph import NotApplicable, WeightedBoundaryGraph, degree_vector, interior_subgraph
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def dirichlet_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
 
 def neumann_coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
     """The matrix A_B Deg^{-1} A_Omega on Omega (difference of the Dirichlet
-    and Neumann operators), computed once per graph object."""
+    and Neumann operators), computed once per graph object.  NotApplicable
+    when a boundary vertex's Deg underflows to 0, where it would be 0/0."""
     return graph.derived("neumann_coupling", _coupling)
 
 
@@ -74,6 +75,9 @@ def _coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
     a_omega = graph.weights[np.ix_(b, omega)] / graph.measure[b][:, None]
     a_b = graph.weights[np.ix_(omega, b)] / graph.measure[omega][:, None]
     deg_b = degree_vector(graph)[b]
+    if not deg_b.all():  # a positive row sum over a huge measure
+        raise NotApplicable(f"Deg({b[np.argmin(deg_b)]}) underflows to 0: the Neumann "
+                            "coupling of its boundary row is 0/0")
     return a_b @ (a_omega / deg_b[:, None])
 
 

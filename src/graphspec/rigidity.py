@@ -31,7 +31,7 @@ from .graph import (
     interior_subgraph,
     volumes,
 )
-from .spectra import spectrum, symmetric_eigh
+from .spectra import spectrum, symmetric_eigvalsh
 
 
 class EqualityPatternUnsupported(RuntimeError):
@@ -104,10 +104,11 @@ def _cross_checked(
 
 
 def _relative_spread(values: np.ndarray) -> float:
-    """Spread of a vector relative to its largest magnitude, which is positive
-    on every vector passed here: rho V_B, and Deg_b and s(z) on the interior,
-    which a valid graph's boundary-interior edge makes positive somewhere."""
-    return float(values.max() - values.min()) / float(np.abs(values).max())
+    """Spread of a vector relative to its largest magnitude, 0 on a zero
+    vector: rho V_B, and Deg_b and s(z) on the interior, which underflow to
+    0 everywhere when the interior measures are huge."""
+    scale = float(np.abs(values).max())
+    return float(values.max() - values.min()) / scale if scale else 0.0
 
 
 def detect_rho_factorization(
@@ -131,7 +132,8 @@ def detect_rho_factorization(
         )
     m_omega = graph.measure[omega]
     rho_mass = (wb / m_omega).mean(axis=1)
-    residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
+    with np.errstate(over="ignore"):  # an infinite residual fails the fit
+        residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
     m_b = graph.measure[b]
     holds = residual <= tol * float(wb.max())
     # rho V_B formed as r (V_B / m_B), as in RhoFactorization.rho_times
@@ -174,8 +176,7 @@ def _quadratic_form_condition(
     v[0] += 1.0
     cols = np.eye(nb)[:, 1:] - (2.0 / np.dot(v, v)) * np.outer(v, v[1:])
     reduced = cols.T @ q @ cols
-    eigs, _ = symmetric_eigh(0.5 * (reduced + reduced.T))
-    min_eig = float(eigs[0])
+    min_eig = float(symmetric_eigvalsh(0.5 * (reduced + reduced.T))[0])
     return min_eig >= -tol * float(np.abs(q).max()), min_eig
 
 
@@ -412,7 +413,9 @@ def check_corollary_normalized(
     b, omega = graph.boundary, graph.interior
     v_omega, v_b, _ = volumes(graph)
     wb = graph.weights[np.ix_(b, omega)]
-    target_w = graph.measure[b][:, None] * graph.measure[omega][None, :] / v_omega
+    # m_y / V_Omega <= 1: the product m_x m_y can overflow, and an infinite
+    # target would pass every weight
+    target_w = graph.measure[b][:, None] * (graph.measure[omega] / v_omega)[None, :]
     weights_ok = bool(np.all(np.abs(wb - target_w) <= tol * float(target_w.max())))
     interior_w = graph.weights[np.ix_(omega, omega)]
     interior_empty = not np.any(interior_w > 0.0)

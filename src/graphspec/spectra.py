@@ -1,11 +1,12 @@
 """Eigen-decomposition of measure-self-adjoint operators.
 
 The operator ``A`` is similar to the symmetric matrix
-``S = M^{1/2} A M^{-1/2}`` (``M`` the diagonal measure), which is
-diagonalized by LAPACK's symmetric eigensolver (``numpy.linalg.eigh``);
-eigenvectors are mapped back with ``M^{-1/2}`` and are therefore orthonormal
-in the measure inner product.  Where only eigenvalues are read, a stack of
-symmetric matrices goes to the same solver family in one call
+``S = M^{1/2} A M^{-1/2}`` (``M`` the diagonal measure).  ``eigensolve``
+diagonalizes it with LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)
+and maps the eigenvectors back with ``M^{-1/2}``, so that they are
+orthonormal in the measure inner product; it is the one producer of
+eigenpairs.  Every solve that reads only eigenvalues, a single matrix or a
+stack, goes to the same solver family without eigenvectors
 (``symmetric_eigvalsh``).
 """
 
@@ -24,7 +25,6 @@ __all__ = [
     "ConvergenceError",
     "eigensolve",
     "spectrum",
-    "symmetric_eigh",
     "symmetric_eigvalsh",
     "weighted_singular_values",
 ]
@@ -34,22 +34,14 @@ class ConvergenceError(RuntimeError):
     """The symmetric eigensolver failed, or was given non-finite entries."""
 
 
-def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a
-    symmetric matrix (only its lower triangle is read).
+def symmetric_eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each in a stack
+    ``matrices[..., :, :]`` (only the lower triangles are read), from
+    LAPACK's symmetric eigensolver without the eigenvectors.
 
     Raises ConvergenceError on non-finite input, for which LAPACK would
-    return finite-looking garbage, and when LAPACK does not converge.
-    """
-    return _checked(np.linalg.eigh, matrix)
-
-
-def symmetric_eigvalsh(matrices: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each symmetric matrix in a stack
-    ``matrices[..., :, :]`` (only the lower triangles are read), from the
-    same LAPACK family as ``symmetric_eigh`` without the eigenvectors.
-
-    Raises ConvergenceError as ``symmetric_eigh`` does, for the whole stack.
+    return finite-looking garbage, and when LAPACK does not converge, for
+    the whole stack.
     """
     return _checked(np.linalg.eigvalsh, matrices)
 
@@ -63,6 +55,12 @@ def _checked(solve, matrices: np.ndarray):
         raise ConvergenceError(str(exc)) from exc
 
 
+def _symmetrized(matrix: np.ndarray, sqrt_m: np.ndarray) -> np.ndarray:
+    """The symmetric part of M^{1/2} A M^{-1/2}, given sqrt_m = diag M^{1/2}."""
+    s = (sqrt_m[:, None] * matrix) / sqrt_m[None, :]
+    return 0.5 * (s + s.T)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues with measure-orthonormal eigenvector columns."""
@@ -74,17 +72,17 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Ascending singular values of the Deg^{-1/2}-scaled boundary map."""
+    """Ascending squared singular values of the Deg^{-1/2}-scaled boundary map."""
 
-    singular_values: np.ndarray
+    squared_singular_values: np.ndarray
 
     @property
     def s1_squared(self) -> float:
-        return float(self.singular_values[0] ** 2)
+        return float(self.squared_singular_values[0])
 
     @property
     def smax_squared(self) -> float:
-        return float(self.singular_values[-1] ** 2)
+        return float(self.squared_singular_values[-1])
 
 
 def eigensolve(op: SelfAdjointOperator) -> Spectrum:
@@ -94,9 +92,7 @@ def eigensolve(op: SelfAdjointOperator) -> Spectrum:
     non-finite entries; never returns a silently inaccurate decomposition.
     """
     sqrt_m = np.sqrt(op.inner_measure)
-    s = (sqrt_m[:, None] * op.matrix) / sqrt_m[None, :]
-    s = 0.5 * (s + s.T)
-    w, u = symmetric_eigh(s)
+    w, u = _checked(np.linalg.eigh, _symmetrized(op.matrix, sqrt_m))
     vecs = u / sqrt_m[:, None]
     return Spectrum(eigenvalues=w, eigenvectors=vecs, measure=op.inner_measure)
 
@@ -110,21 +106,16 @@ def spectrum(graph: WeightedBoundaryGraph, label: str) -> Spectrum:
 
 
 def weighted_singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
-    """Singular values of Deg^{-1/2} A_Omega, ascending, |Omega| of them,
-    computed once per graph object.
+    """Squared singular values of Deg^{-1/2} A_Omega, ascending, |Omega| of
+    them, computed once per graph object.
 
-    Computed as square roots of the spectrum of the nonnegative operator
-    A_B Deg^{-1} A_Omega on Omega; tiny negative round-off is clamped.
+    They are the eigenvalues of the nonnegative operator
+    A_B Deg^{-1} A_Omega on Omega, with tiny negative round-off clamped to 0.
     """
     return graph.derived("singular_values", _singular_values)
 
 
 def _singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
-    omega = graph.interior
-    op = SelfAdjointOperator(
-        neumann_coupling(graph), graph.measure[omega], "NeumannCoupling"
-    )
-    spec = eigensolve(op)
-    vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    return SingularSpectrum(singular_values=vals)
-
+    sqrt_m = np.sqrt(graph.measure[graph.interior])
+    eigs = symmetric_eigvalsh(_symmetrized(neumann_coupling(graph), sqrt_m))
+    return SingularSpectrum(squared_singular_values=np.clip(eigs, 0.0, None))

@@ -511,6 +511,48 @@ class TestExitCodes:
         code, out, err = run_streams(capsys, ["spectrum", "--graph", p3_file])
         assert (code, out, err) == (3, "", "not applicable: no spectrum here\n")
 
+    @pytest.mark.parametrize("case,command,code", [
+        ("coupling", ["spectrum"], 3),
+        ("coupling", ["compare"], 3),
+        ("coupling", ["certify", "--theorem", "NeuVsLap"], 3),
+        ("coupling", ["validate"], 0),
+        ("coupling", ["certify", "--theorem", "DiriVsInteriorTwoSided"], 2),
+        ("spread", ["certify", "--theorem", "DiriVsInteriorTwoSided"], 0),
+        ("spread", ["certify", "--theorem", "DiriVsNeuTwoSided"], 0),
+        ("rho_fit", ["certify", "--theorem", "NeuVsLap"], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_valid_graphs_at_the_ends_of_the_float_range(self, capsys, tmp_path, case,
+                                                         command, code):
+        # coupling: on the path 0-1-2 with B = {0}, Deg(0) = 1e-30 / 1e300
+        # underflows to 0, so the Neumann coupling A_Omega / Deg would be 0/0
+        # and every command that needs it is out of scope.  spread: with
+        # m_1 = 1e300 every Deg_b and s(z) on the interior underflows to 0,
+        # a constant vector.  rho_fit: r_0 m_2 = 5e299 * 1e300 overflows in
+        # the fit's residual, and the fit fails
+        measure, w01, w02 = {
+            "coupling": ((1e300, 1.0, 1.0), 1e-30, 0.0),
+            "spread": ((1.0, 1e300, 1.0), 1e-30, 0.0),
+            "rho_fit": ((1.0, 1e-300, 1e300), 1.0, 1.0),
+        }[case]
+        w = np.array([[0.0, w01, w02], [w01, 0.0, 1.0], [w02, 1.0, 0.0]])
+        path = tmp_path / f"{case}.json"
+        save(WeightedBoundaryGraph(measure=np.array(measure), weights=w,
+                                   boundary=np.array([0])), path)
+        got, out, err = run_streams(capsys, [*command, "--graph", str(path)])
+        assert got == code
+        if code == 3:
+            assert (out, err) == ("", "not applicable: Deg(0) underflows to 0: the "
+                                  "Neumann coupling of its boundary row is 0/0\n")
+            return
+        assert err == ""
+        results = json.loads(out).get("results")
+        if case == "spread":
+            assert results["consistent"] is True
+            assert results["conditions"][-1]["witness"] == 0.0
+        if case == "rho_fit":
+            assert results["conditions"][0] == {
+                "name": "rho_factorization", "holds": False, "witness": None}
+
 
 def test_certificates_and_reports_are_written_as_their_fields(corpus):
     """Every certificate and report the CLI prints, on the audit corpus,

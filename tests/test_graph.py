@@ -1,5 +1,6 @@
 import collections
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from graphspec.graph import (
     dumps,
     from_json_dict,
     interior_subgraph,
+    load,
     loads,
     to_json_dict,
     validate,
@@ -371,6 +373,32 @@ class TestJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(GraphFormatError):
             loads("{not json")
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_are_read_as_newlines(self, tmp_path, p3_two_ends, newline):
+        lf = dumps(p3_two_ends).encode() + b"\n"
+        raw = lf.replace(b"\n", newline)
+        path = tmp_path / "p3.json"
+        path.write_bytes(raw)
+        hasher = hashlib.sha256()
+        assert load(path, hasher) == p3_two_ends
+        assert hasher.hexdigest() == hashlib.sha256(raw).hexdigest()  # the raw bytes
+
+    def test_malformed_crlf_document_reports_its_lf_position(self, tmp_path):
+        lf = b'{\n  "vertices": [\n    {"id": 0,, "measure": 1.0}\n  ]\n}\n'
+        messages = []
+        for name, raw in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n"))):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(raw)
+            with pytest.raises(GraphFormatError) as err:
+                load(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "line 3 column 14" in messages[0]
+
+    def test_a_graph_is_never_equal_to_a_non_graph(self, p3_two_ends):
+        assert (p3_two_ends == to_json_dict(p3_two_ends)) is False
+        assert p3_two_ends != "p3"
 
     def test_extra_edge_key_rejected(self, p3_two_ends):
         doc = to_json_dict(p3_two_ends)

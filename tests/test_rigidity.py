@@ -155,6 +155,12 @@ class TestDirichletInterior:
         report = check_dirichlet_interior_rigidity(k22)
         assert report.conclusion and report.equality_observed and report.consistent
 
+    def test_conditions_are_read_by_name(self, k22):
+        report = check_dirichlet_interior_rigidity(k22)
+        assert report.condition("boundary_degree_constant") is report.conditions[0]
+        with pytest.raises(KeyError, match="no_such_condition"):
+            report.condition("no_such_condition")
+
     def test_p3_one_end_nonconstant(self, p3_one_end):
         report = check_dirichlet_interior_rigidity(p3_one_end)
         assert not report.conclusion  # Deg_b is 0 on v0, 1 on v1
@@ -331,6 +337,20 @@ class TestNormalizedCorollary:
         report = check_corollary_normalized(g)
         assert report.condition("case2_complete_interior").holds
         assert report.conclusion and report.consistent
+
+    def test_boundary_weights_are_tested_at_measures_near_the_float_range(self):
+        # B = {0}, Omega = {1, 2}, every Deg = 1: m_0 m_1 overflows, so the
+        # target m_0 m_1 / V_Omega = 0.667e300 must be formed without it to
+        # see that w_01 = 0.75e300 misses it
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 0.75e300
+        w[0, 2] = w[2, 0] = w[1, 2] = w[2, 1] = 0.25e300
+        g = WeightedBoundaryGraph(measure=np.array([1e300, 1e300, 0.5e300]), weights=w,
+                                  boundary=np.array([0]))
+        validate(g)
+        assert g.is_normalized()
+        report = check_corollary_normalized(g)
+        assert not report.condition("boundary_weights_are_m_outer_over_volume").holds
 
     def test_uneven_boundary_weights_fail(self):
         # normalized, but boundary weights deviate from m_x m_y / V_Omega

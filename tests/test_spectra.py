@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphspec import combinatorial, operators, spectra
+from graphspec import operators, spectra
 from graphspec.combinatorial import fiedler_bounds, friedman_bounds
 from graphspec.comparisons import run_all
 from graphspec.graph import NotApplicable
@@ -18,7 +18,6 @@ from graphspec.spectra import (
     ConvergenceError,
     eigensolve,
     spectrum,
-    symmetric_eigh,
     symmetric_eigvalsh,
     weighted_singular_values,
 )
@@ -113,7 +112,7 @@ class TestEigensolve:
         got = symmetric_eigvalsh(stack)
         for matrix, eigs in zip(stack, got):
             assert eigs.tolist() == symmetric_eigvalsh(matrix[None])[0].tolist()
-            assert np.abs(eigs - symmetric_eigh(matrix)[0]).max() <= 1e-13
+            assert np.abs(eigs - np.linalg.eigh(matrix)[0]).max() <= 1e-13
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_stacked_solver_refuses_nonfinite_input(self, bad):
@@ -154,7 +153,7 @@ class TestSingularValues:
 
     def test_p3_one_end(self, p3_one_end):
         sing = weighted_singular_values(p3_one_end)
-        assert np.abs(sing.singular_values**2 - [0.0, 1.0]).max() <= 1e-12
+        assert np.abs(sing.squared_singular_values - [0.0, 1.0]).max() <= 1e-12
 
     def test_nonnegative_and_bounded(self):
         rng = np.random.default_rng(4)
@@ -162,7 +161,7 @@ class TestSingularValues:
 
         for _ in range(20):
             g = random_graph(rng, 10)
-            s2 = weighted_singular_values(g).singular_values ** 2
+            s2 = weighted_singular_values(g).squared_singular_values
             assert s2.min() >= 0.0
             assert s2.max() <= boundary_degree_vector(g).max() + 1e-9
 
@@ -191,24 +190,19 @@ class TestSolvedOncePerGraph:
         ]
 
     def test_certificates_share_one_solve_per_operator(self, monkeypatch):
-        solved, in_path_bound = [], []
-        record_calls(
-            monkeypatch, spectra.eigensolve,
-            lambda op: None if in_path_bound else solved.append(op.label),
-        )
-        # the Friedman bounds solve helper path graphs, not the graph under test
-        path_value = combinatorial.path_dirichlet_value
+        solved, couplings = [], []
+        record_calls(monkeypatch, spectra.eigensolve, lambda op: solved.append(op.label))
+        # inside spectra only the coupling is solved for eigenvalues alone
+        solve_values = spectra.symmetric_eigvalsh
 
-        def untracked_path_value(*args):
-            in_path_bound.append(1)
-            try:
-                return path_value(*args)
-            finally:
-                in_path_bound.pop()
+        def coupling_solve(matrices):
+            couplings.append(matrices.shape)
+            return solve_values(matrices)
 
-        monkeypatch.setattr(combinatorial, "path_dirichlet_value", untracked_path_value)
+        monkeypatch.setattr(spectra, "symmetric_eigvalsh", coupling_solve)
         for g in self.graphs():
             solved.clear()
+            couplings.clear()
             run_all(g)
             for check in ALL_RIGIDITY.values():
                 try:
@@ -220,15 +214,16 @@ class TestSolvedOncePerGraph:
                     bounds(g)
                 except NotApplicable:
                     pass
-            assert len(solved) <= 5
-            assert len(set(solved)) == len(solved)
+            assert sorted(solved) == sorted(operators.BUILDERS)
+            n_om = g.interior.size
+            assert couplings == [(n_om, n_om)]
 
     def test_cached_spectra_are_read_only(self):
         g = path_graph(4, boundary=[0])
         spec = spectrum(g, "NeumannLaplacian")
         assert spectrum(g, "NeumannLaplacian") is spec
         for arr in (spec.eigenvalues, spec.eigenvectors, spec.measure,
-                    weighted_singular_values(g).singular_values):
+                    weighted_singular_values(g).squared_singular_values):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
