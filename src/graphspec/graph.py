@@ -114,8 +114,7 @@ class WeightedBoundaryGraph:
         return bool(np.all(self.measure == 1.0) and np.all((w == 0.0) | (w == 1.0)))
 
     def is_normalized(self) -> bool:
-        deg = self.weights.sum(axis=1) / self.measure
-        return bool(np.all(np.abs(deg - 1.0) <= NORMALIZED_TOL))
+        return bool(np.all(np.abs(degree_vector(self) - 1.0) <= NORMALIZED_TOL))
 
 
 def _interior(graph: WeightedBoundaryGraph) -> np.ndarray:
@@ -233,6 +232,8 @@ def _first(mask: np.ndarray):
 
 
 def degree_vector(graph: WeightedBoundaryGraph) -> np.ndarray:
+    """Deg(x) = sum_y w_xy / m_x, the one sum of each row that every
+    operator, tolerance and normalization test reads."""
     return graph.weights.sum(axis=1) / graph.measure
 
 

@@ -43,9 +43,7 @@ class SelfAdjointOperator:
 
 def full_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """The negated Laplacian on all of V: row x is (Deg(x) delta_x - w_x/m_x)."""
-    w = graph.weights
-    mat = np.diag(w.sum(axis=1)) - w
-    mat = mat / graph.measure[:, None]
+    mat = np.diag(degree_vector(graph)) - graph.weights / graph.measure[:, None]
     return SelfAdjointOperator(mat, graph.measure, "FullLaplacian")
 
 
