@@ -18,7 +18,6 @@ from .operators import (
 )
 from .spectra import (
     ConvergenceError,
-    SingularSpectrum,
     Spectrum,
     eigensolve,
     spectrum,

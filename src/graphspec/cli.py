@@ -160,7 +160,7 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph, digest = _load_graph(args)
-    out = {label: spectrum(graph, label).eigenvalues for label in BUILDERS}
+    out = {label: spectrum(graph, label) for label in BUILDERS}
     print(dumps_json(_report(args, out, digest)))
     return 0
 

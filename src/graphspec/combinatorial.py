@@ -78,12 +78,12 @@ def fiedler_bounds(
     e_om = edge_connectivity(interior_subgraph(graph))
     items = []
     if n_om >= 2:
-        s1sq = weighted_singular_values(graph).s1_squared
+        s1sq = weighted_singular_values(graph)[0]
         min_deg_b = float(boundary_degree_vector(graph).min())
         bound_g = 2.0 * e_g * (1.0 - math.cos(math.pi / n_v))
         bound_om = 2.0 * e_om * (1.0 - math.cos(math.pi / n_om))
-        nu2 = float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])
-        lam2 = float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])
+        nu2 = float(spectrum(graph, "NeumannLaplacian")[1])
+        lam2 = float(spectrum(graph, "DirichletLaplacian")[1])
         items = [
             ("item1_nu2_vs_eG", nu2, bound_g),
             ("item2_lambda2_vs_eG_s1", lam2, bound_g + s1sq),
@@ -127,9 +127,9 @@ def friedman_bounds(
     otherwise.
     """
     _require_unit(graph)
-    nu = spectrum(graph, "NeumannLaplacian").eigenvalues
-    lam = spectrum(graph, "DirichletLaplacian").eigenvalues
-    s1sq = weighted_singular_values(graph).s1_squared
+    nu = spectrum(graph, "NeumannLaplacian")
+    lam = spectrum(graph, "DirichletLaplacian")
+    s1sq = weighted_singular_values(graph)[0]
     min_deg_b = float(boundary_degree_vector(graph).min())
     n_v = graph.vertex_count
     n_om = graph.interior.size

@@ -625,14 +625,14 @@ def certify_lichnerowicz(
     degrees = degree_vector(graph)[graph.interior] if interior else degree_vector(graph)
     bound = _curvature_bound(interior_subgraph(graph) if interior else graph, variant, n, tol)
     if interior:
-        lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1]),
-               float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
+        lhs = [float(spectrum(graph, "NeumannLaplacian")[1]),
+               float(spectrum(graph, "DirichletLaplacian")[1])]
         rhs = [bound, bound + float(boundary_degree_vector(graph).min())]
     elif variant.endswith("-nu2"):
-        lhs = [float(spectrum(graph, "NeumannLaplacian").eigenvalues[1])]
+        lhs = [float(spectrum(graph, "NeumannLaplacian")[1])]
         rhs = [bound]
     else:  # *-g-lambda2: lambda_2 >= bound + s_1^2
-        lhs = [float(spectrum(graph, "DirichletLaplacian").eigenvalues[1])]
-        rhs = [bound + weighted_singular_values(graph).s1_squared]
+        lhs = [float(spectrum(graph, "DirichletLaplacian")[1])]
+        rhs = [bound + weighted_singular_values(graph)[0]]
     return certificate(theorem_id, degrees, tol, lhs, rhs,
                        extra={"variant": variant, "bound": bound})

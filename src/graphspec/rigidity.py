@@ -203,7 +203,7 @@ def check_neumann_laplacian_rigidity(
     extra: dict = {}
     if fact.holds:
         deg_b = float(fact.rho_mass.sum())
-        mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
+        mu_om = spectrum(graph, "InteriorLaplacian")
         mu_top = float(mu_om[-1])
         extra["mu_top_interior"] = mu_top
         if fact.constant:
@@ -340,7 +340,7 @@ def check_laplacian_dirichlet_rigidity(
     cond_components = Condition("interior_components_equal_j", comp == j, comp)
     fact = detect_rho_factorization(graph, tol)
     cond_rho = Condition("rho_factorization", fact.holds, fact.missing_edge)
-    lam = spectrum(graph, "DirichletLaplacian").eigenvalues
+    lam = spectrum(graph, "DirichletLaplacian")
     conditions = [cond_components, cond_rho]
     conclusion = comp == j and fact.holds
     if fact.holds:
@@ -352,7 +352,7 @@ def check_laplacian_dirichlet_rigidity(
         if fact.constant:
             v_omega, v_b, _ = volumes(graph)
             rho_volume = float(fact.rho_times(v_omega).mean())  # rho_c V_Omega
-            mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
+            mu_om = spectrum(graph, "InteriorLaplacian")
             if j < mu_om.size:
                 gap_ok = float(mu_om[j]) >= rho_volume - cert.tolerance
                 witness = (float(mu_om[j]), rho_volume)
@@ -427,7 +427,7 @@ def check_corollary_normalized(
     cert = compare_laplacian_dirichlet(graph, tol)
     mu2_ok = False
     if omega.size >= 2:
-        mu_om = spectrum(graph, "InteriorLaplacian").eigenvalues
+        mu_om = spectrum(graph, "InteriorLaplacian")
         mu2_ok = float(mu_om[1]) >= 1.0 - cert.tolerance
     case2 = (
         weights_ok

@@ -1,13 +1,14 @@
-"""Eigen-decomposition of measure-self-adjoint operators.
+"""Eigenvalues of measure-self-adjoint operators.
 
 The operator ``A`` is similar to the symmetric matrix
-``S = M^{1/2} A M^{-1/2}`` (``M`` the diagonal measure).  ``eigensolve``
-diagonalizes it with LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)
-and maps the eigenvectors back with ``M^{-1/2}``, so that they are
-orthonormal in the measure inner product; it is the one producer of
-eigenpairs.  Every solve that reads only eigenvalues, a single matrix or a
-stack, goes to the same solver family without eigenvectors
-(``symmetric_eigvalsh``).
+``S = M^{1/2} A M^{-1/2}`` (``M`` the diagonal measure).  Every comparison
+reads eigenvalues alone, so ``spectrum`` and ``weighted_singular_values``
+solve ``S`` with LAPACK's symmetric eigensolver without eigenvectors
+(``symmetric_eigvalsh``, which also takes stacks), once per graph object,
+and hand out read-only arrays.  ``eigensolve`` gives eigenpairs on request:
+it diagonalizes ``S`` with ``numpy.linalg.eigh`` and maps the eigenvectors
+back with ``M^{-1/2}``, so that they are orthonormal in the measure inner
+product.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .operators import SelfAdjointOperator, neumann_coupling, operator_by_label
 
 __all__ = [
     "Spectrum",
-    "SingularSpectrum",
     "ConvergenceError",
     "eigensolve",
     "spectrum",
@@ -70,23 +70,9 @@ class Spectrum:
     measure: np.ndarray
 
 
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Ascending squared singular values of the Deg^{-1/2}-scaled boundary map."""
-
-    squared_singular_values: np.ndarray
-
-    @property
-    def s1_squared(self) -> float:
-        return float(self.squared_singular_values[0])
-
-    @property
-    def smax_squared(self) -> float:
-        return float(self.squared_singular_values[-1])
-
-
 def eigensolve(op: SelfAdjointOperator) -> Spectrum:
-    """Full spectrum of a measure-self-adjoint operator.
+    """Eigenvalues and measure-orthonormal eigenvectors of a
+    measure-self-adjoint operator.
 
     Raises ConvergenceError if the eigensolver fails or the operator has
     non-finite entries; never returns a silently inaccurate decomposition.
@@ -97,15 +83,18 @@ def eigensolve(op: SelfAdjointOperator) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=vecs, measure=op.inner_measure)
 
 
-def spectrum(graph: WeightedBoundaryGraph, label: str) -> Spectrum:
-    """The spectrum of the operator ``label`` of ``graph`` (see
+def spectrum(graph: WeightedBoundaryGraph, label: str) -> np.ndarray:
+    """Ascending eigenvalues of the operator ``label`` of ``graph`` (see
     ``operator_by_label``), solved once per graph object."""
-    return graph.derived(
-        ("spectrum", label), lambda g: eigensolve(operator_by_label(g, label))
-    )
+
+    def solve(g):
+        op = operator_by_label(g, label)
+        return _eigenvalues(op.matrix, op.inner_measure)
+
+    return graph.derived(("spectrum", label), solve)
 
 
-def weighted_singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
+def weighted_singular_values(graph: WeightedBoundaryGraph) -> np.ndarray:
     """Squared singular values of Deg^{-1/2} A_Omega, ascending, |Omega| of
     them, computed once per graph object.
 
@@ -115,7 +104,12 @@ def weighted_singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
     return graph.derived("singular_values", _singular_values)
 
 
-def _singular_values(graph: WeightedBoundaryGraph) -> SingularSpectrum:
-    sqrt_m = np.sqrt(graph.measure[graph.interior])
-    eigs = symmetric_eigvalsh(_symmetrized(neumann_coupling(graph), sqrt_m))
-    return SingularSpectrum(squared_singular_values=np.clip(eigs, 0.0, None))
+def _singular_values(graph: WeightedBoundaryGraph) -> np.ndarray:
+    eigs = _eigenvalues(neumann_coupling(graph), graph.measure[graph.interior])
+    return np.clip(eigs, 0.0, None)
+
+
+def _eigenvalues(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``matrix``, self-adjoint in the ``measure``
+    inner product."""
+    return symmetric_eigvalsh(_symmetrized(matrix, np.sqrt(measure)))

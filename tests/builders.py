@@ -63,7 +63,7 @@ def neumann_equality_recipe(nb: int, nom: int, rho: float = 1.0) -> WeightedBoun
         probe = WeightedBoundaryGraph(
             measure=m[nb:], weights=w_int, boundary=np.array([], dtype=np.intp)
         )
-        mu_top = spectrum(probe, "FullLaplacian").eigenvalues[-1]
+        mu_top = spectrum(probe, "FullLaplacian")[-1]
         interior_scale = 0.5 * budget / mu_top if mu_top > 0 else 1.0
         w2 = w.copy()
         w2[nb:, nb:] = interior_scale * w_int
@@ -94,7 +94,7 @@ def laplacian_dirichlet_recipe(j: int, nb: int, nom: int) -> WeightedBoundaryGra
     graph = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
     v_omega = volumes(graph)[0]
     if j < nom:
-        mu = spectrum(graph, "InteriorLaplacian").eigenvalues
+        mu = spectrum(graph, "InteriorLaplacian")
         # j unit cliques leave exactly j zero eigenvalues, so mu[j] >= 2 > 0
         scale = 2.0 * v_omega / float(mu[j])
         w2 = w.copy()

@@ -77,7 +77,7 @@ def test_criterion_2_p3_exact_values(p3_two_ends):
     mu = eigensolve(full_laplacian(p3_two_ends)).eigenvalues
     lam = eigensolve(dirichlet_laplacian(p3_two_ends)).eigenvalues
     nu = eigensolve(neumann_laplacian(p3_two_ends)).eigenvalues
-    s1sq = weighted_singular_values(p3_two_ends).s1_squared
+    s1sq = weighted_singular_values(p3_two_ends)[0]
     assert np.abs(mu - [0.0, 1.0, 3.0]).max() <= 1e-12
     assert abs(lam[0] - 2.0) <= 1e-12
     assert abs(nu[0]) <= 1e-12

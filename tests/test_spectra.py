@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -148,12 +146,12 @@ class TestEigensolve:
 class TestSingularValues:
     def test_p3_two_ends(self, p3_two_ends):
         sing = weighted_singular_values(p3_two_ends)
-        assert sing.s1_squared == pytest.approx(2.0, abs=1e-12)
-        assert sing.smax_squared == pytest.approx(2.0, abs=1e-12)
+        assert sing[0] == pytest.approx(2.0, abs=1e-12)
+        assert sing[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_p3_one_end(self, p3_one_end):
         sing = weighted_singular_values(p3_one_end)
-        assert np.abs(sing.squared_singular_values - [0.0, 1.0]).max() <= 1e-12
+        assert np.abs(sing - [0.0, 1.0]).max() <= 1e-12
 
     def test_nonnegative_and_bounded(self):
         rng = np.random.default_rng(4)
@@ -161,24 +159,30 @@ class TestSingularValues:
 
         for _ in range(20):
             g = random_graph(rng, 10)
-            s2 = weighted_singular_values(g).squared_singular_values
+            s2 = weighted_singular_values(g)
             assert s2.min() >= 0.0
             assert s2.max() <= boundary_degree_vector(g).max() + 1e-9
 
 
-def record_calls(monkeypatch, fn, record):
-    """Rebind every graphspec module global bound to ``fn`` to a wrapper that
-    passes the call's arguments to ``record`` first."""
+def symmetrized(matrix, measure):
+    """The symmetric part of M^{1/2} A M^{-1/2}, the matrix whose eigenvalues
+    the spectra are."""
+    d = np.sqrt(measure)
+    s = (d[:, None] * matrix) / d[None, :]
+    return 0.5 * (s + s.T)
 
-    def wrapper(*args, **kwargs):
-        record(*args)
-        return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "graphspec" or name.startswith("graphspec."):
-            for key, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, key, wrapper)
+def sized_graphs():
+    """Graphs of 16 to 64 vertices, unit and lognormal."""
+    rng = np.random.default_rng(25)
+    graphs = []
+    for max_v in (24, 40, 64):
+        for model in ("unit", "unit", "lognormal", "lognormal"):
+            g = random_graph(rng, max_v, weight_model=model)
+            while g.vertex_count < 16:
+                g = random_graph(rng, max_v, weight_model=model)
+            graphs.append(g)
+    return graphs
 
 
 class TestSolvedOncePerGraph:
@@ -190,19 +194,18 @@ class TestSolvedOncePerGraph:
         ]
 
     def test_certificates_share_one_solve_per_operator(self, monkeypatch):
-        solved, couplings = [], []
-        record_calls(monkeypatch, spectra.eigensolve, lambda op: solved.append(op.label))
-        # inside spectra only the coupling is solved for eigenvalues alone
+        solved = []
         solve_values = spectra.symmetric_eigvalsh
 
-        def coupling_solve(matrices):
-            couplings.append(matrices.shape)
+        def spy(matrices):
+            solved.append(matrices)
             return solve_values(matrices)
 
-        monkeypatch.setattr(spectra, "symmetric_eigvalsh", coupling_solve)
+        # every solve inside spectra goes through this name; the solves of
+        # curvature forms and path bounds elsewhere do not
+        monkeypatch.setattr(spectra, "symmetric_eigvalsh", spy)
         for g in self.graphs():
             solved.clear()
-            couplings.clear()
             run_all(g)
             for check in ALL_RIGIDITY.values():
                 try:
@@ -214,22 +217,49 @@ class TestSolvedOncePerGraph:
                     bounds(g)
                 except NotApplicable:
                     pass
-            assert sorted(solved) == sorted(operators.BUILDERS)
-            n_om = g.interior.size
-            assert couplings == [(n_om, n_om)]
+            expected = {
+                label: symmetrized(op.matrix, op.inner_measure)
+                for label, op in ((label, operators.operator_by_label(g, label))
+                                  for label in operators.BUILDERS)
+            }
+            expected["coupling"] = symmetrized(operators.neumann_coupling(g),
+                                               g.measure[g.interior])
+            # the solves are of these five matrices, each once (two of them
+            # can be equal: on a path, the Neumann and interior operators)
+            assert len(solved) == len(expected)
+            for m in expected.values():
+                assert (sum(np.array_equal(m, other) for other in solved)
+                        == sum(np.array_equal(m, other) for other in expected.values()))
+            spectra_on_memo = [key[1] for key in g._derived if key[0] == "spectrum"]
+            assert sorted(spectra_on_memo) == sorted(operators.BUILDERS)
 
     def test_cached_spectra_are_read_only(self):
         g = path_graph(4, boundary=[0])
         spec = spectrum(g, "NeumannLaplacian")
+        sing = weighted_singular_values(g)
         assert spectrum(g, "NeumannLaplacian") is spec
-        for arr in (spec.eigenvalues, spec.eigenvectors, spec.measure,
-                    weighted_singular_values(g).squared_singular_values):
+        assert weighted_singular_values(g) is sing
+        for arr in (spec, sing):
+            assert type(arr) is np.ndarray
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_spectrum_matches_a_fresh_solve(self):
+        # bit for bit, a fresh values-only solve of the symmetrized operator
         g = random_graph(np.random.default_rng(24), 9, weight_model="lognormal")
-        for label in ("FullLaplacian", "DirichletLaplacian", "NeumannLaplacian",
-                      "InteriorLaplacian"):
-            fresh = eigensolve(operators.operator_by_label(g, label))
-            assert np.array_equal(spectrum(g, label).eigenvalues, fresh.eigenvalues)
+        for label in operators.BUILDERS:
+            op = operators.operator_by_label(g, label)
+            fresh = symmetric_eigvalsh(symmetrized(op.matrix, op.inner_measure))
+            assert np.array_equal(spectrum(g, label), fresh)
+        coupling = symmetrized(operators.neumann_coupling(g), g.measure[g.interior])
+        assert np.array_equal(weighted_singular_values(g),
+                              np.clip(symmetric_eigvalsh(coupling), 0.0, None))
+
+    def test_spectrum_is_within_the_a_priori_radius_of_eigensolve(self, corpus):
+        # LAPACK's error bound n eps max|theta| for a symmetric eigensolver:
+        # the values-only and the eigenpair solve each lie within it
+        for g in [*corpus, *sized_graphs()]:
+            for label in operators.BUILDERS:
+                pairs = eigensolve(operators.operator_by_label(g, label)).eigenvalues
+                radius = pairs.size * np.finfo(float).eps * np.abs(pairs).max(initial=0.0)
+                assert np.abs(spectrum(g, label) - pairs).max(initial=0.0) <= radius
