@@ -55,6 +55,8 @@ from graphspec.fixtures import random_graph  # noqa: E402
 from graphspec.graph import WeightedBoundaryGraph, degree_vector, save  # noqa: E402
 from graphspec.rigidity import ALL_RIGIDITY  # noqa: E402
 
+from builders import path_graph  # noqa: E402
+
 SPECTRAL_COMMANDS = (
     ("spectrum",),
     ("compare",),
@@ -91,11 +93,8 @@ DECISIONS = {
 CONTAINERS = {"results", "per_index", "conditions", "extra", "failures"}
 
 
-def _path(n, weights, measure=None, boundary=(0, 2)):
-    d = np.asarray(weights, dtype=float)
-    m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
-    return WeightedBoundaryGraph(measure=m, weights=np.diag(d, 1) + np.diag(d, -1),
-                                 boundary=np.asarray(boundary))
+def _path(weights, measure=None, boundary=(0, 2)):
+    return path_graph(3, boundary=boundary, weights=weights, measure=measure)
 
 
 def _graph(measure, edges, boundary):
@@ -122,17 +121,17 @@ def float_range_graphs():
         }.items()
     }
     return {
-        "overflowing-degree": _path(3, [1e300, 1e300], [1.0, 1e-320, 1.0]),
+        "overflowing-degree": _path([1e300, 1e300], [1.0, 1e-320, 1.0]),
         "doubled-degree": _graph([1.0] * 4, [(u, v, 5e307) for u, v in
                                              [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]], [0]),
         **two_boundary,
-        "span-P": _path(3, [1e-10, 8e297]),
+        "span-P": _path([1e-10, 8e297]),
         "rho": _graph([1e-5] * 3, [(0, 1, 1e300), (0, 2, 1e300), (1, 2, 1e-10)], [0]),
-        "full-equality": _path(3, [1.0, 1.0], [1.0, 1e-8, 1e-8], boundary=[0]),
-        "be-heavy": _path(3, [1e200, 1e200]),
-        "be-light": _path(3, [1e-13, 1e-13]),
-        "ollivier-heavy": _path(3, [4e307, 4e307]),
-        "be-overflow": _path(3, [1e10, 1e-315]),
+        "full-equality": _path([1.0, 1.0], [1.0, 1e-8, 1e-8], boundary=[0]),
+        "be-heavy": _path([1e200, 1e200]),
+        "be-light": _path([1e-13, 1e-13]),
+        "ollivier-heavy": _path([4e307, 4e307]),
+        "be-overflow": _path([1e10, 1e-315]),
         **ends,
     }
 
@@ -173,12 +172,12 @@ def _max_deg(graph) -> float:
     return float(deg.max()) if deg.size else 1.0
 
 
-def replay(named=None, commands=GRAPH_COMMANDS, audits=AUDITS):
-    """One record per call, over ``named`` graphs (default: ``graphs()``)."""
-    named = graphs() if named is None else named
+def replay(commands=GRAPH_COMMANDS, audits=AUDITS):
+    """One record per call: each of ``commands`` on each of ``graphs()``,
+    then each of ``audits``."""
     records = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, graph in named.items():
+        for name, graph in graphs().items():
             path = f"{name}.json"
             save(graph, path)
             max_deg = _max_deg(graph)
@@ -253,11 +252,12 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def compare(old_records, new_records, out=sys.stdout) -> bool:
-    """Print the report of ``--against``; True when no decision changed."""
+def compare(old_records, new_records, out=None) -> bool:
+    """Print the report of ``--against`` to ``out`` (default: stdout); True
+    when no decision changed."""
     old = {r["label"]: r for r in old_records}
     new = {r["label"]: r for r in new_records}
-    changed = [label for label in old.keys() ^ new.keys()]
+    changed = list(old.keys() ^ new.keys())
     moved = defaultdict(lambda: [0, 0, 0.0])  # calls, stdouts moved, largest move
     for label in new.keys() & old.keys():
         a, b = old[label], new[label]
