@@ -6,6 +6,8 @@ live in ``tests/builders.py``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .graph import WeightedBoundaryGraph, _hop_distances, validate
@@ -13,6 +15,8 @@ from .graph import WeightedBoundaryGraph, _hop_distances, validate
 # the Sinkhorn iteration's round cap and its tolerance on every degree
 NORMALIZE_ROUNDS = 500
 NORMALIZE_TOL = 1e-13
+# Sinkhorn rounds computed between two convergence tests
+_NORMALIZE_BLOCK = 25
 
 
 def _perfect_matching(positive: np.ndarray):
@@ -65,14 +69,21 @@ def _has_total_support(weights: np.ndarray) -> bool:
     return bool(reaches.T[arcs].all())
 
 
-def _normalize_weights(measure, weights):
+def _normalize_weights(weights):
     """``weights`` rescaled to D w D with every weighted degree 1, or ``None``
     when the draw cannot be scaled.
 
     The symmetric Sinkhorn iteration runs on the scaling vector x: with
-    Deg_x = x_x (w x)_x / m_x, it sets x <- x / sqrt(Deg) until every Deg is
-    within ``NORMALIZE_TOL`` of 1, and w * outer(x, x) is formed only to
-    confirm that its row sums are too.  That matrix is bitwise symmetric.
+    Deg_x = x_x (w x)_x, it sets x <- x / sqrt(Deg) until every Deg is within
+    ``NORMALIZE_TOL`` of 1, and w * outer(x, x) is formed only to confirm
+    that its row sums are too.  That matrix is bitwise symmetric.  The
+    normalized model's measure is 1 everywhere, and t / 1.0 == t in IEEE
+    arithmetic, so Deg carries no division by it and is bitwise the same.
+    Each round writes into preallocated rows, and the Deg test runs on a
+    block of ``_NORMALIZE_BLOCK`` rounds at once.  The first round of the
+    block that passes it and the row-sum test is returned: the round that
+    testing after every round would return.  Rounds computed past it are
+    dropped.
 
     A symmetric nonnegative matrix has such a scaling only when it has total
     support (Csima-Datta, "The DAD theorem for symmetric non-negative
@@ -81,15 +92,37 @@ def _normalize_weights(measure, weights):
     """
     if not _has_total_support(weights):
         return None
-    x = np.ones(measure.size)
-    for _ in range(NORMALIZE_ROUNDS):
-        deg = x * (weights @ x) / measure
-        if np.all(np.abs(deg - 1.0) <= NORMALIZE_TOL):
-            scaled = weights * np.outer(x, x)
-            if np.all(np.abs(scaled.sum(axis=1) / measure - 1.0) <= NORMALIZE_TOL):
+    n = weights.shape[0]
+    xs = np.empty((_NORMALIZE_BLOCK + 1, n))  # x of each round of a block, and the next
+    degs = np.empty((_NORMALIZE_BLOCK, n))
+    wx, root = np.empty(n), np.empty(n)
+    x_rows, deg_rows = list(xs), list(degs)
+    xs[0] = 1.0
+    for start in range(0, NORMALIZE_ROUNDS, _NORMALIZE_BLOCK):
+        rounds = min(_NORMALIZE_BLOCK, NORMALIZE_ROUNDS - start)
+        for r in range(rounds):
+            x, deg = x_rows[r], deg_rows[r]
+            np.matmul(weights, x, out=wx)
+            np.multiply(x, wx, out=deg)
+            np.sqrt(deg, out=root)
+            np.divide(x, root, out=x_rows[r + 1])
+        passed = (np.abs(degs[:rounds] - 1.0) <= NORMALIZE_TOL).all(axis=1)
+        for r in np.flatnonzero(passed):
+            scaled = weights * np.outer(xs[r], xs[r])
+            if np.all(np.abs(scaled.sum(axis=1) - 1.0) <= NORMALIZE_TOL):
                 return scaled
-        x = x / np.sqrt(deg)
+        xs[0] = xs[rounds]
     return None
+
+
+@functools.cache
+def _upper_pairs(size: int):
+    """``np.triu_indices(size, 1)``, read-only: the pairs i < j in row-major
+    order, one copy per size."""
+    pairs = np.triu_indices(size, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
 
 def random_graph(
@@ -105,6 +138,13 @@ def random_graph(
     (lognormal measure and weights) and "normalized" (unit measure, lognormal
     weights scaled symmetrically to Deg = 1 at every vertex); a normalized
     draw that cannot be scaled, such as any draw with a leaf, is redrawn.
+
+    The benchmark inputs, the replay digest and every random-audit report
+    depend on the exact stream, so each draw takes from ``rng`` the values
+    that one call per spanning-tree edge took: ``rng.integers`` with the
+    array of bounds 1 .. |Omega| - 1 draws each element as a call with that
+    bound alone would.  ``tests/oracle.py`` keeps that older form as the
+    referee of every draw and of the generator state after it.
     """
     models = ["unit", "lognormal", "normalized"]
     for _ in range(200):
@@ -116,27 +156,30 @@ def random_graph(
         # spanning tree on the interior keeps Omega's support connected
         interior = np.arange(nb, n)
         order = rng.permutation(interior)
-        for i in range(1, nom):
-            a, b = order[i], order[rng.integers(i)]
-            w[a, b] = w[b, a] = 1.0
+        a, b = order[1:], order[rng.integers(np.arange(1, nom))]
+        w[a, b] = w[b, a] = 1.0
         p_edge = 0.4
-        iu, iv = np.triu_indices(nom, 1)
+        iu, iv = _upper_pairs(nom)
         coin = rng.random(iu.size) < p_edge
         iu, iv = iu[coin] + nb, iv[coin] + nb
         w[iu, iv] = w[iv, iu] = 1.0
+        attach = np.empty((nb, nom), dtype=bool)
         for x in range(nb):
-            nbrs = interior[rng.random(nom) < 0.5]
-            if nbrs.size == 0:
-                nbrs = interior[[rng.integers(nom)]]
-            w[x, nbrs] = w[nbrs, x] = 1.0
+            attach[x] = rng.random(nom) < 0.5
+            if not attach[x].any():
+                attach[x, rng.integers(nom)] = True
+        w[:nb, nb:] = attach
+        w[nb:, :nb] = attach.T
         measure = np.exp(rng.normal(0.0, 0.5, n)) if model == "lognormal" else np.ones(n)
         if model != "unit":
             # lognormal weights on the support of w
             sigma = 0.7 if model == "lognormal" else 0.3
-            iu, iv = np.nonzero(np.triu(w, k=1))
+            iu, iv = _upper_pairs(n)
+            support = w[iu, iv] > 0.0
+            iu, iv = iu[support], iv[support]
             w[iu, iv] = w[iv, iu] = np.exp(rng.normal(0.0, sigma, iu.size))
         if model == "normalized":
-            w = _normalize_weights(measure, w)
+            w = _normalize_weights(w)
             if w is None:
                 continue
         graph = WeightedBoundaryGraph(measure=measure, weights=w, boundary=np.arange(nb))

@@ -178,8 +178,8 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     AsymmetricWeight, NegativeWeight, NonpositiveMeasure, NonfiniteValue
     (a weighted degree that overflows, then one whose double does),
     EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
-    The last is the first vertex that a hop search from vertex 0 alone does
-    not reach; the all-pairs distances are not built here.
+    The last is the first vertex that a search from vertex 0 alone does not
+    reach; the all-pairs distances are not built here.
     """
     m, w = graph.measure, graph.weights
     if not np.isfinite(m).all():
@@ -218,10 +218,17 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
         if isolated.any():
             raise GraphValidationError("IsolatedBoundaryVertex", int(b[_first(isolated)]))
     if graph.vertex_count:
-        from_first = _hop_distances(w > 0.0, np.eye(1, graph.vertex_count, dtype=bool))[0]
-        outside = np.isinf(from_first)
-        if outside.any():
-            raise GraphValidationError("Disconnected", _first(outside))
+        # a breadth-first search from vertex 0 on the boolean rows: each hop
+        # joins the rows of the frontier
+        adj = w > 0.0
+        reached = np.zeros(graph.vertex_count, dtype=bool)
+        reached[0] = True
+        frontier = reached
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if not reached.all():
+            raise GraphValidationError("Disconnected", _first(~reached))
 
 
 def _first(mask: np.ndarray):

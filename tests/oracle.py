@@ -18,6 +18,12 @@ projector onto them, CLI JSON text through the standard library's encoder,
 total support from the positive diagonals found by enumerating
 permutations, and graph documents through a parser that reads and checks
 one record at a time.
+
+The seeded random generator is frozen here as it stood with one numpy call
+per spanning-tree edge and a convergence test after every Sinkhorn round,
+the referee of the exact stream of draws.  It shares with the production
+generator only the total-support test and ``validate``, which decide
+whether a draw is kept and are refereed on their own.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from collections import deque
 
 import numpy as np
 
-from graphspec.graph import GraphFormatError, WeightedBoundaryGraph
+from graphspec.fixtures import NORMALIZE_ROUNDS, NORMALIZE_TOL, _has_total_support
+from graphspec.graph import GraphFormatError, WeightedBoundaryGraph, validate
 
 MAX_EIG_DIM = 6
 MAX_SUPPORT_DIM = 7
@@ -597,6 +604,65 @@ def total_support(weights: np.ndarray) -> bool:
         if all(positive[i, sigma[i]] for i in range(n)):
             covered[range(n), sigma] = True
     return bool(positive.any()) and bool(np.array_equal(covered, positive))
+
+
+def _normalize_weights_reference(measure, weights):
+    """``weights`` rescaled to D w D with every weighted degree 1, or ``None``:
+    the symmetric Sinkhorn iteration x <- x / sqrt(Deg) with every Deg and
+    every row sum of w * outer(x, x) tested after each round."""
+    if not _has_total_support(weights):
+        return None
+    x = np.ones(measure.size)
+    for _ in range(NORMALIZE_ROUNDS):
+        deg = x * (weights @ x) / measure
+        if np.all(np.abs(deg - 1.0) <= NORMALIZE_TOL):
+            scaled = weights * np.outer(x, x)
+            if np.all(np.abs(scaled.sum(axis=1) / measure - 1.0) <= NORMALIZE_TOL):
+                return scaled
+        x = x / np.sqrt(deg)
+    return None
+
+
+def random_graph_reference(rng, max_vertices: int = 12, weight_model=None):
+    """``graphspec.fixtures.random_graph``, one numpy call at a time: the
+    same graph and the same generator state after every draw."""
+    models = ["unit", "lognormal", "normalized"]
+    for _ in range(200):
+        model = weight_model or models[rng.integers(len(models))]
+        n = int(rng.integers(3, max_vertices + 1))
+        nb = int(rng.integers(1, max(2, n // 2 + 1)))
+        nom = n - nb
+        w = np.zeros((n, n))
+        # spanning tree on the interior keeps Omega's support connected
+        interior = np.arange(nb, n)
+        order = rng.permutation(interior)
+        for i in range(1, nom):
+            a, b = order[i], order[rng.integers(i)]
+            w[a, b] = w[b, a] = 1.0
+        p_edge = 0.4
+        iu, iv = np.triu_indices(nom, 1)
+        coin = rng.random(iu.size) < p_edge
+        iu, iv = iu[coin] + nb, iv[coin] + nb
+        w[iu, iv] = w[iv, iu] = 1.0
+        for x in range(nb):
+            nbrs = interior[rng.random(nom) < 0.5]
+            if nbrs.size == 0:
+                nbrs = interior[[rng.integers(nom)]]
+            w[x, nbrs] = w[nbrs, x] = 1.0
+        measure = np.exp(rng.normal(0.0, 0.5, n)) if model == "lognormal" else np.ones(n)
+        if model != "unit":
+            # lognormal weights on the support of w
+            sigma = 0.7 if model == "lognormal" else 0.3
+            iu, iv = np.nonzero(np.triu(w, k=1))
+            w[iu, iv] = w[iv, iu] = np.exp(rng.normal(0.0, sigma, iu.size))
+        if model == "normalized":
+            w = _normalize_weights_reference(measure, w)
+            if w is None:
+                continue
+        graph = WeightedBoundaryGraph(measure=measure, weights=w, boundary=np.arange(nb))
+        validate(graph)
+        return graph
+    raise RuntimeError("could not draw a valid random graph in 200 attempts")
 
 
 _TOP_KEYS = ("vertices", "edges", "boundary")

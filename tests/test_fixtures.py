@@ -1,5 +1,6 @@
-"""The seeded random generator's normalized weight model: its scaling against
-the total-support referee, and its graphs in the audit corpus."""
+"""The seeded random generator: its stream of draws against the frozen
+reference, and its normalized weight model's scaling against the
+total-support referee and in the audit corpus."""
 
 import itertools
 
@@ -11,8 +12,9 @@ from graphspec.fixtures import random_graph
 from graphspec.graph import save, validate
 from graphspec.rigidity import check_corollary_normalized
 
+import oracle
 from builders import complete_bipartite, path_graph
-from oracle import total_support
+from oracle import random_graph_reference, total_support
 from test_cli import run
 
 
@@ -52,8 +54,8 @@ def test_normalized_draws_against_total_support(monkeypatch):
     calls = []
     normalize = fixtures._normalize_weights
 
-    def spy(measure, weights):
-        scaled = normalize(measure, weights)
+    def spy(weights):
+        scaled = normalize(weights)
         calls.append((weights, scaled))
         return scaled
 
@@ -76,6 +78,60 @@ def test_normalized_draws_against_total_support(monkeypatch):
         validate(g)
         assert np.array_equal(g.weights, g.weights.T)
         assert g.is_normalized()
+
+
+class _Recorder:
+    """A generator whose draws pass through and are logged as (method, value)."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args):
+            value = method(*args)
+            self.log.append((name, value))
+            return value
+
+        return call
+
+
+def test_draws_match_the_reference_bit_for_bit(monkeypatch):
+    # the stream feeds the benchmark inputs, the replay digest and every
+    # random-audit report, so no draw may move by one bit
+    unscalable = []  # whether each normalized draw redrawn had total support
+    normalize = oracle._normalize_weights_reference
+
+    def spy(measure, weights):
+        scaled = normalize(measure, weights)
+        if scaled is None:
+            unscalable.append(fixtures._has_total_support(weights))
+        return scaled
+
+    monkeypatch.setattr(oracle, "_normalize_weights_reference", spy)
+    empty_rows = 0
+    for seed in range(12):
+        for max_vertices in (3, 4, 5, 7, 12, 32, 49):
+            for model in (None, "unit", "lognormal", "normalized"):
+                rng = np.random.default_rng(seed)
+                recorder = _Recorder(np.random.default_rng(seed))
+                for _ in range(3):
+                    g = random_graph(rng, max_vertices, weight_model=model)
+                    want = random_graph_reference(recorder, max_vertices, weight_model=model)
+                    for got, ref in ((g.measure, want.measure), (g.weights, want.weights),
+                                     (g.boundary, want.boundary)):
+                        assert got.dtype == ref.dtype and got.shape == ref.shape
+                        assert got.tobytes() == ref.tobytes()
+                    assert rng.bit_generator.state == recorder.rng.bit_generator.state
+                # an attachment row left empty draws one more interior vertex
+                empty_rows += sum(
+                    a[0] == "random" and b[0] == "integers" and bool(np.all(a[1] >= 0.5))
+                    for a, b in zip(recorder.log, recorder.log[1:]))
+    # the sample reaches every branch of the stream
+    assert empty_rows > 0
+    assert unscalable.count(False) > 0  # no total support
+    assert unscalable.count(True) > 0  # the Sinkhorn rounds run out, then redrawn
 
 
 def test_corpus_reaches_the_normalized_corollary(corpus, capsys, tmp_path):

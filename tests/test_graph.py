@@ -269,6 +269,27 @@ class TestReachability:
         else:
             validate(g, require_boundary=False)
 
+    @pytest.mark.parametrize("n, edges", [
+        # 1-2 and 4 lie apart from 0-3-5
+        (6, [(0, 3), (3, 5), (1, 2)]),
+        # the joined pair 1-3 sits between the reached 0, 2 and 4
+        (5, [(0, 4), (4, 2), (1, 3)]),
+        # 0 alone beside a triangle
+        (4, [(1, 2), (2, 3), (1, 3)]),
+        # 0 reaches the last vertex in three hops; 2 and 5-6 are left out
+        (7, [(0, 1), (1, 3), (3, 6), (4, 5)]),
+    ])
+    def test_disconnected_detail_is_the_first_vertex_left_unreached(self, n, edges):
+        w = np.zeros((n, n))
+        for u, v in edges:
+            w[u, v] = w[v, u] = 1.0
+        from_first = _hop_distances(w > 0.0, np.eye(1, n, dtype=bool))[0]
+        unreached = np.flatnonzero(np.isinf(from_first))
+        assert 1 < unreached.size and unreached[0] < n - 1
+        with pytest.raises(GraphValidationError) as err:
+            validate(graph_from(np.ones(n), w, []), require_boundary=False)
+        assert (err.value.kind, err.value.detail) == ("Disconnected", int(unreached[0]))
+
     def test_empty_graph_has_no_components(self):
         assert component_count(graph_from([], np.zeros((0, 0)), [])) == 0
 
