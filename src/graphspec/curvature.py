@@ -201,8 +201,9 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
     least = np.zeros(vertices.size)
     finite = sizes > 0  # an isolated x has no forms
     order = np.argsort(sizes, kind="stable")[np.count_nonzero(sizes == 0):]
+    # sorted(set(...)) rather than np.unique, whose first call imports numpy.ma
     with np.errstate(all="ignore"):
-        for width in np.unique(widths[order]).tolist():
+        for width in sorted(set(widths[order].tolist())):
             same_width = order[widths[order] == width]
             step = max(1, _FORM_ENTRIES // ((width + 1) * (nv + 1)))
             for lo in range(0, same_width.size, step):
@@ -211,7 +212,7 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
                 forms, finite[block] = _bakry_emery_forms(
                     lap, dist[x], x, spheres[block, :width], scales[x], inv_n)
                 ks = sizes[block]
-                for k in np.unique(ks).tolist():
+                for k in sorted(set(ks.tolist())):
                     same = ks == k
                     if finite[block[same]].all():
                         least[block[same]] = symmetric_eigvalsh(forms[same, :k, :k])[:, 0]

@@ -143,8 +143,11 @@ def random_graph(
     depend on the exact stream, so each draw takes from ``rng`` the values
     that one call per spanning-tree edge took: ``rng.integers`` with the
     array of bounds 1 .. |Omega| - 1 draws each element as a call with that
-    bound alone would.  ``tests/oracle.py`` keeps that older form as the
-    referee of every draw and of the generator state after it.
+    bound alone would, and each boundary row is drawn in place with the
+    values of ``rng.random(|Omega|)``.  ``tests/oracle.py`` keeps the older
+    form as the referee of every draw and of the generator state after it.
+
+    Every draw is valid by construction, and ``validate`` still checks it.
     """
     models = ["unit", "lognormal", "normalized"]
     for _ in range(200):
@@ -163,11 +166,14 @@ def random_graph(
         coin = rng.random(iu.size) < p_edge
         iu, iv = iu[coin] + nb, iv[coin] + nb
         w[iu, iv] = w[iv, iu] = 1.0
-        attach = np.empty((nb, nom), dtype=bool)
-        for x in range(nb):
-            attach[x] = rng.random(nom) < 0.5
-            if not attach[x].any():
-                attach[x, rng.integers(nom)] = True
+        # each boundary row attaches where its draw is below 1/2; a row with
+        # none takes one more draw, so the rows are drawn one at a time
+        draws = np.empty((nb, nom))
+        for row in draws:
+            rng.random(out=row)
+            if row.min() >= 0.5:
+                row[rng.integers(nom)] = 0.0
+        attach = draws < 0.5
         w[:nb, nb:] = attach
         w[nb:, :nb] = attach.T
         measure = np.exp(rng.normal(0.0, 0.5, n)) if model == "lognormal" else np.ones(n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,9 +63,15 @@ class WeightedBoundaryGraph:
     boundary: np.ndarray
 
     def __post_init__(self):
+        """Take float measure and weights and an index copy of the boundary,
+        and make all three read-only.  The boundary is flattened, and sorted
+        with repeats dropped by ``np.unique`` only when it is not already
+        strictly increasing, as every drawn, loaded or derived graph's is."""
         m = np.ascontiguousarray(np.asarray(self.measure, dtype=float))
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        b = np.unique(np.asarray(self.boundary, dtype=np.intp))
+        b = np.array(self.boundary, dtype=np.intp).ravel()
+        if b.size > 1 and not (b[:-1] < b[1:]).all():
+            b = np.unique(b)
         if m.ndim != 1 or w.shape != (m.size, m.size):
             raise GraphFormatError("measure/weights shape mismatch")
         if b.size and (b[0] < 0 or b[-1] >= m.size):
@@ -104,10 +111,10 @@ class WeightedBoundaryGraph:
         )
 
     def edges(self):
-        """Yield (u, v, weight) with u < v for every positive weight."""
+        """Yield (u, v, weight) with u < v for every nonzero weight, as
+        Python ints and floats."""
         iu, iv = np.nonzero(np.triu(self.weights, k=1))
-        for u, v in zip(iu, iv):
-            yield int(u), int(v), float(self.weights[u, v])
+        yield from zip(iu.tolist(), iv.tolist(), self.weights[iu, iv].tolist())
 
     def is_unit_weight(self) -> bool:
         w = self.weights
@@ -178,32 +185,26 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     AsymmetricWeight, NegativeWeight, NonpositiveMeasure, NonfiniteValue
     (a weighted degree that overflows, then one whose double does),
     EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
-    The last is the first vertex that a search from vertex 0 alone does not
-    reach; the all-pairs distances are not built here.
+
+    The entries of m and w pass one test of a few whole-array reductions:
+    min m > 0, max m < inf, min w >= 0, max 2 Deg < inf, a zero diagonal and
+    w == w.T.  Each NaN fails one of them, so a graph that passes has none
+    of the first six faults; only one that fails is searched in the order
+    above, to name its first fault.  Disconnected is the first vertex that
+    the closure of vertex 0 leaves out; the all-pairs distances are not
+    built here.
     """
     m, w = graph.measure, graph.weights
-    if not np.isfinite(m).all():
-        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(m)))
-    if not np.isfinite(w).all():
-        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(w)))
-    if w.diagonal().any():
-        raise GraphValidationError("SelfLoop", _first(w.diagonal() != 0.0))
-    if not (w == w.T).all():
-        raise GraphValidationError("AsymmetricWeight", _first(w != w.T))
-    if (w < 0.0).any():
-        raise GraphValidationError("NegativeWeight", _first(w < 0.0))
-    if not (m > 0.0).all():
-        raise GraphValidationError("NonpositiveMeasure", _first(m <= 0.0))
-    # finite entries can still overflow, e.g. a weight of 1e300 over a measure
-    # of 1e-320; every eigenvalue and curvature is at most 2 max Deg, so that
-    # must be finite too
-    with np.errstate(over="ignore"):
+    # every eigenvalue and curvature is at most 2 max Deg, so that must be
+    # finite too; on a faulty graph the sums may overflow or be NaN
+    with np.errstate(all="ignore"):
         row_sums = w.sum(axis=1)
-        deg = row_sums / m
-        if not np.isfinite(2.0 * deg).all():
-            bad = ~np.isfinite(deg)
-            raise GraphValidationError(
-                "NonfiniteValue", _first(bad if bad.any() else ~np.isfinite(2.0 * deg)))
+        sound = m.size == 0 or (
+            m.min() > 0.0 and m.max() < np.inf and w.min() >= 0.0
+            and 2.0 * (row_sums / m).max() < np.inf
+            and not w.diagonal().any() and (w == w.T).all())
+    if not sound:
+        _raise_entry_fault(m, w)
     if require_boundary:
         b = graph.boundary
         if b.size == 0:
@@ -217,18 +218,45 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
         isolated = row_sums[b] == 0.0
         if isolated.any():
             raise GraphValidationError("IsolatedBoundaryVertex", int(b[_first(isolated)]))
-    if graph.vertex_count:
-        # a breadth-first search from vertex 0 on the boolean rows: each hop
-        # joins the rows of the frontier
+    n = graph.vertex_count
+    if n:
+        # the vertices within k hops of vertex 0, from one boolean product
+        # per hop, until the count stops growing
         adj = w > 0.0
-        reached = np.zeros(graph.vertex_count, dtype=bool)
-        reached[0] = True
-        frontier = reached
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        if not reached.all():
+        adj.flat[:: n + 1] = True  # each vertex reaches itself
+        reached, count = adj[0], 1
+        size = np.count_nonzero(reached)
+        while count < size < n:
+            count = size
+            reached = reached @ adj
+            size = np.count_nonzero(reached)
+        if size < n:
             raise GraphValidationError("Disconnected", _first(~reached))
+
+
+def _raise_entry_fault(m: np.ndarray, w: np.ndarray) -> None:
+    """Raise the GraphValidationError of the first faulty entry of m or w,
+    if any, searched in ``validate``'s order."""
+    if not np.isfinite(m).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(m)))
+    if not np.isfinite(w).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(w)))
+    if w.diagonal().any():
+        raise GraphValidationError("SelfLoop", _first(w.diagonal() != 0.0))
+    if not (w == w.T).all():
+        raise GraphValidationError("AsymmetricWeight", _first(w != w.T))
+    if (w < 0.0).any():
+        raise GraphValidationError("NegativeWeight", _first(w < 0.0))
+    if not (m > 0.0).all():
+        raise GraphValidationError("NonpositiveMeasure", _first(m <= 0.0))
+    # finite entries can still overflow, e.g. a weight of 1e300 over a measure
+    # of 1e-320
+    with np.errstate(over="ignore"):
+        deg = w.sum(axis=1) / m
+        if not np.isfinite(2.0 * deg).all():
+            bad = ~np.isfinite(deg)
+            raise GraphValidationError(
+                "NonfiniteValue", _first(bad if bad.any() else ~np.isfinite(2.0 * deg)))
 
 
 def _first(mask: np.ndarray):
@@ -352,7 +380,7 @@ def _columns(items, fields: tuple):
             or set(map(len, items)) - {len(fields)}):
         return None
     try:
-        return [[item[f] for item in items] for f in fields]
+        return [list(map(itemgetter(f), items)) for f in fields]
     except KeyError:
         return None
 
@@ -420,13 +448,12 @@ def from_json_dict(doc: dict) -> WeightedBoundaryGraph:
 def to_json_dict(graph: WeightedBoundaryGraph) -> dict:
     return {
         "vertices": [
-            {"id": i, "measure": float(graph.measure[i])}
-            for i in range(graph.vertex_count)
+            {"id": i, "measure": m} for i, m in enumerate(graph.measure.tolist())
         ],
         "edges": [
             {"u": u, "v": v, "weight": w} for u, v, w in graph.edges()
         ],
-        "boundary": [int(b) for b in graph.boundary],
+        "boundary": graph.boundary.tolist(),
     }
 
 
@@ -438,8 +465,35 @@ def loads(text: str) -> WeightedBoundaryGraph:
     return from_json_dict(doc)
 
 
+# how json writes the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: list) -> list:
+    """Each float of ``values`` as ``json`` writes it."""
+    return [_NONFINITE.get(t, t) for t in map(repr, values)]
+
+
+def _json_list(items: list) -> str:
+    """The text of a JSON list whose items are already written, at the depth
+    of a top-level key."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def dumps(graph: WeightedBoundaryGraph) -> str:
-    return json.dumps(to_json_dict(graph), indent=2, sort_keys=True)
+    """The text of ``json.dumps(to_json_dict(graph), indent=2,
+    sort_keys=True)``, written directly from the columns of the graph: the
+    standard library's indented encoder is pure Python."""
+    iu, iv = np.nonzero(np.triu(graph.weights, k=1))
+    weights = _float_texts(graph.weights[iu, iv].tolist())
+    measures = _float_texts(graph.measure.tolist())
+    boundary = [f"    {b}" for b in graph.boundary.tolist()]
+    edges = [f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {w}\n    }}'
+             for u, v, w in zip(iu.tolist(), iv.tolist(), weights)]
+    vertices = [f'    {{\n      "id": {i},\n      "measure": {m}\n    }}'
+                for i, m in enumerate(measures)]
+    return (f'{{\n  "boundary": {_json_list(boundary)},\n  "edges": {_json_list(edges)},'
+            f'\n  "vertices": {_json_list(vertices)}\n}}')
 
 
 def load(path, hasher=None) -> WeightedBoundaryGraph:

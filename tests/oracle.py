@@ -16,14 +16,15 @@ their definitions, the NeuVsLap quadratic form on the mean-zero boundary
 functions through a basis read off the eigenvectors of the orthogonal
 projector onto them, CLI JSON text through the standard library's encoder,
 total support from the positive diagonals found by enumerating
-permutations, and graph documents through a parser that reads and checks
-one record at a time.
+permutations, graph documents through a parser that reads and checks
+one record at a time, and graph validation through one test per
+invariant, in order, with a breadth-first search from vertex 0.
 
 The seeded random generator is frozen here as it stood with one numpy call
 per spanning-tree edge and a convergence test after every Sinkhorn round,
 the referee of the exact stream of draws.  It shares with the production
-generator only the total-support test and ``validate``, which decide
-whether a draw is kept and are refereed on their own.
+generator only the total-support test, which decides whether a draw is
+kept and is refereed on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import deque
 import numpy as np
 
 from graphspec.fixtures import NORMALIZE_ROUNDS, NORMALIZE_TOL, _has_total_support
-from graphspec.graph import GraphFormatError, WeightedBoundaryGraph, validate
+from graphspec.graph import GraphFormatError, GraphValidationError, WeightedBoundaryGraph
 
 MAX_EIG_DIM = 6
 MAX_SUPPORT_DIM = 7
@@ -660,9 +661,65 @@ def random_graph_reference(rng, max_vertices: int = 12, weight_model=None):
             if w is None:
                 continue
         graph = WeightedBoundaryGraph(measure=measure, weights=w, boundary=np.arange(nb))
-        validate(graph)
+        validate_reference(graph)
         return graph
     raise RuntimeError("could not draw a valid random graph in 200 attempts")
+
+
+def _first(mask: np.ndarray):
+    flat = int(mask.argmax())
+    return flat if mask.ndim == 1 else tuple(int(i) for i in np.unravel_index(flat, mask.shape))
+
+
+def validate_reference(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> None:
+    """``graphspec.graph.validate`` as it stood with one test per invariant:
+    raise GraphValidationError on the first violated invariant, checked in
+    the order NonfiniteValue (measure, then weight), SelfLoop,
+    AsymmetricWeight, NegativeWeight, NonpositiveMeasure, NonfiniteValue
+    (a degree that overflows, then one whose double does), EmptyBoundary,
+    BoundaryEdge, IsolatedBoundaryVertex, Disconnected (the first vertex a
+    breadth-first search from vertex 0 does not reach)."""
+    m, w = graph.measure, graph.weights
+    if not np.isfinite(m).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(m)))
+    if not np.isfinite(w).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(w)))
+    if w.diagonal().any():
+        raise GraphValidationError("SelfLoop", _first(w.diagonal() != 0.0))
+    if not (w == w.T).all():
+        raise GraphValidationError("AsymmetricWeight", _first(w != w.T))
+    if (w < 0.0).any():
+        raise GraphValidationError("NegativeWeight", _first(w < 0.0))
+    if not (m > 0.0).all():
+        raise GraphValidationError("NonpositiveMeasure", _first(m <= 0.0))
+    with np.errstate(over="ignore"):
+        row_sums = w.sum(axis=1)
+        deg = row_sums / m
+        if not np.isfinite(2.0 * deg).all():
+            bad = ~np.isfinite(deg)
+            raise GraphValidationError(
+                "NonfiniteValue", _first(bad if bad.any() else ~np.isfinite(2.0 * deg)))
+    if require_boundary:
+        b = graph.boundary
+        if b.size == 0:
+            raise GraphValidationError("EmptyBoundary")
+        inside = w[b][:, b] > 0.0
+        if inside.any():
+            u, v = _first(inside)
+            raise GraphValidationError("BoundaryEdge", (int(b[u]), int(b[v])))
+        isolated = row_sums[b] == 0.0
+        if isolated.any():
+            raise GraphValidationError("IsolatedBoundaryVertex", int(b[_first(isolated)]))
+    if graph.vertex_count:
+        adj = w > 0.0
+        reached = np.zeros(graph.vertex_count, dtype=bool)
+        reached[0] = True
+        frontier = reached
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if not reached.all():
+            raise GraphValidationError("Disconnected", _first(~reached))
 
 
 _TOP_KEYS = ("vertices", "edges", "boundary")

@@ -34,7 +34,7 @@ from graphspec.graph import (
 from graphspec.fixtures import random_graph
 
 from builders import path_graph
-from oracle import graph_from_json_sequential, hop_distances_bfs
+from oracle import graph_from_json_sequential, hop_distances_bfs, validate_reference
 
 
 def graph_from(measure, weights, boundary):
@@ -65,6 +65,24 @@ class TestConstruction:
         with pytest.raises(GraphFormatError, match="^boundary index out of range$"):
             WeightedBoundaryGraph(measure=np.ones(3), weights=np.zeros((3, 3)),
                                   boundary=[index])
+
+
+    @pytest.mark.parametrize("boundary, want", [
+        ([3, 1, 1], [1, 3]),
+        ([2, 0], [0, 2]),
+        ([[2, 0], [0, 1]], [0, 1, 2]),
+        ([[0, 1], [2, 3]], [0, 1, 2, 3]),
+        ([1, 3], [1, 3]),
+        ([2], [2]),
+        ([], []),
+    ])
+    def test_boundary_is_a_sorted_distinct_read_only_copy(self, boundary, want):
+        given = np.array(boundary, dtype=np.intp)
+        g = WeightedBoundaryGraph(measure=np.ones(4), weights=np.zeros((4, 4)), boundary=given)
+        assert g.boundary.dtype == np.intp and g.boundary.ndim == 1
+        assert g.boundary.tolist() == want
+        assert not g.boundary.flags.writeable
+        assert given.flags.writeable and not np.shares_memory(given, g.boundary)
 
 
 class TestValidationOrder:
@@ -178,6 +196,70 @@ class TestValidationOrder:
     def test_interior_subgraph_skips_boundary_requirement(self, p3_two_ends):
         sub = interior_subgraph(p3_two_ends)
         validate(sub, require_boundary=False)
+
+
+# entries that break, or nearly break, an entry check, and one that keeps it
+ENTRY_EDITS = [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0, 1e308, 5e-324, 2.5]
+
+
+def _mutant(graph, rng):
+    """``graph`` with one to three random faults (or near-faults)."""
+    m, w, b = graph.measure.copy(), graph.weights.copy(), graph.boundary.tolist()
+    n = m.size
+    for _ in range(rng.integers(1, 4)):
+        edit = rng.integers(8)
+        i, j = rng.integers(n, size=2).tolist()
+        value = ENTRY_EDITS[rng.integers(len(ENTRY_EDITS))]
+        if edit == 0:
+            m[i] = value
+        elif edit == 1:  # on the diagonal when i == j
+            w[i, j] = w[j, i] = value
+        elif edit == 2:  # one side only
+            w[i, j] = value
+        elif edit == 3:
+            iu, iv = np.nonzero(np.triu(w, k=1))
+            if iu.size:
+                k = rng.integers(iu.size)
+                w[iu[k], iv[k]] = w[iv[k], iu[k]] = 0.0
+        elif edit == 4:  # every edge at i
+            w[i, :] = w[:, i] = 0.0
+        elif edit == 5 and len(b) > 1:
+            u, v = rng.choice(b, size=2, replace=False).tolist()
+            w[u, v] = w[v, u] = 1.0
+        elif edit == 6:
+            b = []
+        else:
+            b.append(i)
+    return WeightedBoundaryGraph(measure=m, weights=w, boundary=b)
+
+
+def _validation_outcome(check, graph, require_boundary):
+    try:
+        check(graph, require_boundary)
+    except GraphValidationError as err:
+        return err.kind, err.detail
+    return None
+
+
+class TestValidationAgainstReference:
+    """``validate`` against the oracle's one-test-per-invariant referee, on
+    mutated corpus graphs: the same pass, or the same kind and detail."""
+
+    def test_same_outcome_on_mutated_corpus_graphs(self, corpus):
+        rng = np.random.default_rng(0)
+        kinds = collections.Counter()
+        for graph in corpus:
+            for _ in range(8):
+                g = _mutant(graph, rng)
+                for require_boundary in (True, False):
+                    got = _validation_outcome(validate, g, require_boundary)
+                    want = _validation_outcome(validate_reference, g, require_boundary)
+                    assert got == want, (g, require_boundary)
+                    kinds[want and want[0]] += 1
+        assert set(kinds) == {
+            None, "NonfiniteValue", "SelfLoop", "AsymmetricWeight", "NegativeWeight",
+            "NonpositiveMeasure", "EmptyBoundary", "BoundaryEdge",
+            "IsolatedBoundaryVertex", "Disconnected"}, kinds
 
 
 class TestDegrees:
@@ -311,9 +393,40 @@ class TestReachability:
             assert np.array_equal(_hop_distances(arcs, union), least)
 
 
+def _stdlib_text(graph):
+    return json.dumps(to_json_dict(graph), indent=2, sort_keys=True)
+
+
+# graphs the generator cannot draw: entries at the ends of the float range,
+# no boundary, no edges, no vertices
+WRITER_CASES = {
+    "nonfinite": graph_from([np.nan, np.inf, -np.inf, 1.0],
+                            [[0, np.nan, 0, np.inf], [np.nan, 0, -np.inf, 0],
+                             [0, -np.inf, 0, 1e308], [np.inf, 0, 1e308, 0]], [0, 3]),
+    "signed-zero-and-tiny": graph_from([-0.0, 5e-324, 1e308, 2.2250738585072014e-308],
+                                       [[0, -0.0, 5e-324, 1], [-0.0, 0, 0.1, 0],
+                                        [5e-324, 0.1, 0, -2.5], [1, 0, -2.5, 0]], [1]),
+    "no-boundary": graph_from([1, 2], [[0, 1 / 3], [1 / 3, 0]], []),
+    "no-edges": graph_from([1, 1, 1], np.zeros((3, 3)), [0, 2]),
+    "no-vertices": graph_from([], np.zeros((0, 0)), []),
+}
+
+
 class TestJson:
     def test_round_trip_reconstruction(self, k22):
         assert loads(dumps(k22)) == k22
+
+    @pytest.mark.parametrize("model", ["unit", "lognormal", "normalized", None])
+    def test_writer_matches_the_standard_library_on_draws(self, model):
+        rng = np.random.default_rng(3)
+        for max_vertices in range(3, 50):
+            g = random_graph(rng, max_vertices, weight_model=model)
+            assert dumps(g) == _stdlib_text(g)
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_writer_matches_the_standard_library_on_edge_cases(self, name):
+        g = WRITER_CASES[name]
+        assert dumps(g) == _stdlib_text(g)
 
     def test_round_trip_is_byte_exact(self):
         rng = np.random.default_rng(7)
