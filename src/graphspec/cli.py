@@ -18,6 +18,7 @@ when this module is imported, and every ``main`` call reuses it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -54,12 +55,59 @@ def dumps_json(obj) -> str:
     return _json(obj, "\n")
 
 
+def _float(x: float) -> str:
+    return f"{x:.17g}" if math.isfinite(x) else _string(repr(x))
+
+
+# the text of a leaf whose type is exactly one of these; other scalars, such
+# as subclasses and numpy scalars, take the isinstance tests in _json
+_LEAVES = {
+    float: _float,
+    str: _string,
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
+# the types that the isinstance tests in _json write as scalars, lists or
+# dicts, whether or not they are dataclasses
+_CLAIMED = (float, str, int, np.integer, np.floating, list, tuple, np.ndarray, dict)
+
+
+@functools.cache
+def _written_as_fields(cls: type) -> bool:
+    """Whether an object of type ``cls`` is written as the object of its
+    fields (``vars``): a certificate or report dataclass."""
+    return is_dataclass(cls) and not issubclass(cls, _CLAIMED)
+
+
+@functools.cache
+def _field_texts(names: tuple, newline: str) -> tuple[tuple, str]:
+    """``names`` sorted, and the %-template of the text of an object with
+    those fields that starts a line that ``newline`` begins, with a %s for
+    each value.  Kept per field-name tuple and indent, which are few; a
+    dict's keys differ from one graph to the next, so they are never kept."""
+    order = tuple(sorted(names))
+    if not order:
+        return order, "{}"
+    inner = newline + "  "
+    items = [(_string(_key(k)) + ": ").replace("%", "%%") + "%s" for k in order]
+    return order, "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
 def _json(obj, newline: str) -> str:
     """The JSON text of ``obj``; ``newline`` is a line break followed by the
     indent of the line that ``obj`` starts on.  Keys are converted and
     sorted, and values refused, as ``json.dumps(sort_keys=True)`` does."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = newline + "  "
+    if _written_as_fields(type(obj)):
+        fields = vars(obj)
+        order, template = _field_texts(tuple(fields), newline)
+        return template % tuple(_values([fields[k] for k in order], inner))
     if isinstance(obj, float):
-        return f"{obj:.17g}" if math.isfinite(obj) else _string(repr(obj))
+        return _float(obj)
     if isinstance(obj, str):
         return _string(obj)
     if obj is None:
@@ -70,22 +118,26 @@ def _json(obj, newline: str) -> str:
         return repr(int(obj))
     if isinstance(obj, np.floating):
         return _json(float(obj), newline)
-    inner = newline + "  "
     if isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             obj = [float(v) for v in obj]
-        items = [_json(v, inner) for v in obj]
+        items = _values(obj, inner)
         brackets = "[]"
-    else:
-        if not isinstance(obj, dict):
-            if not is_dataclass(obj):
-                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-            obj = vars(obj)  # a certificate or report: the object of its fields
+    elif isinstance(obj, dict):
         items = [f"{_string(_key(k))}: {_json(v, inner)}" for k, v in sorted(obj.items())]
         brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _values(values, newline: str) -> list[str]:
+    """The JSON text of each of ``values``, each starting a line that
+    ``newline`` begins; a leaf is written without the call to ``_json``."""
+    leaves = _LEAVES.get
+    return [leaf(v) if (leaf := leaves(type(v))) else _json(v, newline) for v in values]
 
 
 def _key(key) -> str:

@@ -33,28 +33,76 @@ def stoer_wagner_min_cut(weights: np.ndarray) -> float:
     """Global minimum cut weight of an undirected weighted graph: 0 when it
     is disconnected or has fewer than two vertices.
 
-    Each maximum-adjacency phase grows a set from vertex 0, which is never
-    merged away, keeping every vertex's connectivity to the set in one
-    vector where added and merged vertices read -inf; the phase's cut is the
-    last vertex's connectivity when it is picked, and that vertex t is then
-    merged into the one picked before it (Stoer and Wagner, J. ACM 1997).
+    The cut comes from ``contraction_min_cut``, Nagamochi-Ono-Ibaraki
+    contraction over Stoer-Wagner's maximum-adjacency phases.  The name
+    stays while perfbench's tracer patches this function by name (ROADMAP
+    item 12).
+    """
+    return contraction_min_cut(weights)[0]
+
+
+def contraction_min_cut(weights: np.ndarray) -> tuple[float, int]:
+    """The global minimum cut weight of symmetric nonnegative ``weights``,
+    and the number of phases that found it (at most |V| - 1; none when
+    |V| < 2 or a vertex is isolated).  The diagonal is never read but in
+    the first degrees, where it can only raise the bound.
+
+    The bound lam starts at the least weighted degree, the cut of one
+    vertex.  Each phase orders the vertices of the contracted graph by
+    maximum adjacency from vertex 0, as a Stoer-Wagner phase does, keeping
+    each vertex's attachment to the ordered set when it is picked.  The last
+    vertex's attachment is its degree, a cut, and lowers lam.  A vertex v
+    picked right after t with attachment q >= lam has edge connectivity
+    lambda(t, v) >= q (the order restricted to the vertices up to t, and v,
+    is a maximum-adjacency order whose last cut separates t and v), so every
+    cut that separates them weighs at least lam: v is merged into t.  The
+    last vertex always is, as its attachment now reaches lam.  The minimum
+    cut is lam or a cut of the contracted graph, which is therefore exact;
+    each phase merges at least one pair (Nagamochi, Ono and Ibaraki, Math.
+    Programming 1994).
+
+    A phase that merges the last pair alone adds its row and column into
+    the one before it, as Stoer-Wagner does, and moves the last row and
+    column into the freed place; otherwise the runs of merged vertices in
+    the order are summed into one vertex each.  Either way the diagonal
+    collects weights that no attachment reads.  On integer weights every
+    sum is exact, so the cut equals Stoer-Wagner's; on other weights the
+    sums are taken in another order, which may move the last bits.
     """
     w = np.array(weights, dtype=float)
-    best = math.inf if len(w) > 1 else 0.0
-    for size in range(len(w), 1, -1):
+    size = len(w)
+    if size < 2:
+        return 0.0, 0
+    lam = float(w.sum(axis=1).min())
+    phases = 0
+    while size > 1 and lam > 0.0:
+        phases += 1
         conn = w[0].copy()
         conn[0] = -math.inf
-        s = t = 0
+        order, attached = [0], [-math.inf]
         for _ in range(size - 1):
-            s, t = t, int(np.argmax(conn))
-            cut = conn[t]
+            t = int(conn.argmax())
+            order.append(t)
+            attached.append(conn[t])
             conn += w[t]
             conn[t] = -math.inf
-        best = min(best, float(cut))
-        w[s] += w[t]
-        w[:, s] += w[:, t]
-        w[t] = w[:, t] = -math.inf
-    return best
+        lam = min(lam, float(attached[-1]))
+        attached[-1] = math.inf  # so every phase merges, even on NaN weights
+        merged = np.array(attached) >= lam  # into the vertex picked before
+        if np.count_nonzero(merged) == 1:
+            s, t = sorted(order[-2:])
+            w[s] += w[t]
+            w[:, s] += w[:, t]
+            size -= 1
+            w[t] = w[size]
+            w[:, t] = w[:, size]
+            w = w[:size, :size]
+        else:
+            runs = np.flatnonzero(~merged)
+            w = np.add.reduceat(w[np.ix_(order, order)], runs, axis=0)
+            w = np.add.reduceat(w, runs, axis=1)
+            size = len(w)
+    return lam, phases
 
 
 def edge_connectivity(graph: WeightedBoundaryGraph) -> int:

@@ -63,12 +63,14 @@ class WeightedBoundaryGraph:
     boundary: np.ndarray
 
     def __post_init__(self):
-        """Take float measure and weights and an index copy of the boundary,
-        and make all three read-only.  The boundary is flattened, and sorted
-        with repeats dropped by ``np.unique`` only when it is not already
-        strictly increasing, as every drawn, loaded or derived graph's is."""
-        m = np.ascontiguousarray(np.asarray(self.measure, dtype=float))
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        """Take C-contiguous float copies of the measure and weights and an
+        index copy of the boundary, and make all three read-only, so the
+        caller's arrays stay writable and unshared.  The boundary is
+        flattened, and sorted with repeats dropped by ``np.unique`` only when
+        it is not already strictly increasing, as every drawn, loaded or
+        derived graph's is."""
+        m = np.array(self.measure, dtype=float, order="C")
+        w = np.array(self.weights, dtype=float, order="C")
         b = np.array(self.boundary, dtype=np.intp).ravel()
         if b.size > 1 and not (b[:-1] < b[1:]).all():
             b = np.unique(b)

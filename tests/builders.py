@@ -1,5 +1,5 @@
-"""Constructed graphs for the tests: named small graphs, the equality-case
-recipes, and fixtures for the equality characterizations.
+"""Constructed graphs for the tests: named small graphs, the scale graphs,
+the equality-case recipes, and fixtures for the equality characterizations.
 
 The two recipe builders realize the explicit equality constructions: one
 produces graphs where every Neumann eigenvalue equals the corresponding
@@ -27,6 +27,35 @@ def path_graph(n: int, boundary=(), weights=None, measure=None) -> WeightedBound
     w = np.diag(d, 1) + np.diag(d, -1)
     m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
     return WeightedBoundaryGraph(measure=m, weights=w, boundary=np.asarray(boundary, dtype=np.intp))
+
+
+def scale_graph(n: int, model: str = "unit", seed: int = 1) -> WeightedBoundaryGraph:
+    """A graph at the sizes beyond the corpus (ROADMAP's scale-graph recipe):
+    the first n // 4 vertices are the boundary B; pairs are drawn with
+    probability 0.4, every B-B pair is removed, the path through Omega
+    (vertices n // 4 .. n - 1) is added, and a boundary vertex left with no
+    Omega neighbour is joined to the first Omega vertex.  Unit measures;
+    ``model`` "lognormal" multiplies each 0/1 weight by a lognormal(0, 1)
+    draw.  With seed 1 it has 789, 3,129 and 12,386 edges at n = 64, 128
+    and 256."""
+    rng = np.random.default_rng(seed)
+    nb = n // 4
+    upper = np.triu(rng.random((n, n)) < 0.4, 1)
+    adjacent = upper | upper.T
+    adjacent[:nb, :nb] = False
+    omega = np.arange(nb, n - 1)
+    adjacent[omega, omega + 1] = adjacent[omega + 1, omega] = True
+    lonely = np.flatnonzero(~adjacent[:nb, nb:].any(axis=1))
+    adjacent[lonely, nb] = adjacent[nb, lonely] = True
+    w = adjacent.astype(float)
+    if model == "lognormal":
+        factor = np.triu(rng.lognormal(0.0, 1.0, (n, n)), 1)
+        w *= factor + factor.T
+    elif model != "unit":
+        raise ValueError(f"unknown weight model {model!r}")
+    graph = WeightedBoundaryGraph(measure=np.ones(n), weights=w, boundary=np.arange(nb))
+    validate(graph)
+    return graph
 
 
 def complete_bipartite(nb: int, nom: int, weight: float = 1.0) -> WeightedBoundaryGraph:

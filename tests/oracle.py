@@ -3,9 +3,10 @@
 Nothing here shares code with the production solvers: eigenvalues come from
 bisection on the characteristic polynomial (root counting through leading
 principal minors), linear programs from vertex enumeration, minimum cuts
-from exhaustive bipartition search, the Neumann operator from its
-definition through the normal extension, one column at a time, the
-normal derivative and the self-adjointness defect entry by entry from their
+from exhaustive bipartition search (and, beyond its reach, from the
+Stoer-Wagner algorithm frozen as it stood before contraction), the Neumann
+operator from its definition through the normal extension, one column at a
+time, the normal derivative and the self-adjointness defect entry by entry from their
 definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, sender-receiver gain problems
@@ -468,6 +469,31 @@ def cut_bruteforce(weights: np.ndarray) -> int:
         if best is None or crossing < best:
             best = crossing
     return int(best)
+
+
+def stoer_wagner_reference(weights: np.ndarray) -> float:
+    """Global minimum cut weight by Stoer-Wagner, frozen as
+    ``graphspec.combinatorial.stoer_wagner_min_cut`` stood before it
+    contracted more than one pair per phase: |V| - 1 maximum-adjacency
+    phases from vertex 0, each merging its last vertex into the one picked
+    before it (Stoer and Wagner, J. ACM 1997).  0 when the graph is
+    disconnected or has fewer than two vertices."""
+    w = np.array(weights, dtype=float)
+    best = math.inf if len(w) > 1 else 0.0
+    for size in range(len(w), 1, -1):
+        conn = w[0].copy()
+        conn[0] = -math.inf
+        s = t = 0
+        for _ in range(size - 1):
+            s, t = t, int(np.argmax(conn))
+            cut = conn[t]
+            conn += w[t]
+            conn[t] = -math.inf
+        best = min(best, float(cut))
+        w[s] += w[t]
+        w[:, s] += w[:, t]
+        w[t] = w[:, t] = -math.inf
+    return best
 
 
 def rayleigh_min_bruteforce(

@@ -814,6 +814,35 @@ def test_dumps_json_matches_reference(obj):
     assert _text_or_type_error(dumps_json, obj) == _text_or_type_error(dumps_json_reference, obj)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    b: float
+    a: list
+
+
+@dataclasses.dataclass(eq=False)
+class _FloatRecord(float):
+    tag: str = "t"
+
+
+@dataclasses.dataclass(eq=False)
+class _DictRecord(dict):
+    tag: str = "t"
+
+
+def test_dataclasses_are_written_as_fields_unless_a_scalar_or_container():
+    """A dataclass is the object of its fields, at any depth, and one that
+    subclasses float or dict is written as the float or dict, as the
+    standard encoder writes it."""
+    nested = _Record(0.1, [_Record(float("inf"), []), {"k": _Record(-0.0, [1, True, None])}])
+    assert dumps_json(nested) == dumps_json_reference(dataclasses.asdict(nested))
+    assert dumps_json([nested, nested]) == dumps_json_reference([dataclasses.asdict(nested)] * 2)
+    as_float = _FloatRecord(2.5)
+    as_dict = _DictRecord({"x": 0.5})
+    for obj in (as_float, as_dict, [as_float, {"d": as_dict}]):
+        assert dumps_json(obj) == dumps_json_reference(obj)
+
+
 # Malformed graph documents: each example takes a small valid graph and
 # breaks it one way, or replaces the whole document.
 JUNK = st.one_of(

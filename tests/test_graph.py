@@ -84,6 +84,20 @@ class TestConstruction:
         assert not g.boundary.flags.writeable
         assert given.flags.writeable and not np.shares_memory(given, g.boundary)
 
+    @pytest.mark.parametrize("dtype, order", [(float, "C"), (float, "F"), (np.int64, "C")])
+    def test_measure_and_weights_are_read_only_float_copies(self, dtype, order):
+        m = np.array([1, 2, 3], dtype=dtype)
+        w = np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]], dtype=dtype, order=order)
+        m0, w0 = m.copy(), w.copy()
+        g = WeightedBoundaryGraph(measure=m, weights=w, boundary=[])
+        for given, kept in ((m, g.measure), (w, g.weights)):
+            assert kept.dtype == float and kept.flags.c_contiguous
+            assert not kept.flags.writeable
+            assert given.flags.writeable and not np.shares_memory(given, kept)
+        # the caller's arrays are theirs to change: the graph is not
+        m[0] = w[0, 1] = w[1, 0] = 5
+        assert g.measure.tolist() == m0.tolist() and g.weights.tolist() == w0.tolist()
+
 
 class TestValidationOrder:
     def test_self_loop(self):
