@@ -110,10 +110,6 @@ def _json(obj, newline: str) -> str:
         return _float(obj)
     if isinstance(obj, str):
         return _string(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return repr(int(obj))
     if isinstance(obj, np.floating):

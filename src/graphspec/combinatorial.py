@@ -61,13 +61,14 @@ def contraction_min_cut(weights: np.ndarray) -> tuple[float, int]:
     each phase merges at least one pair (Nagamochi, Ono and Ibaraki, Math.
     Programming 1994).
 
-    A phase that merges the last pair alone adds its row and column into
-    the one before it, as Stoer-Wagner does, and moves the last row and
-    column into the freed place; otherwise the runs of merged vertices in
-    the order are summed into one vertex each.  Either way the diagonal
-    collects weights that no attachment reads.  On integer weights every
-    sum is exact, so the cut equals Stoer-Wagner's; on other weights the
-    sums are taken in another order, which may move the last bits.
+    Every phase contracts the same way: the rows and columns of the
+    ordered block are summed over each run of merged vertices by two
+    ``np.add.reduceat``, so each run becomes the vertex it starts from, and
+    the diagonal collects weights that no attachment reads.  On integer
+    weights every sum is exact, so the cut equals Stoer-Wagner's; on other
+    weights the sums are taken in another order, which may move the last
+    bits.  A cycle merges one pair a phase, so it takes |V| - 1 phases,
+    each of which copies the whole block.
     """
     w = np.array(weights, dtype=float)
     size = len(w)
@@ -89,19 +90,10 @@ def contraction_min_cut(weights: np.ndarray) -> tuple[float, int]:
         lam = min(lam, float(attached[-1]))
         attached[-1] = math.inf  # so every phase merges, even on NaN weights
         merged = np.array(attached) >= lam  # into the vertex picked before
-        if np.count_nonzero(merged) == 1:
-            s, t = sorted(order[-2:])
-            w[s] += w[t]
-            w[:, s] += w[:, t]
-            size -= 1
-            w[t] = w[size]
-            w[:, t] = w[:, size]
-            w = w[:size, :size]
-        else:
-            runs = np.flatnonzero(~merged)
-            w = np.add.reduceat(w[np.ix_(order, order)], runs, axis=0)
-            w = np.add.reduceat(w, runs, axis=1)
-            size = len(w)
+        runs = np.flatnonzero(~merged)  # each run goes into its first vertex
+        w = np.add.reduceat(w[np.ix_(order, order)], runs, axis=0)
+        w = np.add.reduceat(w, runs, axis=1)
+        size = len(w)
     return lam, phases
 
 

@@ -188,25 +188,33 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
     (a weighted degree that overflows, then one whose double does),
     EmptyBoundary, BoundaryEdge, IsolatedBoundaryVertex, Disconnected.
 
-    The entries of m and w pass one test of a few whole-array reductions:
-    min m > 0, max m < inf, min w >= 0, max 2 Deg < inf, a zero diagonal and
-    w == w.T.  Each NaN fails one of them, so a graph that passes has none
-    of the first six faults; only one that fails is searched in the order
-    above, to name its first fault.  Disconnected is the first vertex that
-    the closure of vertex 0 leaves out; the all-pairs distances are not
-    built here.
+    The row sums of w are taken once, for the degree test and the isolated
+    boundary test.  Disconnected is the first vertex that the closure of
+    vertex 0 leaves out; the all-pairs distances are not built here.
     """
     m, w = graph.measure, graph.weights
+    if not np.isfinite(m).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(m)))
+    if not np.isfinite(w).all():
+        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(w)))
+    if w.diagonal().any():
+        raise GraphValidationError("SelfLoop", _first(w.diagonal() != 0.0))
+    if not (w == w.T).all():
+        raise GraphValidationError("AsymmetricWeight", _first(w != w.T))
+    if (w < 0.0).any():
+        raise GraphValidationError("NegativeWeight", _first(w < 0.0))
+    if not (m > 0.0).all():
+        raise GraphValidationError("NonpositiveMeasure", _first(m <= 0.0))
     # every eigenvalue and curvature is at most 2 max Deg, so that must be
-    # finite too; on a faulty graph the sums may overflow or be NaN
-    with np.errstate(all="ignore"):
+    # finite too; finite entries can still overflow, e.g. a weight of 1e300
+    # over a measure of 1e-320
+    with np.errstate(over="ignore"):
         row_sums = w.sum(axis=1)
-        sound = m.size == 0 or (
-            m.min() > 0.0 and m.max() < np.inf and w.min() >= 0.0
-            and 2.0 * (row_sums / m).max() < np.inf
-            and not w.diagonal().any() and (w == w.T).all())
-    if not sound:
-        _raise_entry_fault(m, w)
+        deg = row_sums / m
+        if not np.isfinite(2.0 * deg).all():
+            bad = ~np.isfinite(deg)
+            raise GraphValidationError(
+                "NonfiniteValue", _first(bad if bad.any() else ~np.isfinite(2.0 * deg)))
     if require_boundary:
         b = graph.boundary
         if b.size == 0:
@@ -234,31 +242,6 @@ def validate(graph: WeightedBoundaryGraph, require_boundary: bool = True) -> Non
             size = np.count_nonzero(reached)
         if size < n:
             raise GraphValidationError("Disconnected", _first(~reached))
-
-
-def _raise_entry_fault(m: np.ndarray, w: np.ndarray) -> None:
-    """Raise the GraphValidationError of the first faulty entry of m or w,
-    if any, searched in ``validate``'s order."""
-    if not np.isfinite(m).all():
-        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(m)))
-    if not np.isfinite(w).all():
-        raise GraphValidationError("NonfiniteValue", _first(~np.isfinite(w)))
-    if w.diagonal().any():
-        raise GraphValidationError("SelfLoop", _first(w.diagonal() != 0.0))
-    if not (w == w.T).all():
-        raise GraphValidationError("AsymmetricWeight", _first(w != w.T))
-    if (w < 0.0).any():
-        raise GraphValidationError("NegativeWeight", _first(w < 0.0))
-    if not (m > 0.0).all():
-        raise GraphValidationError("NonpositiveMeasure", _first(m <= 0.0))
-    # finite entries can still overflow, e.g. a weight of 1e300 over a measure
-    # of 1e-320
-    with np.errstate(over="ignore"):
-        deg = w.sum(axis=1) / m
-        if not np.isfinite(2.0 * deg).all():
-            bad = ~np.isfinite(deg)
-            raise GraphValidationError(
-                "NonfiniteValue", _first(bad if bad.any() else ~np.isfinite(2.0 * deg)))
 
 
 def _first(mask: np.ndarray):
@@ -462,7 +445,7 @@ def to_json_dict(graph: WeightedBoundaryGraph) -> dict:
 def loads(text: str) -> WeightedBoundaryGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     return from_json_dict(doc)
 

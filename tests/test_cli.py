@@ -83,6 +83,14 @@ class TestExitCodes:
         code, _ = run(capsys, ["validate", "--graph", str(bad)])
         assert code == 4
 
+    def test_validate_deeply_nested_file(self, capsys, tmp_path):
+        # json's decoder recurses once per bracket, past the interpreter's limit
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_streams(capsys, ["validate", "--graph", str(bad)])
+        assert (code, out) == (4, "")
+        assert err.startswith("invalid graph file: invalid JSON: ")
+
     def test_validate_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, ["validate", "--graph", str(tmp_path / "none.json")])
         assert code == 4
@@ -840,6 +848,20 @@ def test_dataclasses_are_written_as_fields_unless_a_scalar_or_container():
     as_float = _FloatRecord(2.5)
     as_dict = _DictRecord({"x": 0.5})
     for obj in (as_float, as_dict, [as_float, {"d": as_dict}]):
+        assert dumps_json(obj) == dumps_json_reference(obj)
+
+
+@dataclasses.dataclass(frozen=True)
+class _EmptyRecord:
+    pass
+
+
+def test_fieldless_dataclasses_and_numpy_strings_match_the_reference():
+    """A dataclass with no fields is an empty object, and an ``np.str_``,
+    a str subclass, is written as its string."""
+    assert dumps_json(_EmptyRecord()) == dumps_json_reference({})
+    assert dumps_json([_EmptyRecord(), {"e": _EmptyRecord()}]) == dumps_json_reference([{}, {"e": {}}])
+    for obj in (np.str_("a\u00e9\"b"), [np.str_("")], {"s": np.str_("x")}):
         assert dumps_json(obj) == dumps_json_reference(obj)
 
 

@@ -80,6 +80,19 @@ def test_normalized_draws_against_total_support(monkeypatch):
         assert g.is_normalized()
 
 
+def test_draw_gives_up_after_200_attempts(monkeypatch):
+    calls = []
+
+    def refuse(weights):
+        calls.append(weights)
+        return None
+
+    monkeypatch.setattr(fixtures, "_normalize_weights", refuse)
+    with pytest.raises(RuntimeError, match="200 attempts"):
+        random_graph(np.random.default_rng(3), 7, weight_model="normalized")
+    assert len(calls) == 200
+
+
 class _Recorder:
     """A generator whose draws pass through and are logged as (method, value)."""
 
