@@ -1,11 +1,18 @@
 """Command-line front end.
 
 Subcommands: validate, spectrum, compare, certify, curvature, bounds,
-random-audit, dump-operator.  Exit codes: 0 success / certificate holds,
-1 usage error, 2 certificate fails or rigidity conclusion false,
-3 not applicable / unsupported equality pattern, 4 invalid graph file.
-``main`` maps every ``NotApplicable`` a subcommand raises to exit 3, with
-``not applicable: ...`` on stderr.
+random-audit, dump-operator.  Every call takes one path.  The parser checks
+every argument, so a bad one exits 1 before any file is read.  ``main`` then
+reads and checks the graph file, and exits 4 when it cannot be read or breaks
+an axiom; every command but ``curvature --on g`` needs a boundary.  It calls
+the subcommand's ``cmd_*`` with the graph and the arguments, which returns
+its results and exit 0 or 2 (certificate holds / fails, rigidity conclusion
+true / false), and writes the JSON report of those results.  ``main`` maps a
+``NotApplicable`` to exit 3, with ``not applicable: ...`` on stderr and no
+report, and an ``EqualityPatternUnsupported`` to exit 3, with the reason as
+``results.unsupported``.  ``validate`` writes only ``valid`` and
+``graph_digest``, ``compare --table`` prints a text table in place of the
+report, and ``random-audit`` reads no graph and echoes its seed.
 
 All JSON output is deterministic for a fixed (input, flags, seed).
 ``dumps_json`` writes it in one recursive pass: keys sorted, a 2-space
@@ -171,95 +178,47 @@ _count = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
 # random_graph draws |V| from 3..max_v
 _max_vertices = _arg_type(int, lambda v: v >= 3, "an integer >= 3")
 _tolerance = _arg_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
-# kept as given, so the invocation echoed in the report is unchanged
+# these two are kept as given, so the invocation echoed in the report is unchanged
 _dimension = _arg_type(str, lambda t: float(t) > 1.0, "a number > 1 or 'inf'")
+_theorems = _arg_type(
+    str, lambda t: t == "all" or all(name.strip() in ALL_COMPARISONS for name in t.split(",")),
+    "'all' or comma-separated ids from " + ", ".join(ALL_COMPARISONS),
+)
 
 
-def _load_graph(args, require_boundary=True):
-    """The checked graph in ``args.graph``, and the sha256 of the bytes it
-    was parsed from: the file is read once."""
-    digest = hashlib.sha256()
-    try:
-        graph = load(args.graph, digest)
-        validate(graph, require_boundary=require_boundary)
-        return graph, digest.hexdigest()
-    except (OSError, GraphFormatError, GraphValidationError) as exc:
-        sys.stderr.write(f"invalid graph file: {exc}\n")
-        raise SystemExit(4)
+def cmd_spectrum(graph, args):
+    return {label: spectrum(graph, label) for label in BUILDERS}, 0
 
 
-def _report(args, results, digest=None, seed=None) -> dict:
-    return {
-        "graph_digest": digest,
-        "invocation": {"command": args.command, **{
-            k: v for k, v in vars(args).items() if k not in {"command", "func"}
-        }},
-        "results": results,
-        "seed": seed,
-        "tool_version": __version__,
-    }
-
-
-def cmd_validate(args) -> int:
-    _, digest = _load_graph(args)
-    print(dumps_json({"valid": True, "graph_digest": digest}))
-    return 0
-
-
-def cmd_spectrum(args) -> int:
-    graph, digest = _load_graph(args)
-    out = {label: spectrum(graph, label) for label in BUILDERS}
-    print(dumps_json(_report(args, out, digest)))
-    return 0
-
-
-def cmd_dump_operator(args) -> int:
-    graph, digest = _load_graph(args)
+def cmd_dump_operator(graph, args):
     op = operator_by_label(graph, args.operator)
     out = {
         "label": op.label,
         "matrix": list(op.matrix),
         "inner_measure": op.inner_measure,
     }
-    print(dumps_json(_report(args, out, digest)))
-    return 0
+    return out, 0
 
 
-def cmd_compare(args) -> int:
-    graph, digest = _load_graph(args)
-    if args.theorems == "all":
-        names = list(ALL_COMPARISONS)
-    else:
-        names = [t.strip() for t in args.theorems.split(",")]
-        unknown = [t for t in names if t not in ALL_COMPARISONS]
-        if unknown:
-            sys.stderr.write(f"unknown theorems: {unknown}\n")
-            return 1
-    certs = [ALL_COMPARISONS[name](graph, args.tol) for name in names]
-    if args.table:
-        for cert in certs:
-            print(f"{cert.theorem_id:26s} {cert.verdict}")
-            for r in cert.per_index:
-                print(f"  i={r.index:<3d} lhs={r.lhs:.12g} rhs={r.rhs:.12g} margin={r.margin:.3e}")
-    else:
-        print(dumps_json(_report(args, certs, digest)))
-    return 0 if all(c.holds for c in certs) else 2
+def cmd_compare(graph, args):
+    names = ALL_COMPARISONS if args.theorems == "all" else args.theorems.split(",")
+    certs = [ALL_COMPARISONS[name.strip()](graph, args.tol) for name in names]
+    code = 0 if all(c.holds for c in certs) else 2
+    if not args.table:
+        return certs, code
+    for cert in certs:
+        print(f"{cert.theorem_id:26s} {cert.verdict}")
+        for r in cert.per_index:
+            print(f"  i={r.index:<3d} lhs={r.lhs:.12g} rhs={r.rhs:.12g} margin={r.margin:.3e}")
+    return None, code
 
 
-def cmd_certify(args) -> int:
-    graph, digest = _load_graph(args)
-    checker = ALL_RIGIDITY[args.theorem]
-    try:
-        report = checker(graph, args.tol)
-    except EqualityPatternUnsupported as exc:
-        print(dumps_json(_report(args, {"unsupported": str(exc)}, digest)))
-        return 3
-    print(dumps_json(_report(args, report, digest)))
-    return 0 if report.conclusion else 2
+def cmd_certify(graph, args):
+    report = ALL_RIGIDITY[args.theorem](graph, args.tol)
+    return report, 0 if report.conclusion else 2
 
 
-def cmd_curvature(args) -> int:
-    graph, digest = _load_graph(args, require_boundary=(args.on == "interior"))
+def cmd_curvature(graph, args):
     target = interior_subgraph(graph) if args.on == "interior" else graph
     if args.kind == "be":
         result = bakry_emery_curvature(target, float(args.n))
@@ -269,19 +228,16 @@ def cmd_curvature(args) -> int:
         per = {f"{u},{v}": val for (u, v), val in result.per_location.items()}
     out = {"kind": result.kind, "dimension": result.dimension,
            "per_location": per, "global_min": result.global_min}
-    print(dumps_json(_report(args, out, digest)))
-    return 0
+    return out, 0
 
 
-def cmd_bounds(args) -> int:
-    graph, digest = _load_graph(args)
+def cmd_bounds(graph, args):
     bounds = fiedler_bounds if args.family == "fiedler" else friedman_bounds
     cert = bounds(graph, args.tol)
-    print(dumps_json(_report(args, cert, digest)))
-    return 0 if cert.holds else 2
+    return cert, 0 if cert.holds else 2
 
 
-def cmd_random_audit(args) -> int:
+def cmd_random_audit(_, args):
     rng = np.random.default_rng(args.seed)
     failures = []
     lichnerowicz_checked = 0
@@ -308,8 +264,7 @@ def cmd_random_audit(args) -> int:
         "failure_count": len(failures),
         "lichnerowicz_checked": lichnerowicz_checked,
     }
-    print(dumps_json(_report(args, out, seed=args.seed)))
-    return 0 if not failures else 2
+    return out, 0 if not failures else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph_file = argparse.ArgumentParser(add_help=False)
     graph_file.add_argument("--graph", required=True)
 
-    p = sub.add_parser("validate", parents=[graph_file],
-                       help="check a graph file against the structural axioms")
-    p.set_defaults(func=cmd_validate)
+    sub.add_parser("validate", parents=[graph_file],
+                   help="check a graph file against the structural axioms")
 
     p = sub.add_parser("spectrum", parents=[graph_file], help="eigenvalues of the full, "
                        "Dirichlet, Neumann and interior operators, as JSON keyed by "
@@ -344,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "NeuVsInterior (nu_i >= mu_i(Omega)), DiriVsNeuTwoSided "
         "(nu_i + s^2 bounds on lambda_i), LapVsDiri (mu_{i+|B|} >= lambda_i)",
     )
-    p.add_argument("--theorems", default="all")
+    p.add_argument("--theorems", type=_theorems, default="all")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--table", dest="table", action="store_true")
     p.set_defaults(func=cmd_compare)
@@ -390,11 +344,36 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    graph = digest = None
+    if args.command != "random-audit":
+        sha = hashlib.sha256()  # of the bytes parsed: the file is read once
+        try:
+            graph = load(args.graph, sha)
+            validate(graph, require_boundary=not (args.command == "curvature"
+                                                  and args.on == "g"))
+        except (OSError, GraphFormatError, GraphValidationError) as exc:
+            sys.stderr.write(f"invalid graph file: {exc}\n")
+            return 4
+        digest = sha.hexdigest()
+        if args.command == "validate":
+            print(dumps_json({"valid": True, "graph_digest": digest}))
+            return 0
     try:
-        return args.func(args)
+        results, code = args.func(graph, args)
     except NotApplicable as exc:
         sys.stderr.write(f"not applicable: {exc}\n")
         return 3
+    except EqualityPatternUnsupported as exc:
+        results, code = {"unsupported": str(exc)}, 3
+    if results is not None:
+        print(dumps_json({
+            "graph_digest": digest,
+            "invocation": {k: v for k, v in vars(args).items() if k != "func"},
+            "results": results,
+            "seed": getattr(args, "seed", None),
+            "tool_version": __version__,
+        }))
+    return code
 
 
 if __name__ == "__main__":

@@ -15,10 +15,12 @@ output depends on where they were written.  The inputs are
   and 32, drawn from ``default_rng(7)``, redrawn until |V| is exact;
 * the graphs of ``test_cli.py`` at the ends of the float range;
 
-each under ``spectrum``, ``compare``, ``bounds`` x 2, ``certify`` x 7 and
+each under ``spectrum``, ``compare``, ``bounds`` x 2, ``certify`` x 7,
 ``curvature`` x 8 (``be`` at n = 4, inf and 1.5, and ``ollivier``, each
-``--on g`` and ``--on interior``); and the three ``random-audit`` runs of
-the CI workflow.
+``--on g`` and ``--on interior``), ``validate``, ``dump-operator`` x 4 (one
+per operator label), ``compare --table`` and ``compare --theorems
+NeuVsLap,LapVsDiri``; and the three ``random-audit`` runs of the CI
+workflow.
 
 ``--out FILE`` writes one JSON line per call: its label, exit code, stderr,
 stdout and the max Deg of its graph (1 for an audit).  ``--against FILE``
@@ -53,6 +55,7 @@ if __name__ == "__main__":
 from graphspec.cli import main  # noqa: E402
 from graphspec.fixtures import random_graph  # noqa: E402
 from graphspec.graph import WeightedBoundaryGraph, degree_vector, save  # noqa: E402
+from graphspec.operators import BUILDERS  # noqa: E402
 from graphspec.rigidity import ALL_RIGIDITY  # noqa: E402
 
 from builders import path_graph  # noqa: E402
@@ -69,6 +72,10 @@ GRAPH_COMMANDS = (
     *(("curvature", "--kind", "be", "--n", n, "--on", on)
       for n in ("4", "inf", "1.5") for on in ("g", "interior")),
     *(("curvature", "--kind", "ollivier", "--on", on) for on in ("g", "interior")),
+    ("validate",),
+    *(("dump-operator", "--operator", label) for label in BUILDERS),
+    ("compare", "--table"),
+    ("compare", "--theorems", "NeuVsLap,LapVsDiri"),
 )
 
 AUDITS = (

@@ -111,6 +111,32 @@ class TestExitCodes:
         code, _ = run(capsys, ["validate", "--graph", str(path)])
         assert code == 4
 
+    @pytest.mark.parametrize("command,code", [
+        (["curvature", "--kind", "be", "--on", "g"], 0),
+        (["curvature", "--kind", "ollivier", "--on", "g"], 0),
+        (["validate"], 4),
+        (["spectrum"], 4),
+        (["dump-operator"], 4),
+        (["compare"], 4),
+        (["certify", "--theorem", "NeuVsLap"], 4),
+        (["bounds", "--family", "fiedler"], 4),
+        (["curvature", "--kind", "be", "--on", "interior"], 4),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_graph_without_boundary(self, capsys, tmp_path, command, code):
+        # the curvature of G itself is the only computation that needs no boundary
+        path = tmp_path / "p3_no_boundary.json"
+        save(path_graph(3, boundary=[]), path)
+        assert json.loads(path.read_text())["boundary"] == []
+        got, out, err = run_streams(capsys, [*command, "--graph", str(path)])
+        assert got == code
+        if code == 4:
+            assert (out, err) == ("", "invalid graph file: EmptyBoundary\n")
+        else:
+            assert err == ""
+            # every vertex, or every edge, of the path
+            per_location = json.loads(out)["results"]["per_location"]
+            assert len(per_location) == {"be": 3, "ollivier": 2}[command[2]]
+
     @pytest.mark.parametrize("command", ["validate", "compare"])
     def test_nan_measure_is_invalid_graph(self, capsys, tmp_path, command):
         g = path_graph(3, boundary=[0, 2], measure=[1.0, float("nan"), 1.0])
@@ -189,13 +215,17 @@ class TestExitCodes:
             ["curvature", "--kind", "be", "--n", "abc"],
             ["curvature", "--kind", "be", "--n", "1"],
             ["curvature", "--kind", "be", "--n", "nan"],
+            ["compare", "--theorems", "Bogus"],
+            ["compare", "--theorems", "NeuVsLap,Bogus"],
         ],
     )
-    def test_bad_argument_is_usage_error(self, capsys, p3_file, args):
-        argv = args if args[0] == "random-audit" else [*args, "--graph", p3_file]
-        code, out = run(capsys, argv)
-        assert code == 1
-        assert out == ""
+    def test_bad_argument_is_usage_error(self, capsys, tmp_path, p3_file, args):
+        if args[0] == "random-audit":
+            assert run(capsys, args) == (1, "")
+            return
+        # the arguments are checked before the graph file is read
+        for graph in (p3_file, str(tmp_path / "missing.json")):
+            assert run(capsys, [*args, "--graph", graph]) == (1, "")
 
     def test_usage_error(self, capsys):
         code, _ = run(capsys, ["compare"])  # missing --graph
