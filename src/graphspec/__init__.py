@@ -17,7 +17,6 @@ from .operators import (
     neumann_laplacian,
 )
 from .spectra import (
-    ConvergenceError,
     Spectrum,
     eigensolve,
     spectrum,

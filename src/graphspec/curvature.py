@@ -74,7 +74,6 @@ from .graph import (
     degree_vector,
     distances,
     interior_subgraph,
-    validate,
 )
 # perfbench's tracer times the distance computation under this name
 from .graph import _graph_distances  # noqa: F401
@@ -618,7 +617,6 @@ def certify_lichnerowicz(
     """
     if variant not in LICHNEROWICZ_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    validate(graph)
     if graph.interior.size < 2:
         raise NotApplicable("nu_2 and lambda_2 do not exist (singleton interior)")
     theorem_id = "LichnerowiczBE" if variant.startswith("be") else "LichnerowiczOllivier"

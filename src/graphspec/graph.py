@@ -41,8 +41,8 @@ class GraphFormatError(ValueError):
 class NotApplicable(RuntimeError):
     """The graph is outside a computation's scope: a weight model the
     computation is not defined for, a disconnected or edgeless graph, a
-    nonpositive curvature bound, or forms that overflow the float range.
-    Distinct from a failed certificate."""
+    nonpositive curvature bound, or forms that overflow the float range or
+    that LAPACK does not converge on.  Distinct from a failed certificate."""
 
 
 @dataclass(frozen=True)
@@ -278,10 +278,12 @@ def _interior_subgraph(graph: WeightedBoundaryGraph) -> WeightedBoundaryGraph:
 
 
 def volumes(graph: WeightedBoundaryGraph) -> tuple[float, float, float]:
-    """(V_Omega, V_B, V_G): total measure of interior, boundary, everything."""
-    vb = float(graph.measure[graph.boundary].sum())
-    vg = float(graph.measure.sum())
-    return vg - vb, vb, vg
+    """(V_Omega, V_B, V_G): total measure of interior, boundary, everything.
+
+    V_Omega is summed over Omega, not taken as V_G - V_B, which cancels to 0
+    when the boundary measures dwarf the interior's."""
+    m = graph.measure
+    return float(m[graph.interior].sum()), float(m[graph.boundary].sum()), float(m.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,9 @@ def detect_rho_factorization(
         residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
     m_b = graph.measure[b]
     holds = residual <= tol * float(wb.max())
-    # rho V_B formed as r (V_B / m_B), as in RhoFactorization.rho_times
-    constant = holds and _relative_spread(rho_mass * (float(m_b.sum()) / m_b)) <= tol
+    # rho V_B has the relative spread of rho min m_B = r (min m_B / m_B),
+    # whose entries are at most r_x <= max Deg; r (V_B / m_B) can overflow
+    constant = holds and _relative_spread(rho_mass * (m_b.min() / m_b)) <= tol
     return RhoFactorization(rho_mass=rho_mass, measure=m_b, residual=residual, holds=holds,
                             constant=constant)
 
@@ -161,12 +162,6 @@ def _quadratic_form_condition(
     denom = v_omega * deg_b - v_b * mu_top
     if denom <= 0.0:
         return False, float("-inf")
-    q = np.diag(rho_mass) - ((mu_top + deg_b) / v_omega) * np.diag(m_b)
-    # the coefficient scales one factor, so no product of two entries of
-    # rho_mass is formed: that product overflows for weights far from unit
-    # scale
-    q = q - np.outer((v_g / denom) * rho_mass, rho_mass)
-    nb = m_b.size
     # {f : <f, 1>_B = 0} is the nullspace of m_b^T.  The Householder reflector
     # H = I - 2 v v^T / v^T v with v = m_b/|m_b| + e_1 maps e_1 to
     # -m_b/|m_b|, so its columns 2..|B| are an orthonormal basis of it;
@@ -174,8 +169,15 @@ def _quadratic_form_condition(
     v = m_b / m_b.max()  # entries in (0, 1]: the norm neither overflows nor underflows
     v /= np.linalg.norm(v)
     v[0] += 1.0
-    cols = np.eye(nb)[:, 1:] - (2.0 / np.dot(v, v)) * np.outer(v, v[1:])
-    reduced = cols.T @ q @ cols
+    cols = np.eye(m_b.size)[:, 1:] - (2.0 / np.dot(v, v)) * np.outer(v, v[1:])
+    # a form that overflows is refused by the eigensolver (NotApplicable)
+    with np.errstate(all="ignore"):
+        q = np.diag(rho_mass) - ((mu_top + deg_b) / v_omega) * np.diag(m_b)
+        # the coefficient scales one factor, so no product of two entries of
+        # rho_mass is formed: that product overflows for weights far from
+        # unit scale
+        q = q - np.outer((v_g / denom) * rho_mass, rho_mass)
+        reduced = cols.T @ q @ cols
     min_eig = float(symmetric_eigvalsh(0.5 * (reduced + reduced.T))[0])
     return min_eig >= -tol * float(np.abs(q).max()), min_eig
 

@@ -8,7 +8,7 @@ solve ``S`` with LAPACK's symmetric eigensolver without eigenvectors
 and hand out read-only arrays.  ``eigensolve`` gives eigenpairs on request:
 it diagonalizes ``S`` with ``numpy.linalg.eigh`` and maps the eigenvectors
 back with ``M^{-1/2}``, so that they are orthonormal in the measure inner
-product.
+product.  Both raise ``NotApplicable`` on non-finite input or a LAPACK failure.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedBoundaryGraph
+from .graph import NotApplicable, WeightedBoundaryGraph
 from .operators import SelfAdjointOperator, neumann_coupling, operator_by_label
 
 __all__ = [
     "Spectrum",
-    "ConvergenceError",
     "eigensolve",
     "spectrum",
     "symmetric_eigvalsh",
@@ -30,16 +29,12 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
-    """The symmetric eigensolver failed, or was given non-finite entries."""
-
-
 def symmetric_eigvalsh(matrices: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each in a stack
     ``matrices[..., :, :]`` (only the lower triangles are read), from
     LAPACK's symmetric eigensolver without the eigenvectors.
 
-    Raises ConvergenceError on non-finite input, for which LAPACK would
+    Raises NotApplicable on non-finite input, for which LAPACK would
     return finite-looking garbage, and when LAPACK does not converge, for
     the whole stack.
     """
@@ -48,11 +43,11 @@ def symmetric_eigvalsh(matrices: np.ndarray) -> np.ndarray:
 
 def _checked(solve, matrices: np.ndarray):
     if not np.all(np.isfinite(matrices)):
-        raise ConvergenceError("matrix has non-finite entries")
+        raise NotApplicable("matrix has non-finite entries")
     try:
         return solve(matrices)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
+        raise NotApplicable(str(exc)) from exc
 
 
 def _symmetrized(matrix: np.ndarray, sqrt_m: np.ndarray) -> np.ndarray:
@@ -74,7 +69,7 @@ def eigensolve(op: SelfAdjointOperator) -> Spectrum:
     """Eigenvalues and measure-orthonormal eigenvectors of a
     measure-self-adjoint operator.
 
-    Raises ConvergenceError if the eigensolver fails or the operator has
+    Raises NotApplicable if the eigensolver fails or the operator has
     non-finite entries; never returns a silently inaccurate decomposition.
     """
     sqrt_m = np.sqrt(op.inner_measure)

@@ -11,13 +11,17 @@ interior with a prescribed number of components).
 For each biconditional theorem a positive builder produces a graph that
 satisfies the structural condition exactly, and the matching negative
 builder perturbs one quantity so the condition fails.
+
+Two recipes span the float range: a family of rho-factorized draws, and
+the graphs G1 and G2 of the same shape, on which the NeuVsLap quadratic
+form overflows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphspec.graph import WeightedBoundaryGraph, validate, volumes
+from graphspec.graph import GraphValidationError, WeightedBoundaryGraph, validate, volumes
 from graphspec.spectra import spectrum
 
 
@@ -277,6 +281,50 @@ def rho_factorized_graph(rng, measure_model: str) -> WeightedBoundaryGraph:
     interior = np.triu(rng.uniform(0.1, 1.0, (nom, nom)) * (rng.random((nom, nom)) < 0.6), 1)
     w[nb:, nb:] = scale * (interior + interior.T)
     g = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.arange(nb))
+    validate(g)
+    return g
+
+
+def float_range_rho_graph(rng) -> WeightedBoundaryGraph | None:
+    """Boundary weights w_xy = r_x m_y on every boundary-interior pair, with
+    measures, r and interior weights spread across the float range; None
+    when ``validate`` refuses the draw (a degree that overflows, say).
+
+    |V| in 4..7, |B| in 2..|V|/2 and B the first |B| vertices.  With
+    probability 0.7 each measure is 10^U(-150, 150), otherwise every
+    measure is 1; r_x = 10^U(-150, 150), and each interior pair is an edge
+    with probability 0.3 and weight 10^U(-150, 150)."""
+    n = int(rng.integers(4, 8))
+    nb = int(rng.integers(2, n // 2 + 1))
+    m = 10.0 ** rng.uniform(-150.0, 150.0, n) if rng.random() < 0.7 else np.ones(n)
+    r = 10.0 ** rng.uniform(-150.0, 150.0, nb)
+    w = np.zeros((n, n))
+    w[:nb, nb:] = r[:, None] * m[None, nb:]
+    nom = n - nb
+    edges = rng.random((nom, nom)) < 0.3
+    w[nb:, nb:] = np.triu(10.0 ** rng.uniform(-150.0, 150.0, (nom, nom)) * edges, 1)
+    g = WeightedBoundaryGraph(measure=m, weights=w + w.T, boundary=np.arange(nb))
+    try:
+        validate(g)
+    except GraphValidationError:
+        return None
+    return g
+
+
+def rigidity_overflow_graph(name: str) -> WeightedBoundaryGraph:
+    """G1 or G2: B = {0, 1} joined to both interior vertices 2 and 3, which
+    share no edge.  The boundary weights
+    factor with distinct rho_x, and NeuVsLap's quadratic form overflows.
+    On G2, V_G - V_B cancels to 0 while V_Omega = 2e-200."""
+    measure, (w0, w1) = {
+        "G1": ((1e15, 2e15, 1.0, 1.0), (1e293, 3e293)),
+        "G2": ((1e100, 1e150, 1e-200, 1e-200), (1e-100, 2e-50)),
+    }[name]
+    w = np.zeros((4, 4))
+    w[0, 2:] = w0
+    w[1, 2:] = w1
+    g = WeightedBoundaryGraph(measure=np.array(measure), weights=w + w.T,
+                              boundary=np.array([0, 1]))
     validate(g)
     return g
 

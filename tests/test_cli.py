@@ -27,7 +27,7 @@ from graphspec.graph import (
 )
 from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
 
-from builders import complete_bipartite, path_graph
+from builders import complete_bipartite, path_graph, rigidity_overflow_graph
 from oracle import (
     bakry_emery_by_polarization,
     dumps_json_reference,
@@ -353,6 +353,20 @@ class TestExitCodes:
             assert results["equality_observed"] is True
             assert results["consistent"] is True
 
+    @pytest.mark.parametrize("graph", ["G1", "G2"])
+    @pytest.mark.parametrize("theorem", ["NeuVsLap", "LapVsDiri"])
+    def test_certify_rigidity_forms_beyond_the_float_range(self, capsys, tmp_path, graph,
+                                                           theorem):
+        # the NeuVsLap quadratic form overflows on both graphs, and the
+        # eigensolver refuses it as out of scope, with no overflow warning
+        path = tmp_path / f"{graph}.json"
+        save(rigidity_overflow_graph(graph), path)
+        code, out, err = run_streams(capsys, ["certify", "--graph", str(path),
+                                              "--theorem", theorem])
+        assert code in (0, 2, 3) and err.count("\n") <= 1
+        if theorem == "NeuVsLap":
+            assert (code, out, err) == (3, "", "not applicable: matrix has non-finite entries\n")
+
     def test_spectrum(self, capsys, p3_file):
         code, out = run(capsys, ["spectrum", "--graph", p3_file])
         assert code == 0
@@ -548,6 +562,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "spectrum", out_of_scope)
         code, out, err = run_streams(capsys, ["spectrum", "--graph", p3_file])
         assert (code, out, err) == (3, "", "not applicable: no spectrum here\n")
+
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch, p3_file):
+        def fail(matrices):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run_streams(capsys, ["compare", "--graph", p3_file])
+        assert (code, out, err) == (3, "", "not applicable: Eigenvalues did not converge\n")
 
     @pytest.mark.parametrize("case,command,code", [
         ("coupling", ["spectrum"], 3),

@@ -33,7 +33,7 @@ from graphspec.graph import (
 )
 from graphspec.fixtures import random_graph
 
-from builders import path_graph
+from builders import path_graph, rigidity_overflow_graph
 from oracle import graph_from_json_sequential, hop_distances_bfs, validate_reference
 
 
@@ -289,6 +289,10 @@ class TestDegrees:
     def test_volumes_add_up(self, k22):
         v_om, v_b, v_g = volumes(k22)
         assert v_om + v_b == v_g == 4.0
+
+    def test_interior_volume_does_not_cancel(self):
+        # V_B = 1e150 swallows V_Omega = 2e-200 in V_G, so V_G - V_B is 0
+        assert volumes(rigidity_overflow_graph("G2"))[0] == 2e-200
 
     def test_component_count(self, p3_two_ends):
         assert component_count(p3_two_ends) == 1

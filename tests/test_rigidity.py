@@ -27,6 +27,7 @@ from graphspec.rigidity import (
 from builders import (
     BICONDITIONAL_BUILDERS,
     complete_bipartite,
+    float_range_rho_graph,
     laplacian_dirichlet_recipe,
     neumann_equality_recipe,
     path_graph,
@@ -148,6 +149,26 @@ class TestNeumannLaplacianNonConstantRho:
             assert abs(cond.witness - want) <= 1e-12 * scale
             if abs(want + tol * scale) > 1e-12 * scale:
                 assert cond.holds == (want >= -tol * scale)
+
+
+def test_rho_family_across_the_float_range_warns_of_nothing():
+    # NeuVsLap and LapVsDiri on the first 300 valid draws: an overflow
+    # warning fails this suite (filterwarnings = error), and the only
+    # exceptions allowed are the two out-of-scope ones.  300 draws reach an
+    # r (V_B / m_B) that overflows (draws 144 and 262) and an overflowing
+    # NeuVsLap quadratic form (draw 216, out of scope)
+    rng = np.random.default_rng(2)
+    drawn = 0
+    while drawn < 300:
+        g = float_range_rho_graph(rng)
+        if g is None:
+            continue
+        drawn += 1
+        for check in (check_neumann_laplacian_rigidity, check_laplacian_dirichlet_rigidity):
+            try:
+                check(g)
+            except (NotApplicable, EqualityPatternUnsupported):
+                pass
 
 
 class TestDirichletInterior:
