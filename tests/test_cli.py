@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import builtins
 import dataclasses
@@ -616,8 +617,9 @@ class TestExitCodes:
 
 def test_certificates_and_reports_are_written_as_their_fields(corpus):
     """Every certificate and report the CLI prints, on the audit corpus,
-    reads the same as the standard encoder's text of ``dataclasses.asdict``."""
-    objs = []
+    reads the same as the standard encoder's text of ``dataclasses.asdict``:
+    the curvature reports of ``curvature --on g`` too, keyed by string."""
+    objs, curvatures = [], []
     for g in corpus:
         objs += run_all(g)
         for build in [fiedler_bounds, friedman_bounds, *ALL_RIGIDITY.values()]:
@@ -626,10 +628,16 @@ def test_certificates_and_reports_are_written_as_their_fields(corpus):
         for variant in LICHNEROWICZ_VARIANTS:
             with contextlib.suppress(NotApplicable):
                 objs.append(certify_lichnerowicz(g, variant))
+        for kind in ("be", "ollivier"):
+            with contextlib.suppress(NotApplicable):
+                args = argparse.Namespace(kind=kind, n="4", on="g")
+                curvatures.append(cli.cmd_curvature(g, args)[0])
     theorems = {obj.theorem_id for obj in objs}
     assert theorems >= set(comparisons.ALL_COMPARISONS) | set(ALL_RIGIDITY) | {
         "FiedlerType", "FriedmanType", "LichnerowiczBE", "LichnerowiczOllivier"}
-    for obj in objs:
+    assert {obj.kind for obj in curvatures} == {"BakryEmery", "Ollivier"}
+    assert all(isinstance(k, str) for obj in curvatures for k in obj.per_location)
+    for obj in objs + curvatures:
         assert dumps_json(obj) == dumps_json_reference(dataclasses.asdict(obj))
 
 
