@@ -352,18 +352,17 @@ def _ollivier_edges(graph: WeightedBoundaryGraph, xs: np.ndarray, ys: np.ndarray
 
     Row ``i`` of each (edges x vertices) array holds edge ``i``'s scaled
     objective row with its entries at ``x`` and ``y`` set to 0, and the hop
-    distances from its ends.  The row is 0 off the ball, since a vertex that
-    is adjacent to neither end has no weight to either, so the free ball
-    needs no mask, and the closed-form part of every edge in a block is a
-    few array expressions.  The sums ``c.dy``, ``supply.outlet`` and
-    ``demand.fill`` are taken left to right along each row; zero terms
-    leave such a sum as it is, so an edge's kappa depends neither on the
-    vertices off its ball nor on which edges share its pass.  Only an edge
-    with a pair that gains goes on to ``_max_gain``.
+    distances from its ends, capped at 2 where they are gathered.  The row
+    is 0 off the ball, since a vertex adjacent to neither end has no weight
+    to either, so the free ball needs no mask, and the closed-form part of
+    every edge in a block is a few array expressions.  The sums ``c.dy``,
+    ``supply.outlet`` and ``demand.fill`` are taken left to right along
+    each row; zero terms leave such a sum as it is, so an edge's kappa
+    depends neither on the vertices off its ball nor on which edges share
+    its pass.  Only an edge with a pair that gains goes on to ``_max_gain``.
     """
     op = operator_by_label(graph, "FullLaplacian").matrix  # -Lap
     dist = distances(graph)
-    capped = graph.derived("ball_distances", _ball_distances)
     deg = op.diagonal()
     step = max(1, _PASS_ENTRIES // graph.vertex_count)
     kappa = np.empty(len(xs))
@@ -375,7 +374,9 @@ def _ollivier_edges(graph: WeightedBoundaryGraph, xs: np.ndarray, ys: np.ndarray
         c = (op.take(x, axis=0) - op.take(y, axis=0)) / scale[:, None]
         at_x = c[rows, x]
         c[rows, x] = c[rows, y] = 0.0
-        dx, dy = capped.take(x, axis=0), capped.take(y, axis=0)
+        # capping at 2 is exact on the free ball, within 2 hops of both ends,
+        # and off it, where c is 0, keeps d = inf between components out of c * d
+        dx, dy = np.minimum(dist.take((x, y), axis=0), 2.0)
         supply, demand = np.maximum(-c, 0.0), np.maximum(c, 0.0)
         # sender v ships |c_v| to y at a_v = 2 d(y, v); receiver w takes c_w
         # from x at b_w = d(x, w) - 1 - d(y, w).  Each sum runs left to right
@@ -397,13 +398,6 @@ def _ollivier_edges(graph: WeightedBoundaryGraph, xs: np.ndarray, ys: np.ndarray
                 gains[e] = _max_gain(supply[e].take(vs), demand[e].take(ws), gain)
         kappa[lo : lo + step] = scale * (const - (value - gains))
     return kappa
-
-
-def _ball_distances(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """The hop distances capped at 2.  A free ball vertex lies within 2 hops
-    of both ends of its edge, so its distances are exact, and off the ball,
-    where the objective row is 0, the cap keeps every product finite."""
-    return np.minimum(distances(graph), 2.0)
 
 
 # gain > 1 marks a pair that gains 2, gain > 0 a pair that gains at all

@@ -44,25 +44,46 @@ class RhoFactorization:
     """Fit of w_xy = rho_x m_x m_y over all boundary-interior pairs.
 
     The fit is kept as ``rho_mass``, r_x = rho_x m_x = mean_y w_xy / m_y on
-    the boundary, beside the boundary measures m_x.  Each w_xy / m_y is at
-    most Deg(y), so r is finite, while rho_x itself overflows on valid
-    graphs with small measures and large weights; the checks use r.
-    ``constant`` says that rho V_B has a relative spread of at most the
-    ``tol`` of the fit; it is decided only on a fit that holds, whose rho is
-    positive, and is False on any other.
+    the boundary.  Each w_xy / m_y is at most Deg(y), so r is finite, but it
+    can underflow, while rho_x itself overflows on valid graphs with small
+    measures and large weights; so rho is kept only as ``rho_split``, the
+    pair (frac, exp) of ``_rho_split`` with rho = frac 2^exp.  ``constant``
+    says that rho V_B has a relative spread of at most the ``tol`` of the
+    fit; it is decided only on a fit that holds, and is False on any other.
     """
 
     rho_mass: np.ndarray | None
-    measure: np.ndarray | None
+    rho_split: tuple[np.ndarray, np.ndarray] | None
     residual: float
     holds: bool
     missing_edge: tuple[int, int] | None = None
     constant: bool = False
 
     def rho_times(self, volume: float) -> np.ndarray:
-        """rho_x * volume on the boundary, formed as r_x (volume / m_x) so
-        that a finite product never passes through an overflowing rho_x."""
-        return self.rho_mass * (volume / self.measure)
+        """rho_x * volume on the boundary: the fractions of rho_x and of the
+        volume are multiplied and their exponents added, so that a finite
+        product never passes through an overflowing rho_x or volume / m_x."""
+        frac, exp = self.rho_split
+        frac_v, exp_v = np.frexp(volume)
+        return np.ldexp(frac * frac_v, exp + exp_v)
+
+
+def _rho_split(
+    wb: np.ndarray, m_omega: np.ndarray, m_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho_x = mean_y (w_xy / m_y) / m_x, for positive weights ``wb`` on
+    B x Omega, as frac_x 2^exp_x with frac_x in (1/2, 2) and exp_x an
+    integer.  Every quotient is formed from the mantissas and exponents of
+    its terms (``np.frexp``), and each row's w_xy / m_y are averaged at the
+    row's largest exponent, so no intermediate under- or overflows however
+    far apart the weights and measures lie.  In the float range frac 2^exp
+    is r_x / m_x to the bit."""
+    (frac_w, exp_w), (frac_o, exp_o) = np.frexp(wb), np.frexp(m_omega)
+    exp_q = exp_w - exp_o  # w_xy / m_y = (frac_w / frac_o) 2^exp_q
+    top = exp_q.max(axis=1)
+    frac_r, exp_r = np.frexp(np.ldexp(frac_w / frac_o, exp_q - top[:, None]).mean(axis=1))
+    frac_b, exp_b = np.frexp(m_b)
+    return frac_r / frac_b, exp_r + top - exp_b
 
 
 @dataclass(frozen=True)
@@ -119,7 +140,10 @@ def detect_rho_factorization(
     Requires every boundary-interior pair to be adjacent; otherwise reports
     the first missing pair as a witness.  The fit holds when its residual is
     at most ``tol`` times the largest of these (positive) weights, and rho is
-    constant when the relative spread of rho V_B is at most ``tol``.
+    constant when the relative spread of rho V_B is at most ``tol``: the
+    spread of rho split as frac 2^exp (``_rho_split``) and scaled by
+    2^-max(exp), which puts the largest rho in (1/2, 2), however far apart
+    the weights and measures lie.
     """
     b, omega = graph.boundary, graph.interior
     wb = graph.weights[np.ix_(b, omega)]
@@ -127,20 +151,18 @@ def detect_rho_factorization(
     if missing.size:
         i, j = missing[0]
         return RhoFactorization(
-            rho_mass=None, measure=None, residual=float("inf"), holds=False,
+            rho_mass=None, rho_split=None, residual=float("inf"), holds=False,
             missing_edge=(int(b[i]), int(omega[j])),
         )
     m_omega = graph.measure[omega]
     rho_mass = (wb / m_omega).mean(axis=1)
     with np.errstate(over="ignore"):  # an infinite residual fails the fit
         residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
-    m_b = graph.measure[b]
     holds = residual <= tol * float(wb.max())
-    # rho V_B has the relative spread of rho min m_B = r (min m_B / m_B),
-    # whose entries are at most r_x <= max Deg; r (V_B / m_B) can overflow
-    constant = holds and _relative_spread(rho_mass * (m_b.min() / m_b)) <= tol
-    return RhoFactorization(rho_mass=rho_mass, measure=m_b, residual=residual, holds=holds,
-                            constant=constant)
+    frac, exp = rho_split = _rho_split(wb, m_omega, graph.measure[b])
+    constant = holds and _relative_spread(np.ldexp(frac, exp - exp.max())) <= tol
+    return RhoFactorization(rho_mass=rho_mass, rho_split=rho_split, residual=residual,
+                            holds=holds, constant=constant)
 
 
 def _quadratic_form_condition(
@@ -329,7 +351,7 @@ def check_laplacian_dirichlet_rigidity(
             consistent=True,
             extra=extra,
         )
-    if not missing:
+    if cert.extra["full_equality_anomaly"]:
         anomaly = [Condition("full_equality_anomaly", False)]
         return _cross_checked("LapVsDiri", anomaly, False, True, extra)
     if len(missing) > 1:

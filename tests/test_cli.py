@@ -354,18 +354,25 @@ class TestExitCodes:
             assert results["equality_observed"] is True
             assert results["consistent"] is True
 
-    @pytest.mark.parametrize("graph", ["G1", "G2"])
+    @pytest.mark.parametrize("graph", ["G1", "G2", "G3"])
     @pytest.mark.parametrize("theorem", ["NeuVsLap", "LapVsDiri"])
     def test_certify_rigidity_forms_beyond_the_float_range(self, capsys, tmp_path, graph,
                                                            theorem):
-        # the NeuVsLap quadratic form overflows on both graphs, and the
-        # eigensolver refuses it as out of scope, with no overflow warning
+        # the NeuVsLap quadratic form overflows on G1 and G2, and the
+        # eigensolver refuses it as out of scope, with no overflow warning.
+        # On G3 rho is constant, and rho (V_Omega - V_B) = -1e300 is finite
         path = tmp_path / f"{graph}.json"
         save(rigidity_overflow_graph(graph), path)
         code, out, err = run_streams(capsys, ["certify", "--graph", str(path),
                                               "--theorem", theorem])
         assert code in (0, 2, 3) and err.count("\n") <= 1
-        if theorem == "NeuVsLap":
+        if theorem == "NeuVsLap" and graph == "G3":
+            assert (code, err) == (2, "")
+            conditions = json.loads(out)["results"]["conditions"]
+            assert [c["name"] for c in conditions] == ["rho_factorization",
+                                                      "rho_constant_bound"]
+            assert conditions[1]["witness"] == [0.0, -1e300]
+        elif theorem == "NeuVsLap":
             assert (code, out, err) == (3, "", "not applicable: matrix has non-finite entries\n")
 
     def test_spectrum(self, capsys, p3_file):

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from graphspec.comparisons import (
+    DEFAULT_TOL,
     EQUALITY_TOL,
     compare_dirichlet_interior,
     compare_laplacian_dirichlet,
@@ -40,7 +43,7 @@ class TestRhoFactorization:
     def test_k22_unit(self, k22):
         fact = detect_rho_factorization(k22)
         assert fact.holds and fact.constant
-        assert np.abs(fact.rho_mass / fact.measure - 1.0).max() <= 1e-12
+        assert np.abs(np.ldexp(*fact.rho_split) - 1.0).max() <= 1e-12
 
     def test_missing_edge_witnessed(self, p3_one_end):
         fact = detect_rho_factorization(p3_one_end)
@@ -57,7 +60,7 @@ class TestRhoFactorization:
         g = WeightedBoundaryGraph(measure=m, weights=w, boundary=np.array([0, 1]))
         fact = detect_rho_factorization(g)
         assert fact.holds and fact.residual <= 1e-12
-        assert np.abs(fact.rho_mass / fact.measure - 3.0).max() <= 1e-12
+        assert np.abs(np.ldexp(*fact.rho_split) - 3.0).max() <= 1e-12
 
     # scaling boundary vertex b's weights by 1 + eps keeps the fit exact and
     # gives rho V_B a relative spread of about eps, which reads constant
@@ -76,6 +79,46 @@ class TestRhoFactorization:
         report = check_laplacian_dirichlet_rigidity(lap_diri, tol)
         assert report.condition("rho_factorization").holds
         assert ("interior_gap" in {c.name for c in report.conditions}) == constant
+
+    @pytest.mark.parametrize("bump", [1.0, 1.0 + 1e-3])
+    def test_constancy_across_the_float_range(self, bump):
+        # w_xy = m_x with m_Omega = 1, so rho = 1, times ``bump`` at boundary
+        # vertex 0, on boundary measures 10^U(-300, 300): m_B spans more than
+        # the float range.  The referee is rho's relative spread in exact
+        # rationals, from the weights and measures as stored
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            nb, nom = (int(k) for k in rng.integers(2, 4, size=2))
+            m = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, nb), np.ones(nom)))
+            w = np.zeros((nb + nom, nb + nom))
+            w[:nb, nb:] = m[:nb, None]
+            g = _boundary_scaled(WeightedBoundaryGraph(measure=m, weights=w + w.T,
+                                                       boundary=np.arange(nb)), 0, bump)
+            validate(g)
+            rho = [Fraction(g.weights[x, nb]) / (Fraction(m[x]) * Fraction(m[nb]))
+                   for x in range(nb)]
+            spread = (max(rho) - min(rho)) / max(rho)
+            fact = detect_rho_factorization(g)
+            assert fact.holds and fact.constant == (spread <= Fraction(DEFAULT_TOL))
+            assert fact.constant == (bump == 1.0)
+
+    # w_0y / m_y = 1e-310 / 1e100 underflows, so r_0 = 0, while rho_0 =
+    # 1e-410 / m_0 is within the float range; the fit holds (residual 1e-310
+    # against weight 1e-100).  At m_0 = 1e-210 rho = (1e-200, 1e-200) is
+    # constant, at m_0 = 1e-300 rho = (1e-110, 1e-200) is not
+    @pytest.mark.parametrize("m_0, constant", [(1e-210, True), (1e-300, False)])
+    def test_constancy_where_r_underflows(self, m_0, constant):
+        w = np.zeros((4, 4))
+        w[0, 2:], w[1, 2:] = 1e-310, 1e-100
+        g = WeightedBoundaryGraph(measure=np.array([m_0, 1.0, 1e100, 1e100]),
+                                  weights=w + w.T, boundary=np.array([0, 1]))
+        validate(g)
+        fact = detect_rho_factorization(g)
+        assert fact.rho_mass[0] == 0.0
+        assert fact.holds and fact.constant == constant
+        rho = np.ldexp(*fact.rho_split)
+        assert rho[1] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+        assert rho[0] == pytest.approx(1e-200 if constant else 1e-110, rel=1e-12, abs=0.0)
 
 
 def _boundary_scaled(graph, b, factor):
