@@ -145,7 +145,7 @@ def cmd_spectrum(graph, args):
 def cmd_dump_operator(graph, args):
     op = operator_by_label(graph, args.operator)
     out = {
-        "label": op.label,
+        "label": args.operator,
         "matrix": list(op.matrix),
         "inner_measure": op.inner_measure,
     }

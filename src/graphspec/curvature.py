@@ -13,7 +13,7 @@ Two notions of curvature are computed on a plain weighted connected graph:
   the ``S_2`` block, which is diagonal and positive.  Each has a closed form
   in the Laplacian's rows at ``x`` and on ``S_1`` (Cushing-Liu-Peyerimhoff),
   and eliminating ``S_2`` leaves one symmetric eigenproblem on ``S_1`` (see
-  ``bakry_emery_curvature_at``);
+  ``bakry_emery_curvature``);
 * an edge-wise transport curvature defined through 1-Lipschitz test
   functions: ``kappa(x, y) = inf { Lap f(y) - Lap f(x) }`` over ``f`` with
   Lipschitz constant at most 1 for the graph distance and
@@ -40,18 +40,18 @@ Two notions of curvature are computed on a plain weighted connected graph:
   receiver copies with demand left and leaves a sender copy once it is
   spent, and each search level is a union of bitsets (``_max_gain``).
 
-Both are computed for a whole graph in one pass, and the one-location entry
-points run the same pass on one vertex or edge.  The Laplacian, the
+Both are computed for a whole graph in one pass, and the one-edge entry
+point runs the transport pass on one edge.  The Laplacian, the
 power-of-two scales and the hop distances are set up once per graph.  The
 vertices' forms are assembled in blocks, as a few (vertices x S_1 x
 vertices) array expressions with each ``S_1`` padded to a width set by
 ``|S_1|`` alone, and the forms of one ``|S_1|`` in a block are solved in
-one stacked eigenvalue call, so a vertex's K is the same number alone or
-with the others.  Every edge's closed-form transport part is one row of a
-few (edges x vertices) array expressions, and only edges with a pair that
-gains solve a flow.  Those rows are summed left to right, in a fixed order
-that does not depend on the BLAS library, so an edge's kappa is the same
-number alone or with the others.
+one stacked eigenvalue call, so a vertex's K is the same number whichever
+vertices share its block.  Every edge's closed-form transport part is one
+row of a few (edges x vertices) array expressions, and only edges with a
+pair that gains solve a flow.  Those rows are summed left to right, in a
+fixed order that does not depend on the BLAS library, so an edge's kappa
+is the same number alone or with the others.
 
 Positive lower bounds feed the spectral-gap certificates for the Neumann
 and Dirichlet spectra.
@@ -95,22 +95,19 @@ def _require_connected(graph: WeightedBoundaryGraph) -> None:
         raise NotApplicable("curvature needs a connected graph with an edge")
 
 
-def _require_vertices(graph: WeightedBoundaryGraph, *vertices) -> None:
-    """The one-location entry points take integer vertices 0..|V|-1, and no
-    index that numpy would wrap around or reject."""
-    for v in vertices:
-        if not 0 <= operator.index(v) < graph.vertex_count:
-            raise ValueError(f"vertex {v} is not in 0..{graph.vertex_count - 1}")
+# (vertices x rows x columns) entries per whole-array pass of
+# bakry_emery_curvature, which bounds its temporaries on large graphs
+_FORM_ENTRIES = 1 << 18
+# each S_1 is padded up to a multiple of this many vertices
+_PAD_STEP = 16
 
 
-def bakry_emery_curvature_at(
-    graph: WeightedBoundaryGraph, x: int, n: float
-) -> float:
-    """K(x, n): the optimal local curvature-dimension constant at ``x``.
+def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureResult:
+    """K(x, n), the optimal local curvature-dimension constant, at every vertex.
 
-    The forms are taken on the functions with ``f(x) = 0`` supported on the
-    spheres ``S_1``, ``S_2`` of radius 1 and 2 around ``x``, and are read off
-    the rows of ``x`` and ``S_1`` alone (Cushing-Liu-Peyerimhoff,
+    The forms at ``x`` are taken on the functions with ``f(x) = 0`` supported
+    on the spheres ``S_1``, ``S_2`` of radius 1 and 2 around ``x``, and are
+    read off the rows of ``x`` and ``S_1`` alone (Cushing-Liu-Peyerimhoff,
     "Bakry-Emery curvature functions on graphs", 2020).  With ``L`` the
     Laplacian divided by a power of two ``s`` near ``Deg(x)``, let
     ``p = L_{x,S_1} > 0``, ``L_11 = L_{S_1,S_1}`` (whose diagonal is
@@ -133,54 +130,27 @@ def bakry_emery_curvature_at(
     ``p_u P_uw / t_w`` is at most 1, while ``p_u p_v`` alone underflows
     once the weights at ``x`` span about 1e154.  ``K`` is ``s`` times the
     Schur complement's least eigenvalue relative to ``G_11``, and only that
-    eigenvalue is solved for.  Raises ValueError for a vertex outside the
-    graph or an ``n`` that is not above 1, and NotApplicable for an isolated
-    ``x``, where ``Gamma`` vanishes identically, and when ``t`` or the form
-    is not finite, which happens only when the degrees in the 2-ball differ
-    by more than the float range.
-    """
-    _require_vertices(graph, x)
-    return _bakry_emery_curvatures(graph, [x], n)[0]
-
-
-def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureResult:
-    """Curvature-dimension constants K(x, n) at every vertex."""
-    _require_connected(graph)
-    ks = _bakry_emery_curvatures(graph, range(graph.vertex_count), n)
-    per = dict(enumerate(ks))
-    return CurvatureResult(
-        kind="BakryEmery",
-        dimension=n,
-        per_location=per,
-        global_min=min(per.values()),
-    )
-
-
-# (vertices x rows x columns) entries per whole-array pass of
-# _bakry_emery_curvatures, which bounds its temporaries on large graphs
-_FORM_ENTRIES = 1 << 18
-# each S_1 is padded up to a multiple of this many vertices
-_PAD_STEP = 16
-
-
-def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) -> list:
-    """K(x, n) for each ``x`` in ``vertices`` (see ``bakry_emery_curvature_at``),
-    in whole-array passes over blocks of vertices.
+    eigenvalue is solved for.
 
     The Laplacian, the power-of-two scales and the float error state are set
     up once.  A spare vertex, with a zero row and column of the Laplacian,
     pads each ``S_1`` up to a multiple of ``_PAD_STEP`` vertices, at most
     the graph's largest ``|S_1|``.  That width depends on ``|S_1|`` alone,
-    so a vertex's form is the same number alone or in any block.  The
-    vertices are taken in order of ``|S_1|``, in blocks of one width that
-    bound the temporaries, and each block's forms are assembled at once
-    (``_bakry_emery_forms``).  The forms of one ``|S_1|`` in a block are
-    solved in one stacked eigenvalue call, without their padding.  A fault
-    is raised for the first vertex of ``vertices`` that has one.
+    so a vertex's form is the same number whichever vertices share its
+    block.  The vertices are taken in order of ``|S_1|``, in blocks of one
+    width that bound the temporaries, and each block's forms are assembled
+    at once (``_bakry_emery_forms``).  The forms of one ``|S_1|`` in a block
+    are solved in one stacked eigenvalue call, without their padding.
+
+    Raises NotApplicable for a graph that is not connected or has no edge,
+    ValueError for an ``n`` that is not above 1, and NotApplicable, naming
+    the first such vertex, when ``t`` or the form is not finite, which
+    happens only when the degrees in a 2-ball differ by more than the float
+    range.
     """
+    _require_connected(graph)
     if not n > 1.0:
         raise ValueError("dimension parameter must exceed 1 (or be inf)")
-    vertices = np.asarray(vertices, dtype=np.intp)
     nv = graph.vertex_count
     dist = np.full((nv, nv + 1), np.inf)  # no vertex reaches the spare vertex nv
     dist[:, :nv] = distances(graph)
@@ -191,42 +161,43 @@ def _bakry_emery_curvatures(graph: WeightedBoundaryGraph, vertices, n: float) ->
     scales = np.ldexp(0.5, np.frexp(-lap.diagonal()[:nv])[1])
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
     adjacent = dist == 1.0
-    sizes = adjacent[vertices].sum(axis=1)
-    largest = int(adjacent.sum(axis=1).max())
+    sizes = adjacent.sum(axis=1)
+    largest = int(sizes.max())
     widths = np.minimum(-(-sizes // _PAD_STEP) * _PAD_STEP, largest)
     # each S_1 in ascending order, then the spare vertex
-    ranked = np.argsort(~adjacent[vertices], axis=1, kind="stable")[:, :largest]
+    ranked = np.argsort(~adjacent, axis=1, kind="stable")[:, :largest]
     spheres = np.where(np.arange(largest) < sizes[:, None], ranked, nv)
-    least = np.zeros(vertices.size)
-    finite = sizes > 0  # an isolated x has no forms
-    order = np.argsort(sizes, kind="stable")[np.count_nonzero(sizes == 0):]
+    least = np.zeros(nv)
+    finite = np.zeros(nv, dtype=bool)
+    order = np.argsort(sizes, kind="stable")
     # sorted(set(...)) rather than np.unique, whose first call imports numpy.ma
     with np.errstate(all="ignore"):
-        for width in sorted(set(widths[order].tolist())):
+        for width in sorted(set(widths.tolist())):
             same_width = order[widths[order] == width]
             step = max(1, _FORM_ENTRIES // ((width + 1) * (nv + 1)))
             for lo in range(0, same_width.size, step):
-                block = same_width[lo : lo + step]
-                x = vertices[block]
-                forms, finite[block] = _bakry_emery_forms(
-                    lap, dist[x], x, spheres[block, :width], scales[x], inv_n)
-                ks = sizes[block]
+                x = same_width[lo : lo + step]
+                forms, finite[x] = _bakry_emery_forms(
+                    lap, dist[x], x, spheres[x, :width], scales[x], inv_n)
+                ks = sizes[x]
                 for k in sorted(set(ks.tolist())):
                     same = ks == k
-                    if finite[block[same]].all():
-                        least[block[same]] = symmetric_eigvalsh(forms[same, :k, :k])[:, 0]
-    faults = np.flatnonzero(~finite)
-    if faults.size:
-        x = int(vertices[faults[0]])
-        if sizes[faults[0]] == 0:
-            raise NotApplicable(f"vertex {x} is isolated")
-        raise NotApplicable(f"the curvature forms at vertex {x} overflow: the degrees "
-                            "in its 2-ball differ by more than the float range")
-    return (scales[vertices] * least).tolist()
+                    if finite[x[same]].all():
+                        least[x[same]] = symmetric_eigvalsh(forms[same, :k, :k])[:, 0]
+    if not finite.all():
+        raise NotApplicable(f"the curvature forms at vertex {np.argmin(finite)} overflow: the "
+                            "degrees in its 2-ball differ by more than the float range")
+    per = dict(enumerate((scales * least).tolist()))
+    return CurvatureResult(
+        kind="BakryEmery",
+        dimension=n,
+        per_location=per,
+        global_min=min(per.values()),
+    )
 
 
 def _bakry_emery_forms(lap, near, x, s1, scale, inv_n):
-    """The scaled forms of ``bakry_emery_curvature_at`` at the vertices
+    """The scaled forms of ``bakry_emery_curvature`` at the vertices
     ``x``, as one (vertices x width x width) stack, and whether each
     vertex's ``t`` on ``S_1`` and ``S_2`` and form are finite.
 
@@ -335,7 +306,9 @@ def ollivier_curvature(
     ``ollivier_curvature_all`` (``_ollivier_edges``).  Raises ValueError
     for a vertex outside the graph or a pair that is not an edge.
     """
-    _require_vertices(graph, x, y)
+    for v in (x, y):
+        if not 0 <= operator.index(v) < graph.vertex_count:
+            raise ValueError(f"vertex {v} is not in 0..{graph.vertex_count - 1}")
     if graph.weights[x, y] <= 0.0:
         raise ValueError(f"{{{x},{y}}} is not an edge")
     return float(_ollivier_edges(graph, np.array([x]), np.array([y]))[0])

@@ -38,26 +38,25 @@ class SelfAdjointOperator:
 
     matrix: np.ndarray
     inner_measure: np.ndarray
-    label: str  # FullLaplacian | DirichletLaplacian | NeumannLaplacian | InteriorLaplacian
 
 
 def full_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """The negated Laplacian on all of V: row x is (Deg(x) delta_x - w_x/m_x)."""
     mat = np.diag(degree_vector(graph)) - graph.weights / graph.measure[:, None]
-    return SelfAdjointOperator(mat, graph.measure, "FullLaplacian")
+    return SelfAdjointOperator(mat, graph.measure)
 
 
 def interior_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
-    """The negated Laplacian of the induced interior subgraph."""
-    op = operator_by_label(interior_subgraph(graph), "FullLaplacian")
-    return SelfAdjointOperator(op.matrix, op.inner_measure, "InteriorLaplacian")
+    """The negated Laplacian of the induced interior subgraph: that
+    subgraph's own full operator."""
+    return operator_by_label(interior_subgraph(graph), "FullLaplacian")
 
 
 def dirichlet_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """Negated Dirichlet Laplacian on Omega (zero boundary conditions)."""
     omega = graph.interior
     mat = operator_by_label(graph, "FullLaplacian").matrix[np.ix_(omega, omega)]
-    return SelfAdjointOperator(mat, graph.measure[omega], "DirichletLaplacian")
+    return SelfAdjointOperator(mat, graph.measure[omega])
 
 
 def neumann_coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
@@ -82,7 +81,7 @@ def _coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
 def neumann_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
     """Negated Neumann Laplacian on Omega (vanishing normal derivative)."""
     mat = operator_by_label(graph, "DirichletLaplacian").matrix - neumann_coupling(graph)
-    return SelfAdjointOperator(mat, graph.measure[graph.interior], "NeumannLaplacian")
+    return SelfAdjointOperator(mat, graph.measure[graph.interior])
 
 
 BUILDERS = {

@@ -46,8 +46,8 @@ class RhoFactorization:
     The fit is kept as ``rho_mass``, r_x = rho_x m_x = mean_y w_xy / m_y on
     the boundary.  Each w_xy / m_y is at most Deg(y), so r is finite, but it
     can underflow, while rho_x itself overflows on valid graphs with small
-    measures and large weights; so rho is kept only as ``rho_split``, the
-    pair (frac, exp) of ``_rho_split`` with rho = frac 2^exp.  ``constant``
+    measures and large weights; so rho is kept only as ``rho_split``, a
+    pair (frac, exp) with rho = frac 2^exp.  ``constant``
     says that rho V_B has a relative spread of at most the ``tol`` of the
     fit; it is decided only on a fit that holds, and is False on any other.
     """
@@ -68,22 +68,19 @@ class RhoFactorization:
         return np.ldexp(frac * frac_v, exp + exp_v)
 
 
-def _rho_split(
-    wb: np.ndarray, m_omega: np.ndarray, m_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """rho_x = mean_y (w_xy / m_y) / m_x, for positive weights ``wb`` on
-    B x Omega, as frac_x 2^exp_x with frac_x in (1/2, 2) and exp_x an
-    integer.  Every quotient is formed from the mantissas and exponents of
-    its terms (``np.frexp``), and each row's w_xy / m_y are averaged at the
-    row's largest exponent, so no intermediate under- or overflows however
-    far apart the weights and measures lie.  In the float range frac 2^exp
-    is r_x / m_x to the bit."""
+def _rho_split(wb: np.ndarray, m_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r_x = mean_y w_xy / m_y, for positive weights ``wb`` on B x Omega, as
+    frac_x 2^exp_x with frac_x in [1/2, 1) and exp_x an integer.  Every
+    quotient is formed from the mantissas and exponents of its terms
+    (``np.frexp``), and each row's w_xy / m_y are averaged at the row's
+    largest exponent, so no intermediate under- or overflows however far
+    apart the weights and measures lie.  In the float range frac 2^exp is
+    r_x to the bit."""
     (frac_w, exp_w), (frac_o, exp_o) = np.frexp(wb), np.frexp(m_omega)
     exp_q = exp_w - exp_o  # w_xy / m_y = (frac_w / frac_o) 2^exp_q
     top = exp_q.max(axis=1)
     frac_r, exp_r = np.frexp(np.ldexp(frac_w / frac_o, exp_q - top[:, None]).mean(axis=1))
-    frac_b, exp_b = np.frexp(m_b)
-    return frac_r / frac_b, exp_r + top - exp_b
+    return frac_r, exp_r + top
 
 
 @dataclass(frozen=True)
@@ -138,12 +135,15 @@ def detect_rho_factorization(
     """Fit w_xy = rho_x m_x m_y on B x Omega through r_x = rho_x m_x.
 
     Requires every boundary-interior pair to be adjacent; otherwise reports
-    the first missing pair as a witness.  The fit holds when its residual is
-    at most ``tol`` times the largest of these (positive) weights, and rho is
-    constant when the relative spread of rho V_B is at most ``tol``: the
-    spread of rho split as frac 2^exp (``_rho_split``) and scaled by
-    2^-max(exp), which puts the largest rho in (1/2, 2), however far apart
-    the weights and measures lie.
+    the first missing pair as a witness.  r_x is split as frac 2^exp
+    (``_rho_split``), and rho_x and each r_x m_y are formed from that split
+    and from the mantissas and exponents of m_x and m_y, so neither passes
+    through an r_x that underflows.  The fit holds when its residual
+    |w_xy - r_x m_y| is at most ``tol`` times the largest of these
+    (positive) weights, and rho is constant when the relative spread of
+    rho V_B is at most ``tol``: the spread of rho, split as frac 2^exp with
+    frac in (1/2, 2), scaled by 2^-max(exp), which puts the largest rho in
+    (1/2, 2), however far apart the weights and measures lie.
     """
     b, omega = graph.boundary, graph.interior
     wb = graph.weights[np.ix_(b, omega)]
@@ -155,14 +155,16 @@ def detect_rho_factorization(
             missing_edge=(int(b[i]), int(omega[j])),
         )
     m_omega = graph.measure[omega]
-    rho_mass = (wb / m_omega).mean(axis=1)
+    frac_r, exp_r = _rho_split(wb, m_omega)
+    (frac_o, exp_o), (frac_b, exp_b) = np.frexp(m_omega), np.frexp(graph.measure[b])
     with np.errstate(over="ignore"):  # an infinite residual fails the fit
-        residual = float(np.abs(wb - rho_mass[:, None] * m_omega).max(initial=0.0))
+        fitted = np.ldexp(frac_r[:, None] * frac_o, exp_r[:, None] + exp_o)  # r_x m_y
+        residual = float(np.abs(wb - fitted).max(initial=0.0))
     holds = residual <= tol * float(wb.max())
-    frac, exp = rho_split = _rho_split(wb, m_omega, graph.measure[b])
+    frac, exp = rho_split = frac_r / frac_b, exp_r - exp_b
     constant = holds and _relative_spread(np.ldexp(frac, exp - exp.max())) <= tol
-    return RhoFactorization(rho_mass=rho_mass, rho_split=rho_split, residual=residual,
-                            holds=holds, constant=constant)
+    return RhoFactorization(rho_mass=np.ldexp(frac_r, exp_r), rho_split=rho_split,
+                            residual=residual, holds=holds, constant=constant)
 
 
 def _quadratic_form_condition(

@@ -312,16 +312,19 @@ def float_range_rho_graph(rng) -> WeightedBoundaryGraph | None:
 
 
 def rigidity_overflow_graph(name: str) -> WeightedBoundaryGraph:
-    """G1, G2 or G3: B = {0, 1} joined to both interior vertices 2 and 3,
-    which share no edge.  On G1 and G2 the boundary weights factor with
+    """G1, G2, G3 or G4: B = {0, 1} joined to both interior vertices 2 and
+    3, which share no edge.  On G1 and G2 the boundary weights factor with
     distinct rho_x, and NeuVsLap's quadratic form overflows.  On G2,
     V_G - V_B cancels to 0 while V_Omega = 2e-200.  On G3, rho = 1 at both
     boundary vertices, whose measures 1e-300 and 1e300 span more than the
-    float range, so m_0 / m_1 underflows and V_G / m_0 overflows."""
+    float range, so m_0 / m_1 underflows and V_G / m_0 overflows.  On G4,
+    rho = 1e-410 at both boundary vertices, below the float range, and
+    r_x = rho_x m_x = 1e-410 underflows too."""
     measure, (w0, w1) = {
         "G1": ((1e15, 2e15, 1.0, 1.0), (1e293, 3e293)),
         "G2": ((1e100, 1e150, 1e-200, 1e-200), (1e-100, 2e-50)),
         "G3": ((1e-300, 1e300, 1.0, 1.0), (1e-300, 1e300)),
+        "G4": ((1.0, 1.0, 1e100, 1e100), (1e-310, 1e-310)),
     }[name]
     w = np.zeros((4, 4))
     w[0, 2:] = w0

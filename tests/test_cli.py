@@ -354,13 +354,15 @@ class TestExitCodes:
             assert results["equality_observed"] is True
             assert results["consistent"] is True
 
-    @pytest.mark.parametrize("graph", ["G1", "G2", "G3"])
+    @pytest.mark.parametrize("graph", ["G1", "G2", "G3", "G4"])
     @pytest.mark.parametrize("theorem", ["NeuVsLap", "LapVsDiri"])
     def test_certify_rigidity_forms_beyond_the_float_range(self, capsys, tmp_path, graph,
                                                            theorem):
         # the NeuVsLap quadratic form overflows on G1 and G2, and the
         # eigensolver refuses it as out of scope, with no overflow warning.
-        # On G3 rho is constant, and rho (V_Omega - V_B) = -1e300 is finite
+        # On G3 rho is constant, and rho (V_Omega - V_B) = -1e300 is finite.
+        # On G4 each r_x = mean_y w_xy / m_y underflows, and the fit's
+        # residual, formed from r_x's mantissa and exponent, is 0
         path = tmp_path / f"{graph}.json"
         save(rigidity_overflow_graph(graph), path)
         code, out, err = run_streams(capsys, ["certify", "--graph", str(path),
@@ -372,6 +374,12 @@ class TestExitCodes:
             assert [c["name"] for c in conditions] == ["rho_factorization",
                                                       "rho_constant_bound"]
             assert conditions[1]["witness"] == [0.0, -1e300]
+        elif theorem == "NeuVsLap" and graph == "G4":
+            assert (code, err) == (0, "")
+            results = json.loads(out)["results"]
+            conditions = [(c["name"], c["holds"]) for c in results["conditions"]]
+            assert conditions == [("rho_factorization", True), ("rho_constant_bound", True)]
+            assert results["consistent"] is True
         elif theorem == "NeuVsLap":
             assert (code, out, err) == (3, "", "not applicable: matrix has non-finite entries\n")
 

@@ -12,7 +12,6 @@ from graphspec.curvature import (
     LICHNEROWICZ_VARIANTS,
     NotApplicable,
     bakry_emery_curvature,
-    bakry_emery_curvature_at,
     certify_lichnerowicz,
     ollivier_curvature,
     ollivier_curvature_all,
@@ -197,8 +196,9 @@ def seeded_graphs():
 
 
 class TestOneLocationAndWholeGraph:
-    """The one-location entry points and the whole-graph passes compute each
-    value by the same arithmetic, so they agree to the bit."""
+    """The one-edge entry point and the whole-graph transport pass compute
+    each value by the same arithmetic, so they agree to the bit, and neither
+    whole-graph pass depends on which locations share its blocks."""
 
     def test_ollivier_edge_equals_the_whole_graph_pass(self):
         for g in seeded_graphs():
@@ -219,24 +219,14 @@ class TestOneLocationAndWholeGraph:
 
     def test_one_location_rejects_vertices_outside_the_graph(self):
         # numpy would read -1 as the last vertex and reject 4 with an
-        # IndexError; both entry points take 0..|V|-1 only
+        # IndexError; the entry point takes 0..|V|-1 only
         g = path_graph(4)
         for x, y in ((-1, 2), (2, -1), (3, 4), (4, 3), (-4, 0)):
             with pytest.raises(ValueError, match=r"not in 0\.\.3"):
                 ollivier_curvature(g, x, y)
-        for x in (-1, -4, 4, 100):
-            with pytest.raises(ValueError, match=r"not in 0\.\.3"):
-                bakry_emery_curvature_at(g, x, 4.0)
         with pytest.raises(TypeError):
             ollivier_curvature(g, 1.5, 2)
         assert ollivier_curvature(g, np.int64(3), 2) == ollivier_curvature(g, 3, 2)
-
-    def test_bakry_emery_vertex_equals_the_whole_graph_pass(self):
-        for g in seeded_graphs():
-            for n in (4.0, float("inf")):
-                per = bakry_emery_curvature(g, n).per_location
-                for x, k in per.items():
-                    assert bakry_emery_curvature_at(g, x, n) == k
 
     @pytest.mark.parametrize("entries", [1, 5000])
     def test_bakry_emery_pass_does_not_depend_on_its_blocks(self, monkeypatch, entries):
@@ -257,16 +247,16 @@ class TestOneLocationAndWholeGraph:
 class TestBakryEmery:
     def test_single_edge_curvature(self):
         g = single_edge()
-        assert bakry_emery_curvature_at(g, 0, float("inf")) == pytest.approx(
+        assert bakry_emery_curvature(g, float("inf")).per_location[0] == pytest.approx(
             2.0, abs=1e-9
         )
         for n in (2.0, 3.0, 5.0):
             want = 2.0 * (n - 1.0) / n
-            assert bakry_emery_curvature_at(g, 0, n) == pytest.approx(want, abs=1e-9)
+            assert bakry_emery_curvature(g, n).per_location[0] == pytest.approx(want, abs=1e-9)
 
     def test_triangle_curvature_at_infinity(self):
         g = triangle()
-        assert bakry_emery_curvature_at(g, 0, float("inf")) == pytest.approx(
+        assert bakry_emery_curvature(g, float("inf")).per_location[0] == pytest.approx(
             2.5, abs=1e-9
         )
 
@@ -279,11 +269,10 @@ class TestBakryEmery:
     def test_rejects_dimension_at_most_one(self):
         with pytest.raises(ValueError):
             bakry_emery_curvature(single_edge(), 1.0)
-        # the one-vertex entry point makes the same check
         g = path_graph(4, boundary=[0])
         for n in (1.0, 0.5, -3.0, -math.inf):
             with pytest.raises(ValueError, match="must exceed 1"):
-                bakry_emery_curvature_at(g, 1, n)
+                bakry_emery_curvature(g, n)
 
     def test_rejects_nan_dimension(self):
         # NaN compares false with everything, so it must fail the n > 1 test
@@ -291,8 +280,6 @@ class TestBakryEmery:
         g = path_graph(4, boundary=[0])
         with pytest.raises(ValueError, match="must exceed 1"):
             bakry_emery_curvature(g, float("nan"))
-        with pytest.raises(ValueError, match="must exceed 1"):
-            bakry_emery_curvature_at(g, 1, float("nan"))
         with pytest.raises(ValueError, match="must exceed 1"):
             certify_lichnerowicz(g, "be-g-nu2", n=float("nan"))
 
@@ -313,16 +300,18 @@ class TestBakryEmery:
     @pytest.mark.parametrize("model", ["unit", "lognormal", "normalized"])
     def test_matches_polarization_oracle(self, model):
         # each draw and its interior, as `curvature --on interior` sees it,
-        # at every vertex with a neighbour
+        # at every vertex
         rng = np.random.default_rng(17)
         for _ in range(15):
             drawn = random_graph(rng, 8, weight_model=model)
             for g in (drawn, interior_subgraph(drawn)):
                 tol = 1e-12 * max(1.0, float(degree_vector(g).max()))
-                for x in np.flatnonzero(g.weights.any(axis=1)).tolist():
-                    for n in (2.0, 4.0, float("inf")):
+                for n in (2.0, 4.0, float("inf")):
+                    per = bakry_emery_curvature(g, n).per_location
+                    assert len(per) == g.vertex_count
+                    for x, k in per.items():
                         want = bakry_emery_by_polarization(g.measure, g.weights, x, n)
-                        assert bakry_emery_curvature_at(g, x, n) == pytest.approx(want, abs=tol)
+                        assert k == pytest.approx(want, abs=tol)
 
     def test_bounded_by_sampled_rayleigh_quotients(self):
         # x adjacent to every other vertex: Gamma is nonsingular on the
@@ -340,7 +329,7 @@ class TestBakryEmery:
                 ball, gamma, q = bakry_emery_forms(g.measure, g.weights, 0, n)
                 assert ball.size == g.vertex_count - 1
                 sampled = rayleigh_min_bruteforce(q, gamma, rng)
-                assert bakry_emery_curvature_at(g, 0, n) <= sampled + tol
+                assert bakry_emery_curvature(g, n).per_location[0] <= sampled + tol
 
     def test_scales_with_weights_and_inverse_measure(self):
         g = random_graph(np.random.default_rng(19), 12, weight_model="lognormal")
@@ -363,9 +352,10 @@ class TestBakryEmery:
         # diag(1 - eps/2, eps - 1) + (1 - 2/n) [[1, sqrt eps], [sqrt eps, eps]],
         # so K = -1 + O(eps); p_u p_v alone would underflow from about 1e-154
         g = path_graph(4, boundary=[3], weights=(1.0, eps, 1.0))
-        for x in (1, 2):
-            for n in (4.0, float("inf")):
-                assert bakry_emery_curvature_at(g, x, n) == pytest.approx(-1.0, abs=1e-13)
+        for n in (4.0, float("inf")):
+            per = bakry_emery_curvature(g, n).per_location
+            for x in (1, 2):
+                assert per[x] == pytest.approx(-1.0, abs=1e-13)
 
     @pytest.mark.parametrize("weights", [(1e10, 1e-315), (1e-10, 8e297)])
     def test_overflowing_forms_are_not_applicable(self, weights):
@@ -374,7 +364,7 @@ class TestBakryEmery:
         # block is finite but the forms built from it overflow at 1e-10 / 8e297
         g = path_graph(3, boundary=[0, 2], weights=weights)
         with pytest.raises(NotApplicable, match="vertex 0"):
-            bakry_emery_curvature_at(g, 0, 4.0)
+            bakry_emery_curvature(g, 4.0)
 
     def test_overflowing_second_sphere_sum_is_not_applicable(self):
         # vertex 0's four neighbours share the one vertex 5 of S_2: each term
@@ -385,7 +375,7 @@ class TestBakryEmery:
         w[1:5, 5] = 1e308 * 2.0**-11
         g = WeightedBoundaryGraph(measure=np.ones(6), weights=w + w.T, boundary=np.array([5]))
         with pytest.raises(NotApplicable, match="vertex 0"):
-            bakry_emery_curvature_at(g, 0, 4.0)
+            bakry_emery_curvature(g, 4.0)
 
     def test_one_stacked_eigensolve_per_sphere_size(self, monkeypatch):
         # every vertex's form is solved once, in the one stacked call of
@@ -427,8 +417,9 @@ class TestBakryEmery:
         grid = [2.0, 3.0, 5.0, 10.0, 1e6, float("inf")]
         for _ in range(5):
             g = random_graph(rng, 7, weight_model="unit")
+            pers = [bakry_emery_curvature(g, n).per_location for n in grid]
             for x in range(g.vertex_count):
-                vals = [bakry_emery_curvature_at(g, x, n) for n in grid]
+                vals = [per[x] for per in pers]
                 for a, b in zip(vals, vals[1:]):
                     assert a <= b + 1e-8
 
@@ -706,13 +697,6 @@ class TestConnectivityGuard:
             with pytest.raises(NotApplicable, match="^curvature needs a connected graph "
                                                     "with an edge$"):
                 compute(g)
-
-    def test_one_location_on_an_isolated_vertex(self):
-        # the one-location entry point does not ask for a connected graph,
-        # but an isolated vertex has no Gamma to compare against
-        g = unit_graph([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        with pytest.raises(NotApplicable, match="^vertex 2 is isolated$"):
-            bakry_emery_curvature_at(g, 2, 4.0)
 
 
 class TestLichnerowicz:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphspec.graph import boundary_degree_vector, degree_vector
+from graphspec.graph import boundary_degree_vector, degree_vector, interior_subgraph
 from graphspec.operators import (
     dirichlet_laplacian,
     full_laplacian,
@@ -102,13 +102,17 @@ class TestOperatorIdentities:
             assert high[0] >= -1e-12 * scale
 
     def test_operator_by_label(self, k22):
+        # each label's operator is built once per graph object, and the
+        # interior operator is the interior subgraph's own full operator
         for label in (
             "FullLaplacian",
             "DirichletLaplacian",
             "NeumannLaplacian",
             "InteriorLaplacian",
         ):
-            assert operator_by_label(k22, label).label == label
+            assert operator_by_label(k22, label) is operator_by_label(k22, label)
+        assert (operator_by_label(k22, "InteriorLaplacian")
+                is operator_by_label(interior_subgraph(k22), "FullLaplacian"))
         with pytest.raises(KeyError):
             operator_by_label(k22, "Nope")
 

@@ -35,6 +35,7 @@ from builders import (
     neumann_equality_recipe,
     path_graph,
     rho_factorized_graph,
+    rigidity_overflow_graph,
 )
 from oracle import quadratic_form_min_eig
 
@@ -119,6 +120,25 @@ class TestRhoFactorization:
         rho = np.ldexp(*fact.rho_split)
         assert rho[1] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
         assert rho[0] == pytest.approx(1e-200 if constant else 1e-110, rel=1e-12, abs=0.0)
+
+    # G4: w_xy = 1e-310 from B = {0, 1} (m = 1) to Omega (m = 1e100), so
+    # rho = 1e-410 and r_x = rho_x m_x underflow at both boundary vertices.
+    # The residual is formed from r_x's mantissa and exponent, so the exact
+    # fit holds with rho constant, and a weight off by 1e-3 fails it
+    @pytest.mark.parametrize("bump", [1.0, 1.0 + 1e-3])
+    def test_fit_on_G4_where_every_r_underflows(self, bump):
+        g4 = rigidity_overflow_graph("G4")
+        w = g4.weights.copy()
+        w[0, 2] *= bump
+        w[2, 0] *= bump
+        g = WeightedBoundaryGraph(measure=g4.measure, weights=w, boundary=g4.boundary)
+        validate(g)
+        fact = detect_rho_factorization(g)
+        assert (fact.holds, fact.constant) == ((True, True) if bump == 1.0 else (False, False))
+        assert fact.rho_mass.tolist() == [0.0, 0.0]
+        if bump == 1.0:
+            assert np.ldexp(*fact.rho_split).tolist() == [0.0, 0.0]  # 1e-410
+            assert fact.rho_times(1e100) == pytest.approx(1e-310, rel=1e-12, abs=0.0)
 
 
 def _boundary_scaled(graph, b, factor):

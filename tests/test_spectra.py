@@ -38,7 +38,7 @@ def random_operator(rng, n):
     d = np.sqrt(m)
     # A = M^{-1/2} S M^{1/2} is self-adjoint for the m-inner product
     mat = s * d[None, :] / d[:, None]
-    return SelfAdjointOperator(mat, m, "Random"), m
+    return SelfAdjointOperator(mat, m), m
 
 
 def test_random_operator_is_self_adjoint():
@@ -88,9 +88,9 @@ class TestEigensolve:
             assert np.abs(got - want).max() <= 1e-7
 
     def test_empty_and_scalar(self):
-        spec = eigensolve(SelfAdjointOperator(np.empty((0, 0)), np.empty(0), "Empty"))
+        spec = eigensolve(SelfAdjointOperator(np.empty((0, 0)), np.empty(0)))
         assert spec.eigenvalues.size == 0 and spec.eigenvectors.shape == (0, 0)
-        spec = eigensolve(SelfAdjointOperator(np.array([[7.0]]), np.array([4.0]), "One"))
+        spec = eigensolve(SelfAdjointOperator(np.array([[7.0]]), np.array([4.0])))
         assert spec.eigenvalues[0] == pytest.approx(7.0, abs=1e-15)
         assert orthonormality_defect(spec) <= 1e-15
 
@@ -98,7 +98,7 @@ class TestEigensolve:
     def test_nonfinite_operator_raises(self, bad):
         mat = np.array([[bad, 1.0], [1.0, 0.0]])
         with pytest.raises(NotApplicable):
-            eigensolve(SelfAdjointOperator(mat, np.ones(2), "NonFinite"))
+            eigensolve(SelfAdjointOperator(mat, np.ones(2)))
 
     def test_stacked_eigenvalues_are_each_matrix_alone(self):
         # one stacked call gives each matrix the numbers it gets alone, and
