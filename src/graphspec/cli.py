@@ -14,19 +14,18 @@ report, and an ``EqualityPatternUnsupported`` to exit 3, with the reason as
 ``graph_digest``, ``compare --table`` prints a text table in place of the
 report, and ``random-audit`` reads no graph and echoes its seed.
 
-All JSON output is deterministic for a fixed (input, flags, seed).
-``dumps_json`` writes it in one recursive pass: keys sorted, a 2-space
-indent, finite floats with 17 significant digits and non-finite ones as
-their quoted ``repr``; a certificate or report dataclass is written as the
-object of its fields (``vars``).  The argument parser is built once per process,
-when this module is imported, and every ``main`` call reuses it.
+``dumps_json`` writes the JSON output, deterministic for a fixed (input, flags,
+seed), in one pass with a 2-space indent: string keys sorted, ``float`` (NumPy
+float64 too) to 17 significant digits or, if not finite, as its quoted ``repr``,
+``str``, ``None``, ``bool``, ``int`` or NumPy integer, lists, tuples, float
+arrays, dicts, and a report dataclass as the object of its fields (``vars``).
+Anything else raises ``TypeError``.  ``main`` reuses one parser, built on import.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from dataclasses import is_dataclass, replace
@@ -62,9 +61,9 @@ def dumps_json(obj) -> str:
 
 
 def _json(obj, newline: str) -> str:
-    """The JSON text of ``obj``; ``newline`` is a line break followed by the
-    indent of the line that ``obj`` starts on.  Keys are converted and
-    sorted, and values refused, as ``json.dumps(sort_keys=True)`` does."""
+    """The JSON text of ``obj``; ``newline`` breaks the line and indents it.
+    String keys; ``float``, ``str``, ``None``, ``bool``, ``int`` or NumPy integer,
+    lists, tuples, float arrays, dicts and dataclasses; else ``TypeError``."""
     if isinstance(obj, float):
         return f"{obj:.17g}" if math.isfinite(obj) else _string(repr(obj))
     if isinstance(obj, str):
@@ -75,8 +74,6 @@ def _json(obj, newline: str) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return repr(int(obj))
-    if isinstance(obj, np.floating):
-        return _json(float(obj), newline)
     inner = newline + "  "
     if isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
@@ -88,19 +85,11 @@ def _json(obj, newline: str) -> str:
             if not is_dataclass(obj):
                 raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
             obj = vars(obj)  # a certificate or report: the object of its fields
-        items = [f"{_string(_key(k))}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        items = [f"{_string(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
         brackets = "{}"
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 class _Parser(argparse.ArgumentParser):

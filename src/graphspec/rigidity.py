@@ -373,7 +373,7 @@ def check_laplacian_dirichlet_rigidity(
         rho_sum = float(fact.rho_mass.sum())
         head = lam[:j]
         head_ok = bool(np.all(np.abs(head - rho_sum) <= cert.tolerance))
-        conditions.append(Condition("lambda_head_equals_rho_mass", head_ok, (list(head), rho_sum)))
+        conditions.append(Condition("lambda_head_equals_rho_mass", head_ok, (head.tolist(), rho_sum)))
         conclusion = conclusion and head_ok
         if fact.constant:
             v_omega, v_b, _ = volumes(graph)

@@ -891,10 +891,34 @@ def _text_or_type_error(dumps, obj):
         return TypeError
 
 
+def _outside_the_report_types(obj) -> bool:
+    """Whether ``obj`` holds a dict key that is not a string, or a NumPy
+    float other than float64: the values no command emits."""
+    if isinstance(obj, np.floating):
+        return not isinstance(obj, np.float64)
+    if isinstance(obj, dict):
+        return any(not isinstance(k, str) or _outside_the_report_types(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return any(_outside_the_report_types(v) for v in obj)
+    return False
+
+
 @settings(max_examples=300)
 @given(obj=JSON_TREES)
 def test_dumps_json_matches_reference(obj):
-    assert _text_or_type_error(dumps_json, obj) == _text_or_type_error(dumps_json_reference, obj)
+    """The writer refuses what no command emits, and elsewhere writes the
+    reference's text or refuses what the reference refuses."""
+    refused = _outside_the_report_types(obj)
+    expected = TypeError if refused else _text_or_type_error(dumps_json_reference, obj)
+    assert _text_or_type_error(dumps_json, obj) == expected
+
+
+@pytest.mark.parametrize("obj, text", [
+    ({1: 0.5}, TypeError), ({None: 1}, TypeError), ({1.5: 1}, TypeError), ({True: 1}, TypeError),
+    (np.float32(0.5), TypeError), (np.int64(3), "3"), (np.float64(0.1), "0.10000000000000001"),
+])
+def test_dumps_json_writes_report_scalars_and_refuses_the_rest(obj, text):
+    assert _text_or_type_error(dumps_json, obj) == text
 
 
 @dataclasses.dataclass(frozen=True)
