@@ -6,8 +6,7 @@ principal minors), linear programs from vertex enumeration, minimum cuts
 from exhaustive bipartition search (and, beyond its reach, from the
 Stoer-Wagner algorithm frozen as it stood before contraction), the Neumann
 operator from its definition through the normal extension, one column at a
-time, the DiriVsNeuTwoSided boundary influence from the weights, the
-normal derivative and the self-adjointness defect entry by entry from their
+time, the normal derivative and the self-adjointness defect entry by entry from their
 definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, sender-receiver gain problems
@@ -155,19 +154,6 @@ def neumann_by_extension(measure, weights, boundary) -> np.ndarray:
         for i, vi in enumerate(omega):
             out[i, j] = sum(w[vi][y] * (u[vi] - u[y]) for y in range(n)) / m[vi]
     return out
-
-
-def boundary_influence_reference(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """s(z) = sum_{x in B} w_xz^2 / (m_z sum_{y in Omega} w_xy) for z in Omega,
-    from the weights: the referee of the Neumann coupling's diagonal, which
-    ``rigidity`` reads as s(z).
-
-    Each w_xz / sum_y w_xy is at most 1, so s(z) <= Deg(z), which ``validate``
-    keeps finite; squaring w_xz first could overflow."""
-    b, omega = graph.boundary, graph.interior
-    wb = graph.weights[np.ix_(b, omega)]
-    row_sums = wb.sum(axis=1)  # sum over Omega for each boundary x; > 0 by validity
-    return (wb * (wb / row_sums[:, None])).sum(axis=0) / graph.measure[omega]
 
 
 def normal_derivative(measure, weights, boundary, u) -> np.ndarray:

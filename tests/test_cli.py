@@ -596,6 +596,8 @@ class TestExitCodes:
         ("spread", ["certify", "--theorem", "DiriVsInteriorTwoSided"], 0),
         ("spread", ["certify", "--theorem", "DiriVsNeuTwoSided"], 0),
         ("rho_fit", ["certify", "--theorem", "NeuVsLap"], 2),
+        ("influence_sum", ["certify", "--theorem", "DiriVsNeuTwoSided"], 0),
+        ("influence_underflow", ["certify", "--theorem", "DiriVsNeuTwoSided"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_valid_graphs_at_the_ends_of_the_float_range(self, capsys, tmp_path, case,
                                                          command, code):
@@ -604,16 +606,31 @@ class TestExitCodes:
         # and every command that needs it is out of scope.  spread: with
         # m_1 = 1e300 every Deg_b and s(z) on the interior underflows to 0,
         # a constant vector.  rho_fit: r_0 m_2 = 5e299 * 1e300 overflows in
-        # the fit's residual, and the fit fails
-        measure, w01, w02 = {
-            "coupling": ((1e300, 1.0, 1.0), 1e-30, 0.0),
-            "spread": ((1.0, 1e300, 1.0), 1e-30, 0.0),
-            "rho_fit": ((1.0, 1e-300, 1e300), 1.0, 1.0),
+        # the fit's residual, and the fit fails.  influence_sum: each of
+        # B = {0, 1, 2} has one interior neighbour and m_3 = m_4 = 1e300, so
+        # a / m_z is 1.4 least subnormals; s = 2a / m_z, summed before the
+        # division, reads 3 of them at both z and is constant, where dividing
+        # each weight by m_z first would read 2 and 3.  influence_underflow:
+        # s = (0, 2.15e-166, 0) is not constant though w_02 / m_0 underflows;
+        # the certificate observes equality at tol * max Deg (ROADMAP items 2
+        # and 14), so the report is inconsistent
+        a = 1.4 * (1e300 * 5e-324)
+        measure, edges, boundary = {
+            "coupling": ((1e300, 1.0, 1.0), [(0, 1, 1e-30), (1, 2, 1.0)], [0]),
+            "spread": ((1.0, 1e300, 1.0), [(0, 1, 1e-30), (1, 2, 1.0)], [0]),
+            "rho_fit": ((1.0, 1e-300, 1e300), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], [0]),
+            "influence_sum": ((1.0, 1.0, 1.0, 1e300, 1e300),
+                              [(0, 3, a), (1, 3, a), (2, 4, 2 * a), (3, 4, 1.0)], [0, 1, 2]),
+            "influence_underflow": ((1.08e251, 3.21e294, 2.29e-21, 1.93e103),
+                                    [(0, 1, 1.56e-69), (0, 2, 2.77e-128), (1, 2, 2.24e-40),
+                                     (1, 3, 7.0e-88), (2, 3, 7.99e-16)], [0]),
         }[case]
-        w = np.array([[0.0, w01, w02], [w01, 0.0, 1.0], [w02, 1.0, 0.0]])
+        w = np.zeros((len(measure), len(measure)))
+        for i, j, wij in edges:
+            w[i, j] = w[j, i] = wij
         path = tmp_path / f"{case}.json"
         save(WeightedBoundaryGraph(measure=np.array(measure), weights=w,
-                                   boundary=np.array([0])), path)
+                                   boundary=np.array(boundary)), path)
         got, out, err = run_streams(capsys, [*command, "--graph", str(path)])
         assert got == code
         if code == 3:
@@ -622,9 +639,16 @@ class TestExitCodes:
             return
         assert err == ""
         results = json.loads(out).get("results")
-        if case == "spread":
+        if case in ("spread", "influence_sum"):
             assert results["consistent"] is True
             assert results["conditions"][-1]["witness"] == 0.0
+        if case == "influence_sum":
+            assert [c["holds"] for c in results["conditions"]] == [True, True]
+        if case == "influence_underflow":
+            assert results["conditions"] == [
+                {"name": "one_interior_neighbor_each", "holds": False, "witness": None},
+                {"name": "boundary_influence_constant", "holds": False, "witness": 1.0}]
+            assert (results["conclusion"], results["equality_observed"]) == (False, True)
         if case == "rho_fit":
             assert results["conditions"][0] == {
                 "name": "rho_factorization", "holds": False, "witness": None}

@@ -13,7 +13,6 @@ from graphspec.comparisons import (
 from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, validate
-from graphspec.operators import neumann_coupling
 from graphspec.rigidity import (
     ALL_RIGIDITY,
     EqualityPatternUnsupported,
@@ -31,8 +30,6 @@ from graphspec.rigidity import (
 from builders import (
     BICONDITIONAL_BUILDERS,
     complete_bipartite,
-    dirichlet_neumann_negative,
-    dirichlet_neumann_positive,
     float_range_rho_graph,
     laplacian_dirichlet_recipe,
     neumann_equality_recipe,
@@ -40,7 +37,7 @@ from builders import (
     rho_factorized_graph,
     rigidity_overflow_graph,
 )
-from oracle import boundary_influence_reference, quadratic_form_min_eig
+from oracle import quadratic_form_min_eig
 
 
 class TestRhoFactorization:
@@ -325,20 +322,6 @@ class TestDirichletNeumann:
     def test_corpus_biconditional(self, corpus):
         for g in corpus:
             assert check_dirichlet_neumann_rigidity(g).consistent
-
-    def test_boundary_influence_is_the_coupling_diagonal(self, corpus):
-        # s(z) is read off the Neumann coupling's diagonal; the weights'
-        # formula referees it and the verdict it gives at EQUALITY_TOL
-        rng = np.random.default_rng(2026)
-        draws = [dirichlet_neumann_positive(rng) for _ in range(300)]
-        draws += [dirichlet_neumann_negative(rng) for _ in range(300)]
-        for g in corpus + draws:
-            s = boundary_influence_reference(g)
-            assert np.abs(np.diagonal(neumann_coupling(g)) - s).max() <= 1e-15 * s.max()
-            spread = (s.max() - s.min()) / s.max() if s.max() else 0.0
-            report = check_dirichlet_neumann_rigidity(g)
-            holds = report.condition("boundary_influence_constant").holds
-            assert holds == (spread <= EQUALITY_TOL)
 
 
 class TestLaplacianDirichlet:
