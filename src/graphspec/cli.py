@@ -9,10 +9,10 @@ the subcommand's ``cmd_*`` with the graph and the arguments, which returns
 its results and exit 0 or 2 (certificate holds / fails, rigidity conclusion
 true / false), and writes the JSON report of those results.  ``main`` maps a
 ``NotApplicable`` to exit 3, with ``not applicable: ...`` on stderr and no
-report, and an ``EqualityPatternUnsupported`` to exit 3, with the reason as
-``results.unsupported``.  ``validate`` writes only ``valid`` and
-``graph_digest``, ``compare --table`` prints a text table in place of the
-report, and ``random-audit`` reads no graph and echoes its seed.
+report; LapVsDiri raises it where equality fails at two or more indices.
+``validate`` writes only ``valid`` and ``graph_digest``, ``compare --table``
+prints a text table in place of the report, and ``random-audit`` reads no
+graph and echoes its seed.
 
 ``dumps_json`` writes the JSON output, deterministic for a fixed (input, flags,
 seed), in one pass with a 2-space indent: string keys sorted, ``float`` (NumPy
@@ -51,7 +51,7 @@ from .graph import (
     validate,
 )
 from .operators import BUILDERS, operator_by_label
-from .rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
+from .rigidity import ALL_RIGIDITY
 from .spectra import spectrum
 
 
@@ -302,8 +302,6 @@ def main(argv=None) -> int:
     except NotApplicable as exc:
         sys.stderr.write(f"not applicable: {exc}\n")
         return 3
-    except EqualityPatternUnsupported as exc:
-        results, code = {"unsupported": str(exc)}, 3
     if results is not None:
         print(dumps_json({
             "graph_digest": digest,

@@ -14,8 +14,9 @@ assembled from the identity
     neumann = dirichlet - A_B Deg^{-1} A_Omega,
 
 which the test suite checks column by column against the extension (the
-oracle ``neumann_by_extension``).  The interior operator is the full
-operator of the subgraph induced on Omega.
+oracle ``neumann_by_extension``).  The boundary measures cancel in the
+coupling, which is formed at the weights' scale.  The interior operator is
+the full operator of the subgraph induced on Omega.
 
 ``operator_by_label`` builds each operator once per graph object.  The
 builders take the full operator, the coupling ``A_B Deg^{-1} A_Omega`` and
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NotApplicable, WeightedBoundaryGraph, degree_vector, interior_subgraph
+from .graph import WeightedBoundaryGraph, degree_vector, interior_subgraph
 
 
 @dataclass(frozen=True)
@@ -61,21 +62,20 @@ def dirichlet_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:
 
 def neumann_coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
     """The matrix A_B Deg^{-1} A_Omega on Omega (difference of the Dirichlet
-    and Neumann operators), computed once per graph object.  NotApplicable
-    when a boundary vertex's Deg underflows to 0, where it would be 0/0."""
+    and Neumann operators), computed once per graph object.  Its diagonal is
+    the boundary influence s(z) = sum_x w_zx^2 / (m_z W_x)."""
     return graph.derived("neumann_coupling", _coupling)
 
 
 def _coupling(graph: WeightedBoundaryGraph) -> np.ndarray:
-    # the averaging map A_Omega (interior -> boundary) and its adjoint A_B
+    # (w_Omega,B @ (w_B,Omega / W_B)) / m_Omega, with W_B the boundary rows'
+    # weight sums, finite and positive on a valid graph.  Each quotient is at
+    # most 1, so no product overflows, and summing over x before the one
+    # division by m_z keeps terms that w_zx / m_z would underflow
     b, omega = graph.boundary, graph.interior
-    a_omega = graph.weights[np.ix_(b, omega)] / graph.measure[b][:, None]
-    a_b = graph.weights[np.ix_(omega, b)] / graph.measure[omega][:, None]
-    deg_b = degree_vector(graph)[b]
-    if not deg_b.all():  # a positive row sum over a huge measure
-        raise NotApplicable(f"Deg({b[np.argmin(deg_b)]}) underflows to 0: the Neumann "
-                            "coupling of its boundary row is 0/0")
-    return a_b @ (a_omega / deg_b[:, None])
+    w_b = graph.weights[np.ix_(b, omega)]
+    average = w_b / w_b.sum(axis=1)[:, None]  # the normal extension's weights
+    return (graph.weights[np.ix_(omega, b)] @ average) / graph.measure[omega][:, None]
 
 
 def neumann_laplacian(graph: WeightedBoundaryGraph) -> SelfAdjointOperator:

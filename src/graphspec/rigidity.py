@@ -31,12 +31,8 @@ from .graph import (
     interior_subgraph,
     volumes,
 )
+from .operators import neumann_coupling
 from .spectra import spectrum, symmetric_eigvalsh
-
-
-class EqualityPatternUnsupported(RuntimeError):
-    """Equality fails at two or more indices; the characterization theorems
-    do not cover this pattern."""
 
 
 @dataclass(frozen=True)
@@ -299,29 +295,16 @@ def check_neumann_interior_rigidity(
     )
 
 
-def boundary_influence(graph: WeightedBoundaryGraph) -> np.ndarray:
-    """s(z) = sum_{x in B} w_xz^2 / (m_z sum_{y in Omega} w_xy) for z in Omega.
-
-    Each w_xz / sum_y w_xy is at most 1, so s(z) <= Deg(z), which ``validate``
-    keeps finite; squaring w_xz first could overflow.  The Neumann coupling's
-    diagonal (A_B Deg^-1 A_Omega)_zz is s(z) in exact arithmetic, but it
-    divides each weight by a measure before the sum over x, so its terms
-    underflow where s(z) does not."""
-    b, omega = graph.boundary, graph.interior
-    wb = graph.weights[np.ix_(b, omega)]
-    row_sums = wb.sum(axis=1)  # sum over Omega for each boundary x; > 0 by validity
-    return (wb * (wb / row_sums[:, None])).sum(axis=0) / graph.measure[omega]
-
-
 def check_dirichlet_neumann_rigidity(
     graph: WeightedBoundaryGraph, tol: float = EQUALITY_TOL
 ) -> RigidityReport:
     """Equality lambda_i = nu_i + s^2 at every index iff every boundary
     vertex has one interior neighbour and the boundary influence s(z) is
-    constant over the interior."""
+    constant over the interior.  s(z) is read off the diagonal of the
+    Neumann coupling, whose eigenvalues the certificate reads as s^2."""
     counts = _interior_neighbor_counts(graph)
     one_each = bool(np.all(counts == 1))
-    s_vals = boundary_influence(graph)
+    s_vals = np.diagonal(neumann_coupling(graph))
     spread = _relative_spread(s_vals)
     s_const = spread <= tol
     conclusion = one_each and s_const
@@ -340,7 +323,7 @@ def check_laplacian_dirichlet_rigidity(
 
     With no equality anywhere the check is vacuous; equality everywhere is
     impossible and reported as an anomaly; equality failing at two or more
-    indices has no characterization and raises EqualityPatternUnsupported.
+    indices has no characterization and raises NotApplicable.
     In the constant-rho case the theorem is an iff, and both directions are
     recorded.
     """
@@ -360,9 +343,7 @@ def check_laplacian_dirichlet_rigidity(
         anomaly = [Condition("full_equality_anomaly", False)]
         return _cross_checked("LapVsDiri", anomaly, False, True, extra)
     if len(missing) > 1:
-        raise EqualityPatternUnsupported(
-            f"equality fails at indices {missing}; no characterization applies"
-        )
+        raise NotApplicable(f"equality fails at indices {missing}; no characterization applies")
     j = missing[0]
     extra["j"] = j
     comp = component_count(interior_subgraph(graph))

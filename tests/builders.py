@@ -12,7 +12,8 @@ For each biconditional theorem a positive builder produces a graph that
 satisfies the structural condition exactly, and the matching negative
 builder perturbs one quantity so the condition fails.
 
-Two recipes span the float range: a family of rho-factorized draws, and
+Three recipes span the float range: a family of rho-factorized draws,
+seeded draws with every measure and weight redrawn across the range, and
 the graphs G1 and G2 of the same shape, on which the NeuVsLap quadratic
 form overflows.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from graphspec.fixtures import random_graph
 from graphspec.graph import GraphValidationError, WeightedBoundaryGraph, validate, volumes
 from graphspec.spectra import spectrum
 
@@ -309,6 +311,23 @@ def float_range_rho_graph(rng) -> WeightedBoundaryGraph | None:
     except GraphValidationError:
         return None
     return g
+
+
+def float_range_graph(rng) -> WeightedBoundaryGraph | None:
+    """A ``random_graph(rng, 8)`` draw with its boundary and edges kept, and
+    each measure, then each edge's weight, redrawn as 10^U(-300, 300) from
+    the same ``rng``; None when ``validate`` refuses it (a degree that
+    overflows)."""
+    g = random_graph(rng, 8)
+    n = g.vertex_count
+    m = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    w = np.triu(np.where(g.weights > 0.0, 10.0 ** rng.uniform(-300.0, 300.0, (n, n)), 0.0), 1)
+    out = WeightedBoundaryGraph(measure=m, weights=w + w.T, boundary=g.boundary)
+    try:
+        validate(out)
+    except GraphValidationError:
+        return None
+    return out
 
 
 def rigidity_overflow_graph(name: str) -> WeightedBoundaryGraph:

@@ -6,7 +6,8 @@ principal minors), linear programs from vertex enumeration, minimum cuts
 from exhaustive bipartition search (and, beyond its reach, from the
 Stoer-Wagner algorithm frozen as it stood before contraction), the Neumann
 operator from its definition through the normal extension, one column at a
-time, the normal derivative and the self-adjointness defect entry by entry from their
+time, the boundary influence s(z) in exact rationals, the normal
+derivative and the self-adjointness defect entry by entry from their
 definitions, the Bakry-Emery forms from the definitions of Gamma and Gamma2 by polarization,
 edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, sender-receiver gain problems
@@ -35,6 +36,7 @@ import json
 import math
 import re
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,6 +167,17 @@ def normal_derivative(measure, weights, boundary, u) -> np.ndarray:
         / float(measure[x])
         for x in boundary
     ])
+
+
+def boundary_influence_exact(graph) -> list[Fraction]:
+    """s(z) = sum_{x in B} w_xz^2 / (W_x m_z) at each interior z, with
+    W_x = sum_{y in Omega} w_xy, in exact rationals from the float weights
+    and measures: nothing under- or overflows, and nothing is rounded."""
+    b, omega = graph.boundary.tolist(), graph.interior.tolist()
+    w = [[Fraction(v) for v in row] for row in graph.weights.tolist()]
+    row_sums = {x: sum(w[x][y] for y in omega) for x in b}
+    return [sum(w[x][z] ** 2 / row_sums[x] for x in b) / Fraction(graph.measure[z])
+            for z in omega]
 
 
 def self_adjointness_defect(matrix, measure) -> float:

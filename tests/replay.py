@@ -28,7 +28,10 @@ reports, first, every call whose decisions differ from FILE's: exit code,
 stderr, verdict, ``equal`` flag, failing or equality index, rigidity
 conclusion, or the shape of the output.  Second, per command, how many
 stdouts moved, and the largest move of a number divided by
-max(1, max Deg).  It exits 1 when a decision changed.
+max(1, max Deg).  It exits 1 when a decision changed.  A ``compare --table``
+is read in the shape of ``compare``'s JSON: each verdict line's theorem id
+and verdict, and each index line's index, are decisions, and the numbers
+after ``lhs=``, ``rhs=`` and ``margin=`` move like any JSON number.
 
 ``decision_digest`` hashes the decisions alone, with every float left out,
 of the spectral commands and the audit without curvature;
@@ -92,7 +95,7 @@ PINNED = {" ".join(command) for command in (*SPECTRAL_COMMANDS, AUDITS[0])}
 # digest or an echo of the invocation.  CONTAINERS are read into, field by field
 DECISIONS = {
     "theorem_id", "verdict", "failing_indices", "equal", "index", "conclusion",
-    "equality_observed", "consistent", "name", "holds", "unsupported",
+    "equality_observed", "consistent", "name", "holds",
     "full_equality_anomaly", "equality_indices", "j", "items", "e_graph",
     "e_interior", "interior_connected", "variant", "instance", "failure_count",
     "lichnerowicz_checked", "valid",
@@ -199,11 +202,29 @@ def replay(commands=GRAPH_COMMANDS, audits=AUDITS):
     return records
 
 
-def _parsed(stdout):
+def _parsed(record):
+    """The call's stdout as JSON, or as its table's certificates."""
+    if record["label"].endswith(" compare --table"):
+        return _table(record["stdout"])
     try:
-        return json.loads(stdout)
+        return json.loads(record["stdout"])
     except ValueError:
-        return stdout
+        return record["stdout"]
+
+
+def _table(text):
+    """A ``compare --table`` as the list of its certificates, each a theorem
+    id, a verdict and the index, lhs, rhs and margin of each index line."""
+    certs = []
+    for line in text.splitlines():
+        if line.startswith("  i="):
+            fields = dict(field.split("=") for field in line.split())
+            certs[-1]["per_index"].append(
+                {"index": int(fields.pop("i")), **{k: float(v) for k, v in fields.items()}})
+        else:
+            theorem_id, verdict = line.split()
+            certs.append({"theorem_id": theorem_id, "verdict": verdict, "per_index": []})
+    return certs
 
 
 def _decisions(value):
@@ -218,7 +239,7 @@ def _decisions(value):
 def decisions(record):
     """The call's exit code, stderr and the decision fields of its stdout."""
     return {"code": record["code"], "stderr": record["stderr"],
-            "decisions": _decisions(_parsed(record["stdout"]))}
+            "decisions": _decisions(_parsed(record))}
 
 
 def decision_digest(records) -> str:
@@ -275,7 +296,7 @@ def compare(old_records, new_records, out=None) -> bool:
             continue
         if a["stdout"] == b["stdout"]:
             continue
-        move = largest_move(_parsed(a["stdout"]), _parsed(b["stdout"]))
+        move = largest_move(_parsed(a), _parsed(b))
         if move is None:
             changed.append(label)
             continue

@@ -11,7 +11,7 @@ from graphspec.operators import (
     full_laplacian,
     neumann_laplacian,
 )
-from graphspec.rigidity import ALL_RIGIDITY, EqualityPatternUnsupported
+from graphspec.rigidity import ALL_RIGIDITY
 from graphspec.spectra import (
     eigensolve,
     spectrum,
@@ -209,7 +209,7 @@ class TestSolvedOncePerGraph:
             for check in ALL_RIGIDITY.values():
                 try:
                     check(g)
-                except (NotApplicable, EqualityPatternUnsupported):
+                except NotApplicable:
                     pass
             for bounds in (fiedler_bounds, friedman_bounds):
                 try:
