@@ -1,55 +1,48 @@
 """Command-line front end.
 
 Subcommands: validate, spectrum, compare, certify, curvature, bounds,
-random-audit, dump-operator.  Every call takes one path.  The parser checks
-every argument, so a bad one exits 1 before any file is read.  ``main`` then
-reads and checks the graph file, and exits 4 when it cannot be read or breaks
-an axiom; every command but ``curvature --on g`` needs a boundary.  It calls
-the subcommand's ``cmd_*`` with the graph and the arguments, which returns
-its results and exit 0 or 2 (certificate holds / fails, rigidity conclusion
-true / false), and writes the JSON report of those results.  ``main`` maps a
-``NotApplicable`` to exit 3, with ``not applicable: ...`` on stderr and no
-report; LapVsDiri raises it where equality fails at two or more indices.
-``validate`` writes only ``valid`` and ``graph_digest``, ``compare --table``
-prints a text table in place of the report, and ``random-audit`` reads no
-graph and echoes its seed.
+random-audit, dump-operator.  ``COMMANDS`` holds each one's ``cmd_*``, help
+and options, and ``_parse`` reads a call's arguments against it in one pass
+from left to right.  A bad argument exits 1, with the usage and ``error:
+...`` on stderr, before any file is read; ``-h`` prints its help from the
+same table.  ``main`` then reads and checks the graph file, and exits 4
+when it cannot be read or breaks an axiom; every command but ``curvature --on
+g`` needs a boundary.  The ``cmd_*`` returns its results and exit 0 or 2
+(certificate holds / fails, rigidity conclusion true / false), and ``main``
+writes their JSON report, which echoes the arguments.  A ``NotApplicable``
+exits 3, with ``not applicable: ...`` on stderr and no report; LapVsDiri
+raises it where equality fails at two or more indices.  ``validate`` writes
+only ``valid`` and ``graph_digest``, ``compare --table`` prints a text table
+in place of the report, and ``random-audit`` reads no graph and echoes its seed.
 
 ``dumps_json`` writes the JSON output, deterministic for a fixed (input, flags,
 seed), in one pass with a 2-space indent: string keys sorted, ``float`` (NumPy
 float64 too) to 17 significant digits or, if not finite, as its quoted ``repr``,
 ``str``, ``None``, ``bool``, ``int`` or NumPy integer, lists, tuples, float
 arrays, dicts, and a report dataclass as the object of its fields (``vars``).
-Anything else raises ``TypeError``.  ``main`` reuses one parser, built on import.
+Anything else raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import math
+import re
 import sys
 from dataclasses import is_dataclass, replace
 from json.encoder import encode_basestring_ascii as _string
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .combinatorial import fiedler_bounds, friedman_bounds
 from .comparisons import ALL_COMPARISONS, DEFAULT_TOL, EQUALITY_TOL, run_all
-from .curvature import (
-    bakry_emery_curvature,
-    certify_lichnerowicz,
-    ollivier_curvature_all,
-)
+from .curvature import bakry_emery_curvature, certify_lichnerowicz, ollivier_curvature_all
 from .fixtures import random_graph
-from .graph import (
-    GraphFormatError,
-    GraphValidationError,
-    NotApplicable,
-    interior_subgraph,
-    load,
-    validate,
-)
+from .graph import (GraphFormatError, GraphValidationError, NotApplicable, interior_subgraph,
+                    load, validate)
 from .operators import BUILDERS, operator_by_label
 from .rigidity import ALL_RIGIDITY
 from .spectra import spectrum
@@ -92,53 +85,14 @@ def _json(obj, newline: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
-
-
-def _arg_type(convert, accept, expected):
-    """An argparse ``type``: ``convert(text)`` when ``accept`` holds for it.
-    A rejected value goes to ``_Parser.error`` (exit 1)."""
-
-    def parse(text):
-        try:
-            value = convert(text)
-            if accept(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-
-    return parse
-
-
-_count = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
-# random_graph draws |V| from 3..max_v
-_max_vertices = _arg_type(int, lambda v: v >= 3, "an integer >= 3")
-_tolerance = _arg_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
-# these two are kept as given, so the invocation echoed in the report is unchanged
-_dimension = _arg_type(str, lambda t: float(t) > 1.0, "a number > 1 or 'inf'")
-_theorems = _arg_type(
-    str, lambda t: t == "all" or all(name.strip() in ALL_COMPARISONS for name in t.split(",")),
-    "'all' or comma-separated ids from " + ", ".join(ALL_COMPARISONS),
-)
-
-
 def cmd_spectrum(graph, args):
     return {label: spectrum(graph, label) for label in BUILDERS}, 0
 
 
 def cmd_dump_operator(graph, args):
     op = operator_by_label(graph, args.operator)
-    out = {
-        "label": args.operator,
-        "matrix": list(op.matrix),
-        "inner_measure": op.inner_measure,
-    }
-    return out, 0
+    return {"label": args.operator, "matrix": list(op.matrix),
+            "inner_measure": op.inner_measure}, 0
 
 
 def cmd_compare(graph, args):
@@ -196,100 +150,147 @@ def cmd_random_audit(_, args):
                                          "variant": variant})
                 except NotApplicable:
                     pass
-    out = {
-        "instances": args.n,
-        "max_vertices": args.max_v,
-        "failures": failures,
-        "failure_count": len(failures),
-        "lichnerowicz_checked": lichnerowicz_checked,
-    }
+    out = {"instances": args.n, "max_vertices": args.max_v, "failures": failures,
+           "failure_count": len(failures), "lichnerowicz_checked": lichnerowicz_checked}
     return out, 0 if not failures else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="graphspec",
-        description="Spectra of weighted graphs with boundary and certified "
-        "eigenvalue comparisons.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    graph_file = argparse.ArgumentParser(add_help=False)
-    graph_file.add_argument("--graph", required=True)
-
-    sub.add_parser("validate", parents=[graph_file],
-                   help="check a graph file against the structural axioms")
-
-    p = sub.add_parser("spectrum", parents=[graph_file], help="eigenvalues of the full, "
-                       "Dirichlet, Neumann and interior operators, as JSON keyed by "
-                       "operator label")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("dump-operator", parents=[graph_file],
-                       help="emit one operator matrix as JSON rows")
-    p.add_argument("--operator", choices=tuple(BUILDERS), default="FullLaplacian")
-    p.set_defaults(func=cmd_dump_operator)
-
-    p = sub.add_parser(
-        "compare", parents=[graph_file],
-        help="certify eigenvalue comparisons: NeuVsLap (nu_i >= mu_i), "
-        "DiriVsInteriorTwoSided (mu_i(Omega)+Deg_b bounds on lambda_i), "
-        "NeuVsInterior (nu_i >= mu_i(Omega)), DiriVsNeuTwoSided "
-        "(nu_i + s^2 bounds on lambda_i), LapVsDiri (mu_{i+|B|} >= lambda_i)",
-    )
-    p.add_argument("--theorems", type=_theorems, default="all")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.add_argument("--table", dest="table", action="store_true")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "certify", parents=[graph_file],
-        help="test the structural equality characterization for one comparison",
-    )
-    p.add_argument("--theorem", choices=sorted(ALL_RIGIDITY), required=True)
-    p.add_argument("--tol", type=_tolerance, default=EQUALITY_TOL)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("curvature", parents=[graph_file], help="per-vertex "
-                       "curvature-dimension constants or per-edge transport curvature")
-    p.add_argument("--kind", choices=["be", "ollivier"], required=True)
-    p.add_argument("--n", type=_dimension, default="inf",
-                   help="dimension parameter for --kind be (a number > 1, or 'inf')")
-    p.add_argument("--on", choices=["g", "interior"], default="g")
-    p.set_defaults(func=cmd_curvature)
-
-    p = sub.add_parser("bounds", parents=[graph_file], help="Fiedler-type (edge connectivity) "
-                       "or Friedman-type (path comparison) lower bounds, unit weight only")
-    p.add_argument("--family", choices=["fiedler", "friedman"], required=True)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("random-audit", help="run every comparison certificate over "
-                       "seeded random graphs and report the failure count")
-    p.add_argument("--n", type=_count, default=200)
-    p.add_argument("--max-v", type=_max_vertices, default=12)
-    p.add_argument("--seed", type=_count, default=42)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.add_argument("--curvature", action="store_true",
-                   help="also check the curvature spectral-gap bounds where applicable")
-    p.set_defaults(func=cmd_random_audit)
-
-    return parser
+def _one_of(*names):
+    return str, names.__contains__, "one of " + ", ".join(names)
 
 
-# one parser per process: parse_args leaves no state on it between calls
-_PARSER = build_parser()
+# what an option's value must be: (convert, accept, description)
+_COUNT = (int, lambda v: v >= 0, "an integer >= 0")
+_MAX_VERTICES = (int, lambda v: v >= 3, "an integer >= 3")  # random_graph draws 3..max_v
+_TOLERANCE = (float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+# these two are kept as given, so the invocation echoed in the report is unchanged
+_DIMENSION = (str, lambda text: float(text) > 1.0, "a number > 1 or 'inf'")
+_THEOREMS = (str, lambda t: t == "all" or all(n.strip() in ALL_COMPARISONS for n in t.split(",")),
+             "'all' or comma-separated ids from " + ", ".join(ALL_COMPARISONS))
+
+
+class _Option(NamedTuple):
+    kind: tuple | None  # what the value must be, or None for a flag: True when given
+    default: object = None  # an option without a default is required
+    help: str = ""
+
+
+_GRAPH = {"--graph": _Option((str, lambda text: True, "a path"), help="the graph file")}
+_TOL = _Option(_TOLERANCE, DEFAULT_TOL)
+
+# subcommand -> (its cmd_*, help, options by flag).  An option's dest is its
+# flag without the leading "--", with "-" read as "_"
+COMMANDS = {
+    "validate": (None, "check a graph file against the structural axioms", _GRAPH),
+    "spectrum": (cmd_spectrum, "eigenvalues of the full, Dirichlet, Neumann and interior "
+                 "operators, as JSON keyed by operator label", _GRAPH),
+    "dump-operator": (cmd_dump_operator, "emit one operator matrix as JSON rows", {
+        **_GRAPH, "--operator": _Option(_one_of(*BUILDERS), "FullLaplacian")}),
+    "compare": (cmd_compare, "certify eigenvalue comparisons: NeuVsLap (nu_i >= mu_i), "
+                "DiriVsInteriorTwoSided (mu_i(Omega)+Deg_b bounds on lambda_i), "
+                "NeuVsInterior (nu_i >= mu_i(Omega)), DiriVsNeuTwoSided "
+                "(nu_i + s^2 bounds on lambda_i), LapVsDiri (mu_{i+|B|} >= lambda_i)", {
+        **_GRAPH, "--theorems": _Option(_THEOREMS, "all"), "--tol": _TOL,
+        "--table": _Option(None, False, "print a text table in place of the report")}),
+    "certify": (cmd_certify, "test the structural equality characterization for one "
+                "comparison", {**_GRAPH, "--theorem": _Option(_one_of(*sorted(ALL_RIGIDITY))),
+                               "--tol": _Option(_TOLERANCE, EQUALITY_TOL)}),
+    "curvature": (cmd_curvature, "per-vertex curvature-dimension constants or per-edge "
+                  "transport curvature", {
+        **_GRAPH, "--kind": _Option(_one_of("be", "ollivier")),
+        "--n": _Option(_DIMENSION, "inf", "dimension parameter for --kind be"),
+        "--on": _Option(_one_of("g", "interior"), "g")}),
+    "bounds": (cmd_bounds, "Fiedler-type (edge connectivity) or Friedman-type (path "
+               "comparison) lower bounds, unit weight only",
+               {**_GRAPH, "--family": _Option(_one_of("fiedler", "friedman")), "--tol": _TOL}),
+    "random-audit": (cmd_random_audit, "run every comparison certificate over seeded random "
+                     "graphs and report the failure count", {
+        "--n": _Option(_COUNT, 200), "--max-v": _Option(_MAX_VERTICES, 12),
+        "--seed": _Option(_COUNT, 42), "--tol": _TOL, "--curvature": _Option(
+            None, False, "also check the curvature spectral-gap bounds where applicable")}),
+}
+# a value that starts with "-" is taken only when it reads as a negative number
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: graphspec [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    words = [f"usage: graphspec {command} [-h]"]
+    for flag, option in COMMANDS[command][2].items():
+        word = flag if option.kind is None else f"{flag} {flag[2:].upper()}"
+        words.append(word if option.default is None else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command) -> str:
+    """The usage, what the program or command does, and a line for each of
+    its commands or options."""
+    if command is None:
+        about = "Spectra of weighted graphs with boundary and certified eigenvalue comparisons."
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, about, options = COMMANDS[command]
+        rows = [(flag, ": ".join(filter(None, (o.help, o.kind and o.kind[2]))))
+                for flag, o in options.items()]
+    return "\n".join([_usage(command), "", about, "", *(f"  {a:15s} {b}" for a, b in rows)])
+
+
+def _fail(command, message):
+    sys.stderr.write(f"{_usage(command)}\nerror: {message}\n")
+    raise SystemExit(1)
+
+
+def _parse(argv):
+    """The subcommand's ``cmd_*`` and its arguments, read from ``argv`` left to
+    right: ``--opt value`` or ``--opt=value`` under an option's exact name,
+    the last value of a repeated option, and every other option's default."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command in ("-h", "--help", "--version"):
+            print(__version__ if command == "--version" else _help(None))
+            raise SystemExit(0)
+        _fail(None, f"invalid command {command!r}" if argv else "a command is required")
+    run, _, options = COMMANDS[command]
+    values = {flag: option.default for flag, option in options.items()}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, text = word.partition("=")
+        if flag in ("-h", "--help") and not eq:
+            print(_help(command))
+            raise SystemExit(0)
+        option = options.get(flag)
+        if option is None or eq and option.kind is None:
+            _fail(command, f"unrecognized arguments: {word}")
+        if option.kind is None:  # a flag
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(words, None)
+            if text is None or text[:1] == "-" and not _NEGATIVE.fullmatch(text):
+                _fail(command, f"argument {flag}: expected one argument")
+        convert, accept, description = option.kind
+        try:
+            values[flag] = convert(text)
+            if not accept(values[flag]):
+                raise ValueError
+        except ValueError:
+            _fail(command, f"argument {flag}: expected {description}, got {text!r}")
+    missing = [flag for flag, value in values.items() if value is None]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    return run, SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    run, args = _parse(sys.argv[1:] if argv is None else argv)
     graph = digest = None
     if args.command != "random-audit":
         sha = hashlib.sha256()  # of the bytes parsed: the file is read once
         try:
             graph = load(args.graph, sha)
-            validate(graph, require_boundary=not (args.command == "curvature"
-                                                  and args.on == "g"))
+            validate(graph, require_boundary=not (args.command == "curvature" and args.on == "g"))
         except (OSError, GraphFormatError, GraphValidationError) as exc:
             sys.stderr.write(f"invalid graph file: {exc}\n")
             return 4
@@ -298,18 +299,13 @@ def main(argv=None) -> int:
             print(dumps_json({"valid": True, "graph_digest": digest}))
             return 0
     try:
-        results, code = args.func(graph, args)
+        results, code = run(graph, args)
     except NotApplicable as exc:
         sys.stderr.write(f"not applicable: {exc}\n")
         return 3
     if results is not None:
-        print(dumps_json({
-            "graph_digest": digest,
-            "invocation": {k: v for k, v in vars(args).items() if k != "func"},
-            "results": results,
-            "seed": getattr(args, "seed", None),
-            "tool_version": __version__,
-        }))
+        print(dumps_json({"graph_digest": digest, "invocation": vars(args), "results": results,
+                          "seed": getattr(args, "seed", None), "tool_version": __version__}))
     return code
 
 

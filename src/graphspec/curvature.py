@@ -146,7 +146,7 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
     ValueError for an ``n`` that is not above 1, and NotApplicable, naming
     the first such vertex, when ``t`` or the form is not finite, which
     happens only when the degrees in a 2-ball differ by more than the float
-    range.
+    range, or when ``K`` itself lies beyond the float range.
     """
     _require_connected(graph)
     if not n > 1.0:
@@ -184,10 +184,14 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
                     same = ks == k
                     if finite[x[same]].all():
                         least[x[same]] = symmetric_eigvalsh(forms[same, :k, :k])[:, 0]
+        values = scales * least
     if not finite.all():
         raise NotApplicable(f"the curvature forms at vertex {np.argmin(finite)} overflow: the "
                             "degrees in its 2-ball differ by more than the float range")
-    per = dict(enumerate((scales * least).tolist()))
+    if not np.isfinite(values).all():
+        raise NotApplicable(f"the curvature at vertex {np.argmin(np.isfinite(values))} overflows: "
+                            "it lies beyond the float range")
+    per = dict(enumerate(values.tolist()))
     return CurvatureResult(
         kind="BakryEmery",
         dimension=n,

@@ -330,6 +330,26 @@ def float_range_graph(rng) -> WeightedBoundaryGraph | None:
     return out
 
 
+def bakry_emery_overflow_graph() -> WeightedBoundaryGraph:
+    """Valid draw 1,867 of ``float_range_graph(default_rng(5))``: B = {0, 1},
+    max Deg 1.7e297.  Every Bakry-Emery form is finite, but K at vertex 4,
+    its power-of-two scale times its form's least eigenvalue, lies beyond
+    the float range, at n = 4 and at n = inf."""
+    measure = (4.795415354098765e42, 6.213715202555165e-127, 1.4691258978735704e-139,
+               2.4620258020285877e122, 408.6804017657928)
+    w = np.zeros((5, 5))
+    for (u, v), weight in {
+        (0, 2): 2.0573789472979446e86, (0, 3): 1.3729987064489078e229,
+        (0, 4): 3.00449480758298e187, (1, 2): 62.56118906331588,
+        (1, 4): 1.0627214139200336e171, (2, 4): 6.011340951907599e-94,
+        (3, 4): 8.042457791986353e162,
+    }.items():
+        w[u, v] = w[v, u] = weight
+    g = WeightedBoundaryGraph(measure=np.array(measure), weights=w, boundary=np.array([0, 1]))
+    validate(g)
+    return g
+
+
 def rigidity_overflow_graph(name: str) -> WeightedBoundaryGraph:
     """G1, G2, G3 or G4: B = {0, 1} joined to both interior vertices 2 and
     3, which share no edge.  On G1 and G2 the boundary weights factor with

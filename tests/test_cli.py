@@ -1,16 +1,19 @@
-import argparse
-import contextlib
 import builtins
+import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphspec
 from graphspec import cli, comparisons, operators
 from graphspec import graph as graph_module
 from graphspec.cli import dumps_json, main
@@ -28,7 +31,14 @@ from graphspec.graph import (
 )
 from graphspec.rigidity import ALL_RIGIDITY
 
-from builders import complete_bipartite, path_graph, rigidity_overflow_graph
+import replay
+from builders import (
+    bakry_emery_overflow_graph,
+    complete_bipartite,
+    float_range_graph,
+    path_graph,
+    rigidity_overflow_graph,
+)
 from oracle import (
     bakry_emery_by_polarization,
     dumps_json_reference,
@@ -36,6 +46,10 @@ from oracle import (
     ollivier_bruteforce,
     ollivier_by_enumeration,
 )
+
+
+SUBCOMMANDS = ("validate", "spectrum", "dump-operator", "compare", "certify", "curvature",
+               "bounds", "random-audit")
 
 
 @pytest.fixture()
@@ -52,9 +66,9 @@ def k22_file(tmp_path):
     return str(path)
 
 
-def run_streams(capsys, argv):
+def run_streams(capsys, argv, entry=main):
     try:
-        code = main(argv)
+        code = entry(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -442,6 +456,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("not applicable: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["4", "inf"])
+    def test_curvature_be_beyond_the_float_range(self, capsys, tmp_path, n):
+        # every Bakry-Emery form is finite, but K at vertex 4 overflows
+        path = tmp_path / "k_overflow.json"
+        save(bakry_emery_overflow_graph(), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_streams(capsys, ["curvature", "--graph", str(path),
+                                                  "--kind", "be", "--n", n])
+        assert (code, out) == (3, "")
+        assert err == ("not applicable: the curvature at vertex 4 overflows: it lies beyond "
+                       "the float range\n")
+
     def test_curvature_interior_disconnected(self, capsys, k22_file, p3_file):
         # K_{2,2}: two interior vertices, no interior edge; P3 with both ends
         # on the boundary: a single interior vertex
@@ -675,7 +702,7 @@ def test_certificates_and_reports_are_written_as_their_fields(corpus):
                 objs.append(certify_lichnerowicz(g, variant))
         for kind in ("be", "ollivier"):
             with contextlib.suppress(NotApplicable):
-                args = argparse.Namespace(kind=kind, n="4", on="g")
+                args = types.SimpleNamespace(kind=kind, n="4", on="g")
                 curvatures.append(cli.cmd_curvature(g, args)[0])
     theorems = {obj.theorem_id for obj in objs}
     assert theorems >= set(comparisons.ALL_COMPARISONS) | set(ALL_RIGIDITY) | {
@@ -768,19 +795,11 @@ class TestDeterminism:
         assert np.abs(np.array(lam) - 2.0).max() <= 1e-12
 
     def test_help_lists_all_subcommands(self, capsys):
-        code, out = run(capsys, ["--help"])
-        assert code == 0
-        for name in (
-            "validate",
-            "spectrum",
-            "dump-operator",
-            "compare",
-            "certify",
-            "curvature",
-            "bounds",
-            "random-audit",
-        ):
-            assert name in out
+        for flag in ("-h", "--help"):
+            code, out = run(capsys, [flag])
+            assert code == 0
+            for name in SUBCOMMANDS:
+                assert name in out
 
 
 class TestDerivedPartsBuiltOnce:
@@ -837,23 +856,69 @@ class TestDerivedPartsBuiltOnce:
                 assert ids["distances"] == [id(sub)]
 
 
-class TestParserReuse:
-    def test_parser_built_at_most_once(self, monkeypatch, capsys, k22_file):
-        builds = []
-        build = cli.build_parser
+class TestCommandLine:
+    """The option table's grammar: ``--opt value`` or ``--opt=value`` under
+    exact names, the last of a repeated option, and usage errors that exit 1
+    before any file is read."""
 
-        def spy():
-            builds.append(1)
-            return build()
+    def test_equals_form_reads_as_the_spaced_form(self, capsys, p3_file):
+        spaced = ["curvature", "--graph", p3_file, "--kind", "be", "--n", "4", "--on", "g"]
+        joined = ["curvature", f"--graph={p3_file}", "--kind=be", "--n=4", "--on=g"]
+        first = run_streams(capsys, spaced)
+        assert first[0] == 0
+        assert run_streams(capsys, joined) == first
 
-        monkeypatch.setattr(cli, "build_parser", spy)
-        for _ in range(3):
-            run(capsys, ["compare", "--graph", k22_file])
-            run(capsys, ["certify", "--graph", k22_file, "--theorem", "NeuVsLap"])
-            run(capsys, ["compare", "--graph", k22_file, "--tol", "-1"])
-        assert len(builds) <= 1
+    def test_repeated_option_keeps_its_last_value(self, capsys, p3_file):
+        once = run_streams(capsys, ["compare", "--graph", p3_file, "--tol", "1e-6",
+                                    "--theorems", "NeuVsLap"])
+        assert once[0] == 0
+        assert run_streams(capsys, [
+            "compare", "--theorems", "all", "--graph", "missing.json", "--tol", "1",
+            "--graph", p3_file, "--tol", "1e-6", "--theorems", "NeuVsLap"]) == once
 
-    def test_reused_parser_keeps_no_state(self, monkeypatch, capsys, k22_file, p3_file):
+    @pytest.mark.parametrize("args", [
+        ["compare", "--graph", "GRAPH", "--tol"],  # an option without its value
+        ["compare", "--graph", "GRAPH", "--bogus"],  # an unknown option
+        ["compare", "--graph", "GRAPH", "extra"],  # a stray positional argument
+        ["compare", "--graph", "GRAPH", "--theo", "all"],  # an abbreviation
+        ["compare", "--gr", "GRAPH"],
+        ["compare", "--graph", "-x"],
+        ["compare", "--graph", "GRAPH", "--table=yes"],  # a flag takes no value
+        [],  # no subcommand
+        ["--graph", "GRAPH", "compare"],
+    ], ids=lambda args: " ".join(args) or "none")
+    def test_usage_error_exits_1_before_any_file_is_read(self, monkeypatch, capsys, p3_file,
+                                                          args):
+        opened = []
+        monkeypatch.setattr(cli, "load", lambda *a: opened.append(a))
+        code, out, err = run_streams(capsys, [p3_file if a == "GRAPH" else a for a in args])
+        assert (code, out, opened) == (1, "", [])
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: graphspec")
+        assert [line for line in lines if line.startswith("error: ")] == lines[1:]
+        assert len(lines) == 2
+
+    @pytest.mark.parametrize("command, names", [
+        (["validate"], ["--graph"]),
+        (["spectrum"], ["--graph"]),
+        (["dump-operator"], ["--graph", "--operator"]),
+        (["compare"], ["--graph", "--theorems", "--tol", "--table"]),
+        (["certify"], ["--graph", "--theorem", "--tol"]),
+        (["curvature"], ["--graph", "--kind", "--n", "--on"]),
+        (["bounds"], ["--graph", "--family", "--tol"]),
+        (["random-audit"], ["--n", "--max-v", "--seed", "--tol", "--curvature"]),
+    ], ids=lambda v: v[0])
+    def test_subcommand_help_exits_0_and_names_every_option(self, capsys, command, names):
+        for flag in ("-h", "--help"):
+            code, out, err = run_streams(capsys, [*command, flag])
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: graphspec {command[0]} ")
+            assert all(name in out for name in names)
+
+    def test_version(self, capsys):
+        assert run_streams(capsys, ["--version"]) == (0, graphspec.__version__ + "\n", "")
+
+    def test_each_call_reads_as_the_first_of_its_process(self, capsys, k22_file, p3_file):
         calls = [
             ["compare", "--graph", k22_file, "--tol", "-1"],  # usage error
             ["compare", "--graph", k22_file, "--theorems", "all"],
@@ -867,12 +932,99 @@ class TestParserReuse:
             ["certify", "--graph", p3_file, "--theorem", "Bogus"],  # usage error
         ]
         first = {}
-        for argv in calls:  # each call as the first of its process
-            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
-            first[tuple(argv)] = run_streams(capsys, argv)
+        for argv in calls:  # each call through a newly executed copy of the module
+            spec = importlib.util.spec_from_file_location("graphspec._first_cli", cli.__file__)
+            fresh = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(fresh)
+            first[tuple(argv)] = run_streams(capsys, argv, fresh.main)
         assert first[tuple(calls[0])][0] == 1
         for argv in calls + calls[::-1]:
             assert run_streams(capsys, argv) == first[tuple(argv)]
+
+    def test_invocation_echo_is_pinned(self, capsys, tmp_path):
+        """Each report's ``invocation``, value types included, with each
+        subcommand's defaults and with every option that keeps the report set."""
+        path = tmp_path / "p5.json"
+        save(path_graph(5, boundary=[0, 4]), path)
+        g = str(path)
+        expected = [
+            (["spectrum"], {"command": "spectrum", "graph": g}),
+            (["dump-operator"],
+             {"command": "dump-operator", "graph": g, "operator": "FullLaplacian"}),
+            (["dump-operator", "--operator", "NeumannLaplacian"],
+             {"command": "dump-operator", "graph": g, "operator": "NeumannLaplacian"}),
+            (["compare"], {"command": "compare", "graph": g, "table": False,
+                           "theorems": "all", "tol": 1e-09}),
+            (["compare", "--theorems", "NeuVsLap,LapVsDiri", "--tol", "1e-6"],
+             {"command": "compare", "graph": g, "table": False,
+              "theorems": "NeuVsLap,LapVsDiri", "tol": 1e-06}),
+            (["certify", "--theorem", "NeuVsLap"],
+             {"command": "certify", "graph": g, "theorem": "NeuVsLap", "tol": 1e-07}),
+            (["certify", "--theorem", "NeuVsLap", "--tol", "1e-3"],
+             {"command": "certify", "graph": g, "theorem": "NeuVsLap", "tol": 0.001}),
+            (["curvature", "--kind", "be"],
+             {"command": "curvature", "graph": g, "kind": "be", "n": "inf", "on": "g"}),
+            (["curvature", "--kind", "be", "--n", "1.5", "--on", "interior"],
+             {"command": "curvature", "graph": g, "kind": "be", "n": "1.5", "on": "interior"}),
+            (["bounds", "--family", "fiedler"],
+             {"command": "bounds", "family": "fiedler", "graph": g, "tol": 1e-09}),
+            (["bounds", "--family", "friedman", "--tol", "1e-6"],
+             {"command": "bounds", "family": "friedman", "graph": g, "tol": 1e-06}),
+            (["random-audit"], {"command": "random-audit", "curvature": False, "max_v": 12,
+                                "n": 200, "seed": 42, "tol": 1e-09}),
+            (["random-audit", "--n", "2", "--max-v", "5", "--seed", "3", "--tol", "1e-8",
+              "--curvature"], {"command": "random-audit", "curvature": True, "max_v": 5,
+                               "n": 2, "seed": 3, "tol": 1e-08}),
+        ]
+        assert {argv[0] for argv, _ in expected} == set(SUBCOMMANDS) - {"validate"}
+        for argv, invocation in expected:
+            graph = [] if argv[0] == "random-audit" else ["--graph", g]
+            code, out, _ = run_streams(capsys, [*argv, *graph])
+            assert code in (0, 2), argv
+            echoed = json.loads(out)["invocation"]
+            assert {k: (type(v), v) for k, v in echoed.items()} == {
+                k: (type(v), v) for k, v in invocation.items()}, argv
+
+
+# fixed before the sweep was first run
+FLOAT_RANGE_DRAWS = 150
+
+
+def test_every_command_on_float_range_draws(tmp_path):
+    """The first FLOAT_RANGE_DRAWS valid draws of
+    ``float_range_graph(default_rng(5))``, and the graph whose Bakry-Emery K
+    overflows, under every graph command of the replay but ``validate``,
+    ``dump-operator`` and ``compare --table``, with every warning an error.
+    No call ends in a traceback (exit 1): each exits 0, 2 or 3, an exit 3
+    writes one stderr line, and no certificate but LapVsDiri reads
+    ``FailsAt``; LapVsDiri's full-equality anomaly is not rounding (ROADMAP
+    item 2)."""
+    rng = np.random.default_rng(5)
+    graphs = []
+    while len(graphs) < FLOAT_RANGE_DRAWS:
+        g = float_range_graph(rng)
+        if g is not None:
+            graphs.append(g)
+    graphs.append(bakry_emery_overflow_graph())
+    commands = [command for command in replay.GRAPH_COMMANDS
+                if command[0] not in ("validate", "dump-operator") and "--table" not in command]
+    failing = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, g in enumerate(graphs):
+            path = tmp_path / f"draw{k}.json"
+            save(g, path)
+            for command in commands:
+                code, out, err = replay.run_call([*command, "--graph", str(path)])
+                assert code in (0, 2, 3), (k, command, err)
+                if code == 3:
+                    assert err.startswith("not applicable: ") and err.count("\n") == 1
+                    continue
+                results = json.loads(out)["results"]
+                for cert in results if isinstance(results, list) else [results]:
+                    if cert.get("verdict") == "FailsAt":
+                        failing.add(cert["theorem_id"])
+    assert failing <= {"LapVsDiri"}
 
 
 FLOATS = st.one_of(

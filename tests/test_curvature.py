@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from graphspec.graph import WeightedBoundaryGraph, degree_vector, interior_subgr
 from graphspec.operators import full_laplacian
 from graphspec.spectra import symmetric_eigvalsh
 
-from builders import complete_bipartite, path_graph
+from builders import bakry_emery_overflow_graph, complete_bipartite, path_graph
 from oracle import (
     bakry_emery_by_polarization,
     bakry_emery_forms,
@@ -376,6 +377,15 @@ class TestBakryEmery:
         g = WeightedBoundaryGraph(measure=np.ones(6), weights=w + w.T, boundary=np.array([5]))
         with pytest.raises(NotApplicable, match="vertex 0"):
             bakry_emery_curvature(g, 4.0)
+
+    @pytest.mark.parametrize("n", [4.0, math.inf])
+    def test_curvature_beyond_the_float_range_is_not_applicable(self, n):
+        # every form is finite, but the scale times the least eigenvalue at
+        # vertex 4 overflows: refused without a warning, not K = -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotApplicable, match="curvature at vertex 4 overflows"):
+                bakry_emery_curvature(bakry_emery_overflow_graph(), n)
 
     def test_one_stacked_eigensolve_per_sphere_size(self, monkeypatch):
         # every vertex's form is solved once, in the one stacked call of
