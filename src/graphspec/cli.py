@@ -14,6 +14,8 @@ exits 3, with ``not applicable: ...`` on stderr and no report; LapVsDiri
 raises it where equality fails at two or more indices.  ``validate`` writes
 only ``valid`` and ``graph_digest``, ``compare --table`` prints a text table
 in place of the report, and ``random-audit`` reads no graph and echoes its seed.
+A stdout whose reader has gone before the output is written exits 1, with
+nothing on stderr.
 
 ``dumps_json`` writes the JSON output, deterministic for a fixed (input, flags,
 seed), in one pass with a 2-space indent: string keys sorted, ``float`` (NumPy
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 import sys
 from dataclasses import is_dataclass, replace
@@ -248,7 +251,7 @@ def _parse(argv):
     command = argv[0] if argv else None
     if command not in COMMANDS:
         if command in ("-h", "--help", "--version"):
-            print(__version__ if command == "--version" else _help(None))
+            print(__version__ if command == "--version" else _help(None), flush=True)
             raise SystemExit(0)
         _fail(None, f"invalid command {command!r}" if argv else "a command is required")
     run, _, options = COMMANDS[command]
@@ -257,7 +260,7 @@ def _parse(argv):
     for word in words:
         flag, eq, text = word.partition("=")
         if flag in ("-h", "--help") and not eq:
-            print(_help(command))
+            print(_help(command), flush=True)
             raise SystemExit(0)
         option = options.get(flag)
         if option is None or eq and option.kind is None:
@@ -284,29 +287,37 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
-    run, args = _parse(sys.argv[1:] if argv is None else argv)
-    graph = digest = None
-    if args.command != "random-audit":
-        sha = hashlib.sha256()  # of the bytes parsed: the file is read once
-        try:
-            graph = load(args.graph, sha)
-            validate(graph, require_boundary=not (args.command == "curvature" and args.on == "g"))
-        except (OSError, GraphFormatError, GraphValidationError) as exc:
-            sys.stderr.write(f"invalid graph file: {exc}\n")
-            return 4
-        digest = sha.hexdigest()
-        if args.command == "validate":
-            print(dumps_json({"valid": True, "graph_digest": digest}))
-            return 0
     try:
-        results, code = run(graph, args)
-    except NotApplicable as exc:
-        sys.stderr.write(f"not applicable: {exc}\n")
-        return 3
-    if results is not None:
-        print(dumps_json({"graph_digest": digest, "invocation": vars(args), "results": results,
-                          "seed": getattr(args, "seed", None), "tool_version": __version__}))
-    return code
+        run, args = _parse(sys.argv[1:] if argv is None else argv)
+        graph = digest = None
+        if args.command != "random-audit":
+            sha = hashlib.sha256()  # of the bytes parsed: the file is read once
+            try:
+                graph = load(args.graph, sha)
+                validate(graph,
+                         require_boundary=not (args.command == "curvature" and args.on == "g"))
+            except (OSError, GraphFormatError, GraphValidationError) as exc:
+                sys.stderr.write(f"invalid graph file: {exc}\n")
+                return 4
+            digest = sha.hexdigest()
+            if args.command == "validate":
+                print(dumps_json({"valid": True, "graph_digest": digest}), flush=True)
+                return 0
+        try:
+            results, code = run(graph, args)
+        except NotApplicable as exc:
+            sys.stderr.write(f"not applicable: {exc}\n")
+            return 3
+        if results is not None:
+            print(dumps_json({"graph_digest": digest, "invocation": vars(args), "results": results,
+                              "seed": getattr(args, "seed", None), "tool_version": __version__}))
+        sys.stdout.flush()  # the report or table; a closed pipe shows here
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: what is still buffered goes to
+        # devnull, so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -290,7 +290,8 @@ def volumes(graph: WeightedBoundaryGraph) -> tuple[float, float, float]:
 # JSON format: {"vertices": [{"id", "measure"}...],
 #               "edges": [{"u", "v", "weight"}...], "boundary": [int...]}
 
-_TOP_KEYS = ("vertices", "edges", "boundary")
+_TOP_KEYS = ("vertices", "edges", "boundary")  # in the order a missing key is named
+_TOP_KEY_SET = frozenset(_TOP_KEYS)
 
 
 def _number(value, what) -> float:
@@ -327,7 +328,7 @@ def _by_records(doc) -> WeightedBoundaryGraph:
     document order; the first fault raises its ``GraphFormatError``."""
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
-    unknown = set(doc) - set(_TOP_KEYS)
+    unknown = set(doc) - _TOP_KEY_SET
     if unknown:
         raise GraphFormatError(f"unknown keys: {sorted(unknown)}")
     for key in _TOP_KEYS:
@@ -372,51 +373,42 @@ def _columns(items, fields: tuple):
         return None
 
 
-def _indices(values: list, n: int):
-    """``values`` as an index array, or ``None`` unless each is a plain
-    ``int`` in 0..n-1."""
-    if set(map(type, values)) - {int} or values and not 0 <= min(values) <= max(values) < n:
-        return None
-    return np.array(values, dtype=np.intp)
-
-
-def _numbers(values: list):
-    """``values`` as a float array, or ``None`` unless each is a plain
-    ``int`` or ``float`` that converts."""
-    if set(map(type, values)) - {int, float}:
-        return None
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-
-
 def _by_columns(doc):
     """The graph of ``doc`` with each field read as one column over its
     records, or ``None`` when ``doc`` has a fault of any kind; which fault
-    comes first is left to ``_by_records``."""
-    if not isinstance(doc, dict) or doc.keys() != set(_TOP_KEYS):
+    comes first is left to ``_by_records``.  The vertex ids, both edge ends
+    and the boundary are joined into one list, which gets one type test, one
+    range test and one conversion; so are the measures and the weights."""
+    if not isinstance(doc, dict) or doc.keys() != _TOP_KEY_SET:
         return None
     vertices = _columns(doc["vertices"], ("id", "measure"))
     edges = _columns(doc["edges"], ("u", "v", "weight"))
     if vertices is None or edges is None or type(doc["boundary"]) is not list:
         return None
-    n = len(doc["vertices"])
-    ids, us, vs, boundary = (_indices(c, n) for c in (vertices[0], *edges[:2], doc["boundary"]))
-    masses, ws = _numbers(vertices[1]), _numbers(edges[2])
-    if any(a is None for a in (ids, us, vs, boundary, masses, ws)):
+    n, k = len(vertices[0]), len(edges[0])
+    indices = vertices[0] + edges[0] + edges[1] + doc["boundary"]
+    numbers = vertices[1] + edges[2]
+    if (set(map(type, indices)) - {int} or set(map(type, numbers)) - {int, float}
+            or indices and not 0 <= min(indices) <= max(indices) < n):
         return None
+    try:
+        numbers = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    indices = np.array(indices, dtype=np.intp)
+    ids, us, vs = indices[:n], indices[n:n + k], indices[n + k:n + 2 * k]
+    # a repeated pair sits beside its twin once sorted; a bincount of the
+    # pairs would take |V|^2 counts on a large sparse document
     pairs = np.minimum(us, vs) * n + np.maximum(us, vs)
-    # once sorted, a repeated id or pair sits beside its twin (a sort is
-    # much faster here than np.unique, which hashes)
-    if (us == vs).any() or any((np.diff(np.sort(k)) == 0).any() for k in (ids, pairs)):
+    if ((np.bincount(ids) > 1).any() or (us == vs).any()
+            or (np.diff(np.sort(pairs)) == 0).any()):
         return None
     measure = np.empty(n)
-    measure[ids] = masses
+    measure[ids] = numbers[:n]
     weights = np.zeros((n, n))
-    weights[us, vs] = ws
-    weights[vs, us] = ws
-    return WeightedBoundaryGraph(measure=measure, weights=weights, boundary=boundary)
+    weights[us, vs] = numbers[n:]
+    weights[vs, us] = numbers[n:]
+    return WeightedBoundaryGraph(measure=measure, weights=weights, boundary=indices[n + 2 * k:])
 
 
 def from_json_dict(doc: dict) -> WeightedBoundaryGraph:

@@ -5,6 +5,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
 
@@ -917,6 +920,25 @@ class TestCommandLine:
 
     def test_version(self, capsys):
         assert run_streams(capsys, ["--version"]) == (0, graphspec.__version__ + "\n", "")
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--graph", "GRAPH"],
+        ["compare", "--graph", "GRAPH", "--table"],
+        ["validate", "--graph", "GRAPH"],
+        ["--help"],
+    ], ids=" ".join)
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self, p3_file, args):
+        """The reader of stdout goes away before anything is written: the pipe
+        is closed while the child is still importing numpy, so its first
+        write or flush finds no reader."""
+        src = os.path.dirname(os.path.dirname(graphspec.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "graphspec.cli",
+             *(p3_file if a == "GRAPH" else a for a in args)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err.decode()) == (1, "")
 
     def test_each_call_reads_as_the_first_of_its_process(self, capsys, k22_file, p3_file):
         calls = [
