@@ -45,9 +45,10 @@ point runs the transport pass on one edge.  The Laplacian, the
 power-of-two scales and the hop distances are set up once per graph.  The
 vertices' forms are assembled in blocks, as a few (vertices x S_1 x
 vertices) array expressions with each ``S_1`` padded to a width set by
-``|S_1|`` alone, and the forms of one ``|S_1|`` in a block are solved in
-one stacked eigenvalue call, so a vertex's K is the same number whichever
-vertices share its block.  Every edge's closed-form transport part is one
+``|S_1|`` and the graph's largest ``|S_1|``, not by the block, and the
+forms of one ``|S_1|`` in a block are solved in one stacked eigenvalue
+call, so a vertex's K is the same number whichever vertices share its
+block.  Every edge's closed-form transport part is one
 row of a few (edges x vertices) array expressions, and only edges with a
 pair that gains solve a flow.  Those rows are summed left to right, in a
 fixed order that does not depend on the BLAS library, so an edge's kappa
@@ -98,7 +99,8 @@ def _require_connected(graph: WeightedBoundaryGraph) -> None:
 # (vertices x rows x columns) entries per whole-array pass of
 # bakry_emery_curvature, which bounds its temporaries on large graphs
 _FORM_ENTRIES = 1 << 18
-# each S_1 is padded up to a multiple of this many vertices
+# each S_1 is padded up to a multiple of this many vertices, at most the
+# graph's largest |S_1|
 _PAD_STEP = 16
 
 
@@ -135,9 +137,10 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
     The Laplacian, the power-of-two scales and the float error state are set
     up once.  A spare vertex, with a zero row and column of the Laplacian,
     pads each ``S_1`` up to a multiple of ``_PAD_STEP`` vertices, at most
-    the graph's largest ``|S_1|``.  That width depends on ``|S_1|`` alone,
-    so a vertex's form is the same number whichever vertices share its
-    block.  The vertices are taken in order of ``|S_1|``, in blocks of one
+    the graph's largest ``|S_1|``; below ``_PAD_STEP`` that is the largest
+    ``|S_1|`` for every vertex.  The width depends on the graph, not on the
+    block, so a vertex's form is the same number whichever vertices share
+    its block.  The vertices are taken in order of ``|S_1|``, in blocks of one
     width that bound the temporaries, and each block's forms are assembled
     at once (``_bakry_emery_forms``).  The forms of one ``|S_1|`` in a block
     are solved in one stacked eigenvalue call, without their padding.
@@ -170,7 +173,7 @@ def bakry_emery_curvature(graph: WeightedBoundaryGraph, n: float) -> CurvatureRe
     least = np.zeros(nv)
     finite = np.zeros(nv, dtype=bool)
     order = np.argsort(sizes, kind="stable")
-    # sorted(set(...)) rather than np.unique, whose first call imports numpy.ma
+    # sorted(set(...)): numpy's unique imports numpy.ma on its first call
     with np.errstate(all="ignore"):
         for width in sorted(set(widths.tolist())):
             same_width = order[widths[order] == width]

@@ -65,15 +65,14 @@ class WeightedBoundaryGraph:
     def __post_init__(self):
         """Take C-contiguous float copies of the measure and weights and an
         index copy of the boundary, and make all three read-only, so the
-        caller's arrays stay writable and unshared.  The boundary is
-        flattened, and sorted with repeats dropped by ``np.unique`` only when
-        it is not already strictly increasing, as every drawn, loaded or
-        derived graph's is."""
+        caller's arrays stay writable and unshared.  The boundary is cast to
+        indices, flattened, and sorted with repeats dropped, whatever its
+        order, by sorted(set(...)): numpy's unique imports numpy.ma on its
+        first call."""
         m = np.array(self.measure, dtype=float, order="C")
         w = np.array(self.weights, dtype=float, order="C")
         b = np.array(self.boundary, dtype=np.intp).ravel()
-        if b.size > 1 and not (b[:-1] < b[1:]).all():
-            b = np.unique(b)
+        b = np.array(sorted(set(b.tolist())), dtype=np.intp)
         if m.ndim != 1 or w.shape != (m.size, m.size):
             raise GraphFormatError("measure/weights shape mismatch")
         if b.size and (b[0] < 0 or b[-1] >= m.size):

@@ -15,7 +15,8 @@ builder perturbs one quantity so the condition fails.
 Three recipes span the float range: a family of rho-factorized draws,
 seeded draws with every measure and weight redrawn across the range, and
 the graphs G1 and G2 of the same shape, on which the NeuVsLap quadratic
-form overflows.
+form overflows.  ``float_range_graphs`` names the valid graphs at the ends
+of the float range that the CLI tests and the replay share.
 """
 
 from __future__ import annotations
@@ -348,6 +349,63 @@ def bakry_emery_overflow_graph() -> WeightedBoundaryGraph:
     g = WeightedBoundaryGraph(measure=np.array(measure), weights=w, boundary=np.array([0, 1]))
     validate(g)
     return g
+
+
+def graph_from_edges(measure, edges, boundary) -> WeightedBoundaryGraph:
+    """The graph with the vertex masses ``measure``, an edge of weight ``w``
+    for each ``(u, v, w)`` of ``edges``, and the boundary ``boundary``."""
+    w = np.zeros((len(measure), len(measure)))
+    for u, v, weight in edges:
+        w[u, v] = w[v, u] = weight
+    return WeightedBoundaryGraph(measure=np.asarray(measure, dtype=float), weights=w,
+                                 boundary=np.asarray(boundary))
+
+
+def float_range_graphs() -> dict:
+    """The named valid graphs at the ends of the float range, which the CLI
+    tests and the replay (``tests/replay.py``) run, by name.
+
+    * overflowing-degree: finite entries, but Deg(1) = 2e300 / 1e-320 is not;
+    * doubled-degree: every Deg at most 1.5e308, but 2 Deg(0) overflows;
+    * span-A, span-B: B = {0, 1} joined to both of the interior vertices 2
+      and 3 (edge 2-3 of weight 1) with weight a from 0 and b from 1,
+      (a, b) = (1e-10, 8e297) or (1e300, 1e-300); span-P: the path 0-1-2
+      with B = {0, 2} and the weights of span-A;
+    * rho: B = {0} joined to both interior vertices with weight 1e300, all
+      measures 1e-5, so rho = 1e310 overflows while rho m_x does not;
+    * full-equality: the path with B = {0} and interior measures 1e-8;
+    * be-heavy, be-light, ollivier-heavy, be-overflow: the path with
+      B = {0, 2} and both weights 1e200, 1e-13 or 4e307, or 1e10 and 1e-315;
+    * ends-coupling, ends-spread: the path 0-1-2 with B = {0}, w_01 = 1e-30
+      and m_0 or m_1 = 1e300; ends-rho_fit: the triangle with B = {0} and
+      m = (1, 1e-300, 1e300).
+    """
+    def path(weights, measure=None, boundary=(0, 2)):
+        return path_graph(3, boundary=boundary, weights=weights, measure=measure)
+
+    span = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    return {
+        "overflowing-degree": path([1e300, 1e300], [1.0, 1e-320, 1.0]),
+        "doubled-degree": graph_from_edges([1.0] * 4, [(u, v, 5e307) for u, v in
+                                                       [*span, (2, 3)]], [0]),
+        **{name: graph_from_edges([1.0] * 4, [(u, v, a if u == 0 else b) for u, v in span]
+                                  + [(2, 3, 1.0)], [0, 1])
+           for name, (a, b) in {"span-A": (1e-10, 8e297), "span-B": (1e300, 1e-300)}.items()},
+        "span-P": path([1e-10, 8e297]),
+        "rho": graph_from_edges([1e-5] * 3, [(0, 1, 1e300), (0, 2, 1e300), (1, 2, 1e-10)], [0]),
+        "full-equality": path([1.0, 1.0], [1.0, 1e-8, 1e-8], boundary=[0]),
+        "be-heavy": path([1e200, 1e200]),
+        "be-light": path([1e-13, 1e-13]),
+        "ollivier-heavy": path([4e307, 4e307]),
+        "be-overflow": path([1e10, 1e-315]),
+        **{f"ends-{name}": graph_from_edges(measure, [(0, 1, w01), (0, 2, w02), (1, 2, 1.0)],
+                                            [0])
+           for name, (measure, w01, w02) in {
+               "coupling": ((1e300, 1.0, 1.0), 1e-30, 0.0),
+               "spread": ((1.0, 1e300, 1.0), 1e-30, 0.0),
+               "rho_fit": ((1.0, 1e-300, 1e300), 1.0, 1.0),
+           }.items()},
+    }
 
 
 def rigidity_overflow_graph(name: str) -> WeightedBoundaryGraph:

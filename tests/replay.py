@@ -13,7 +13,8 @@ output depends on where they were written.  The inputs are
 * the audit corpus: the 200 graphs ``random_graph(default_rng(42), 12)``;
 * 30 scale graphs: 5 each of unit and lognormal weights at |V| = 16, 24
   and 32, drawn from ``default_rng(7)``, redrawn until |V| is exact;
-* the graphs of ``test_cli.py`` at the ends of the float range;
+* the graphs of ``builders.float_range_graphs``, at the ends of the
+  float range;
 
 each under ``spectrum``, ``compare``, ``bounds`` x 2, ``certify`` x 7,
 ``curvature`` x 8 (``be`` at n = 4, inf and 1.5, and ``ollivier``, each
@@ -28,10 +29,12 @@ reports, first, every call whose decisions differ from FILE's: exit code,
 stderr, verdict, ``equal`` flag, failing or equality index, rigidity
 conclusion, or the shape of the output.  Second, per command, how many
 stdouts moved, and the largest move of a number divided by
-max(1, max Deg).  It exits 1 when a decision changed.  A ``compare --table``
-is read in the shape of ``compare``'s JSON: each verdict line's theorem id
-and verdict, and each index line's index, are decisions, and the numbers
-after ``lhs=``, ``rhs=`` and ``margin=`` move like any JSON number.
+max(1, max Deg).  It exits 1 when a decision changed and 0 otherwise,
+whether or not the reader of stdout stays for the report.  A
+``compare --table`` is read in the shape of ``compare``'s JSON: each
+verdict line's theorem id and verdict, and each index line's index, are
+decisions, and the numbers after ``lhs=``, ``rhs=`` and ``margin=`` move
+like any JSON number.
 
 ``decision_digest`` hashes the decisions alone, with every float left out,
 of the spectral commands and the audit without curvature;
@@ -45,6 +48,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from collections import defaultdict
@@ -57,11 +61,11 @@ if __name__ == "__main__":
 
 from graphspec.cli import main  # noqa: E402
 from graphspec.fixtures import random_graph  # noqa: E402
-from graphspec.graph import WeightedBoundaryGraph, degree_vector, save  # noqa: E402
+from graphspec.graph import degree_vector, save  # noqa: E402
 from graphspec.operators import BUILDERS  # noqa: E402
 from graphspec.rigidity import ALL_RIGIDITY  # noqa: E402
 
-from builders import path_graph  # noqa: E402
+from builders import float_range_graphs  # noqa: E402
 
 SPECTRAL_COMMANDS = (
     ("spectrum",),
@@ -101,49 +105,6 @@ DECISIONS = {
     "lichnerowicz_checked", "valid",
 }
 CONTAINERS = {"results", "per_index", "conditions", "extra", "failures"}
-
-
-def _path(weights, measure=None, boundary=(0, 2)):
-    return path_graph(3, boundary=boundary, weights=weights, measure=measure)
-
-
-def _graph(measure, edges, boundary):
-    w = np.zeros((len(measure), len(measure)))
-    for u, v, weight in edges:
-        w[u, v] = w[v, u] = weight
-    return WeightedBoundaryGraph(measure=np.asarray(measure, dtype=float), weights=w,
-                                 boundary=np.asarray(boundary))
-
-
-def float_range_graphs():
-    """The graphs of ``test_cli.py`` at the ends of the float range, by name."""
-    two_boundary = {
-        name: _graph([1.0] * 4, [(0, 2, a), (0, 3, a), (1, 2, b), (1, 3, b), (2, 3, 1.0)],
-                     [0, 1])
-        for name, (a, b) in {"span-A": (1e-10, 8e297), "span-B": (1e300, 1e-300)}.items()
-    }
-    ends = {
-        f"ends-{name}": _graph(measure, [(0, 1, w01), (0, 2, w02), (1, 2, 1.0)], [0])
-        for name, (measure, w01, w02) in {
-            "coupling": ((1e300, 1.0, 1.0), 1e-30, 0.0),
-            "spread": ((1.0, 1e300, 1.0), 1e-30, 0.0),
-            "rho_fit": ((1.0, 1e-300, 1e300), 1.0, 1.0),
-        }.items()
-    }
-    return {
-        "overflowing-degree": _path([1e300, 1e300], [1.0, 1e-320, 1.0]),
-        "doubled-degree": _graph([1.0] * 4, [(u, v, 5e307) for u, v in
-                                             [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]], [0]),
-        **two_boundary,
-        "span-P": _path([1e-10, 8e297]),
-        "rho": _graph([1e-5] * 3, [(0, 1, 1e300), (0, 2, 1e300), (1, 2, 1e-10)], [0]),
-        "full-equality": _path([1.0, 1.0], [1.0, 1e-8, 1e-8], boundary=[0]),
-        "be-heavy": _path([1e200, 1e200]),
-        "be-light": _path([1e-13, 1e-13]),
-        "ollivier-heavy": _path([4e307, 4e307]),
-        "be-overflow": _path([1e10, 1e-315]),
-        **ends,
-    }
 
 
 def graphs():
@@ -331,12 +292,19 @@ def cli(argv=None) -> int:
     if not (args.out or args.against):
         parser.error("give --out, --against or both")
     records = replay()
-    print(f"decision digest {decision_digest(records)}")
     if args.out:
         _write(records, args.out)
-    if args.against:
-        return 0 if compare(_read(args.against), records) else 1
-    return 0
+    report = io.StringIO()
+    same = compare(_read(args.against), records, report) if args.against else True
+    try:
+        print(f"decision digest {decision_digest(records)}")
+        sys.stdout.write(report.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: what is still buffered goes to
+        # devnull, so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

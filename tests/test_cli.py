@@ -26,7 +26,6 @@ from graphspec.curvature import LICHNEROWICZ_VARIANTS, certify_lichnerowicz
 from graphspec.fixtures import random_graph
 from graphspec.graph import (
     NotApplicable,
-    WeightedBoundaryGraph,
     degree_vector,
     interior_subgraph,
     save,
@@ -39,6 +38,8 @@ from builders import (
     bakry_emery_overflow_graph,
     complete_bipartite,
     float_range_graph,
+    float_range_graphs,
+    graph_from_edges,
     path_graph,
     rigidity_overflow_graph,
 )
@@ -172,9 +173,8 @@ class TestExitCodes:
     )
     def test_overflowing_degree_is_invalid_graph(self, capsys, tmp_path, command):
         # every entry is finite, but Deg(1) = 2e300 / 1e-320 is not
-        g = path_graph(3, boundary=[0, 2], weights=[1e300, 1e300], measure=[1.0, 1e-320, 1.0])
         path = tmp_path / "huge.json"
-        save(g, path)
+        save(float_range_graphs()["overflowing-degree"], path)
         code, out = run(capsys, [*command, "--graph", str(path)])
         assert code == 4
         assert out == ""
@@ -188,12 +188,8 @@ class TestExitCodes:
     def test_doubled_degree_overflow_is_invalid_graph(self, capsys, tmp_path, command):
         # every Deg is finite, at most 1.5e308, but 2 Deg(0) = 2e308 is not;
         # the eigensolver's s + s.T and the edge curvature 2-3 reach 2 max Deg
-        w = np.zeros((4, 4))
-        for u, v in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-            w[u, v] = w[v, u] = 5e307
-        g = WeightedBoundaryGraph(measure=np.ones(4), weights=w, boundary=np.array([0]))
         path = tmp_path / "doubled.json"
-        save(g, path)
+        save(float_range_graphs()["doubled-degree"], path)
         code, out, err = run_streams(capsys, [*command, "--graph", str(path)])
         assert (code, out) == (4, "")
         assert err == "invalid graph file: NonfiniteValue: 0\n"
@@ -285,7 +281,7 @@ class TestExitCodes:
         # every LapVsDiri index reads equal under a tolerance sized by the
         # tiny interior measures; ROADMAP item 2 will revisit this input
         path = tmp_path / "p3_light_interior.json"
-        save(path_graph(3, boundary=[0], measure=[1.0, 1e-8, 1e-8]), path)
+        save(float_range_graphs()["full-equality"], path)
         code, out = run(capsys, ["certify", "--graph", str(path), "--theorem", "LapVsDiri"])
         assert code == 2
         results = json.loads(out)["results"]
@@ -320,18 +316,8 @@ class TestExitCodes:
         # (edge 2-3 of weight 1) with weight a from 0 and b from 1; P: the
         # path 0-1-2 with boundary {0, 2}.  The rank-one term of the NeuVsLap
         # form and the squared weights of the boundary influence overflowed.
-        a, b = {"A": (1e-10, 8e297), "B": (1e300, 1e-300), "P": (1e-10, 8e297)}[graph]
-        if graph == "P":
-            g = path_graph(3, boundary=[0, 2], weights=[a, b])
-        else:
-            w = np.zeros((4, 4))
-            w[0, 2:] = a
-            w[1, 2:] = b
-            w[2, 3] = 1.0
-            g = WeightedBoundaryGraph(measure=np.ones(4), weights=w + w.T,
-                                      boundary=np.array([0, 1]))
         path = tmp_path / f"{graph}.json"
-        save(g, path)
+        save(float_range_graphs()[f"span-{graph}"], path)
         got, out, err = run_streams(capsys, ["certify", "--graph", str(path),
                                              "--theorem", theorem])
         assert (got, err) == (code, "")
@@ -346,12 +332,8 @@ class TestExitCodes:
         # boundary {0} joined to both interior vertices with weight 1e300,
         # all measures 1e-5: the weights factor exactly as rho m_x m_y with
         # rho = 1e310, which overflows, while rho m_x = 1e305 does not
-        w = np.zeros((3, 3))
-        w[0, 1:] = w[1:, 0] = 1e300
-        w[1, 2] = w[2, 1] = 1e-10
         path = tmp_path / "rho.json"
-        save(WeightedBoundaryGraph(measure=np.full(3, 1e-5), weights=w,
-                                   boundary=np.array([0])), path)
+        save(float_range_graphs()["rho"], path)
         code, out, err = run_streams(capsys, ["certify", "--graph", str(path),
                                               "--theorem", theorem])
         assert err == ""
@@ -426,9 +408,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("weight", [1e200, 1e-13])
     def test_curvature_be_far_from_unit_scale(self, capsys, tmp_path, weight):
         # valid graphs whose Gamma forms overflow or sit below any absolute
-        # tolerance unless they are rescaled
+        # tolerance unless they are rescaled: the paths whose weights are
+        # both ``weight``
         path = tmp_path / "scaled.json"
-        save(path_graph(3, boundary=[0, 2], weights=[weight, weight]), path)
+        save(float_range_graphs()[{1e200: "be-heavy", 1e-13: "be-light"}[weight]], path)
         code, out = run(capsys, ["curvature", "--graph", str(path), "--kind", "be",
                                  "--n", "4", "--on", "g"])
         assert code == 0
@@ -439,7 +422,7 @@ class TestExitCodes:
         # edge curvature divides the objective row by its power-of-two scale
         # before it forms c and const, so no sum overflows to inf or warns
         path = tmp_path / "heavy.json"
-        save(path_graph(3, boundary=[0, 2], weights=[4e307, 4e307]), path)
+        save(float_range_graphs()["ollivier-heavy"], path)
         code, out, err = run_streams(capsys, ["curvature", "--graph", str(path),
                                               "--kind", "ollivier"])
         assert (code, err) == (0, "")
@@ -452,7 +435,7 @@ class TestExitCodes:
         # a valid graph whose degrees in one 2-ball differ by more than the
         # float range, so the Bakry-Emery forms overflow
         path = tmp_path / "extreme.json"
-        save(path_graph(3, boundary=[0, 2], weights=[1e10, 1e-315]), path)
+        save(float_range_graphs()["be-overflow"], path)
         code, out, err = run_streams(capsys, ["curvature", "--graph", str(path), "--kind", "be",
                                               "--n", "4"])
         assert code == 3
@@ -648,22 +631,17 @@ class TestExitCodes:
         # observes equality at tol * max Deg (ROADMAP items 2 and 14), so the
         # report is inconsistent
         a = 1.4 * (1e300 * 5e-324)
-        measure, edges, boundary = {
-            "coupling": ((1e300, 1.0, 1.0), [(0, 1, 1e-30), (1, 2, 1.0)], [0]),
-            "spread": ((1.0, 1e300, 1.0), [(0, 1, 1e-30), (1, 2, 1.0)], [0]),
-            "rho_fit": ((1.0, 1e-300, 1e300), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], [0]),
-            "influence_sum": ((1.0, 1.0, 1.0, 1e300, 1e300),
-                              [(0, 3, a), (1, 3, a), (2, 4, 2 * a), (3, 4, 1.0)], [0, 1, 2]),
-            "influence_underflow": ((1.08e251, 3.21e294, 2.29e-21, 1.93e103),
-                                    [(0, 1, 1.56e-69), (0, 2, 2.77e-128), (1, 2, 2.24e-40),
-                                     (1, 3, 7.0e-88), (2, 3, 7.99e-16)], [0]),
-        }[case]
-        w = np.zeros((len(measure), len(measure)))
-        for i, j, wij in edges:
-            w[i, j] = w[j, i] = wij
+        graphs = {
+            "influence_sum": graph_from_edges(
+                (1.0, 1.0, 1.0, 1e300, 1e300),
+                [(0, 3, a), (1, 3, a), (2, 4, 2 * a), (3, 4, 1.0)], [0, 1, 2]),
+            "influence_underflow": graph_from_edges(
+                (1.08e251, 3.21e294, 2.29e-21, 1.93e103),
+                [(0, 1, 1.56e-69), (0, 2, 2.77e-128), (1, 2, 2.24e-40), (1, 3, 7.0e-88),
+                 (2, 3, 7.99e-16)], [0]),
+        }
         path = tmp_path / f"{case}.json"
-        save(WeightedBoundaryGraph(measure=np.array(measure), weights=w,
-                                   boundary=np.array(boundary)), path)
+        save(graphs[case] if case in graphs else float_range_graphs()[f"ends-{case}"], path)
         got, out, err = run_streams(capsys, [*command, "--graph", str(path)])
         assert got == code
         assert err == ""

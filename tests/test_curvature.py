@@ -231,8 +231,9 @@ class TestOneLocationAndWholeGraph:
 
     @pytest.mark.parametrize("entries", [1, 5000])
     def test_bakry_emery_pass_does_not_depend_on_its_blocks(self, monkeypatch, entries):
-        # a vertex's S_1 is padded to a width set by |S_1| alone, so its form
-        # and K are the same numbers whichever vertices share its block
+        # a vertex's S_1 is padded to a width set by |S_1| and the graph's
+        # largest |S_1|, not by its block, so its form and K are the same
+        # numbers whichever vertices share its block
         graphs = seeded_graphs()[-2:]
         ns = (4.0, float("inf"))
         whole = [[bakry_emery_curvature(g, n).per_location for n in ns] for g in graphs]

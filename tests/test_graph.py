@@ -33,7 +33,7 @@ from graphspec.graph import (
 )
 from graphspec.fixtures import random_graph
 
-from builders import path_graph, rigidity_overflow_graph
+from builders import complete_bipartite, path_graph, rigidity_overflow_graph
 from oracle import graph_from_json_sequential, hop_distances_bfs, validate_reference
 
 
@@ -83,6 +83,27 @@ class TestConstruction:
         assert g.boundary.tolist() == want
         assert not g.boundary.flags.writeable
         assert given.flags.writeable and not np.shares_memory(given, g.boundary)
+
+    def test_unsorted_repeated_boundary_does_not_import_numpy_ma(self, tmp_path):
+        # a process's first np.unique imports numpy.ma; a file that lists its
+        # boundary descending with a repeat is read, and compared, in a fresh
+        # interpreter without it
+        doc = to_json_dict(complete_bipartite(2, 3))
+        doc["boundary"] = [1, 1, 0]
+        path = tmp_path / "k23.json"
+        path.write_text(json.dumps(doc))
+        script = (
+            "import contextlib, io, sys\n"
+            "from graphspec.cli import main\n"
+            "from graphspec.graph import load\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['compare', '--graph', sys.argv[1]])\n"
+            "print(code, load(sys.argv[1]).boundary.tolist(), 'numpy.ma' in sys.modules)\n")
+        src = str(Path(graphspec.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script, str(path)],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0 [0, 1] False\n"
 
     @pytest.mark.parametrize("dtype, order", [(float, "C"), (float, "F"), (np.int64, "C")])
     def test_measure_and_weights_are_read_only_float_copies(self, dtype, order):

@@ -7,7 +7,13 @@ a change says so and updates the pin.
 
 import io
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import graphspec
 import replay
 
 # exit codes, stderr and decisions of every spectral command on the replay's
@@ -48,3 +54,37 @@ def test_against_separates_decisions_from_moved_numbers():
     assert replay.compare([old], [moved], report)
     assert "compare --table | 1 | 1 | 0.025" in report.getvalue()
     assert not replay.compare([old], [flipped], io.StringIO())
+
+
+# replays the records of the file argv[1] in place of the CLI calls
+_STUBBED_REPLAY = """import sys
+import replay
+records = replay._read(sys.argv[1])
+replay.replay = lambda: records
+sys.exit(replay.cli(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("flip,code", [(False, 0), (True, 1)], ids=["same", "changed"])
+def test_closed_stdout_keeps_the_verdict_and_the_out_file(tmp_path, flip, code):
+    """The reader of the report goes away before anything is written: the
+    pipe is closed while the child is still importing numpy.  ``--out`` is
+    written all the same, the exit code is the verdict, and nothing goes to
+    stderr."""
+    record = {"label": "g compare", "code": 0, "stderr": "", "max_deg": 1.0,
+              "stdout": json.dumps({"results": [{"verdict": "Holds"}]})}
+    records, against = tmp_path / "records.jsonl", tmp_path / "against.jsonl"
+    replay._write([record], records)
+    replay._write([{**record, "code": 2} if flip else record], against)
+    out = tmp_path / "out.jsonl"
+    paths = (os.path.dirname(os.path.dirname(graphspec.__file__)),
+             os.path.dirname(replay.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", _STUBBED_REPLAY, str(records),
+         "--against", str(against), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err.decode()) == (code, "")
+    assert out.read_bytes() == records.read_bytes()
