@@ -16,12 +16,7 @@ from .operators import (
     interior_laplacian,
     neumann_laplacian,
 )
-from .spectra import (
-    Spectrum,
-    eigensolve,
-    spectrum,
-    weighted_singular_values,
-)
+from .spectra import spectrum, weighted_singular_values
 from .comparisons import (
     ComparisonCertificate,
     compare_dirichlet_interior,

@@ -5,24 +5,19 @@ The operator ``A`` is similar to the symmetric matrix
 reads eigenvalues alone, so ``spectrum`` and ``weighted_singular_values``
 solve ``S`` with LAPACK's symmetric eigensolver without eigenvectors
 (``symmetric_eigvalsh``, which also takes stacks), once per graph object,
-and hand out read-only arrays.  ``eigensolve`` gives eigenpairs on request:
-it diagonalizes ``S`` with ``numpy.linalg.eigh`` and maps the eigenvectors
-back with ``M^{-1/2}``, so that they are orthonormal in the measure inner
-product.  Both raise ``NotApplicable`` on non-finite input or a LAPACK failure.
+and hand out read-only arrays.  ``symmetric_eigvalsh`` is the package's one
+eigen routine; it raises ``NotApplicable`` on non-finite input or a LAPACK
+failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import NotApplicable, WeightedBoundaryGraph
-from .operators import SelfAdjointOperator, neumann_coupling, operator_by_label
+from .operators import neumann_coupling, operator_by_label
 
 __all__ = [
-    "Spectrum",
-    "eigensolve",
     "spectrum",
     "symmetric_eigvalsh",
     "weighted_singular_values",
@@ -38,44 +33,12 @@ def symmetric_eigvalsh(matrices: np.ndarray) -> np.ndarray:
     return finite-looking garbage, and when LAPACK does not converge, for
     the whole stack.
     """
-    return _checked(np.linalg.eigvalsh, matrices)
-
-
-def _checked(solve, matrices: np.ndarray):
     if not np.all(np.isfinite(matrices)):
         raise NotApplicable("matrix has non-finite entries")
     try:
-        return solve(matrices)
+        return np.linalg.eigvalsh(matrices)
     except np.linalg.LinAlgError as exc:
         raise NotApplicable(str(exc)) from exc
-
-
-def _symmetrized(matrix: np.ndarray, sqrt_m: np.ndarray) -> np.ndarray:
-    """The symmetric part of M^{1/2} A M^{-1/2}, given sqrt_m = diag M^{1/2}."""
-    s = (sqrt_m[:, None] * matrix) / sqrt_m[None, :]
-    return 0.5 * (s + s.T)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues with measure-orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    measure: np.ndarray
-
-
-def eigensolve(op: SelfAdjointOperator) -> Spectrum:
-    """Eigenvalues and measure-orthonormal eigenvectors of a
-    measure-self-adjoint operator.
-
-    Raises NotApplicable if the eigensolver fails or the operator has
-    non-finite entries; never returns a silently inaccurate decomposition.
-    """
-    sqrt_m = np.sqrt(op.inner_measure)
-    w, u = _checked(np.linalg.eigh, _symmetrized(op.matrix, sqrt_m))
-    vecs = u / sqrt_m[:, None]
-    return Spectrum(eigenvalues=w, eigenvectors=vecs, measure=op.inner_measure)
 
 
 def spectrum(graph: WeightedBoundaryGraph, label: str) -> np.ndarray:
@@ -106,5 +69,7 @@ def _singular_values(graph: WeightedBoundaryGraph) -> np.ndarray:
 
 def _eigenvalues(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``matrix``, self-adjoint in the ``measure``
-    inner product."""
-    return symmetric_eigvalsh(_symmetrized(matrix, np.sqrt(measure)))
+    inner product: those of the symmetric part of M^{1/2} A M^{-1/2}."""
+    sqrt_m = np.sqrt(measure)
+    s = (sqrt_m[:, None] * matrix) / sqrt_m[None, :]
+    return symmetric_eigvalsh(0.5 * (s + s.T))

@@ -13,8 +13,7 @@ edge curvatures from their LP by vertex enumeration and by exhaustive search
 over the integer 1-Lipschitz functions, sender-receiver gain problems
 from their integral duals by enumeration and by the earlier boolean-matrix
 form of the gain flow, hop distances from a breadth-first
-search per vertex, eigenpair residuals and orthonormality defects from
-their definitions, the NeuVsLap quadratic form on the mean-zero boundary
+search per vertex, the NeuVsLap quadratic form on the mean-zero boundary
 functions through a basis read off the eigenvectors of the orthogonal
 projector onto them, CLI JSON text through the standard library's encoder,
 total support from the positive diagonals found by enumerating
@@ -106,30 +105,14 @@ def eigen_bruteforce(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
         lo, hi = lo0, hi0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # no float lies between lo and hi: later steps keep mid
             if _count_below(s, mid) >= k:
                 hi = mid
             else:
                 lo = mid
         out.append(0.5 * (lo + hi))
     return np.array(out)
-
-
-def eigen_residual(matrix, spec) -> float:
-    """max_i ||A v_i - lam_i v_i||_m / max(1, |lam_i|) over the eigenpairs
-    of ``spec`` (a ``Spectrum``) of the operator matrix ``A``."""
-    worst = 0.0
-    for i, lam in enumerate(spec.eigenvalues):
-        r = matrix @ spec.eigenvectors[:, i] - lam * spec.eigenvectors[:, i]
-        norm = float(np.sqrt(np.sum(r * r * spec.measure)))
-        worst = max(worst, norm / max(1.0, abs(lam)))
-    return worst
-
-
-def orthonormality_defect(spec) -> float:
-    """max |V^T M V - I| over the eigenvector columns V of ``spec`` (a
-    ``Spectrum``) in its measure inner product M."""
-    gram = spec.eigenvectors.T @ (spec.measure[:, None] * spec.eigenvectors)
-    return float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
 
 
 def neumann_by_extension(measure, weights, boundary) -> np.ndarray:

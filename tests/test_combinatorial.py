@@ -17,8 +17,7 @@ from graphspec.combinatorial import (
 )
 from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, interior_subgraph
-from graphspec.operators import full_laplacian
-from graphspec.spectra import eigensolve
+from graphspec.spectra import spectrum
 
 from builders import complete_bipartite, path_graph, scale_graph
 from oracle import cut_bruteforce, stoer_wagner_reference
@@ -197,7 +196,7 @@ class TestContraction:
 class TestPathValues:
     @pytest.mark.parametrize("i", range(2, 13))
     def test_top_path_eigenvalue_closed_form(self, i):
-        w = eigensolve(full_laplacian(path_graph(i))).eigenvalues
+        w = spectrum(path_graph(i), "FullLaplacian")
         assert abs(w[-1] - max_path_eigenvalue(i)) <= 1e-10
 
     def test_first_dirichlet_value_k1(self):
@@ -237,7 +236,7 @@ class TestFiedler:
     def test_tightness_on_full_path(self):
         # mu_2 of the unit path equals 2 e (1 - cos(pi/n)) with e = 1
         for n in range(3, 9):
-            mu2 = eigensolve(full_laplacian(path_graph(n))).eigenvalues[1]
+            mu2 = spectrum(path_graph(n), "FullLaplacian")[1]
             bound = 2.0 * (1.0 - math.cos(math.pi / n))
             assert abs(mu2 - bound) <= 1e-10
 
