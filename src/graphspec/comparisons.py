@@ -9,10 +9,10 @@ Neumann and interior spectra (a boundary vertex's Deg never reaches them),
 every vertex once the full Laplacian or the whole graph's curvature
 enters.  Those values lie within 2 max Deg of 0 and scale with it, so the
 tolerance is unit-free.  A certificate Holds when every margin is at least
-``-tol_abs``; an index is an equality (``IndexRecord.equal``) at the same
-``tol_abs``.  The rigidity cross-checks follow one rule: they read these
-``equal`` flags and compare eigenvalue bounds at the certificate's
-``tolerance``, never at a threshold of their own.
+``-tol_abs``; an index is an equality (``IndexRecord.equal``) within
+``tol_abs`` of 0.  The rigidity cross-checks read these flags and compare
+eigenvalues with bounds at the certificate's ``tolerance``, never at their
+own.  ``at_most`` decides every tolerance test, at its caller's scale.
 """
 
 from __future__ import annotations
@@ -59,6 +59,23 @@ class ComparisonCertificate:
         return all(r.equal for r in self.per_index)
 
 
+def at_most(value, bound, tol: float, scale: float, *, strict: bool = False):
+    """``(holds, margin)``: whether ``value <= bound + tol * scale``, or when
+    ``strict`` whether ``value < bound - tol * scale`` (below the bound by
+    more than the tolerance), and that threshold minus ``value``, at least 0
+    (above 0 when strict) exactly when a finite test holds.  NaN holds in
+    neither form; arrays are decided elementwise.  A site that decides
+    ``value >= bound`` passes both negated, which rounds as ``value >= bound
+    - tol * scale`` does; one that reuses a certificate's absolute
+    ``tolerance`` passes it with scale 1."""
+    slack = tol * scale
+    if strict:
+        top = bound - slack
+        return value < top, top - value
+    top = bound + slack
+    return value <= top, top - value
+
+
 def certificate(
     theorem_id: str, degrees, tol: float, lhs, rhs, upper=None, extra=None
 ) -> ComparisonCertificate:
@@ -70,24 +87,26 @@ def certificate(
 
     A two-sided margin is the distance to the nearer bound, and equality
     means the interval degenerates onto the value (both bounds active)."""
-    tol_abs = tol * float(degrees.max())
+    scale = float(degrees.max())
     records = []
     if upper is None:
         for i, (a, b) in enumerate(zip(lhs, rhs), start=1):
             margin = float(a - b)
-            records.append(IndexRecord(i, float(a), float(b), margin, abs(margin) <= tol_abs))
+            equal, _ = at_most(abs(margin), 0.0, tol, scale)
+            records.append(IndexRecord(i, float(a), float(b), margin, equal))
     else:
         for i, (lo, x, hi) in enumerate(zip(lhs, rhs, upper), start=1):
             lo_margin = float(x - lo)
             hi_margin = float(hi - x)
             margin = min(lo_margin, hi_margin)
-            equal = max(abs(lo_margin), abs(hi_margin)) <= tol_abs
+            equal, _ = at_most(max(abs(lo_margin), abs(hi_margin)), 0.0, tol, scale)
             records.append(IndexRecord(i, float(lo), float(hi), margin, equal))
-    failing = tuple(r.index for r in records if r.margin < -tol_abs)
+    failing = tuple(r.index for r in records
+                    if at_most(r.margin, 0.0, tol, scale, strict=True)[0])
     return ComparisonCertificate(
         theorem_id=theorem_id,
         per_index=tuple(records),
-        tolerance=tol_abs,
+        tolerance=tol * scale,
         verdict="Holds" if not failing else "FailsAt",
         failing_indices=failing,
         extra=extra or {},

@@ -67,7 +67,7 @@ from functools import reduce
 
 import numpy as np
 
-from .comparisons import DEFAULT_TOL, ComparisonCertificate, certificate
+from .comparisons import DEFAULT_TOL, ComparisonCertificate, at_most, certificate
 from .graph import (
     NotApplicable,
     WeightedBoundaryGraph,
@@ -563,14 +563,14 @@ def _curvature_bound(graph, variant, n, tol):
     of zero counts as zero (not positive).  max Deg is positive once the
     curvature is computed at all: both curvatures need a connected graph
     with an edge, which rules out an edgeless interior."""
-    zero_tol = tol * float(degree_vector(graph).max())
+    scale = float(degree_vector(graph).max())
     if variant.startswith("be"):
         k_min = bakry_emery_curvature(graph, n).global_min
-        if k_min <= zero_tol:
+        if at_most(k_min, 0.0, tol, scale)[0]:
             raise NotApplicable(f"curvature-dimension bound {k_min} is not positive")
         return k_min if math.isinf(n) else n * k_min / (n - 1.0)
     kappa = ollivier_curvature_all(graph).global_min
-    if kappa <= zero_tol:
+    if at_most(kappa, 0.0, tol, scale)[0]:
         raise NotApplicable(f"edge curvature bound {kappa} is not positive")
     return kappa
 

@@ -16,6 +16,7 @@ import numpy as np
 from .comparisons import (
     DEFAULT_TOL,
     EQUALITY_TOL,
+    at_most,
     compare_dirichlet_interior,
     compare_dirichlet_neumann,
     compare_laplacian_dirichlet,
@@ -156,9 +157,10 @@ def detect_rho_factorization(
     with np.errstate(over="ignore"):  # an infinite residual fails the fit
         fitted = np.ldexp(frac_r[:, None] * frac_o, exp_r[:, None] + exp_o)  # r_x m_y
         residual = float(np.abs(wb - fitted).max(initial=0.0))
-    holds = residual <= tol * float(wb.max())
+    holds, _ = at_most(residual, 0.0, tol, float(wb.max()))
     frac, exp = rho_split = frac_r / frac_b, exp_r - exp_b
-    constant = holds and _relative_spread(np.ldexp(frac, exp - exp.max())) <= tol
+    constant = holds and at_most(
+        _relative_spread(np.ldexp(frac, exp - exp.max())), 0.0, tol, 1.0)[0]
     return RhoFactorization(rho_mass=np.ldexp(frac_r, exp_r), rho_split=rho_split,
                             residual=residual, holds=holds, constant=constant)
 
@@ -199,7 +201,7 @@ def _quadratic_form_condition(
         q = q - np.outer((v_g / denom) * rho_mass, rho_mass)
         reduced = cols.T @ q @ cols
     min_eig = float(symmetric_eigvalsh(0.5 * (reduced + reduced.T))[0])
-    return min_eig >= -tol * float(np.abs(q).max()), min_eig
+    return at_most(-min_eig, 0.0, tol, float(np.abs(q).max()))[0], min_eig
 
 
 def check_neumann_laplacian_rigidity(
@@ -234,14 +236,13 @@ def check_neumann_laplacian_rigidity(
             # weaker constant-extension condition mu_top <= rho V_Omega
             volume = v_omega - v_b if graph.boundary.size >= 2 else v_omega
             bound = float(fact.rho_times(volume).mean())
-            ok = mu_top <= bound + cert.tolerance
+            ok, _ = at_most(mu_top, bound, cert.tolerance, 1.0)
             conditions.append(Condition("rho_constant_bound", ok, (mu_top, bound)))
             conclusion = ok
         else:
-            strict = mu_top < (v_omega / v_b) * deg_b - cert.tolerance
-            conditions.append(
-                Condition("strict_bound", strict, (mu_top, (v_omega / v_b) * deg_b))
-            )
+            top = (v_omega / v_b) * deg_b
+            strict, _ = at_most(mu_top, top, cert.tolerance, 1.0, strict=True)
+            conditions.append(Condition("strict_bound", strict, (mu_top, top)))
             qf_ok, min_eig = _quadratic_form_condition(graph, fact.rho_mass, mu_top, tol)
             conditions.append(Condition("quadratic_form_psd", qf_ok, min_eig))
             conclusion = strict and qf_ok
@@ -249,11 +250,11 @@ def check_neumann_laplacian_rigidity(
         if graph.is_unit_weight():
             nb, nom = graph.boundary.size, graph.interior.size
             bound = float(nom if singleton else nom - nb)
-            spec = mu_top <= bound + cert.tolerance
+            spec, _ = at_most(mu_top, bound, cert.tolerance, 1.0)
             conditions.append(Condition("unit_weight_bound", spec, (mu_top, bound)))
         if graph.is_normalized():
             bound = 1.0 if singleton else (v_omega - v_b) / v_omega
-            spec = mu_top <= bound + cert.tolerance
+            spec, _ = at_most(mu_top, bound, cert.tolerance, 1.0)
             conditions.append(Condition("normalized_bound", spec, (mu_top, bound)))
     return _cross_checked("NeuVsLap", conditions, conclusion, cert.all_equal(), extra)
 
@@ -265,7 +266,7 @@ def check_dirichlet_interior_rigidity(
     constant over the interior."""
     deg_b = boundary_degree_vector(graph)
     spread = _relative_spread(deg_b)
-    constant = spread <= tol
+    constant, _ = at_most(spread, 0.0, tol, 1.0)
     observed = compare_dirichlet_interior(graph, tol).all_equal()
     return _cross_checked(
         "DiriVsInteriorTwoSided",
@@ -306,7 +307,7 @@ def check_dirichlet_neumann_rigidity(
     one_each = bool(np.all(counts == 1))
     s_vals = np.diagonal(neumann_coupling(graph))
     spread = _relative_spread(s_vals)
-    s_const = spread <= tol
+    s_const, _ = at_most(spread, 0.0, tol, 1.0)
     conclusion = one_each and s_const
     observed = compare_dirichlet_neumann(graph, tol).all_equal()
     conditions = [
@@ -356,7 +357,7 @@ def check_laplacian_dirichlet_rigidity(
     if fact.holds:
         rho_sum = float(fact.rho_mass.sum())
         head = lam[:j]
-        head_ok = bool(np.all(np.abs(head - rho_sum) <= cert.tolerance))
+        head_ok = bool(np.all(at_most(np.abs(head - rho_sum), 0.0, cert.tolerance, 1.0)[0]))
         conditions.append(Condition("lambda_head_equals_rho_mass", head_ok, (head.tolist(), rho_sum)))
         conclusion = conclusion and head_ok
         if fact.constant:
@@ -364,12 +365,12 @@ def check_laplacian_dirichlet_rigidity(
             rho_volume = float(fact.rho_times(v_omega).mean())  # rho_c V_Omega
             mu_om = spectrum(graph, "InteriorLaplacian")
             if j < mu_om.size:
-                gap_ok = float(mu_om[j]) >= rho_volume - cert.tolerance
-                witness = (float(mu_om[j]), rho_volume)
+                witness = (float(mu_om[j]), rho_volume)  # mu_{j+1}(Omega) >= rho V_Omega
+                gap_ok, _ = at_most(-witness[0], -rho_volume, cert.tolerance, 1.0)
             else:
                 gap_ok, witness = True, None  # mu_{j+1}(Omega) does not exist
             conditions.append(Condition("interior_gap", gap_ok, witness))
-            vol_ok = (j <= 1) or (v_omega - v_b <= tol * v_b)
+            vol_ok = (j <= 1) or at_most(v_omega - v_b, 0.0, tol, v_b)[0]
             conditions.append(Condition("volume_order", vol_ok, (v_omega, v_b)))
             conclusion = conclusion and gap_ok and vol_ok
     return RigidityReport(
@@ -426,22 +427,22 @@ def check_corollary_normalized(
     # m_y / V_Omega <= 1: the product m_x m_y can overflow, and an infinite
     # target would pass every weight
     target_w = graph.measure[b][:, None] * (graph.measure[omega] / v_omega)[None, :]
-    weights_ok = bool(np.all(np.abs(wb - target_w) <= tol * float(target_w.max())))
+    weights_ok = bool(np.all(at_most(np.abs(wb - target_w), 0.0, tol, float(target_w.max()))[0]))
     interior_w = graph.weights[np.ix_(omega, omega)]
     interior_empty = not np.any(interior_w > 0.0)
-    case1 = weights_ok and interior_empty and abs(v_omega - v_b) <= tol * v_b
+    case1 = weights_ok and interior_empty and at_most(abs(v_omega - v_b), 0.0, tol, v_b)[0]
     interior_complete = bool(np.all((interior_w > 0.0) | np.eye(omega.size, dtype=bool)))
     deg_om = degree_vector(interior_subgraph(graph))
     target = 1.0 - v_b / v_omega
-    deg_ok = bool(np.all(np.abs(deg_om - target) <= tol * abs(target)))
+    deg_ok = bool(np.all(at_most(np.abs(deg_om - target), 0.0, tol, abs(target))[0]))
     cert = compare_laplacian_dirichlet(graph, tol)
     mu2_ok = False
     if omega.size >= 2:
         mu_om = spectrum(graph, "InteriorLaplacian")
-        mu2_ok = float(mu_om[1]) >= 1.0 - cert.tolerance
+        mu2_ok, _ = at_most(-float(mu_om[1]), -1.0, cert.tolerance, 1.0)  # mu_2(Omega) >= 1
     case2 = (
         weights_ok
-        and v_omega >= v_b - tol * v_b
+        and at_most(-v_omega, -v_b, tol, v_b)[0]  # V_Omega >= V_B
         and interior_complete
         and deg_ok
         and mu2_ok

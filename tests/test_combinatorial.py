@@ -19,7 +19,7 @@ from graphspec.fixtures import random_graph
 from graphspec.graph import WeightedBoundaryGraph, interior_subgraph
 from graphspec.spectra import spectrum
 
-from builders import complete_bipartite, path_graph, scale_graph
+from builders import complete_bipartite, graph_from_edges, path_graph, scale_graph
 from oracle import cut_bruteforce, stoer_wagner_reference
 
 
@@ -239,6 +239,23 @@ class TestFiedler:
             mu2 = spectrum(path_graph(n), "FullLaplacian")[1]
             bound = 2.0 * (1.0 - math.cos(math.pi / n))
             assert abs(mu2 - bound) <= 1e-10
+
+    @pytest.mark.parametrize("n, cycle", [(5, False), (6, False), (9, False), (5, True), (7, True)])
+    def test_right_sides_match_closed_forms(self, n, cycle):
+        # unit paths with both ends in B (e_G = e_Omega = 1, Omega a path on
+        # n - 2 vertices) and unit cycles with B = {0} (e_G = 2, Omega a path
+        # on n - 1 vertices); |Omega| > |B| makes s_1^2 = 0, and an interior
+        # vertex without boundary neighbour makes min Deg_b = 0
+        if cycle:
+            g = graph_from_edges(np.ones(n), [(i, (i + 1) % n, 1.0) for i in range(n)], [0])
+            e_g, n_om = 2, n - 1
+        else:
+            g = path_graph(n, boundary=[0, n - 1])
+            e_g, n_om = 1, n - 2
+        want_g = 2.0 * e_g * (1.0 - math.cos(math.pi / n))
+        want_om = 2.0 * (1.0 - math.cos(math.pi / n_om))
+        rhs = [r.rhs for r in fiedler_bounds(g).per_index]
+        assert rhs == pytest.approx([want_g] * 2 + [want_om] * 3, abs=1e-12)
 
     def test_weighted_rejected(self):
         g = path_graph(3, boundary=[0], weights=[2.0, 1.0])

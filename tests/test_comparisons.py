@@ -3,6 +3,8 @@ import pytest
 
 from graphspec.comparisons import (
     ALL_COMPARISONS,
+    at_most,
+    certificate,
     compare_dirichlet_interior,
     compare_dirichlet_neumann,
     compare_laplacian_dirichlet,
@@ -89,6 +91,19 @@ class TestCertificateSemantics:
         assert loose.all_equal()
         assert not tight.all_equal()
 
+    # tol * max Deg = 2^-10 * 4 = 2^-8, so every margin below is exact: an
+    # index is an equality within 2^-8 of 0, and fails beyond -2^-8
+    @pytest.mark.parametrize("margin, equal, verdict", [
+        (0.0, True, "Holds"), (1.0, True, "Holds"), (1.5, False, "Holds"),
+        (-0.5, True, "Holds"), (-1.0, True, "Holds"), (-1.5, False, "FailsAt"),
+    ])
+    def test_equality_and_failure_are_decided_at_tol_times_max_deg(self, margin, equal, verdict):
+        tol_abs = 2.0 ** -8
+        cert = certificate("T", np.array([0.5, 4.0]), 2.0 ** -10, [1.0 + margin * tol_abs], [1.0])
+        assert cert.tolerance == tol_abs and cert.per_index[0].margin == margin * tol_abs
+        assert cert.per_index[0].equal == equal
+        assert cert.verdict == verdict
+
     def test_corpus_all_certificates_hold(self, corpus_certificates):
         for certs in corpus_certificates:
             for cert in certs:
@@ -109,3 +124,34 @@ class TestCertificateSemantics:
             for cert in certs.values():
                 assert cert.holds, (cert.theorem_id, cert.per_index)
             assert certs["NeuVsInterior"].equality_indices() == (1,)
+
+
+class TestAtMost:
+    def test_threshold_strictness_and_margin(self):
+        # the threshold is 1 + 0.25 * 2 = 1.5, or 1 - 0.5 = 0.5 when strict
+        assert at_most(1.5, 1.0, 0.25, 2.0) == (True, 0.0)
+        assert at_most(1.75, 1.0, 0.25, 2.0) == (False, -0.25)
+        assert at_most(0.5, 1.0, 0.25, 2.0, strict=True) == (False, 0.0)
+        assert at_most(0.25, 1.0, 0.25, 2.0, strict=True) == (True, 0.25)
+
+    def test_nan_holds_in_neither_form(self):
+        for strict in (False, True):
+            assert not at_most(float("nan"), 0.0, 1.0, 1.0, strict=strict)[0]
+            assert not at_most(0.0, float("nan"), 1.0, 1.0, strict=strict)[0]
+
+    def test_arrays_are_decided_elementwise(self):
+        holds, margin = at_most(np.array([0.5, 1.5, 2.0]), 1.0, 0.25, 2.0)
+        assert holds.tolist() == [True, True, False]
+        assert margin.tolist() == [1.0, 0.0, -0.5]
+
+    def test_negated_arguments_round_as_an_at_least_test(self):
+        # x >= b - tol * s, decided as -x <= -b + tol * s, on values one ulp
+        # either side of the rounded threshold and on it
+        rng = np.random.default_rng(0)
+        b = rng.lognormal(0.0, 20.0, 5000) * rng.choice([-1.0, 1.0], 5000)
+        scale = rng.lognormal(0.0, 20.0, 5000)
+        tol = 1e-7
+        top = b - tol * scale
+        for x in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf)):
+            want = x >= b - tol * scale
+            assert (at_most(-x, -b, tol, scale)[0] == want).all()

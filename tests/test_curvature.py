@@ -753,6 +753,24 @@ class TestLichnerowicz:
         with pytest.raises(ValueError):
             certify_lichnerowicz(k22, "bogus")
 
+    @pytest.mark.parametrize("variant", ["be-g-nu2", "ollivier-g-nu2"])
+    def test_positive_curvature_is_decided_at_tol_times_max_deg(self, k22, variant):
+        # K_{2,2}'s least curvature k, from the oracles, reads positive at
+        # tol = k / (10 max Deg) and not positive at tol = 10 k / max Deg
+        if variant.startswith("be"):
+            k = min(bakry_emery_by_polarization(k22.measure, k22.weights, x, 4.0)
+                    for x in range(4))
+        else:
+            k = min(ollivier_bruteforce(k22, int(x), int(y))
+                    for x, y in zip(*np.nonzero(np.triu(k22.weights))))
+        d = float(degree_vector(k22).max())
+        assert k > 0
+        cert = certify_lichnerowicz(k22, variant, n=4.0, tol=k / (10.0 * d))
+        scaled = 4.0 * k / 3.0 if variant.startswith("be") else k  # n K / (n - 1) at n = 4
+        assert cert.extra["bound"] == pytest.approx(scaled, rel=1e-12)
+        with pytest.raises(NotApplicable, match="not positive"):
+            certify_lichnerowicz(k22, variant, n=4.0, tol=10.0 * k / d)
+
     def test_nonpositive_curvature_not_applicable(self):
         g = path_graph(6, boundary=[0])
         with pytest.raises(NotApplicable):

@@ -33,6 +33,7 @@ from builders import (
     dirichlet_neumann_positive,
     float_range_graph,
     float_range_rho_graph,
+    graph_from_edges,
     laplacian_dirichlet_recipe,
     neumann_equality_recipe,
     path_graph,
@@ -70,6 +71,7 @@ class TestRhoFactorization:
     # exactly when it is within the checker's tol
     @pytest.mark.parametrize("eps, tol, constant", [
         (1e-10, 1e-12, False), (1e-8, 1e-7, True), (1e-10, 1e-7, True), (1e-8, 1e-12, False),
+        (1e-6, 1e-7, False),
     ])
     def test_constancy_is_decided_at_tol(self, eps, tol, constant):
         neumann = _boundary_scaled(neumann_equality_recipe(2, 3), 1, 1.0 + eps)
@@ -189,6 +191,25 @@ def rho_factorized_reports():
     return [(g, check_neumann_laplacian_rigidity(g)) for g in graphs]
 
 
+def test_rho_fit_fails_between_tol_and_1e3_tol():
+    # one boundary weight of a factorized draw times 1 + 10 tol: the fit's
+    # residual max |w_xy - r_x m_y|, with r_x = mean_y w_xy / m_y, lies
+    # between tol and 1e3 tol times the largest boundary weight
+    tol = EQUALITY_TOL
+    g = rho_factorized_graph(np.random.default_rng(6), "lognormal")
+    w, nb, m = g.weights.copy(), g.boundary.size, g.measure
+    w[0, nb] *= 1.0 + 10.0 * tol
+    w[nb, 0] = w[0, nb]
+    wb = w[:nb, nb:]
+    residual = np.abs(wb - (wb / m[nb:]).mean(axis=1)[:, None] * m[nb:]).max()
+    assert tol * wb.max() < residual < 1e3 * tol * wb.max()
+    g = WeightedBoundaryGraph(measure=m, weights=w, boundary=g.boundary)
+    assert not detect_rho_factorization(g, tol).holds
+    report = check_neumann_laplacian_rigidity(g, tol)
+    assert not report.condition("rho_factorization").holds
+    assert not report.conclusion and report.consistent
+
+
 class TestNeumannLaplacianNonConstantRho:
     def test_conclusion_matches_observed_equality(self, rho_factorized_reports):
         concluded = 0
@@ -260,6 +281,20 @@ class TestDirichletInterior:
         report = check_dirichlet_interior_rigidity(g)
         assert not report.conclusion and report.consistent
 
+    def test_perturbation_between_tol_and_100_tol_breaks_constancy(self, k22):
+        # one weight times 1 + 1e-5 makes Deg_b = (2 + 1e-5, 2) on the
+        # interior: a relative spread of 1e-5 / (2 + 1e-5), about 5e-6,
+        # above tol = 1e-7 and below 100 tol
+        w = k22.weights.copy()
+        w[0, 2] *= 1.0 + 1e-5
+        w[2, 0] = w[0, 2]
+        g = WeightedBoundaryGraph(measure=k22.measure, weights=w, boundary=k22.boundary)
+        report = check_dirichlet_interior_rigidity(g, EQUALITY_TOL)
+        spread = report.condition("boundary_degree_constant").witness
+        assert spread == pytest.approx(1e-5 / (2.0 + 1e-5), rel=1e-6)
+        assert not report.condition("boundary_degree_constant").holds
+        assert not report.conclusion and report.consistent
+
     def test_corpus_biconditional(self, corpus):
         for g in corpus:
             assert check_dirichlet_interior_rigidity(g).consistent
@@ -306,6 +341,17 @@ class TestDirichletNeumann:
         g = path_graph(5, boundary=[0, 4])
         report = check_dirichlet_neumann_rigidity(g)
         assert not report.condition("boundary_influence_constant").holds
+        assert not report.conclusion and report.consistent
+
+    def test_perturbation_between_tol_and_100_tol_breaks_constancy(self):
+        # path 0-1-2-3 with B = {0, 3}: s(z) = w_xz / m_z = (1 + 5e-6, 1), a
+        # relative spread of 5e-6 / (1 + 5e-6), above tol = 1e-7 and below
+        # 100 tol
+        g = path_graph(4, boundary=[0, 3], weights=[1.0 + 5e-6, 1.0, 1.0])
+        report = check_dirichlet_neumann_rigidity(g, EQUALITY_TOL)
+        cond = report.condition("boundary_influence_constant")
+        assert cond.witness == pytest.approx(5e-6 / (1.0 + 5e-6), rel=1e-6)
+        assert not cond.holds
         assert not report.conclusion and report.consistent
 
     def test_symmetric_double_pendant_fixture(self):
@@ -457,6 +503,19 @@ class TestNormalizedCorollary:
         report = check_corollary_normalized(g)
         assert report.condition("case2_complete_interior").holds
         assert report.conclusion and report.consistent
+
+    def test_case2_needs_mu2_of_the_interior_at_least_one(self):
+        # B = one vertex of measure 1.2 joined with weight 0.6 to both
+        # vertices of a unit-measure interior K2 of weight 0.4: every Deg = 1,
+        # the boundary weights are m_x m_y / V_Omega = 0.6 and Deg_Omega =
+        # 0.4 = 1 - V_B/V_Omega, but mu_2(Omega) = 2 * 0.4 = 0.8 < 1
+        g = graph_from_edges([1.2, 1.0, 1.0], [(0, 1, 0.6), (0, 2, 0.6), (1, 2, 0.4)], [0])
+        validate(g)
+        assert g.is_normalized()
+        report = check_corollary_normalized(g)
+        assert report.condition("boundary_weights_are_m_outer_over_volume").holds
+        assert not report.condition("case2_complete_interior").holds
+        assert not report.conclusion and report.consistent
 
     def test_boundary_weights_are_tested_at_measures_near_the_float_range(self):
         # B = {0}, Omega = {1, 2}, every Deg = 1: m_0 m_1 overflows, so the
