@@ -79,8 +79,8 @@ def _normalize_weights(weights):
     that its row sums are too.  That matrix is bitwise symmetric.  The
     normalized model's measure is 1 everywhere, and t / 1.0 == t in IEEE
     arithmetic, so Deg carries no division by it and is bitwise the same.
-    Each round writes into preallocated rows, and the Deg test runs on a
-    block of ``_NORMALIZE_BLOCK`` rounds at once.  The first round of the
+    Each round's x and Deg are kept, and the Deg test runs on a block of
+    ``_NORMALIZE_BLOCK`` rounds at once.  The first round of the
     block that passes it and the row-sum test is returned: the round that
     testing after every round would return.  Rounds computed past it are
     dropped.
@@ -92,26 +92,19 @@ def _normalize_weights(weights):
     """
     if not _has_total_support(weights):
         return None
-    n = weights.shape[0]
-    xs = np.empty((_NORMALIZE_BLOCK + 1, n))  # x of each round of a block, and the next
-    degs = np.empty((_NORMALIZE_BLOCK, n))
-    wx, root = np.empty(n), np.empty(n)
-    x_rows, deg_rows = list(xs), list(degs)
-    xs[0] = 1.0
+    x = np.ones(weights.shape[0])
     for start in range(0, NORMALIZE_ROUNDS, _NORMALIZE_BLOCK):
-        rounds = min(_NORMALIZE_BLOCK, NORMALIZE_ROUNDS - start)
-        for r in range(rounds):
-            x, deg = x_rows[r], deg_rows[r]
-            np.matmul(weights, x, out=wx)
-            np.multiply(x, wx, out=deg)
-            np.sqrt(deg, out=root)
-            np.divide(x, root, out=x_rows[r + 1])
-        passed = (np.abs(degs[:rounds] - 1.0) <= NORMALIZE_TOL).all(axis=1)
+        xs, degs = [], []  # x and Deg of each round of the block
+        for _ in range(min(_NORMALIZE_BLOCK, NORMALIZE_ROUNDS - start)):
+            deg = x * (weights @ x)
+            xs.append(x)
+            degs.append(deg)
+            x = x / np.sqrt(deg)
+        passed = (np.abs(np.array(degs) - 1.0) <= NORMALIZE_TOL).all(axis=1)
         for r in np.flatnonzero(passed):
             scaled = weights * np.outer(xs[r], xs[r])
             if np.all(np.abs(scaled.sum(axis=1) - 1.0) <= NORMALIZE_TOL):
                 return scaled
-        xs[0] = xs[rounds]
     return None
 
 

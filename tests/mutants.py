@@ -17,6 +17,13 @@ entry's tests.  An entry is
 
 and any other pytest exit (a test id that does not exist, say) is an error.
 The run exits 0 when every entry is killed, and 1 otherwise.
+
+One widening is left out as equivalent: the normalized corollary's case-2
+test V_Omega >= V_B at 100 times its tolerance.  The two thresholds differ
+only where V_Omega < (1 - tol) V_B.  For tol between the float epsilon and 1
+the Deg_Omega target 1 - V_B / V_Omega is negative there, and no Deg_Omega
+is, so the Deg_Omega test fails and case 2 reads false either way; at
+tol >= 1 neither threshold can be missed, as V_Omega > 0.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ class Mutant(NamedTuple):
 _CERT = "tests/test_comparisons.py::TestCertificateSemantics::"
 _AT_MOST = "tests/test_comparisons.py::TestAtMost::test_threshold_strictness_and_margin"
 _LICHNEROWICZ = "tests/test_curvature.py::TestLichnerowicz::"
+_NEU_LAP = "tests/test_rigidity.py::TestNeumannLaplacian::"
+_NEU_LAP_NONCONSTANT = "tests/test_rigidity.py::TestNeumannLaplacianNonConstantRho::"
+_LAP_DIRI = "tests/test_rigidity.py::TestLaplacianDirichlet::"
+_NORMALIZED = "tests/test_rigidity.py::TestNormalizedCorollary::"
+_JSON = "tests/test_graph.py::TestJson::"
+_MAX_FLOW = "tests/test_curvature.py::TestMaxFlow::"
 
 CATALOGUE = (
     Mutant("failing-at-2-tol", "comparisons.py",
@@ -108,6 +121,84 @@ CATALOGUE = (
            "sqrt_m = np.sqrt(measure)", "sqrt_m = measure",
            ("tests/test_spectra.py::TestEigensolve::test_matches_bruteforce_oracle",),
            "the measure enters the symmetrized operator unrooted"),
+    Mutant("quadratic-form-at-100-tol", "rigidity.py",
+           "return at_most(-min_eig, 0.0, tol, float(np.abs(q).max()))[0], min_eig",
+           "return at_most(-min_eig, 0.0, 100 * tol, float(np.abs(q).max()))[0], min_eig",
+           (_NEU_LAP_NONCONSTANT + "test_quadratic_form_fails_between_tol_and_100_tol",),
+           "NeuVsLap's quadratic form reads semidefinite at 100 times its tolerance"),
+    Mutant("rho-constant-bound-at-100-tol", "rigidity.py",
+           "ok, _ = at_most(mu_top, bound, cert.tolerance, 1.0)",
+           "ok, _ = at_most(mu_top, bound, 100 * cert.tolerance, 1.0)",
+           (_NEU_LAP + "test_constant_rho_bound_fails_between_tol_and_100_tol",),
+           "NeuVsLap's constant-rho bound on mu_top holds at 100 times its tolerance"),
+    Mutant("strict-bound-at-100-tol", "rigidity.py",
+           "at_most(mu_top, top, cert.tolerance, 1.0, strict=True)",
+           "at_most(mu_top, top, 100 * cert.tolerance, 1.0, strict=True)",
+           (_NEU_LAP + "test_strict_bound_holds_between_tol_and_100_tol_below_it",),
+           "NeuVsLap's strict bound on mu_top asks for 100 times its tolerance"),
+    Mutant("unit-weight-bound-at-100-tol", "rigidity.py",
+           "nom - nb)\n            spec, _ = at_most(mu_top, bound, cert.tolerance, 1.0)",
+           "nom - nb)\n            spec, _ = at_most(mu_top, bound, 100 * cert.tolerance, 1.0)",
+           (_NEU_LAP + "test_unit_weight_bound_fails_between_tol_and_100_tol",),
+           "NeuVsLap's unit-weight bound on mu_top holds at 100 times its tolerance"),
+    Mutant("normalized-bound-at-100-tol", "rigidity.py",
+           "v_omega\n            spec, _ = at_most(mu_top, bound, cert.tolerance, 1.0)",
+           "v_omega\n            spec, _ = at_most(mu_top, bound, 100 * cert.tolerance, 1.0)",
+           (_NEU_LAP + "test_normalized_bound_fails_between_tol_and_100_tol",),
+           "NeuVsLap's normalized bound on mu_top holds at 100 times its tolerance"),
+    Mutant("lambda-head-at-100-tol", "rigidity.py",
+           "at_most(np.abs(head - rho_sum), 0.0, cert.tolerance, 1.0)",
+           "at_most(np.abs(head - rho_sum), 0.0, 100 * cert.tolerance, 1.0)",
+           (_LAP_DIRI + "test_lambda_head_off_rho_mass_between_tol_and_100_tol",),
+           "LapVsDiri reads lambda_1..j equal to rho V_B at 100 times its tolerance"),
+    Mutant("interior-gap-at-100-tol", "rigidity.py",
+           "at_most(-witness[0], -rho_volume, cert.tolerance, 1.0)",
+           "at_most(-witness[0], -rho_volume, 100 * cert.tolerance, 1.0)",
+           (_LAP_DIRI + "test_interior_gap_fails_between_tol_and_100_tol",),
+           "LapVsDiri's gap mu_{j+1}(Omega) >= rho V_Omega holds at 100 times its tolerance"),
+    Mutant("volume-order-at-100-tol", "rigidity.py",
+           "at_most(v_omega - v_b, 0.0, tol, v_b)", "at_most(v_omega - v_b, 0.0, 100 * tol, v_b)",
+           (_LAP_DIRI + "test_volume_order_fails_between_tol_and_100_tol",),
+           "LapVsDiri's V_Omega <= V_B holds at 100 times its tolerance"),
+    Mutant("boundary-weights-at-100-tol", "rigidity.py",
+           "at_most(np.abs(wb - target_w), 0.0, tol, float(target_w.max()))",
+           "at_most(np.abs(wb - target_w), 0.0, 100 * tol, float(target_w.max()))",
+           (_NORMALIZED + "test_boundary_weights_fail_between_tol_and_100_tol",),
+           "the normalized corollary's boundary weights match at 100 times its tolerance"),
+    Mutant("case1-volumes-at-100-tol", "rigidity.py",
+           "at_most(abs(v_omega - v_b), 0.0, tol, v_b)",
+           "at_most(abs(v_omega - v_b), 0.0, 100 * tol, v_b)",
+           (_NORMALIZED + "test_case1_volumes_differ_between_tol_and_100_tol",),
+           "the normalized corollary's case 1 reads V_Omega = V_B at 100 times its tolerance"),
+    Mutant("case2-degree-at-100-tol", "rigidity.py",
+           "at_most(np.abs(deg_om - target), 0.0, tol, abs(target))",
+           "at_most(np.abs(deg_om - target), 0.0, 100 * tol, abs(target))",
+           (_NORMALIZED + "test_case2_interior_degree_misses_its_target_between_tol_and_100_tol",),
+           "the normalized corollary's case 2 reads Deg_Omega on target at 100 times its"
+           " tolerance"),
+    Mutant("case2-mu2-at-100-tol", "rigidity.py",
+           "at_most(-float(mu_om[1]), -1.0, cert.tolerance, 1.0)",
+           "at_most(-float(mu_om[1]), -1.0, 100 * cert.tolerance, 1.0)",
+           (_NORMALIZED + "test_case2_mu2_of_the_interior_misses_one_between_tol_and_100_tol",),
+           "the normalized corollary's case 2 reads mu_2(Omega) >= 1 at 100 times its tolerance"),
+    Mutant("reader-count-one-sided", "graph.py",
+           "np.count_nonzero(seen) != n + 2 * k", "np.count_nonzero(seen) > n + 2 * k",
+           (_JSON + "test_duplicate_vertex_ids_rejected",
+            _JSON + "test_self_loop_edge_record_rejected",
+            _JSON + "test_duplicate_edge_records_rejected",
+            "tests/test_graph.py::TestParserAgainstReference::test_same_arrays_or_same_message"),
+           "the column reader takes a repeated id, a loop or a repeated pair for sound"),
+    Mutant("sinkhorn-x-after-update", "fixtures.py",
+           "xs.append(x)\n            degs.append(deg)\n            x = x / np.sqrt(deg)",
+           "degs.append(deg)\n            x = x / np.sqrt(deg)\n            xs.append(x)",
+           ("tests/test_fixtures.py::test_draws_match_the_reference_bit_for_bit",),
+           "a normalized draw is scaled by the x after the round whose Deg passed"),
+    Mutant("max-gain-stops-after-start", "curvature.py",
+           "if not (supplied & arc_tails and unfilled & arc_heads):", "if True:",
+           (_MAX_FLOW + "test_repairs_a_start_that_is_not_maximum",
+            _MAX_FLOW + "test_equals_the_boolean_matrix_flow",
+            "tests/test_curvature.py::TestOllivier::test_matches_enumeration_on_large_balls"),
+           "the Ollivier gain flow stops after its one-pass start, short of maximum"),
 )
 
 

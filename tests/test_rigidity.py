@@ -181,6 +181,70 @@ class TestNeumannLaplacian:
         with pytest.raises(NotApplicable, match="two interior vertices"):
             check_neumann_laplacian_rigidity(p3_two_ends)
 
+    # each mu_top bound below is missed (or, for the strict one, met) by
+    # about 10 times the certificate's tolerance 1e-7 max Deg, with mu_top
+    # from a closed form or numpy's eigvalsh of the interior's Laplacian
+
+    def test_constant_rho_bound_fails_between_tol_and_100_tol(self):
+        # B = {0} joined with weight 1 to both ends of a unit-measure interior
+        # edge of weight a: rho = 1, the bound rho V_Omega = 2 and mu_top =
+        # 2a, with max Deg = 1 + a
+        a = 1.0 + 1e-6
+        g = graph_from_edges([1.0] * 3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, a)], [0])
+        cond = check_neumann_laplacian_rigidity(g, EQUALITY_TOL).condition("rho_constant_bound")
+        tol_abs = EQUALITY_TOL * (1.0 + a)
+        assert tol_abs < 2.0 * a - 2.0 < 100.0 * tol_abs
+        assert cond.witness == pytest.approx((2.0 * a, 2.0), rel=1e-12, abs=0.0)
+        assert not cond.holds
+
+    def test_strict_bound_holds_between_tol_and_100_tol_below_it(self):
+        # B = {0, 1} with rho = (1, 2) on a unit-measure interior edge of
+        # weight a: the bound (V_Omega / V_B) Deg_b = 3 and mu_top = 2a, with
+        # max Deg = 3 + a
+        a = 1.5 - 2.25e-6
+        g = graph_from_edges([1.0] * 4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 2.0), (1, 3, 2.0),
+                                         (2, 3, a)], [0, 1])
+        cond = check_neumann_laplacian_rigidity(g, EQUALITY_TOL).condition("strict_bound")
+        tol_abs = EQUALITY_TOL * (3.0 + a)
+        assert tol_abs < 3.0 - 2.0 * a < 100.0 * tol_abs
+        assert cond.witness == pytest.approx((2.0 * a, 3.0), rel=1e-12, abs=0.0)
+        assert cond.holds
+
+    def test_unit_weight_bound_fails_between_tol_and_100_tol(self):
+        # a unit interior on 12 vertices (from a seeded search over random
+        # graphs) whose top Laplacian eigenvalue lies 1.39e-5 above 10 =
+        # |Omega| - |B|, joined to both vertices of B.  mu_top is an algebraic
+        # integer and the bound an integer, so the two rarely come this close
+        # without being equal
+        interior = [(0, 1), (0, 3), (0, 6), (0, 8), (0, 10), (0, 11), (1, 3), (1, 4), (1, 6),
+                    (1, 7), (1, 8), (1, 9), (1, 10), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9),
+                    (3, 5), (3, 7), (3, 9), (3, 11), (4, 5), (4, 8), (4, 9), (4, 10), (4, 11),
+                    (5, 7), (5, 8), (6, 7), (6, 8), (7, 10), (7, 11), (8, 9), (9, 11), (10, 11)]
+        edges = [(b, 2 + y, 1.0) for b in (0, 1) for y in range(12)]
+        g = graph_from_edges([1.0] * 14, edges + [(2 + u, 2 + v, 1.0) for u, v in interior],
+                             [0, 1])
+        assert g.is_unit_weight()
+        w = g.weights[2:, 2:]
+        mu_top = float(np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)[-1])
+        tol_abs = EQUALITY_TOL * float(g.weights.sum(axis=1).max())
+        assert tol_abs < mu_top - 10.0 < 100.0 * tol_abs
+        cond = check_neumann_laplacian_rigidity(g, EQUALITY_TOL).condition("unit_weight_bound")
+        assert cond.witness == pytest.approx((mu_top, 10.0), rel=1e-12, abs=0.0)
+        assert not cond.holds
+
+    def test_normalized_bound_fails_between_tol_and_100_tol(self):
+        # B = {0} of measure 2c joined with weight c to both ends of a
+        # unit-measure interior edge of weight a = 1 - c: every Deg = 1, the
+        # bound is 1 and mu_top = 2a
+        a = 0.5 + 5e-7
+        c = 1.0 - a
+        g = graph_from_edges([2.0 * c, 1.0, 1.0], [(0, 1, c), (0, 2, c), (1, 2, a)], [0])
+        assert g.is_normalized()
+        cond = check_neumann_laplacian_rigidity(g, EQUALITY_TOL).condition("normalized_bound")
+        assert EQUALITY_TOL < 2.0 * a - 1.0 < 100.0 * EQUALITY_TOL
+        assert cond.witness == pytest.approx((2.0 * a, 1.0), rel=1e-12, abs=0.0)
+        assert not cond.holds
+
 
 @pytest.fixture(scope="module")
 def rho_factorized_reports():
@@ -219,6 +283,22 @@ class TestNeumannLaplacianNonConstantRho:
             concluded += report.conclusion
         # both verdicts occur, so neither side of the cross-check is vacuous
         assert 20 <= concluded <= 380
+
+    def test_quadratic_form_fails_between_tol_and_100_tol(self):
+        # B = {0, 1} of unit measure with rho = (1, 2) on an interior edge of
+        # weight a between two vertices of measure 10, so mu_top = a / 5.  At
+        # a = 89.5261 the form's least eigenvalue, from the projector
+        # construction, lies about 10 times tol below 0 in units of its
+        # largest entry
+        a = 89.5261
+        g = graph_from_edges([1.0, 1.0, 10.0, 10.0], [(0, 2, 10.0), (0, 3, 10.0), (1, 2, 20.0),
+                                                     (1, 3, 20.0), (2, 3, a)], [0, 1])
+        want, scale = quadratic_form_min_eig(g.measure, g.boundary, [1.0, 2.0], a / 5.0)
+        tol = EQUALITY_TOL
+        assert -100.0 * tol * scale < want < -tol * scale
+        cond = check_neumann_laplacian_rigidity(g, tol).condition("quadratic_form_psd")
+        assert cond.witness == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert not cond.holds
 
     def test_quadratic_form_matches_projector_construction(self, rho_factorized_reports):
         tol = EQUALITY_TOL
@@ -441,6 +521,73 @@ class TestLaplacianDirichlet:
         assert report.conclusion is False
         assert report.consistent is False
 
+    # the three tests below keep the certificate's pattern, equality at every
+    # index but j, while one structural test misses by a little more than
+    # the certificate's tolerance 1e-7 max Deg (volume_order: tol V_B)
+
+    def test_lambda_head_off_rho_mass_between_tol_and_100_tol(self):
+        # the j = 3 recipe (three single interior vertices, rho = 1, V_B =
+        # 4.5) with its interior joined into a path of weight eps: mu(Omega)
+        # = (0, eps, 3 eps), so the head lambda_1..3 = 4.5 + mu(Omega) and
+        # the full spectrum's 4.5 + eps and 4.5 + 3 eps keep the margins eps
+        # and 2 eps within tol_abs, while lambda_3 misses rho V_B by 3 eps
+        g = laplacian_dirichlet_recipe(3, 3, 3)
+        eps = 1.8e-7
+        w = g.weights.copy()
+        w[3, 4] = w[4, 3] = w[4, 5] = w[5, 4] = eps
+        g = WeightedBoundaryGraph(measure=g.measure, weights=w, boundary=g.boundary)
+        tol_abs = EQUALITY_TOL * float((w.sum(axis=1) / g.measure).max())
+        assert 2.0 * eps < tol_abs < 3.0 * eps < 100.0 * tol_abs
+        report = check_laplacian_dirichlet_rigidity(g, EQUALITY_TOL)
+        assert report.extra["j"] == 3
+        cond = report.condition("lambda_head_equals_rho_mass")
+        head, rho_sum = cond.witness
+        assert head == pytest.approx([4.5, 4.5 + eps, 4.5 + 3.0 * eps], rel=1e-14, abs=0.0)
+        assert rho_sum == 4.5
+        assert not cond.holds
+
+    def test_interior_gap_fails_between_tol_and_100_tol(self):
+        # B = {0, 1} of measures (1, 0.01) with rho = (1, 1 + s) on two
+        # interior vertices of measure 10 joined with weight a, so mu_2(Omega)
+        # = a / 5.  rho is constant within tol, and its plain mean, which the
+        # gap test reads, exceeds the measure-weighted mean that the spectrum
+        # sees by about s/2; so mu_2(Omega) sits 1.25 tol_abs below mean(rho)
+        # V_Omega while the certificate's one near margin stays within tol_abs
+        s = 0.95e-7
+        rho, m = np.array([1.0, 1.0 + s]), np.array([1.0, 0.01, 10.0, 10.0])
+        tol_abs = EQUALITY_TOL * 20.0 * rho[1]  # max Deg = Deg(1) = rho_1 V_Omega
+        a = 5.0 * (20.0 * rho.mean() - 1.25 * tol_abs)
+        g = graph_from_edges(m, [(x, y, rho[x] * m[x] * m[y]) for x in (0, 1) for y in (2, 3)]
+                             + [(2, 3, a)], [0, 1])
+        deg = g.weights.sum(axis=1) / m
+        assert deg.max() == pytest.approx(20.0 * rho[1], rel=1e-15)
+        gap = 20.0 * rho.mean() - a / 5.0
+        assert tol_abs < gap < 100.0 * tol_abs
+        report = check_laplacian_dirichlet_rigidity(g, EQUALITY_TOL)
+        assert report.extra["j"] == 1 and report.condition("rho_factorization").holds
+        cond = report.condition("interior_gap")
+        assert cond.witness == pytest.approx((a / 5.0, 20.0 * rho.mean()), rel=1e-12, abs=0.0)
+        assert not cond.holds
+
+    def test_volume_order_fails_between_tol_and_100_tol(self):
+        # rho = 1 from B = {0, 1} (unit measures) to four interior vertices
+        # of measure 0.5 (1 + 10 tol), two heavy interior edges: j = 2 and
+        # V_Omega = V_B (1 + 10 tol).  The full spectrum's rho V_Omega then
+        # sits 10 tol V_B above lambda_1 = rho V_B, far within the
+        # certificate's tolerance, which the interior's Deg of about 200 sets
+        tol = EQUALITY_TOL
+        mo = 0.5 * (1.0 + 10.0 * tol)
+        m = [1.0, 1.0, mo, mo, mo, mo]
+        g = graph_from_edges(m, [(x, y, mo) for x in (0, 1) for y in range(2, 6)]
+                             + [(2, 3, 100.0), (4, 5, 100.0)], [0, 1])
+        v_omega, v_b = 4.0 * mo, 2.0
+        assert tol * v_b < v_omega - v_b < 100.0 * tol * v_b
+        report = check_laplacian_dirichlet_rigidity(g, tol)
+        assert report.extra["j"] == 2
+        cond = report.condition("volume_order")
+        assert cond.witness == pytest.approx((v_omega, v_b), rel=1e-15, abs=0.0)
+        assert not cond.holds
+
     def test_unsupported_pattern_raises(self):
         # perturbing one boundary weight of the all-equal recipe breaks the
         # equality at two indices at once; that pattern has no
@@ -516,6 +663,67 @@ class TestNormalizedCorollary:
         assert report.condition("boundary_weights_are_m_outer_over_volume").holds
         assert not report.condition("case2_complete_interior").holds
         assert not report.conclusion and report.consistent
+
+    def test_boundary_weights_fail_between_tol_and_100_tol(self):
+        # the case-2 fixture above with w_01, w_02 = 0.2 (1 -+ 1e-6), and w_13, w_23
+        # moved by -+ 2e-7 so that every Deg stays 1: the largest boundary
+        # weight misses m_x m_y / V_Omega = 0.2 by 10 tol times 0.2
+        d = 1e-6
+        g = graph_from_edges([0.6, 1.0, 1.0, 1.0], [
+            (0, 1, 0.2 * (1.0 + d)), (0, 2, 0.2 * (1.0 - d)), (0, 3, 0.2),
+            (1, 2, 0.4), (1, 3, 0.4 - 0.2 * d), (2, 3, 0.4 + 0.2 * d)], [0])
+        assert g.is_normalized()
+        assert EQUALITY_TOL < d < 100.0 * EQUALITY_TOL
+        report = check_corollary_normalized(g, EQUALITY_TOL)
+        assert not report.condition("boundary_weights_are_m_outer_over_volume").holds
+
+    def test_case1_volumes_differ_between_tol_and_100_tol(self):
+        # K_{1,2} with m_0 = 2 (1 + 4e-13) and w_0y = m_0 / 2: every Deg is
+        # within NORMALIZED_TOL of 1, which bounds |V_Omega - V_B| by about
+        # 2e-12 V_B on an empty interior; so the window between tol and 100
+        # tol is reached at tol = 1e-13, where |V_Omega - V_B| = 4e-13 V_B
+        m_0 = 2.0 * (1.0 + 4e-13)
+        g = graph_from_edges([m_0, 1.0, 1.0], [(0, 1, 0.5 * m_0), (0, 2, 0.5 * m_0)], [0])
+        assert g.is_normalized()
+        tol = 1e-13
+        assert tol * m_0 < m_0 - 2.0 < 100.0 * tol * m_0
+        report = check_corollary_normalized(g, tol)
+        assert report.condition("boundary_weights_are_m_outer_over_volume").holds
+        assert not report.condition("case1_trivial_interior_equal_volumes").holds
+
+    def test_case2_interior_degree_misses_its_target_between_tol_and_100_tol(self):
+        # the case-2 fixture above with w_12 = 0.4 + 2e-13: Deg(1) = Deg(2) =
+        # 1 + 2e-13, within NORMALIZED_TOL, so Deg_Omega(1) misses its target
+        # 0.8 by 2.5e-13 of it.  Every other case-2 test holds (as without the
+        # 2e-13), and at tol = 1e-14 that miss lies between tol and 100 tol
+        def fixture(w_12):
+            return graph_from_edges([0.6, 1.0, 1.0, 1.0], [
+                (0, 1, 0.2), (0, 2, 0.2), (0, 3, 0.2), (1, 2, w_12), (1, 3, 0.4), (2, 3, 0.4)], [0])
+
+        tol = 1e-14
+        assert tol * 0.8 < 2e-13 < 100.0 * tol * 0.8
+        g = fixture(0.4 + 2e-13)
+        assert g.is_normalized()
+        report = check_corollary_normalized(g, tol)
+        assert report.condition("boundary_weights_are_m_outer_over_volume").holds
+        assert not report.condition("case2_complete_interior").holds
+        unperturbed = check_corollary_normalized(fixture(0.4), tol)
+        assert unperturbed.condition("case2_complete_interior").holds
+
+    def test_case2_mu2_of_the_interior_misses_one_between_tol_and_100_tol(self):
+        # B = {0} of measure 3 - 6a joined with weight 1 - 2a to a unit-measure
+        # interior K3 of weight a: every Deg = 1, the boundary weights are
+        # m_x m_y / V_Omega and Deg_Omega = 2a = 1 - V_B/V_Omega, and
+        # mu_2(Omega) = 3a = 1 - 1e-6, 10 times the tolerance 1e-7 max Deg
+        a = (1.0 - 1e-6) / 3.0
+        c = 1.0 - 2.0 * a
+        g = graph_from_edges([3.0 * c, 1.0, 1.0, 1.0], [(0, 1, c), (0, 2, c), (0, 3, c),
+                                                        (1, 2, a), (1, 3, a), (2, 3, a)], [0])
+        assert g.is_normalized()
+        assert EQUALITY_TOL < 1.0 - 3.0 * a < 100.0 * EQUALITY_TOL
+        report = check_corollary_normalized(g, EQUALITY_TOL)
+        assert report.condition("boundary_weights_are_m_outer_over_volume").holds
+        assert not report.condition("case2_complete_interior").holds
 
     def test_boundary_weights_are_tested_at_measures_near_the_float_range(self):
         # B = {0}, Omega = {1, 2}, every Deg = 1: m_0 m_1 overflows, so the
