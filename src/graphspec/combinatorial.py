@@ -111,7 +111,6 @@ def fiedler_bounds(
 ) -> ComparisonCertificate:
     """The five edge-connectivity lower bounds on nu_2 and lambda_2 (none
     when |Omega| = 1, where neither exists)."""
-    _require_unit(graph)
     n_v = graph.vertex_count
     n_om = graph.interior.size
     e_g = edge_connectivity(graph)
@@ -131,11 +130,14 @@ def fiedler_bounds(
             ("item4_lambda2_vs_eOmega_s1", lam2, bound_om + s1sq),
             ("item5_lambda2_vs_eOmega_degb", lam2, bound_om + min_deg_b),
         ]
+    return _items_certificate("FiedlerType", graph, tol, items, e_graph=e_g, e_interior=e_om)
+
+
+def _items_certificate(theorem_id, graph, tol, items, **extra) -> ComparisonCertificate:
+    """Certify ``lhs >= rhs`` for each ``(name, lhs, rhs)``, listing the names."""
     names, lhs, rhs = zip(*items) if items else ((), (), ())
-    return certificate(
-        "FiedlerType", degree_vector(graph)[graph.interior], tol, lhs, rhs,
-        extra={"items": list(names), "e_graph": e_g, "e_interior": e_om},
-    )
+    return certificate(theorem_id, degree_vector(graph)[graph.interior], tol, lhs, rhs,
+                       extra={"items": list(names), **extra})
 
 
 def max_path_eigenvalue(i: int) -> float:
@@ -195,8 +197,5 @@ def friedman_bounds(
                 (f"i{i}_item4_lambda_s1", float(lam[i - 1]), b_om + s1sq),
                 (f"i{i}_item5_lambda_degb", float(lam[i - 1]), b_om + min_deg_b),
             ]
-    names, lhs, rhs = zip(*items) if items else ((), (), ())
-    return certificate(
-        "FriedmanType", degree_vector(graph)[graph.interior], tol, lhs, rhs,
-        extra={"items": list(names), "interior_connected": interior_connected},
-    )
+    return _items_certificate("FriedmanType", graph, tol, items,
+                              interior_connected=interior_connected)

@@ -10,9 +10,11 @@ every vertex once the full Laplacian or the whole graph's curvature
 enters.  Those values lie within 2 max Deg of 0 and scale with it, so the
 tolerance is unit-free.  A certificate Holds when every margin is at least
 ``-tol_abs``; an index is an equality (``IndexRecord.equal``) within
-``tol_abs`` of 0.  The rigidity cross-checks read these flags and compare
-eigenvalues with bounds at the certificate's ``tolerance``, never at their
-own.  ``at_most`` decides every tolerance test, at its caller's scale.
+``tol_abs`` of 0, and only this module reads that flag: the rigidity
+cross-checks read ``equality_indices``, ``unequal_indices`` or ``all_equal``
+and compare eigenvalues with bounds at the certificate's ``tolerance``,
+never at their own.  ``at_most`` decides every tolerance test, at its
+caller's scale.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ class ComparisonCertificate:
         record's ``equal`` flag decided it at ``tolerance``."""
         return tuple(r.index for r in self.per_index if r.equal)
 
+    def unequal_indices(self) -> tuple[int, ...]:
+        """1-based indices where the comparison is not an equality, ascending."""
+        return tuple(r.index for r in self.per_index if not r.equal)
+
     def all_equal(self) -> bool:
-        return all(r.equal for r in self.per_index)
+        return not self.unequal_indices()
 
 
 def at_most(value, bound, tol: float, scale: float, *, strict: bool = False):

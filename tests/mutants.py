@@ -17,13 +17,6 @@ entry's tests.  An entry is
 
 and any other pytest exit (a test id that does not exist, say) is an error.
 The run exits 0 when every entry is killed, and 1 otherwise.
-
-One widening is left out as equivalent: the normalized corollary's case-2
-test V_Omega >= V_B at 100 times its tolerance.  The two thresholds differ
-only where V_Omega < (1 - tol) V_B.  For tol between the float epsilon and 1
-the Deg_Omega target 1 - V_B / V_Omega is negative there, and no Deg_Omega
-is, so the Deg_Omega test fails and case 2 reads false either way; at
-tol >= 1 neither threshold can be missed, as V_Omega > 0.
 """
 
 from __future__ import annotations
@@ -105,6 +98,14 @@ CATALOGUE = (
            "math.pi / n_v", "math.pi / (n_v + 1)",
            ("tests/test_combinatorial.py::TestFiedler::test_right_sides_match_closed_forms",),
            "Fiedler items 1 and 2 use a weaker bound, which still holds"),
+    Mutant("unequal-indices-inverted", "comparisons.py",
+           "return tuple(r.index for r in self.per_index if not r.equal)",
+           "return tuple(r.index for r in self.per_index if r.equal)",
+           (_CERT + "test_equal_and_unequal_indices_partition_every_corpus_certificate",
+            _LAP_DIRI + "test_k22", _LAP_DIRI + "test_unsupported_pattern_raises",
+            "tests/test_rigidity.py::TestUnitCorollary::test_k22",
+            _NORMALIZED + "test_case2_complete_interior_fixture"),
+           "the equality pattern reads the equal indices as the unequal ones"),
     Mutant("at-most-strict", "comparisons.py",
            "return value <= top, top - value", "return value < top, top - value",
            (_AT_MOST, _CERT + "test_equality_and_failure_are_decided_at_tol_times_max_deg"),

@@ -46,10 +46,6 @@ MAX_EIG_DIM = 6
 MAX_SUPPORT_DIM = 7
 
 
-class DimensionTooLarge(ValueError):
-    pass
-
-
 class TooLarge(ValueError):
     pass
 
@@ -92,7 +88,7 @@ def eigen_bruteforce(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
     measure = np.asarray(measure, dtype=float)
     n = matrix.shape[0]
     if n > MAX_EIG_DIM:
-        raise DimensionTooLarge(f"{n} > {MAX_EIG_DIM}")
+        raise TooLarge(f"{n} > {MAX_EIG_DIM}")
     if n == 0:
         return np.empty(0)
     d = np.sqrt(measure)

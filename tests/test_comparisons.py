@@ -3,6 +3,8 @@ import pytest
 
 from graphspec.comparisons import (
     ALL_COMPARISONS,
+    DEFAULT_TOL,
+    EQUALITY_TOL,
     at_most,
     certificate,
     compare_dirichlet_interior,
@@ -103,6 +105,16 @@ class TestCertificateSemantics:
         assert cert.tolerance == tol_abs and cert.per_index[0].margin == margin * tol_abs
         assert cert.per_index[0].equal == equal
         assert cert.verdict == verdict
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, EQUALITY_TOL])
+    def test_equal_and_unequal_indices_partition_every_corpus_certificate(self, corpus, tol):
+        for g in corpus:
+            for cert in run_all(g, tol):
+                equal, unequal = cert.equality_indices(), cert.unequal_indices()
+                n = len(cert.per_index)
+                assert list(equal) == sorted(equal) and list(unequal) == sorted(unequal)
+                assert sorted(equal + unequal) == list(range(1, n + 1)), cert.theorem_id
+                assert cert.all_equal() == (not unequal)
 
     def test_corpus_all_certificates_hold(self, corpus_certificates):
         for certs in corpus_certificates:

@@ -13,7 +13,7 @@ from graphspec.fixtures import random_graph
 from builders import complete_bipartite, path_graph
 from oracle import (
     MAX_EIG_DIM,
-    DimensionTooLarge,
+    TooLarge,
     eigen_bruteforce,
     self_adjointness_defect,
 )
@@ -124,7 +124,7 @@ class TestEigensolve:
             symmetric_eigvalsh(np.eye(2)[None])
 
     def test_oracle_refuses_large_input(self):
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(TooLarge):
             eigen_bruteforce(np.eye(7), np.ones(7))
 
     def test_oracle_trivial_cases(self):
